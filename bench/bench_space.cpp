@@ -50,9 +50,13 @@ static void BM_E8_ConstantRefSets(benchmark::State &State) {
   // Slab footprint of the handle-based engine (graph.node_bytes /
   // graph.edge_bytes): reserved table bytes per live node/edge, the
   // figure the 24-byte packed Edge is accountable to.
-  State.counters["bytes_per_node"] =
-      static_cast<double>(RT.graph().nodeSlabBytes()) /
-      static_cast<double>(RT.graph().numLiveNodes());
+  double NodeSlabPerNode = static_cast<double>(RT.graph().nodeSlabBytes()) /
+                           static_cast<double>(RT.graph().numLiveNodes());
+  State.counters["bytes_per_node"] = NodeSlabPerNode;
+  // What a node really costs the graph: the node object's DepNode base
+  // (owned by the typed layer) plus its share of the node slab.
+  State.counters["node_footprint_bytes"] =
+      static_cast<double>(sizeof(DepNode)) + NodeSlabPerNode;
   State.counters["bytes_per_edge"] =
       static_cast<double>(RT.graph().edgeSlabBytes()) /
       static_cast<double>(RT.graph().numLiveEdges());

@@ -38,9 +38,10 @@ namespace alphonse {
 template <typename T> class Cell {
 public:
   /// Creates the cell with \p Initial contents. \p Name labels the node in
-  /// debug dumps.
+  /// debug dumps ("cell" when empty).
   explicit Cell(Runtime &RT, T Initial = T(), std::string Name = "")
-      : RT(&RT), Live(std::move(Initial)), Name(std::move(Name)) {}
+      : RT(&RT), Live(std::move(Initial)),
+        Name(Name.empty() ? "cell" : std::move(Name)) {}
 
   Cell(const Cell &) = delete;
   Cell &operator=(const Cell &) = delete;
@@ -156,7 +157,7 @@ private:
     if (StorageNode *SN = Node.load(std::memory_order_relaxed))
       return *SN; // A sibling worker won the race.
     auto *SN = new StorageNode(RT->graph(), *this);
-    SN->setName(Name.empty() ? "cell" : Name);
+    SN->setName(Name);
     // A node created inside a batch is destroyed again on rollback (its
     // edges and journal references are undone first — they were recorded
     // later).

@@ -60,12 +60,13 @@ public:
   using Key = std::tuple<std::decay_t<Args>...>;
 
   /// Wraps \p Fn as an incremental procedure. \p Strategy selects the
-  /// DEMAND / EAGER pragma argument of Section 3.3.
+  /// DEMAND / EAGER pragma argument of Section 3.3. \p Name labels the
+  /// instance nodes in debug dumps ("proc" when empty).
   Maintained(Runtime &RT, Body Fn,
              EvalStrategy Strategy = EvalStrategy::Demand,
              std::string Name = "")
       : RT(&RT), Fn(std::move(Fn)), Strategy(Strategy),
-        Name(std::move(Name)) {}
+        Name(Name.empty() ? "proc" : std::move(Name)) {}
 
   Maintained(const Maintained &) = delete;
   Maintained &operator=(const Maintained &) = delete;
@@ -87,7 +88,7 @@ public:
         auto Owned = std::make_unique<InstanceNode>(RT->graph(), *this, K,
                                                     Strategy);
         N = Owned.get();
-        N->setName(Name.empty() ? "proc" : Name);
+        N->setName(Name);
         Table.emplace(std::move(K), std::move(Owned));
         touchLRU(*N);
         // A cache entry inserted inside a batch is dropped again on
@@ -213,7 +214,7 @@ public:
     auto Owned =
         std::make_unique<InstanceNode>(RT->graph(), *this, K, Strategy);
     InstanceNode *N = Owned.get();
-    N->setName(Name.empty() ? "proc" : Name);
+    N->setName(Name);
     N->Cached = std::move(Cached);
     Table.emplace(std::move(K), std::move(Owned));
     touchLRU(*N);
@@ -283,9 +284,13 @@ private:
     }
   }
 
+  /// Moves \p N to the hot end of the LRU list. A hit relinks the
+  /// existing list node in place: no allocation on the call path.
   void touchLRU(InstanceNode &N) {
-    if (N.InLRU)
-      LRU.erase(N.LRUSlot);
+    if (N.InLRU) {
+      LRU.splice(LRU.begin(), LRU, N.LRUSlot);
+      return;
+    }
     LRU.push_front(&N);
     N.LRUSlot = LRU.begin();
     N.InLRU = true;

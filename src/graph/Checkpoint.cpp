@@ -171,7 +171,7 @@ GraphSnapshot GraphCheckpoint::capture(DepGraph &G) {
     R.Level = N->Level;
     R.Version = N->Version;
     R.ExecStamp = N->ExecStamp;
-    R.Name = N->DebugName;
+    R.Name = N->name();
     UnionFind::Id Root = G.Partitions.find(N->Partition);
     R.PartitionTag = Root;
     // Per-node pin, not the partition tag: restore re-pins exactly the
@@ -255,8 +255,6 @@ void GraphRestorer::finish(DepGraph &G) {
     N.Level = R.Level;
     N.Version = R.Version;
     N.ExecStamp = R.ExecStamp;
-    if (N.DebugName.empty() && !R.Name.empty())
-      N.DebugName = R.Name;
   }
 
   // Quarantine membership (direct, not via quarantine(): that would

@@ -20,6 +20,7 @@
 #include "support/FaultInjector.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace alphonse {
 
@@ -28,7 +29,7 @@ namespace alphonse {
 //===----------------------------------------------------------------------===//
 
 DepNode::DepNode(DepGraph &Graph, NodeKind Kind, EvalStrategy Strategy)
-    : Kind(Kind), Strategy(Strategy), Graph(&Graph) {
+    : Graph(&Graph), Kind(Kind), Strategy(Strategy) {
   // Storage nodes are created at the first tracked access, when the cached
   // snapshot equals the live value; procedure nodes are created at the first
   // call, before the procedure has ever run (Algorithm 5 marks them
@@ -100,6 +101,8 @@ void DepGraph::unregisterNode(DepNode &N) {
     Quarantine[I] = std::move(Quarantine.back());
     Quarantine.pop_back();
   }
+  if (!Gov.Strikes.empty())
+    Gov.Strikes.erase(N.Id);
 
   removePredEdges(N);
 
@@ -252,8 +255,8 @@ void DepGraph::beginExecution(DepNode &Proc) {
   }
   // An execution re-establishes the node's value from live inputs, so any
   // stale mark left by a cancelled wave is repaired here.
-  if (Proc.StaleSince != 0) {
-    Proc.StaleSince = 0;
+  if (Proc.Stale) {
+    Proc.Stale = false;
     Gov.StaleCount.fetch_sub(1, std::memory_order_relaxed);
   }
   // Algorithm 5 sets consistent(n) := TRUE before running the body so that
@@ -319,8 +322,8 @@ void DepGraph::processNode(DepNode &N) {
 
   // Processing repairs the node (or, for demand nodes, hands repair to the
   // next call), so a stale mark left by a cancelled wave is lifted here.
-  if (N.StaleSince != 0) {
-    N.StaleSince = 0;
+  if (N.Stale) {
+    N.Stale = false;
     Gov.StaleCount.fetch_sub(1, std::memory_order_relaxed);
   }
 
@@ -441,20 +444,27 @@ void DepGraph::processNode(DepNode &N) {
     return;
   }
   if (Watch) {
-    if (BillWatch() >= Gov.currentDeadlineUs()) {
+    const bool Blown = BillWatch() >= Gov.currentDeadlineUs();
+    uint32_t Blows = 0;
+    {
+      StateGuard Guard(*this);
+      if (Blown)
+        Blows = ++Gov.Strikes[N.Id];
+      else
+        Gov.Strikes.erase(N.Id); // A clean evaluation breaks the streak.
+    }
+    if (Blown) {
       ++Stats.GovDeadlineBlows;
-      if (++N.DeadlineBlows >= Cfg.WatchdogTrips) {
+      if (Blows >= Cfg.WatchdogTrips) {
         ++Stats.GovWatchdogQuarantines;
         quarantine(N, {FaultKind::Deadline, N.name(),
                        "single evaluation consumed an entire wave deadline " +
-                           std::to_string(N.DeadlineBlows) +
+                           std::to_string(Blows) +
                            " consecutive times (WatchdogTrips); the node "
                            "would starve every governed wave",
                        nullptr});
         return;
       }
-    } else {
-      N.DeadlineBlows = 0; // A clean evaluation breaks the streak.
     }
   }
   if (Changed) {
@@ -842,12 +852,14 @@ void DepGraph::relinkPredecessors(DepNode &Sink,
 
 void DepGraph::stampStaleResidue() {
   StateGuard Guard(*this);
-  const uint64_t Mark = Gov.waveSeq();
 
   // Seed with everything still pending (the parked residue), then stamp
   // the transitive successor cone: any value downstream of unrepaired
-  // work may reflect inputs the cancelled wave never propagated.
+  // work may reflect inputs the cancelled wave never propagated. Nodes
+  // already stale from an earlier wave are walked again (their cones
+  // may have grown), so the walk keeps its own visited set.
   std::vector<NodeId> Stack;
+  std::unordered_set<NodeId> Seen;
   auto Collect = [&](const InconsistentSet &S) {
     S.forEach(*this, [&](const DepNode &N) { Stack.push_back(N.Id); });
   };
@@ -858,16 +870,14 @@ void DepGraph::stampStaleResidue() {
   while (!Stack.empty()) {
     NodeId Id = Stack.back();
     Stack.pop_back();
-    if (!isLiveNode(Id))
+    if (!isLiveNode(Id) || !Seen.insert(Id).second)
       continue;
     DepNode &N = node(Id);
-    if (N.StaleSince == Mark)
-      continue;
-    if (N.StaleSince == 0) {
+    if (!N.Stale) {
+      N.Stale = true;
       Gov.StaleList.push_back(Id);
       Gov.StaleCount.fetch_add(1, std::memory_order_relaxed);
     }
-    N.StaleSince = Mark;
     ++Stats.GovNodesStamped;
     N.forEachSuccessor([&](DepNode &Succ) { Stack.push_back(Succ.Id); });
   }
@@ -879,7 +889,7 @@ void DepGraph::clearStaleMarks() {
   StateGuard Guard(*this);
   for (NodeId Id : Gov.StaleList)
     if (isLiveNode(Id))
-      node(Id).StaleSince = 0;
+      node(Id).Stale = false;
   Gov.StaleList.clear();
   Gov.StaleCount.store(0, std::memory_order_relaxed);
 }

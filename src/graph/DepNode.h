@@ -118,7 +118,7 @@ public:
   /// the moment a later wave re-establishes the node's consistency, or
   /// wholesale when a wave runs the graph to full quiescence. Staleness
   /// is transient engine state — never journaled or checkpointed.
-  bool isStale() const { return StaleSince != 0; }
+  bool isStale() const { return Stale; }
 
   /// Depth of re-entrant (conventional) runs of this instance currently on
   /// the stack on top of its in-flight incremental execution. Nonzero
@@ -158,9 +158,13 @@ public:
   /// Invokes \p F on every dependent node. Defined in DepGraph.h.
   template <typename Fn> void forEachSuccessor(Fn F) const;
 
-  /// Debug label used in dumps and diagnostics.
-  const std::string &name() const { return DebugName; }
-  void setName(std::string Name) { DebugName = std::move(Name); }
+  /// Debug label used in dumps and diagnostics (empty until setName()).
+  const std::string &name() const { return *DebugName; }
+  /// Labels this node with \p Name without copying it: the node keeps a
+  /// pointer, so \p Name must outlive the node (typically the owner's
+  /// own name field). Temporaries are rejected at compile time.
+  void setName(const std::string &Name) { DebugName = &Name; }
+  void setName(std::string &&) = delete;
 
   /// Pins this node's partition (and every partition it later merges
   /// with) to the calling thread: the parallel scheduler never hands
@@ -206,6 +210,36 @@ private:
   friend class GraphCheckpoint;
   friend class GraphRestorer;
 
+  // Fields run from 8-byte to 1-byte alignment, so the node has no
+  // interior padding (see the static_assert below the class).
+  DepGraph *Graph = nullptr;
+  /// The label name() returns (see setName()).
+  const std::string *DebugName = &NoName;
+  /// Propagation stamp of ReexecCount (see below).
+  uint64_t ReexecEpoch = 0;
+  /// Stamp of this node's current/most recent execution (as a dependent).
+  uint64_t ExecStamp = 0;
+  /// Value-version stamp (see version()).
+  uint64_t Version = 0;
+  /// As a dependency source: the sink/stamp of the most recent edge created
+  /// from this node, used to skip duplicate edges when one execution reads
+  /// the same location repeatedly.
+  uint64_t DedupStamp = 0;
+  NodeId DedupSink;
+  /// This node's slot in the graph's node table (see id()).
+  NodeId Id;
+  EdgeId FirstPred;
+  EdgeId FirstSucc;
+  uint32_t Level = 0;
+  /// Re-entrant conventional runs currently stacked on this instance.
+  uint32_t ReentrantDepth = 0;
+  /// Times the evaluator re-executed this node during the propagation
+  /// stamped by ReexecEpoch (divergence accounting).
+  uint32_t ReexecCount = 0;
+  /// Heap position within the owning inconsistent set (valid iff InQueue).
+  uint32_t QueuePos = 0;
+  /// Union-find element id in the partition manager (Section 6.3).
+  uint32_t Partition = 0;
   NodeKind Kind;
   EvalStrategy Strategy;
   bool Consistent = false;
@@ -222,39 +256,16 @@ private:
   /// edges. Cleared at the next execution. Scheduling-heuristic
   /// bookkeeping only — never journaled.
   bool ReadMidExecution = false;
-  uint32_t Level = 0;
-  /// Re-entrant conventional runs currently stacked on this instance.
-  uint32_t ReentrantDepth = 0;
-  /// Times the evaluator re-executed this node during the propagation
-  /// stamped by ReexecEpoch (divergence accounting).
-  uint32_t ReexecCount = 0;
-  uint64_t ReexecEpoch = 0;
-  /// Heap position within the owning inconsistent set (valid iff InQueue).
-  uint32_t QueuePos = 0;
-  /// Union-find element id in the partition manager (Section 6.3).
-  uint32_t Partition = 0;
-  /// Stamp of this node's current/most recent execution (as a dependent).
-  uint64_t ExecStamp = 0;
-  /// Value-version stamp (see version()).
-  uint64_t Version = 0;
-  /// Governor wave-sequence stamp of the cancelled wave that marked this
-  /// node stale (0 = fresh; see isStale()).
-  uint64_t StaleSince = 0;
-  /// Watchdog strikes: single evaluations of this node that each consumed
-  /// an entire wave deadline (quarantined at Config::WatchdogTrips).
-  uint32_t DeadlineBlows = 0;
-  /// As a dependency source: the sink/stamp of the most recent edge created
-  /// from this node, used to skip duplicate edges when one execution reads
-  /// the same location repeatedly.
-  uint64_t DedupStamp = 0;
-  NodeId DedupSink;
-  /// This node's slot in the graph's node table (see id()).
-  NodeId Id;
-  EdgeId FirstPred;
-  EdgeId FirstSucc;
-  DepGraph *Graph = nullptr;
-  std::string DebugName;
+  /// A cancelled wave left this node stale (see isStale()); the governor
+  /// lists the stale nodes so a full repair can clear them wholesale.
+  bool Stale = false;
+
+  /// The label of a node nobody named.
+  static inline const std::string NoName;
 };
+// The node is the per-vertex constant of the O(M) space bound (Section
+// 9.1); cold, rarely set state belongs in side tables, not here.
+static_assert(sizeof(DepNode) <= 104, "DepNode grew past 104 bytes");
 
 } // namespace alphonse
 

@@ -11,8 +11,10 @@
 /// DepGraph holds the default WaveBudget, the per-wave cancellation latch
 /// that drain loops and wave workers poll at evaluation boundaries, the
 /// overload-admission decision, and the bookkeeping behind graceful
-/// degradation: the list of nodes currently stamped stale and the residue
-/// parked by the last cancelled wave.
+/// degradation: the list of nodes currently stamped stale, the residue
+/// parked by the last cancelled wave, and the watchdog's strike counts.
+/// These are side tables rather than node fields because only governed
+/// waves ever touch them, and every node would pay for the fields.
 ///
 /// The governor never touches graph structure itself — DepGraph drives it
 /// from the drain loops (the only places with the step counter and memory
@@ -31,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 namespace alphonse {
@@ -87,7 +90,6 @@ public:
     CancelFlag.store(false, std::memory_order_relaxed);
     CancelWhy.store(static_cast<uint8_t>(WaveOutcome::Completed),
                     std::memory_order_relaxed);
-    ++WaveSeq;
     ++Stats.GovWaves;
   }
 
@@ -123,9 +125,6 @@ public:
 
   /// Outcome of the most recent wave (admission skips included).
   WaveOutcome lastOutcome() const { return Last; }
-
-  /// Monotonic wave counter; doubles as the staleness stamp generation.
-  uint64_t waveSeq() const { return WaveSeq; }
 
   /// True while the engine is serving degraded results: stale-stamped
   /// nodes exist or a cancelled wave's residue is still parked.
@@ -187,7 +186,6 @@ private:
   std::atomic<uint8_t> CancelWhy{0};
 
   WaveOutcome Last = WaveOutcome::Completed;
-  uint64_t WaveSeq = 0;
   uint64_t ParkedResidue = 0;
 
   /// Nodes stamped stale by cancelled waves (DepGraph maintains both; the
@@ -195,6 +193,12 @@ private:
   /// nodes mid-wave).
   std::vector<NodeId> StaleList;
   std::atomic<uint64_t> StaleCount{0};
+
+  /// Watchdog strikes by node: the consecutive evaluations of the node
+  /// that each consumed an entire wave deadline (quarantined at
+  /// Config::WatchdogTrips; a clean evaluation erases the entry).
+  /// DepGraph maintains it under the graph's state lock.
+  std::unordered_map<NodeId, uint32_t> Strikes;
 };
 
 } // namespace alphonse

@@ -125,24 +125,20 @@ public:
       Index = Free.back();
       Free.pop_back();
     } else {
-      Index = Slots.push();
-      uint32_t GenIndex = Gens.push();
-      (void)GenIndex;
-      assert(GenIndex == Index && "node slabs out of lockstep");
-      assert(Index <= NodeId::MaxIndex && "node table exhausted (2^24 slots)");
-      Gens[Index] = NodeId::FirstGen;
+      Index = grow();
     }
-    Slots[Index] = &N;
-    return NodeId::make(Index, Gens[Index]);
+    auto [Slot, Gen] = Slots.at(Index);
+    Slot = &N;
+    return NodeId::make(Index, Gen);
   }
 
   /// Releases \p Id's slot and advances its generation.
   void free(NodeId Id) {
     assert(isLive(Id) && "freeing a stale or null NodeId");
-    uint32_t Index = Id.index();
-    Slots[Index] = nullptr;
-    Gens[Index] = NodeId::nextGen(Gens[Index]);
-    Free.push_back(Index);
+    auto [Slot, Gen] = Slots.at(Id.index());
+    Slot = nullptr;
+    Gen = NodeId::nextGen(Gen);
+    Free.push_back(Id.index());
   }
 
   /// Pre-grows the table by \p N slots, parking them on the free list so
@@ -150,25 +146,15 @@ public:
   /// (static graph construction, DESIGN.md §14). Writer-side only, like
   /// alloc().
   void reserve(size_t N) {
-    for (size_t I = 0; I < N; ++I) {
-      uint32_t Index = Slots.push();
-      uint32_t GenIndex = Gens.push();
-      (void)GenIndex;
-      assert(GenIndex == Index && "node slabs out of lockstep");
-      assert(Index <= NodeId::MaxIndex && "node table exhausted (2^24 slots)");
-      Gens[Index] = NodeId::FirstGen;
-      Free.push_back(Index);
-    }
+    for (size_t I = 0; I < N; ++I)
+      Free.push_back(grow());
   }
 
   /// Slots currently parked on the free list.
   size_t numFree() const { return Free.size(); }
 
   /// True when \p Id names a currently allocated slot of its generation.
-  bool isLive(NodeId Id) const {
-    return Id && Id.index() < Slots.size() && Gens[Id.index()] == Id.gen() &&
-           Slots[Id.index()] != nullptr;
-  }
+  bool isLive(NodeId Id) const { return tryNode(Id) != nullptr; }
 
   /// Resolves a live handle; asserts (debug) on stale or null handles.
   DepNode &node(NodeId Id) const {
@@ -178,7 +164,10 @@ public:
 
   /// Resolves \p Id, or nullptr when it is null, freed, or stale.
   DepNode *tryNode(NodeId Id) const {
-    return isLive(Id) ? Slots[Id.index()] : nullptr;
+    if (!Id || Id.index() >= Slots.size())
+      return nullptr;
+    auto [Slot, Gen] = Slots.at(Id.index());
+    return Gen == Id.gen() ? Slot : nullptr;
   }
 
   /// One past the highest index ever allocated (for table scans).
@@ -186,15 +175,21 @@ public:
   /// The occupant of slot \p Index, or nullptr for a free slot.
   DepNode *at(uint32_t Index) const { return Slots[Index]; }
 
-  /// Bytes reserved by the table's slabs and free list.
+  /// Bytes reserved by the table's slab and free list.
   size_t bytesReserved() const {
-    return Slots.bytesReserved() + Gens.bytesReserved() +
-           Free.capacity() * sizeof(uint32_t);
+    return Slots.bytesReserved() + Free.capacity() * sizeof(uint32_t);
   }
 
 private:
+  /// Appends a fresh first-generation slot.
+  uint32_t grow() {
+    uint32_t Index = Slots.push();
+    assert(Index <= NodeId::MaxIndex && "node table exhausted (2^24 slots)");
+    Slots.at(Index).Gen = NodeId::FirstGen;
+    return Index;
+  }
+
   Slab<DepNode *> Slots;
-  Slab<uint8_t> Gens;
   std::vector<uint32_t> Free;
 };
 
@@ -216,43 +211,32 @@ public:
       Index = Free.back();
       Free.pop_back();
     } else {
-      Index = Slots.push();
-      uint32_t GenIndex = Gens.push();
-      (void)GenIndex;
-      assert(GenIndex == Index && "edge slabs out of lockstep");
-      assert(Index <= EdgeId::MaxIndex && "edge table exhausted (2^24 slots)");
-      Gens[Index] = EdgeId::FirstGen;
+      Index = grow();
     }
-    return EdgeId::make(Index, Gens[Index]);
+    return EdgeId::make(Index, Slots.at(Index).Gen);
   }
 
   /// Releases \p Id's slot and advances its generation.
   void free(EdgeId Id) {
     assert(isLive(Id) && "freeing a stale or null EdgeId");
-    uint32_t Index = Id.index();
-    Gens[Index] = EdgeId::nextGen(Gens[Index]);
-    Free.push_back(Index);
+    uint8_t &Gen = Slots.at(Id.index()).Gen;
+    Gen = EdgeId::nextGen(Gen);
+    Free.push_back(Id.index());
   }
 
   /// Pre-grows the table by \p N slots, parking them on the free list (see
   /// NodeTable::reserve).
   void reserve(size_t N) {
-    for (size_t I = 0; I < N; ++I) {
-      uint32_t Index = Slots.push();
-      uint32_t GenIndex = Gens.push();
-      (void)GenIndex;
-      assert(GenIndex == Index && "edge slabs out of lockstep");
-      assert(Index <= EdgeId::MaxIndex && "edge table exhausted (2^24 slots)");
-      Gens[Index] = EdgeId::FirstGen;
-      Free.push_back(Index);
-    }
+    for (size_t I = 0; I < N; ++I)
+      Free.push_back(grow());
   }
 
   /// Slots currently parked on the free list.
   size_t numFree() const { return Free.size(); }
 
   bool isLive(EdgeId Id) const {
-    return Id && Id.index() < Slots.size() && Gens[Id.index()] == Id.gen();
+    return Id && Id.index() < Slots.size() &&
+           Slots.at(Id.index()).Gen == Id.gen();
   }
 
   Edge &edge(EdgeId Id) {
@@ -265,13 +249,19 @@ public:
   }
 
   size_t bytesReserved() const {
-    return Slots.bytesReserved() + Gens.bytesReserved() +
-           Free.capacity() * sizeof(uint32_t);
+    return Slots.bytesReserved() + Free.capacity() * sizeof(uint32_t);
   }
 
 private:
+  /// Appends a fresh first-generation slot.
+  uint32_t grow() {
+    uint32_t Index = Slots.push();
+    assert(Index <= EdgeId::MaxIndex && "edge table exhausted (2^24 slots)");
+    Slots.at(Index).Gen = EdgeId::FirstGen;
+    return Index;
+  }
+
   Slab<Edge> Slots;
-  Slab<uint8_t> Gens;
   std::vector<uint32_t> Free;
 };
 
@@ -305,7 +295,7 @@ public:
   const Edge &edge(EdgeId Id) const { return EdgeTab.edge(Id); }
   bool isLiveEdge(EdgeId Id) const { return EdgeTab.isLive(Id); }
 
-  /// Bytes reserved by the node table (slabs + free list): the
+  /// Bytes reserved by the node table (slab + free list): the
   /// graph.node_bytes statistic.
   size_t nodeSlabBytes() const { return NodeTab.bytesReserved(); }
   /// Bytes reserved by the edge table: the graph.edge_bytes statistic.

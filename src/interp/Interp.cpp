@@ -39,10 +39,17 @@ public:
   StorageSlot &operator=(const StorageSlot &) = delete;
 
   Value Live;
-  std::unique_ptr<SlotNode> Node;
   /// Debug label for the slot's node ("G.<name>" for globals, empty for
-  /// fields); doubles as the slot's fault-injection site.
+  /// fields); doubles as the slot's fault-injection site. Declared before
+  /// Node: the node points at its label (see label()) until it dies.
   std::string DebugName;
+  std::unique_ptr<SlotNode> Node;
+
+  /// The label for this slot's node: DebugName, or "slot" for fields.
+  const std::string &label() const {
+    static const std::string Field = "slot";
+    return DebugName.empty() ? Field : DebugName;
+  }
 };
 
 /// The dependency-graph node of a storage slot; Snapshot is the value
@@ -219,7 +226,7 @@ void Interp::instantiateStaticShape() {
     if (S.Node)
       continue;
     S.Node = std::make_unique<SlotNode>(G, S, /*SerialPin=*/BC == nullptr);
-    S.Node->setName(S.DebugName.empty() ? "slot" : S.DebugName);
+    S.Node->setName(S.label());
   }
   // Planned procedure instances: the nullary cached procedures whose
   // single argument-table entry (the empty vector) is known at transform
@@ -343,7 +350,7 @@ Value Interp::trackedRead(StorageSlot &S, bool Tracked) {
     if (!S.Node) {
       S.Node =
           std::make_unique<SlotNode>(RT.graph(), S, /*SerialPin=*/BC == nullptr);
-      S.Node->setName(S.DebugName.empty() ? "slot" : S.DebugName);
+      S.Node->setName(S.label());
       // Slot nodes created inside a batch are destroyed again on rollback.
       if (RT.inBatch())
         RT.graph().logUndo([&S]() { S.Node.reset(); });
@@ -1459,7 +1466,7 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     if (!St.HasNode)
       return;
     S.Node = std::make_unique<SlotNode>(G, S, /*SerialPin=*/BC == nullptr);
-    S.Node->setName(S.DebugName.empty() ? "slot" : S.DebugName);
+    S.Node->setName(S.label());
     // The constructor snapshots Live; dependents may have observed an
     // older value (quarantined writer), so re-apply the captured one.
     S.Node->Snapshot = Resolve(St.Snapshot);

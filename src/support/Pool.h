@@ -129,27 +129,45 @@ private:
 /// reference taken before a push() stays valid afterwards), and the chunk
 /// directory is an array of atomic pointers, so readers may resolve
 /// indices lock-free while one externally serialized writer grows the
-/// slab. Slots are value-initialized; recycling is the owner's job (the
-/// tables keep explicit free lists with generation counters).
+/// slab. Every slot carries an 8-bit generation stored in the same chunk,
+/// so one allocation backs both and one directory walk resolves a slot
+/// together with its generation. Slots and generations are
+/// value-initialized; recycling is the owner's job (the tables keep
+/// explicit free lists and advance the generations).
 template <typename T> class Slab {
 public:
-  static constexpr uint32_t ChunkSlotsLog2 = 8;
+  /// 32 slots per chunk, sized for the smallest graphs: a session-sized
+  /// graph of a few dozen nodes and edges reserves one chunk per table
+  /// (about 1 KB in all), while a large graph pays one allocation and one
+  /// 8-byte directory entry per 32 slots, small next to the slots.
+  static constexpr uint32_t ChunkSlotsLog2 = 5;
   static constexpr uint32_t ChunkSlots = 1u << ChunkSlotsLog2;
   /// Geometry covers the full 24-bit handle index space.
   static constexpr uint32_t MaxChunks = 1u << (24 - ChunkSlotsLog2);
-  /// Directory entries allocated up front (covers the first 4096 slots —
-  /// enough for every single-session workload measured in EXPERIMENTS.md
-  /// without a single grow).
+  /// Directory entries allocated up front: 16 chunks, the first 512
+  /// slots. A small graph never grows its directory; a large one doubles
+  /// it a few times (the retired copies cost about as much again as the
+  /// final directory, 8 bytes per chunk).
   static constexpr uint32_t InitialDirChunks = 16;
+
+  /// One slot together with its generation.
+  struct Ref {
+    T &Slot;
+    uint8_t &Gen;
+  };
+  struct ConstRef {
+    const T &Slot;
+    const uint8_t &Gen;
+  };
 
   Slab() { Dir.store(newDir(InitialDirChunks), std::memory_order_relaxed); }
 
   ~Slab() {
-    std::atomic<T *> *D = Dir.load(std::memory_order_relaxed);
+    std::atomic<Chunk *> *D = Dir.load(std::memory_order_relaxed);
     for (uint32_t I = 0; I < DirCap; ++I)
-      delete[] D[I].load(std::memory_order_relaxed);
+      delete D[I].load(std::memory_order_relaxed);
     delete[] D;
-    for (std::atomic<T *> *Old : Retired)
+    for (std::atomic<Chunk *> *Old : Retired)
       delete[] Old;
   }
 
@@ -160,38 +178,61 @@ public:
   uint32_t size() const { return Count.load(std::memory_order_acquire); }
 
   T &operator[](uint32_t Index) {
-    return Dir.load(std::memory_order_acquire)[Index >> ChunkSlotsLog2]
-        .load(std::memory_order_acquire)[Index & (ChunkSlots - 1)];
+    return chunk(Index).Slots[Index & (ChunkSlots - 1)];
   }
   const T &operator[](uint32_t Index) const {
-    return Dir.load(std::memory_order_acquire)[Index >> ChunkSlotsLog2]
-        .load(std::memory_order_acquire)[Index & (ChunkSlots - 1)];
+    return chunk(Index).Slots[Index & (ChunkSlots - 1)];
   }
 
-  /// Appends one value-initialized slot and returns its index. Writer-side
-  /// only: calls must be externally serialized (the graph's state lock).
+  /// Slot \p Index and its generation.
+  Ref at(uint32_t Index) {
+    Chunk &C = chunk(Index);
+    uint32_t I = Index & (ChunkSlots - 1);
+    return {C.Slots[I], C.Gens[I]};
+  }
+  ConstRef at(uint32_t Index) const {
+    const Chunk &C = chunk(Index);
+    uint32_t I = Index & (ChunkSlots - 1);
+    return {C.Slots[I], C.Gens[I]};
+  }
+
+  /// Appends one value-initialized slot (generation 0) and returns its
+  /// index. Writer-side only: calls must be externally serialized (the
+  /// graph's state lock).
   uint32_t push() {
     uint32_t Index = Count.load(std::memory_order_relaxed);
-    uint32_t Chunk = Index >> ChunkSlotsLog2;
+    uint32_t C = Index >> ChunkSlotsLog2;
     if ((Index & (ChunkSlots - 1)) == 0) {
-      if (Chunk == DirCap)
+      if (C == DirCap)
         growDir();
-      Dir.load(std::memory_order_relaxed)[Chunk].store(
-          new T[ChunkSlots](), std::memory_order_release);
+      Dir.load(std::memory_order_relaxed)[C].store(
+          new Chunk(), std::memory_order_release);
       ++NumChunks;
     }
     Count.store(Index + 1, std::memory_order_release);
     return Index;
   }
 
-  /// Bytes reserved by the allocated chunks (slab payload only).
+  /// Bytes reserved by the allocated chunks (slots and generations).
   size_t bytesReserved() const {
-    return static_cast<size_t>(NumChunks) * ChunkSlots * sizeof(T);
+    return static_cast<size_t>(NumChunks) * sizeof(Chunk);
   }
 
 private:
-  static std::atomic<T *> *newDir(uint32_t Cap) {
-    std::atomic<T *> *D = new std::atomic<T *>[Cap];
+  /// Generations sit after the slots, so a chunk of 8-byte pointers or
+  /// 24-byte edges has no padding: 32 * (sizeof(T) + 1) bytes.
+  struct Chunk {
+    T Slots[ChunkSlots];
+    uint8_t Gens[ChunkSlots];
+  };
+
+  Chunk &chunk(uint32_t Index) const {
+    return *Dir.load(std::memory_order_acquire)[Index >> ChunkSlotsLog2].load(
+        std::memory_order_acquire);
+  }
+
+  static std::atomic<Chunk *> *newDir(uint32_t Cap) {
+    std::atomic<Chunk *> *D = new std::atomic<Chunk *>[Cap];
     for (uint32_t I = 0; I < Cap; ++I)
       D[I].store(nullptr, std::memory_order_relaxed);
     return D;
@@ -207,8 +248,8 @@ private:
   /// the new directory, so their acquire load of Dir sees the new one.
   void growDir() {
     uint32_t NewCap = DirCap * 2 < MaxChunks ? DirCap * 2 : MaxChunks;
-    std::atomic<T *> *New = newDir(NewCap);
-    std::atomic<T *> *Old = Dir.load(std::memory_order_relaxed);
+    std::atomic<Chunk *> *New = newDir(NewCap);
+    std::atomic<Chunk *> *Old = Dir.load(std::memory_order_relaxed);
     for (uint32_t I = 0; I < DirCap; ++I)
       New[I].store(Old[I].load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
@@ -221,15 +262,15 @@ private:
   /// from InitialDirChunks) rather than sized for the full 24-bit index
   /// space up front: a graph's baseline footprint is what bounds how many
   /// embedded engines one process can hold (DESIGN.md "Session service"),
-  /// and an embedded full-space directory would cost 512 KB per slab at
+  /// and an embedded full-space directory would cost 4 MB per slab at
   /// this chunk granularity. Resolution pays one extra dependent load
   /// over an embedded array; measured against bench_space/bench_overhead
   /// this is inside run-to-run noise.
-  std::atomic<std::atomic<T *> *> Dir;
+  std::atomic<std::atomic<Chunk *> *> Dir;
   std::atomic<uint32_t> Count{0};
   uint32_t DirCap = InitialDirChunks;
   uint32_t NumChunks = 0;
-  std::vector<std::atomic<T *> *> Retired;
+  std::vector<std::atomic<Chunk *> *> Retired;
 };
 
 } // namespace alphonse

@@ -236,11 +236,11 @@ struct Statistics {
   StatCounter PropConflicts;
   /// Edge allocations served from the free-list pool instead of the arena.
   StatCounter EdgeReuse;
-  /// Bytes reserved by the node table's slabs (back-pointers + generations;
-  /// gauge, updated when the slabs grow).
+  /// Bytes reserved by the node table's slab and free list
+  /// (back-pointers + generations; gauge, updated when the table grows).
   StatCounter GraphNodeBytes;
-  /// Bytes reserved by the edge table's slabs (24-byte packed edges +
-  /// generations; gauge, updated when the slabs grow).
+  /// Bytes reserved by the edge table's slab and free list (24-byte
+  /// packed edges + generations; gauge, updated when the table grows).
   StatCounter GraphEdgeBytes;
   /// High-water mark of total graph slab bytes (nodes + edges; gauge).
   /// Resettable per Runtime (resetPoolHighWater) so a bench can scope the

@@ -219,6 +219,24 @@ TEST(MaintainedTest, CapacityEvictsColdUnreferencedInstances) {
   EXPECT_EQ(Runs, 4); // 1 was evicted and recomputes.
 }
 
+TEST(MaintainedTest, CapacityHitsRefreshRecency) {
+  Runtime RT;
+  int Runs = 0;
+  Cached<int(int)> F(RT, [&Runs](int X) {
+    ++Runs;
+    return X;
+  });
+  F.setCapacity(2);
+  F(1);
+  F(2);
+  F(1); // A cache hit makes 1 the most recently used.
+  F(3); // So the coldest instance, evicted here, is 2.
+  EXPECT_EQ(Runs, 3);
+  EXPECT_TRUE(F.hasCachedValue(1));
+  EXPECT_FALSE(F.hasCachedValue(2));
+  EXPECT_TRUE(F.hasCachedValue(3));
+}
+
 TEST(MaintainedTest, CapacityNeverEvictsDependedUponInstances) {
   Runtime RT;
   Cached<int(int)> G(RT, [](int X) { return X * 2; });

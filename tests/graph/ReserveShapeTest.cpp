@@ -16,6 +16,7 @@
 
 #include "graph/DepGraph.h"
 #include "graph/Handle.h"
+#include "support/Pool.h"
 
 #include <gtest/gtest.h>
 
@@ -35,10 +36,12 @@ struct StubProc final : DepNode {
   bool reexecute() override { return true; }
 };
 
-/// One slab chunk holds 256 slots; reservation sizes straddling that
-/// boundary (0, 1, 256, 257) cover the empty, single-chunk-partial,
-/// exactly-one-chunk, and chunk-spill geometries.
-constexpr size_t ChunkSlots = 256;
+/// Reservation sizes straddling a slab chunk boundary (0, 1, one chunk,
+/// one chunk plus one) cover the empty, single-chunk-partial,
+/// exactly-one-chunk, and chunk-spill geometries. Node and edge slabs
+/// share the chunk size.
+constexpr size_t ChunkSlots = Slab<DepNode *>::ChunkSlots;
+static_assert(ChunkSlots == Slab<Edge>::ChunkSlots);
 
 TEST(ReserveShapeTest, ChunkEdgeReservations) {
   for (size_t N : {size_t(0), size_t(1), ChunkSlots, ChunkSlots + 1}) {

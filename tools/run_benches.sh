@@ -9,9 +9,9 @@
 # Runs every bench_* binary with --json (the ALPHONSE_BENCH_MAIN harness)
 # and aggregates the per-binary documents into one file, BENCH_all.json by
 # default. The aggregate also hoists the graph-storage footprint counters
-# (bytes_per_edge / bytes_per_node, reported by bench_space's
-# BM_E8_ConstantRefSets at its largest size) into a top-level "space"
-# object so storage regressions are one jq call away.
+# (bytes_per_edge / bytes_per_node / node_footprint_bytes, reported by
+# bench_space's BM_E8_ConstantRefSets at its largest size) into a
+# top-level "space" object so storage regressions are one jq call away.
 #
 #   tools/run_benches.sh [--build-dir DIR] [--out FILE] [--only NAME]
 #                        [--min-time SECS]
@@ -132,7 +132,8 @@ jq -s --arg names "$(printf '%s\n' "${DOCS[@]##*/}" | sed 's/\.json$//' | paste 
                   (last
                    | { benchmark: .name,
                        bytes_per_edge: .counters.bytes_per_edge,
-                       bytes_per_node: .counters.bytes_per_node })
+                       bytes_per_node: .counters.bytes_per_node,
+                       node_footprint_bytes: .counters.node_footprint_bytes })
                 end)
 ' "${DOCS[@]}" > "$OUT"
 

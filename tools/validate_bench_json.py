@@ -13,10 +13,12 @@ documents written by ALPHONSE_BENCH_MAIN's --json flag:
                                     "counters"?: {str: number} } ] } ],
     "space"?: { "benchmark": str,
                 "bytes_per_edge": number > 0,
-                "bytes_per_node": number > 0 } | null }
+                "bytes_per_node": number > 0,
+                "node_footprint_bytes": number > 0 } | null }
 
 Exits 0 when the document conforms (and, if present, the space object's
-bytes_per_edge stays under the --max-bytes-per-edge bound), 1 otherwise.
+bytes_per_edge and node_footprint_bytes stay under the
+--max-bytes-per-edge and --max-node-footprint bounds), 1 otherwise.
 Stdlib only — CI runs this right after the bench smoke sweep.
 """
 
@@ -67,6 +69,13 @@ def main():
         type=float,
         default=None,
         help="fail when space.bytes_per_edge exceeds this bound",
+    )
+    ap.add_argument(
+        "--max-node-footprint",
+        type=float,
+        default=None,
+        help="fail when space.node_footprint_bytes (sizeof(DepNode) plus "
+        "node-slab bytes per live node) exceeds this bound",
     )
     ap.add_argument(
         "--require-suite",
@@ -181,7 +190,7 @@ def main():
     space = doc.get("space")
     if space is not None:
         require(isinstance(space, dict), "space is not an object")
-        for key in ("bytes_per_edge", "bytes_per_node"):
+        for key in ("bytes_per_edge", "bytes_per_node", "node_footprint_bytes"):
             value = space.get(key)
             require(
                 isinstance(value, numbers.Real)
@@ -195,10 +204,21 @@ def main():
                 f"space.bytes_per_edge {space['bytes_per_edge']} exceeds the "
                 f"bound {args.max_bytes_per_edge}",
             )
+        if args.max_node_footprint is not None:
+            require(
+                space["node_footprint_bytes"] <= args.max_node_footprint,
+                f"space.node_footprint_bytes {space['node_footprint_bytes']} "
+                f"exceeds the bound {args.max_node_footprint}",
+            )
 
     print(
         f"ok: {total} runs across {len(suites)} suites"
-        + (f", bytes/edge {space['bytes_per_edge']:.1f}" if space else "")
+        + (
+            f", bytes/edge {space['bytes_per_edge']:.1f}"
+            f", node footprint {space['node_footprint_bytes']:.1f} B"
+            if space
+            else ""
+        )
     )
 
 
