@@ -20,6 +20,14 @@ namespace {
   throw CheckpointError(CkptError::Malformed, What);
 }
 
+/// The per-node flag byte of the wire format.
+enum NodeFlag : uint8_t {
+  FlagConsistent = 1,
+  FlagSerial = 2,
+  FlagReadMidExecution = 4,
+  KnownFlags = FlagConsistent | FlagSerial | FlagReadMidExecution,
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -35,8 +43,9 @@ void GraphSnapshot::encode(ByteWriter &W) const {
     W.u32(N.IdBits);
     W.u8(N.Kind);
     W.u8(N.Strategy);
-    W.u8(N.Consistent);
-    W.u8(N.Serial);
+    W.u8(static_cast<uint8_t>((N.Consistent ? FlagConsistent : 0) |
+                              (N.Serial ? FlagSerial : 0) |
+                              (N.ReadMidExecution ? FlagReadMidExecution : 0)));
     W.u32(N.Level);
     W.u32(N.PartitionTag);
     W.u64(N.Version);
@@ -75,8 +84,10 @@ GraphSnapshot GraphSnapshot::decode(ByteReader &R) {
     N.IdBits = R.u32();
     N.Kind = R.u8();
     N.Strategy = R.u8();
-    N.Consistent = R.u8();
-    N.Serial = R.u8();
+    uint8_t Flags = R.u8();
+    N.Consistent = (Flags & FlagConsistent) != 0;
+    N.Serial = (Flags & FlagSerial) != 0;
+    N.ReadMidExecution = (Flags & FlagReadMidExecution) != 0;
     N.Level = R.u32();
     N.PartitionTag = R.u32();
     N.Version = R.u64();
@@ -88,8 +99,8 @@ GraphSnapshot GraphSnapshot::decode(ByteReader &R) {
       malformed("snapshot node with an unknown kind");
     if (N.Strategy > static_cast<uint8_t>(EvalStrategy::Eager))
       malformed("snapshot node with an unknown strategy");
-    if (N.Consistent > 1 || N.Serial > 1)
-      malformed("snapshot node with a non-boolean flag");
+    if (Flags & ~KnownFlags)
+      malformed("snapshot node with an unknown flag bit");
     if (!Ids.insert(N.IdBits).second)
       malformed("duplicate node id in snapshot");
     S.Nodes.push_back(std::move(N));
@@ -168,6 +179,7 @@ GraphSnapshot GraphCheckpoint::capture(DepGraph &G) {
     R.Kind = static_cast<uint8_t>(N->Kind);
     R.Strategy = static_cast<uint8_t>(N->Strategy);
     R.Consistent = N->Consistent ? 1 : 0;
+    R.ReadMidExecution = N->ReadMidExecution ? 1 : 0;
     R.Level = N->Level;
     R.Version = N->Version;
     R.ExecStamp = N->ExecStamp;
@@ -252,6 +264,7 @@ void GraphRestorer::finish(DepGraph &G) {
   for (const CkptNode &R : Snap.Nodes) {
     DepNode &N = *Bound.at(R.IdBits);
     N.Consistent = R.Consistent != 0;
+    N.ReadMidExecution = R.ReadMidExecution != 0;
     N.Level = R.Level;
     N.Version = R.Version;
     N.ExecStamp = R.ExecStamp;

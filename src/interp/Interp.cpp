@@ -44,6 +44,13 @@ public:
   /// Node: the node points at its label (see label()) until it dies.
   std::string DebugName;
   std::unique_ptr<SlotNode> Node;
+  /// The slot's location in change records: the owning object's heap
+  /// index and the field index, or Global and the global's index.
+  static constexpr uint32_t Global = UINT32_MAX;
+  uint32_t Object = Global;
+  uint32_t Index = 0;
+  /// On Interp::UnsavedSlots: written since the state was last durable.
+  bool Unsaved = false;
 
   /// The label for this slot's node: DebugName, or "slot" for fields.
   const std::string &label() const {
@@ -112,10 +119,15 @@ public:
 // Heap objects
 //===----------------------------------------------------------------------===//
 
-HeapObject::HeapObject(const ObjectTypeInfo *Ty, size_t NumFields) : Ty(Ty) {
+HeapObject::HeapObject(const ObjectTypeInfo *Ty, size_t NumFields,
+                       uint32_t Index)
+    : Ty(Ty), Index(Index) {
   Slots.reserve(NumFields);
-  for (size_t I = 0; I < NumFields; ++I)
+  for (size_t I = 0; I < NumFields; ++I) {
     Slots.push_back(std::make_unique<StorageSlot>());
+    Slots.back()->Object = Index;
+    Slots.back()->Index = static_cast<uint32_t>(I);
+  }
 }
 
 HeapObject::~HeapObject() = default;
@@ -179,6 +191,7 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
   for (const Type &Ty : Info.GlobalTypes) {
     auto Slot = std::make_unique<StorageSlot>();
     Slot->Live = defaultValue(Ty);
+    Slot->Index = static_cast<uint32_t>(Globals.size());
     Globals.push_back(std::move(Slot));
   }
   for (const GlobalDecl &G : M.Globals)
@@ -303,11 +316,19 @@ Value Interp::defaultValue(const Type &Ty) const {
 }
 
 HeapObject *Interp::allocate(const ObjectTypeInfo *Ty) {
-  auto Obj = std::make_unique<HeapObject>(Ty, Ty->Fields.size());
+  auto Obj = std::make_unique<HeapObject>(Ty, Ty->Fields.size(),
+                                          static_cast<uint32_t>(Heap.size()));
   for (const FieldInfo &FI : Ty->Fields)
     Obj->slot(static_cast<size_t>(FI.Index)).Live = defaultValue(FI.Ty);
   Heap.push_back(std::move(Obj));
   return Heap.back().get();
+}
+
+void Interp::markSaved() {
+  for (StorageSlot *S : UnsavedSlots)
+    S->Unsaved = false;
+  UnsavedSlots.clear();
+  SavedHeap = Heap.size();
 }
 
 void Interp::fail(SourceLocation Loc, const std::string &Message) {
@@ -361,6 +382,13 @@ Value Interp::trackedRead(StorageSlot &S, bool Tracked) {
 }
 
 void Interp::trackedWrite(StorageSlot &S, Value V, bool Tracked) {
+  // Once there is a base snapshot, the next change record lists every
+  // slot whose value moved. A rolled back write stays listed; the record
+  // then repeats the restored value.
+  if (Deltas.started() && !S.Unsaved && !(V == S.Live)) {
+    S.Unsaved = true;
+    UnsavedSlots.push_back(&S);
+  }
   // Journal every storage write inside a batch — untracked ones too,
   // since the slot may gain a node later in the batch and rollback must
   // restore the value written before it.
@@ -932,10 +960,19 @@ Value Interp::evalBinary(const BinaryExpr *B, Frame &F) {
 //         (node id, argument vector, cached value)
 //   OUTP  output stream + failed flag + error message
 //
-// A delta record is just current storage: the heap's type names (new
-// objects appear as a longer list), every field value, every global
-// value. Restore applies the values through trackedWrite and pumps;
-// derived values are recomputed, not replayed.
+// A delta record is a change record covering the time since the
+// previous record (or the snapshot, or the restore):
+//
+//   u32 heap index of the first object it allocates, u32 count, then
+//       each allocated object's type name
+//   u32 write count, then per slot written: u32 owner (heap index, or
+//       UINT32_MAX for a global), u32 field or global index, value
+//
+// A record repeats objects an earlier record already allocated only when
+// that earlier append failed after its bytes landed; replay checks the
+// repeated types and allocates the rest. Restore applies the writes
+// through trackedWrite, record by record, and pumps; derived values are
+// recomputed, not replayed.
 
 namespace {
 
@@ -950,9 +987,7 @@ constexpr uint32_t TagOutput = sectionTag('O', 'U', 'T', 'P');
   throw CheckpointError(CkptError::Malformed, Msg);
 }
 
-using HeapIndexMap = std::unordered_map<const HeapObject *, uint32_t>;
-
-void encodeValue(ByteWriter &W, const Value &V, const HeapIndexMap &Idx) {
+void encodeValue(ByteWriter &W, const Value &V) {
   W.u8(static_cast<uint8_t>(V.K));
   switch (V.K) {
   case Value::Kind::Nil:
@@ -966,12 +1001,9 @@ void encodeValue(ByteWriter &W, const Value &V, const HeapIndexMap &Idx) {
   case Value::Kind::Text:
     W.str(V.Text);
     break;
-  case Value::Kind::Object: {
-    auto It = Idx.find(V.Obj);
-    assert(It != Idx.end() && "object value not on the interpreter heap");
-    W.u32(It->second);
+  case Value::Kind::Object:
+    W.u32(V.Obj->index());
     break;
-  }
   }
 }
 
@@ -1024,13 +1056,13 @@ struct StagedSlot {
   StagedValue Live;
 };
 
-void encodeSlot(ByteWriter &W, const StorageSlot &S, const HeapIndexMap &Idx) {
+void encodeSlot(ByteWriter &W, const StorageSlot &S) {
   W.u8(S.Node ? 1 : 0);
   if (S.Node) {
     W.u32(S.Node->id().bits());
-    encodeValue(W, S.Node->Snapshot, Idx);
+    encodeValue(W, S.Node->Snapshot);
   }
-  encodeValue(W, S.Live, Idx);
+  encodeValue(W, S.Live);
 }
 
 StagedSlot decodeSlot(ByteReader &R, size_t HeapLimit) {
@@ -1047,12 +1079,17 @@ StagedSlot decodeSlot(ByteReader &R, size_t HeapLimit) {
   return S;
 }
 
-/// One staged delta record: the complete storage image at one quiescent
-/// point after the base snapshot.
+/// One storage write of a staged change record.
+struct StagedWrite {
+  uint32_t Object = 0; ///< Heap index, or StorageSlot::Global.
+  uint32_t Index = 0; ///< Field or global index.
+  StagedValue Value;
+};
+
+/// One staged change record.
 struct StagedDelta {
-  std::vector<std::string> Types; ///< All heap objects, base ones first.
-  std::vector<std::vector<StagedValue>> Fields; ///< Per object.
-  std::vector<StagedValue> Globals;
+  std::vector<const ObjectTypeInfo *> NewTypes; ///< Objects to allocate.
+  std::vector<StagedWrite> Writes;
 };
 
 } // namespace
@@ -1084,11 +1121,6 @@ void Interp::saveCheckpoint(const std::string &Path) {
   // batch, or mid-evaluation) — everything below sees one consistent cut.
   GraphSnapshot GS = GraphCheckpoint::capture(RT.graph());
 
-  HeapIndexMap HeapIdx;
-  HeapIdx.reserve(Heap.size());
-  for (size_t I = 0; I < Heap.size(); ++I)
-    HeapIdx.emplace(Heap[I].get(), static_cast<uint32_t>(I));
-
   CheckpointWriter W;
   {
     ByteWriter B;
@@ -1105,7 +1137,7 @@ void Interp::saveCheckpoint(const std::string &Path) {
     ByteWriter B;
     B.u32(static_cast<uint32_t>(Globals.size()));
     for (const auto &S : Globals)
-      encodeSlot(B, *S, HeapIdx);
+      encodeSlot(B, *S);
     W.addSection(TagGlobals, B.take());
   }
   {
@@ -1117,7 +1149,7 @@ void Interp::saveCheckpoint(const std::string &Path) {
       uint32_t NumFields = static_cast<uint32_t>(Obj->type()->Fields.size());
       B.u32(NumFields);
       for (uint32_t I = 0; I < NumFields; ++I)
-        encodeSlot(B, Obj->slot(I), HeapIdx);
+        encodeSlot(B, Obj->slot(I));
     }
     W.addSection(TagHeap, B.take());
   }
@@ -1133,10 +1165,10 @@ void Interp::saveCheckpoint(const std::string &Path) {
         B.u8(static_cast<uint8_t>(N.strategy()));
         B.u32(static_cast<uint32_t>(N.Key.size()));
         for (const Value &A : N.Key)
-          encodeValue(B, A, HeapIdx);
+          encodeValue(B, A);
         B.u8(N.Cached ? 1 : 0);
         if (N.Cached)
-          encodeValue(B, *N.Cached, HeapIdx);
+          encodeValue(B, *N.Cached);
       }
     }
     W.addSection(TagTables, B.take());
@@ -1150,6 +1182,10 @@ void Interp::saveCheckpoint(const std::string &Path) {
   }
 
   uint64_t Bytes = W.writeFile(Path);
+  // The snapshot is the new base. Should the log reset below fail, the
+  // first append's repair drops the old records (their base id is stale).
+  Deltas.start(Path, W.snapshotId(), 0);
+  markSaved();
   // The snapshot now covers everything the old delta log recorded.
   removeDeltaLog(deltaLogPath(Path));
 
@@ -1164,39 +1200,26 @@ void Interp::appendDelta(const std::string &Path) {
   if (RT.graph().inBatch())
     throw CheckpointError(CkptError::Busy,
                           "cannot append a delta inside an open batch");
-  CheckpointReader Base(Path);
-  {
-    ByteReader MR = Base.section(TagMeta);
-    if (MR.u64() != moduleFingerprint() ||
-        MR.u8() != static_cast<uint8_t>(Mode))
-      ckptMalformed(
-          "snapshot was captured from a different module or mode");
-  }
-  // Continue the existing log, cutting back any tail a previous killed
-  // append left torn.
-  uint64_t Have = repairDeltaLog(deltaLogPath(Path), Base.snapshotId());
-
-  HeapIndexMap HeapIdx;
-  HeapIdx.reserve(Heap.size());
-  for (size_t I = 0; I < Heap.size(); ++I)
-    HeapIdx.emplace(Heap[I].get(), static_cast<uint32_t>(I));
+  if (!Deltas.started() || Deltas.snapshotPath() != Path)
+    throw CheckpointError(CkptError::StaleDelta,
+                          "'" + Path +
+                              "' is not the snapshot this interpreter last "
+                              "saved or restored");
 
   ByteWriter B;
-  B.u32(static_cast<uint32_t>(Heap.size()));
-  for (const auto &Obj : Heap)
-    B.str(Obj->type()->Name);
-  for (const auto &Obj : Heap) {
-    uint32_t NumFields = static_cast<uint32_t>(Obj->type()->Fields.size());
-    B.u32(NumFields);
-    for (uint32_t I = 0; I < NumFields; ++I)
-      encodeValue(B, Obj->slot(I).Live, HeapIdx);
+  B.u32(static_cast<uint32_t>(SavedHeap));
+  B.u32(static_cast<uint32_t>(Heap.size() - SavedHeap));
+  for (size_t I = SavedHeap; I < Heap.size(); ++I)
+    B.str(Heap[I]->type()->Name);
+  B.u32(static_cast<uint32_t>(UnsavedSlots.size()));
+  for (const StorageSlot *S : UnsavedSlots) {
+    B.u32(S->Object);
+    B.u32(S->Index);
+    encodeValue(B, S->Live);
   }
-  B.u32(static_cast<uint32_t>(Globals.size()));
-  for (const auto &S : Globals)
-    encodeValue(B, S->Live, HeapIdx);
-
-  DeltaAppender A(deltaLogPath(Path), Base.snapshotId(), Have + 1);
-  uint64_t Bytes = A.append(B.take());
+  // A failed append keeps the list: the next record is then a superset.
+  uint64_t Bytes = Deltas.append(B.bytes());
+  markSaved();
 
   Statistics &S = RT.stats();
   ++S.CkptDeltas;
@@ -1378,60 +1401,61 @@ void Interp::restoreCheckpoint(const std::string &Path) {
                       "' has no cached value");
     }
 
-  // Stage the delta log: decode every surviving record before touching
-  // live state. Heap growth must be monotone and type-stable.
-  std::vector<StagedDelta> Deltas;
+  // Stage the delta log: decode and bounds-check every surviving record
+  // before touching live state. Types tracks the heap as replay will grow
+  // it, so every index is checked against the heap at that record.
+  std::vector<DeltaRecord> Raw =
+      readDeltaLog(deltaLogPath(Path), R.snapshotId(), &RestoreNote);
+  std::vector<StagedDelta> Records;
+  Records.reserve(Raw.size());
   {
-    std::vector<DeltaRecord> Raw =
-        readDeltaLog(deltaLogPath(Path), R.snapshotId(), &RestoreNote);
-    size_t RunningHeap = HeapTypes.size();
-    std::vector<std::string> RunningTypes;
-    RunningTypes.reserve(RunningHeap);
-    for (const ObjectTypeInfo *Ty : HeapTypes)
-      RunningTypes.push_back(Ty->Name);
+    std::vector<const ObjectTypeInfo *> Types = HeapTypes;
     for (const DeltaRecord &Rec : Raw) {
+      auto Bad = [&Rec](const std::string &What) {
+        ckptMalformed("delta record " + std::to_string(Rec.Seq) + " " + What);
+      };
       ByteReader DR(Rec.Payload.data(), Rec.Payload.size());
       StagedDelta D;
-      uint32_t HeapCount = DR.u32();
-      if (HeapCount < RunningHeap)
-        ckptMalformed("delta record " + std::to_string(Rec.Seq) +
-                      " shrinks the heap");
-      for (uint32_t I = 0; I < HeapCount; ++I) {
+      uint32_t First = DR.u32();
+      uint32_t NumNew = DR.u32();
+      if (First > Types.size())
+        Bad("allocates past the end of the heap");
+      for (uint32_t I = 0; I < NumNew; ++I) {
         std::string Name = DR.str();
-        if (I < RunningTypes.size()) {
-          if (Name != RunningTypes[I])
-            ckptMalformed("delta record " + std::to_string(Rec.Seq) +
-                          " retypes heap object " + std::to_string(I));
-        } else if (!Info.lookupType(Name)) {
-          ckptMalformed("delta record " + std::to_string(Rec.Seq) +
-                        " allocates unknown type '" + Name + "'");
+        const ObjectTypeInfo *Ty = Info.lookupType(Name);
+        if (!Ty)
+          Bad("allocates unknown type '" + Name + "'");
+        size_t At = size_t{First} + I;
+        if (At < Types.size()) {
+          if (Types[At] != Ty)
+            Bad("retypes heap object " + std::to_string(At));
+          continue; // Repeated by a retried append; allocated already.
         }
-        D.Types.push_back(std::move(Name));
+        Types.push_back(Ty);
+        D.NewTypes.push_back(Ty);
       }
-      for (uint32_t I = 0; I < HeapCount; ++I) {
-        const ObjectTypeInfo *Ty = Info.lookupType(D.Types[I]);
-        uint32_t NumFields = DR.u32();
-        if (NumFields != Ty->Fields.size())
-          ckptMalformed("delta record " + std::to_string(Rec.Seq) +
-                        " field count mismatch for '" + Ty->Name + "'");
-        std::vector<StagedValue> FV;
-        FV.reserve(NumFields);
-        for (uint32_t F = 0; F < NumFields; ++F)
-          FV.push_back(decodeValue(DR, HeapCount));
-        D.Fields.push_back(std::move(FV));
+      uint32_t NumWrites = DR.u32();
+      for (uint32_t I = 0; I < NumWrites; ++I) {
+        StagedWrite W;
+        W.Object = DR.u32();
+        W.Index = DR.u32();
+        if (W.Object == StorageSlot::Global) {
+          if (W.Index >= Globals.size())
+            Bad("writes global " + std::to_string(W.Index) +
+                ", which does not exist");
+        } else if (W.Object >= Types.size()) {
+          Bad("writes heap object " + std::to_string(W.Object) +
+              ", which does not exist");
+        } else if (W.Index >= Types[W.Object]->Fields.size()) {
+          Bad("writes field " + std::to_string(W.Index) + " of a '" +
+              Types[W.Object]->Name + "'");
+        }
+        W.Value = decodeValue(DR, Types.size());
+        D.Writes.push_back(std::move(W));
       }
-      uint32_t NumGlobals = DR.u32();
-      if (NumGlobals != Globals.size())
-        ckptMalformed("delta record " + std::to_string(Rec.Seq) +
-                      " global count mismatch");
-      for (uint32_t I = 0; I < NumGlobals; ++I)
-        D.Globals.push_back(decodeValue(DR, HeapCount));
       if (!DR.atEnd())
-        ckptMalformed("trailing bytes in delta record " +
-                      std::to_string(Rec.Seq));
-      RunningHeap = HeapCount;
-      RunningTypes = D.Types;
-      Deltas.push_back(std::move(D));
+        Bad("has trailing bytes");
+      Records.push_back(std::move(D));
     }
   }
 
@@ -1440,7 +1464,8 @@ void Interp::restoreCheckpoint(const std::string &Path) {
 
   // Discard whatever the global initializers allocated; the checkpoint's
   // heap replaces it wholesale. No nodes exist yet, so this is plain
-  // memory release.
+  // memory release (after dropping any unsaved-list entries into it).
+  markSaved();
   Heap.clear();
   for (const ObjectTypeInfo *Ty : HeapTypes)
     allocate(Ty);
@@ -1506,15 +1531,16 @@ void Interp::restoreCheckpoint(const std::string &Path) {
   // propagation recompute everything derived. Procedure instances
   // created after the base snapshot are not in the log; they rebuild on
   // first demand, which is the normal lazy path.
-  if (!Deltas.empty()) {
-    for (const StagedDelta &D : Deltas) {
-      for (size_t I = Heap.size(); I < D.Types.size(); ++I)
-        allocate(Info.lookupType(D.Types[I]));
-      for (size_t I = 0; I < D.Fields.size(); ++I)
-        for (size_t F = 0; F < D.Fields[I].size(); ++F)
-          trackedWrite(Heap[I]->slot(F), Resolve(D.Fields[I][F]), true);
-      for (size_t I = 0; I < D.Globals.size(); ++I)
-        trackedWrite(*Globals[I], Resolve(D.Globals[I]), true);
+  if (!Records.empty()) {
+    for (const StagedDelta &D : Records) {
+      for (const ObjectTypeInfo *Ty : D.NewTypes)
+        allocate(Ty);
+      for (const StagedWrite &W : D.Writes) {
+        StorageSlot &S = W.Object == StorageSlot::Global
+                             ? *Globals[W.Index]
+                             : Heap[W.Object]->slot(W.Index);
+        trackedWrite(S, Resolve(W.Value), /*Tracked=*/true);
+      }
     }
     RT.pumpUnbounded();
     std::vector<std::string> Problems = G.verify();
@@ -1532,6 +1558,11 @@ void Interp::restoreCheckpoint(const std::string &Path) {
   Output = std::move(StagedOutput);
   Failed = StagedFailed;
   ErrorMessage = std::move(StagedErrorMessage);
+
+  // The restored state is the base plus every replayed record: the next
+  // append continues the log from there.
+  markSaved();
+  Deltas.start(Path, R.snapshotId(), Raw.size());
 
   Statistics &S = RT.stats();
   ++S.CkptRestores;

@@ -42,6 +42,7 @@
 #include "core/Runtime.h"
 #include "interp/Value.h"
 #include "lang/Sema.h"
+#include "support/CheckpointIO.h"
 #include "transform/GraphPlan.h"
 
 #include <memory>
@@ -85,14 +86,19 @@ class StorageSlot;
 /// A heap object: its dynamic type plus one slot per field.
 class HeapObject {
 public:
-  HeapObject(const lang::ObjectTypeInfo *Ty, size_t NumFields);
+  HeapObject(const lang::ObjectTypeInfo *Ty, size_t NumFields,
+             uint32_t Index);
   ~HeapObject();
 
   const lang::ObjectTypeInfo *type() const { return Ty; }
+  /// Position on the interpreter's heap, fixed at allocation (objects are
+  /// never freed): the object's identity in checkpoints.
+  uint32_t index() const { return Index; }
   StorageSlot &slot(size_t I);
 
 private:
   const lang::ObjectTypeInfo *Ty;
+  uint32_t Index;
   std::vector<std::unique_ptr<StorageSlot>> Slots;
 };
 
@@ -137,6 +143,11 @@ public:
   Value field(Value Receiver, const std::string &Field);
   void setField(Value Receiver, const std::string &Field, Value V);
 
+  /// The heap in allocation order. Heap indices survive checkpoint and
+  /// restore (tests compare restored heaps object by object).
+  size_t heapSize() const { return Heap.size(); }
+  Value heapObject(size_t I) const { return Value::object(Heap[I].get()); }
+
   /// Everything print() emitted so far.
   const std::string &output() const { return Output; }
   void clearOutput() { Output.clear(); }
@@ -164,11 +175,16 @@ public:
   /// Writes a full snapshot of the interpreter — graph, globals, heap,
   /// argument tables, output stream — to \p Path, crash-atomically. The
   /// graph must be quiescent (saveCheckpoint pumps first; an open batch
-  /// throws CheckpointError(Busy)). Resets the sidecar delta log.
+  /// throws CheckpointError(Busy)). Resets the sidecar delta log; \p Path
+  /// becomes the base that later appendDelta calls extend.
   void saveCheckpoint(const std::string &Path);
 
-  /// Appends one delta record (current storage values) to \p Path's
-  /// sidecar log. Much cheaper than a full snapshot; restore replays the
+  /// Appends one change record to \p Path's sidecar log: the objects
+  /// allocated and the storage slots whose value moved since the last
+  /// snapshot, restore or record, so its cost follows the change, not
+  /// the heap.
+  /// \p Path must be the snapshot this interpreter last saved or
+  /// restored (else CheckpointError(StaleDelta)). Restore replays the
   /// surviving prefix and recomputes derived values by propagation.
   void appendDelta(const std::string &Path);
 
@@ -177,7 +193,8 @@ public:
   /// module and mode; throws CheckpointError on any validation failure
   /// and leaves no partial state accepted (the caller should discard the
   /// interpreter on failure). restoreNote() describes discarded
-  /// delta-log tails, if any.
+  /// delta-log tails, if any. On success \p Path becomes the base that
+  /// later appendDelta calls extend.
   void restoreCheckpoint(const std::string &Path);
 
   /// Diagnostic from the last restore ("" if the delta log was clean).
@@ -229,6 +246,9 @@ private:
 
   Value defaultValue(const lang::Type &Ty) const;
   HeapObject *allocate(const lang::ObjectTypeInfo *Ty);
+  /// The current state is durable: empties the unsaved-slot list and
+  /// moves the saved heap prefix to the whole heap.
+  void markSaved();
   /// FNV-1a over the module's global, procedure, and type names plus the
   /// execution mode; a checkpoint only restores into a matching module.
   uint64_t moduleFingerprint() const;
@@ -290,6 +310,14 @@ private:
       std::unordered_map<std::vector<Value>,
                          std::unique_ptr<class InterpProcNode>, ValueVecHash>;
   std::unordered_map<const lang::ProcDecl *, ArgTable> Tables;
+
+  /// Delta checkpoints (DESIGN.md Section 10): the slots whose value
+  /// moved since the last snapshot, restore or record (each once, flagged
+  /// StorageSlot::Unsaved), the heap prefix those cover, and the append
+  /// side of the base snapshot's log.
+  std::vector<StorageSlot *> UnsavedSlots;
+  size_t SavedHeap = 0;
+  DeltaAppender Deltas;
 
   std::string Output;
   bool Failed = false;

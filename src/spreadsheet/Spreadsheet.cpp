@@ -196,6 +196,15 @@ int Spreadsheet::oracleValue(int Row, int Col) const {
   return Result;
 }
 
+Spreadsheet::OraclePass::OraclePass(const Spreadsheet &S) : S(S) {
+  assert(!S.PassActive && "oracle passes do not nest");
+  S.PassActive = true;
+  S.PassMemo.assign(S.Grid.size(), 0);
+  S.PassDone.assign(S.Grid.size(), 0);
+}
+
+Spreadsheet::OraclePass::~OraclePass() { S.PassActive = false; }
+
 //===----------------------------------------------------------------------===//
 // Durable checkpoints (DESIGN.md Section 10): the structural tier
 //===----------------------------------------------------------------------===//
@@ -214,6 +223,7 @@ void Spreadsheet::saveCheckpoint(const std::string &Path) {
   B.u32(static_cast<uint32_t>(NumRows));
   B.u32(static_cast<uint32_t>(NumCols));
   B.u8(CycleFlag ? 1 : 0);
+  OraclePass Pass(*this);
   for (int R = 0; R < NumRows; ++R)
     for (int C = 0; C < NumCols; ++C) {
       B.str(Sources[index(R, C)]);
@@ -278,7 +288,9 @@ void Spreadsheet::restoreCheckpoint(const std::string &Path) {
     }
 
   // Recompute-validate: every restored cell must evaluate to its captured
-  // value, or the checkpoint does not describe this program.
+  // value, or the checkpoint does not describe this program. The same
+  // pass order as saveCheckpoint, so cycles resolve the same way.
+  OraclePass Pass(*this);
   for (int Row = 0; Row < NumRows; ++Row)
     for (int Col = 0; Col < NumCols; ++Col) {
       long long Got = oracleValue(Row, Col);
@@ -295,14 +307,11 @@ void Spreadsheet::restoreCheckpoint(const std::string &Path) {
 }
 
 long long Spreadsheet::recomputeAllExhaustive() const {
-  PassActive = true;
-  PassMemo.assign(Grid.size(), 0);
-  PassDone.assign(Grid.size(), 0);
+  OraclePass Pass(*this);
   long long Sum = 0;
   for (int R = 0; R < NumRows; ++R)
     for (int C = 0; C < NumCols; ++C)
       Sum += oracleValue(R, C);
-  PassActive = false;
   return Sum;
 }
 

@@ -123,9 +123,9 @@ public:
   /// against the incremental path).
   long long recomputeAllExhaustive() const;
 
-  /// Exhaustive evaluation of one cell (untracked). Outside a
-  /// recomputeAllExhaustive() pass, nothing is memoized: cost is the full
-  /// dependency cone of the cell.
+  /// Exhaustive evaluation of one cell (untracked). Outside an oracle
+  /// pass (recomputeAllExhaustive, checkpoint save and restore), nothing
+  /// is memoized: cost is the full dependency cone of the cell.
   int oracleValue(int Row, int Col) const;
 
   Runtime &runtime() { return RT; }
@@ -151,6 +151,20 @@ private:
 
   attrgram::Exp *makeCellRef(int Row, int Col);
 
+  /// Memoizes oracleValue() for its lifetime, so one sweep over the sheet
+  /// evaluates every cell once. Every sweep that must agree with another
+  /// (checkpoint save and its restore-validate) runs inside one.
+  class OraclePass {
+  public:
+    explicit OraclePass(const Spreadsheet &S);
+    ~OraclePass();
+    OraclePass(const OraclePass &) = delete;
+    OraclePass &operator=(const OraclePass &) = delete;
+
+  private:
+    const Spreadsheet &S;
+  };
+
   Runtime &RT;
   int NumRows;
   int NumCols;
@@ -167,7 +181,7 @@ private:
   /// depth of the cell's dependency-graph node instead (the graph's
   /// generic in-flight-cycle signal).
   mutable std::vector<char> InFlight;
-  /// Per-pass memo for recomputeAllExhaustive().
+  /// Per-pass memo of the active OraclePass.
   mutable std::vector<int> PassMemo;
   mutable std::vector<char> PassDone;
   mutable bool PassActive = false;

@@ -13,7 +13,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <random>
@@ -23,7 +25,7 @@ namespace alphonse {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'C', 'K', 'P', 'T', '\0'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr size_t kHeaderBytes = 32;   // magic + version + count + id + crc+pad
 constexpr size_t kTableEntryBytes = 32;
 constexpr uint32_t kMaxSections = 1024;
@@ -77,7 +79,10 @@ void fsyncParentDir(const std::string &Path) {
   fsyncFd(D.Raw, Dir);
 }
 
-std::vector<uint8_t> readWholeFile(const std::string &Path, bool &Missing) {
+/// Reads up to \p Limit bytes from the start of \p Path (the whole file
+/// by default); \p Missing reports an absent file.
+std::vector<uint8_t> readFilePrefix(const std::string &Path, size_t Limit,
+                                    bool &Missing) {
   Missing = false;
   Fd F{::open(Path.c_str(), O_RDONLY)};
   if (!F) {
@@ -89,8 +94,9 @@ std::vector<uint8_t> readWholeFile(const std::string &Path, bool &Missing) {
   }
   std::vector<uint8_t> Buf;
   uint8_t Chunk[1 << 16];
-  for (;;) {
-    ssize_t N = ::read(F.Raw, Chunk, sizeof(Chunk));
+  while (Buf.size() < Limit) {
+    ssize_t N =
+        ::read(F.Raw, Chunk, std::min(sizeof(Chunk), Limit - Buf.size()));
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -101,6 +107,10 @@ std::vector<uint8_t> readWholeFile(const std::string &Path, bool &Missing) {
     Buf.insert(Buf.end(), Chunk, Chunk + N);
   }
   return Buf;
+}
+
+std::vector<uint8_t> readWholeFile(const std::string &Path, bool &Missing) {
+  return readFilePrefix(Path, SIZE_MAX, Missing);
 }
 
 uint64_t freshSnapshotId() {
@@ -133,6 +143,25 @@ uint64_t getU64(const uint8_t *P) {
   for (int I = 0; I < 8; ++I)
     V |= static_cast<uint64_t>(P[I]) << (8 * I);
   return V;
+}
+
+/// Checks the fixed snapshot header at the front of \p Bytes (size,
+/// magic, format version) and \returns its snapshot id.
+uint64_t headerSnapshotId(const std::vector<uint8_t> &Bytes,
+                          const std::string &Path) {
+  if (Bytes.size() < kHeaderBytes)
+    throw CheckpointError(CkptError::Truncated,
+                          "'" + Path + "' is shorter than a header");
+  if (std::memcmp(Bytes.data(), kMagic, 8) != 0)
+    throw CheckpointError(CkptError::BadMagic,
+                          "'" + Path + "' is not a checkpoint file");
+  uint32_t Version = getU32(Bytes.data() + 8);
+  if (Version != kFormatVersion)
+    throw CheckpointError(CkptError::BadVersion,
+                          "'" + Path + "' has format version " +
+                              std::to_string(Version) + ", expected " +
+                              std::to_string(kFormatVersion));
+  return getU64(Bytes.data() + 16);
 }
 
 } // namespace
@@ -254,24 +283,12 @@ CheckpointReader::CheckpointReader(const std::string &Path) {
   if (Missing)
     ioError("cannot open", Path);
 
-  if (Contents.size() < kHeaderBytes)
-    throw CheckpointError(CkptError::Truncated,
-                          "'" + Path + "' is shorter than a header");
-  if (std::memcmp(Contents.data(), kMagic, 8) != 0)
-    throw CheckpointError(CkptError::BadMagic,
-                          "'" + Path + "' is not a checkpoint file");
-  uint32_t Version = getU32(Contents.data() + 8);
-  if (Version != kFormatVersion)
-    throw CheckpointError(CkptError::BadVersion,
-                          "'" + Path + "' has format version " +
-                              std::to_string(Version) + ", expected " +
-                              std::to_string(kFormatVersion));
+  SnapshotId = headerSnapshotId(Contents, Path);
   uint32_t NumSections = getU32(Contents.data() + 12);
   if (NumSections > kMaxSections)
     throw CheckpointError(CkptError::Malformed,
                           "implausible section count " +
                               std::to_string(NumSections));
-  SnapshotId = getU64(Contents.data() + 16);
   uint32_t TableCrc = getU32(Contents.data() + 24);
 
   size_t TableBytes = size_t{NumSections} * kTableEntryBytes;
@@ -323,7 +340,66 @@ ByteReader CheckpointReader::section(uint32_t Tag) const {
 // Delta log
 //===----------------------------------------------------------------------===//
 
+void DeltaAppender::start(std::string SnapshotPath, uint64_t BaseSnapshotId,
+                          uint64_t Records) {
+  LogPath = deltaLogPath(SnapshotPath);
+  this->SnapshotPath = std::move(SnapshotPath);
+  this->BaseSnapshotId = BaseSnapshotId;
+  NextSeq = Records + 1;
+  End = 0;
+  Warm = false;
+  MayHaveLanded = false;
+}
+
+/// The cold path: re-validate the base, repair the log, and re-derive the
+/// warm state from what survived.
+void DeltaAppender::recover() {
+  {
+    // The header alone carries the id; the sections were validated when
+    // the snapshot was written or restored.
+    bool Missing = false;
+    std::vector<uint8_t> Head =
+        readFilePrefix(SnapshotPath, kHeaderBytes, Missing);
+    if (Missing)
+      ioError("cannot open", SnapshotPath);
+    if (headerSnapshotId(Head, SnapshotPath) != BaseSnapshotId)
+      throw CheckpointError(CkptError::StaleDelta,
+                            "snapshot '" + SnapshotPath +
+                                "' was replaced since this log's base was "
+                                "written");
+  }
+  uint64_t IntactEnd = 0;
+  uint64_t Have = repairDeltaLog(LogPath, BaseSnapshotId, nullptr, &IntactEnd);
+  uint64_t Want = NextSeq - 1;
+  if (Have != Want && !(MayHaveLanded && Have == Want + 1))
+    throw CheckpointError(CkptError::StaleDelta,
+                          "delta log '" + LogPath + "' holds " +
+                              std::to_string(Have) +
+                              " intact record(s); this appender accounts "
+                              "for " +
+                              std::to_string(Want));
+  NextSeq = Have + 1;
+  End = IntactEnd;
+  MayHaveLanded = false;
+}
+
 uint64_t DeltaAppender::append(const std::vector<uint8_t> &Payload) {
+  if (!started())
+    throw CheckpointError(CkptError::StaleDelta,
+                          "delta append without a base snapshot");
+  bool WasWarm = Warm;
+  Warm = false; // Re-armed only once this record is durable.
+
+  faultInjectionPoint("ckpt.delta.io"); // 1: before opening the log
+  Fd F{::open(LogPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)};
+  if (!F)
+    ioError("cannot open delta log", LogPath);
+  struct stat St;
+  if (::fstat(F.Raw, &St) != 0)
+    ioError("cannot stat delta log", LogPath);
+  if (!WasWarm || static_cast<uint64_t>(St.st_size) != End)
+    recover(); // O_APPEND: the writes below land at the repaired end.
+
   std::vector<uint8_t> Header;
   putU32(Header, kDeltaMagic);
   putU32(Header, 0);
@@ -333,17 +409,17 @@ uint64_t DeltaAppender::append(const std::vector<uint8_t> &Payload) {
   putU32(Header, crc32(Payload.data(), Payload.size()));
   putU32(Header, 0);
 
-  faultInjectionPoint("ckpt.delta.io"); // 1: before opening the log
-  Fd F{::open(Path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)};
-  if (!F)
-    ioError("cannot open delta log", Path);
   faultInjectionPoint("ckpt.delta.io"); // 2: before the header write
-  writeAll(F.Raw, Header.data(), Header.size(), Path);
+  MayHaveLanded = true;
+  writeAll(F.Raw, Header.data(), Header.size(), LogPath);
   faultInjectionPoint("ckpt.delta.io"); // 3: header on disk, payload not
-  writeAll(F.Raw, Payload.data(), Payload.size(), Path);
+  writeAll(F.Raw, Payload.data(), Payload.size(), LogPath);
   faultInjectionPoint("ckpt.delta.io"); // 4: before fsync
-  fsyncFd(F.Raw, Path);
+  fsyncFd(F.Raw, LogPath);
+  MayHaveLanded = false;
   ++NextSeq;
+  End += Header.size() + Payload.size();
+  Warm = true;
   return Header.size() + Payload.size();
 }
 
@@ -431,27 +507,31 @@ std::vector<DeltaRecord> readDeltaLog(const std::string &Path,
 }
 
 uint64_t repairDeltaLog(const std::string &Path, uint64_t BaseSnapshotId,
-                        std::string *Note) {
+                        std::string *Note, uint64_t *IntactEnd) {
   if (Note)
     Note->clear();
+  if (IntactEnd)
+    *IntactEnd = 0;
   bool Missing = false;
   std::vector<uint8_t> Buf = readWholeFile(Path, Missing);
   if (Missing)
     return 0;
-  size_t IntactEnd = 0;
+  size_t End = 0;
   std::vector<DeltaRecord> Records =
-      parseDeltaLog(Buf, Path, BaseSnapshotId, Note, IntactEnd);
-  if (IntactEnd < Buf.size()) {
+      parseDeltaLog(Buf, Path, BaseSnapshotId, Note, End);
+  if (End < Buf.size()) {
     // Appending after a torn record would hide the new record behind
     // garbage (the reader discards everything from the first bad byte),
     // so cut the log back to the last intact boundary first.
     Fd F{::open(Path.c_str(), O_WRONLY)};
     if (!F)
       ioError("cannot open delta log", Path);
-    if (::ftruncate(F.Raw, static_cast<off_t>(IntactEnd)) != 0)
+    if (::ftruncate(F.Raw, static_cast<off_t>(End)) != 0)
       ioError("cannot truncate delta log", Path);
     fsyncFd(F.Raw, Path);
   }
+  if (IntactEnd)
+    *IntactEnd = End;
   return Records.size();
 }
 

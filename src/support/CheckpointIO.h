@@ -14,7 +14,7 @@
 /// Layout of a snapshot file:
 ///
 ///   offset 0   magic "ALFCKPT\0"                        (8 bytes)
-///   offset 8   format version (u32, currently 1)
+///   offset 8   format version (u32, currently 2)
 ///   offset 12  section count (u32)
 ///   offset 16  snapshot id (u64, unique per written snapshot)
 ///   offset 24  CRC32 of the section table (u32) + u32 padding
@@ -61,7 +61,7 @@ enum class CkptError : uint8_t {
   Truncated,    ///< Shorter than its own header/section table claims.
   CrcMismatch,  ///< A section (or the table) failed its CRC32.
   Malformed,    ///< Structurally valid container, nonsensical contents.
-  StaleDelta,   ///< Delta record does not belong to this snapshot.
+  StaleDelta,   ///< Delta log and snapshot (or appender) disagree.
   VerifyFailed, ///< Restored graph failed DepGraph::verify().
   Busy,         ///< Live state not quiescent (pending work or open batch).
 };
@@ -242,27 +242,55 @@ struct DeltaRecord {
   std::vector<uint8_t> Payload;
 };
 
-/// Appends framed records to `<snapshot>.delta`. Each append is one
-/// header+payload write followed by fsync; a kill mid-append leaves a
-/// torn tail that readDeltaLog discards.
+/// The append side of one snapshot's delta log. It remembers where its
+/// own last record ended, so a steady-state append only encodes, writes
+/// and fsyncs:
+///
+///  - cold path, taken by the first append after start() and the first
+///    after any failed append: the snapshot file must still carry the
+///    base id, repairDeltaLog cuts back any torn tail, and the log must
+///    then hold exactly the records this appender accounts for;
+///  - warm path, every other append: one fstat, which must find the log
+///    ending where this appender's last record did (else the cold path).
+///
+/// Each append is one header+payload write followed by fsync; a kill
+/// mid-append leaves a torn tail that readDeltaLog discards. Either path
+/// passes the "ckpt.delta.io" fault site four times: before opening the
+/// log, before the header write, between header and payload, and before
+/// the fsync.
 class DeltaAppender {
 public:
-  /// \p BaseSnapshotId ties records to the snapshot they extend; \p
-  /// FirstSeq continues an existing log (use readDeltaLog().size() + 1).
-  DeltaAppender(std::string Path, uint64_t BaseSnapshotId,
-                uint64_t FirstSeq = 1)
-      : Path(std::move(Path)), BaseSnapshotId(BaseSnapshotId),
-        NextSeq(FirstSeq) {}
+  /// Targets the log of the snapshot at \p SnapshotPath, whose id is
+  /// \p BaseSnapshotId and whose log holds \p Records intact records the
+  /// caller's state already includes (0 right after writing the
+  /// snapshot; the replayed count after a restore).
+  void start(std::string SnapshotPath, uint64_t BaseSnapshotId,
+             uint64_t Records);
 
-  /// \returns bytes appended (header + payload). Throws CheckpointError(Io).
+  bool started() const { return BaseSnapshotId != 0; }
+  /// The snapshot whose log this appender extends ("" before start()).
+  const std::string &snapshotPath() const { return SnapshotPath; }
+
+  /// Appends one record. \returns bytes appended (header + payload).
+  /// Throws CheckpointError: Io on an I/O failure; StaleDelta when
+  /// start() was never called, the snapshot file no longer carries the
+  /// base id, or the log lost or gained records behind this appender's
+  /// back. After any throw the next append takes the cold path, which
+  /// also accepts the failed append's record if it landed whole.
   uint64_t append(const std::vector<uint8_t> &Payload);
 
-  uint64_t nextSeq() const { return NextSeq; }
-
 private:
-  std::string Path;
-  uint64_t BaseSnapshotId;
-  uint64_t NextSeq;
+  void recover();
+
+  std::string SnapshotPath;
+  std::string LogPath;
+  uint64_t BaseSnapshotId = 0;
+  uint64_t NextSeq = 1;
+  /// Log size just past this appender's last record (valid when Warm).
+  uint64_t End = 0;
+  bool Warm = false;
+  /// A failed append got as far as writing bytes: its record may be whole.
+  bool MayHaveLanded = false;
 };
 
 /// Reads the longest intact prefix of `\p Path` whose records extend the
@@ -279,9 +307,11 @@ std::vector<DeltaRecord> readDeltaLog(const std::string &Path,
 /// so the next append lands on an intact record boundary (a record
 /// appended after garbage would be lost to the reader's tail-discard).
 /// \returns the number of surviving records — the next append's sequence
-/// number is that + 1. Missing log: 0.
+/// number is that + 1. Missing log: 0. \p IntactEnd, when non-null,
+/// receives the repaired log's size.
 uint64_t repairDeltaLog(const std::string &Path, uint64_t BaseSnapshotId,
-                        std::string *Note = nullptr);
+                        std::string *Note = nullptr,
+                        uint64_t *IntactEnd = nullptr);
 
 /// Removes the delta log at \p Path if present (called right after a new
 /// full snapshot lands, through a "ckpt.io" injection site). Throws

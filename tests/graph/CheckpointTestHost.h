@@ -106,20 +106,22 @@ public:
       W.addSection(TagMant, B.take());
     }
     W.writeFile(Path);
+    Appender.start(Path, W.snapshotId(), 0);
     removeDeltaLog(deltaLogPath(Path));
   }
 
-  /// Appends the current cell values to the snapshot's sidecar log.
+  /// Appends the current cell values to the log of the snapshot this host
+  /// last saved or restored (\p Path).
   void appendDelta(const std::string &Path) {
     RT.pump();
-    CheckpointReader Base(Path);
-    uint64_t Have = repairDeltaLog(deltaLogPath(Path), Base.snapshotId());
+    if (Appender.snapshotPath() != Path)
+      throw CheckpointError(CkptError::StaleDelta,
+                            "'" + Path + "' is not this host's snapshot");
     ByteWriter B;
     B.u32(static_cast<uint32_t>(Cells.size()));
     for (const auto &C : Cells)
       B.i64(C->peek());
-    DeltaAppender A(deltaLogPath(Path), Base.snapshotId(), Have + 1);
-    A.append(B.take());
+    Appender.append(B.take());
   }
 
   /// Rebuilds this (freshly constructed, same-extent) host from \p Path
@@ -233,6 +235,7 @@ public:
     if (!Problems.empty())
       throw CheckpointError(CkptError::VerifyFailed,
                             "post-delta verify failed: " + Problems.front());
+    Appender.start(Path, R.snapshotId(), Deltas.size());
   }
 
   /// Demands every prefix sum and lists it with the cell values; two
@@ -249,6 +252,7 @@ public:
   }
 
   std::string RestoreNote;
+  DeltaAppender Appender;
 };
 
 } // namespace alphonse::ckpttest

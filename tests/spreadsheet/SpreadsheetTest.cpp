@@ -392,6 +392,39 @@ TEST(SpreadsheetCheckpointTest, RolledBackBatchIsNotPersisted) {
   EXPECT_EQ(B.value(0, 1), 10);
 }
 
+// E4's Pascal fabric: cell (r, c) = cell(r, c-1) + cell(r-1, c). An
+// unmemoized oracle walks every path of each cell's cone, exponential in
+// r + c; save and restore-validate run in one memoized pass instead.
+// Only the last rows hold nonzero literals, so no value overflows.
+TEST(SpreadsheetCheckpointTest, PascalFabricRoundtripsInOnePass) {
+  TempSheetCheckpoint File("sheet-ckpt-pascal");
+  constexpr int M = 24;
+  Runtime RTA;
+  Spreadsheet A(RTA, M, M);
+  for (int R = 0; R < M; ++R)
+    A.setLiteral(R, 0, R < M - 3 ? 0 : R);
+  for (int C = 1; C < M; ++C) {
+    ASSERT_TRUE(A.setFormula(0, C, "cell(0," + std::to_string(C - 1) + ")"));
+    for (int R = 1; R < M; ++R)
+      ASSERT_TRUE(A.setFormula(R, C,
+                               "cell(" + std::to_string(R) + "," +
+                                   std::to_string(C - 1) + ") + cell(" +
+                                   std::to_string(R - 1) + "," +
+                                   std::to_string(C) + ")"));
+  }
+  // Each literal times its lattice paths into the corner: C(24,2), 23, 1.
+  ASSERT_EQ(A.value(M - 1, M - 1), 21 * 276 + 22 * 23 + 23);
+  A.saveCheckpoint(File.path());
+
+  Runtime RTB;
+  Spreadsheet B(RTB, M, M);
+  B.restoreCheckpoint(File.path());
+  for (int R = 0; R < M; ++R)
+    for (int C = 0; C < M; ++C)
+      ASSERT_EQ(B.value(R, C), A.value(R, C)) << R << "," << C;
+  EXPECT_EQ(B.recomputeAllExhaustive(), A.recomputeAllExhaustive());
+}
+
 TEST(SpreadsheetTest, BudgetedRecalcServesStaleValuesThenCatchesUp) {
   Runtime RT;
   Spreadsheet S(RT, 1, 6);

@@ -44,8 +44,9 @@
 //   --restore PATH          rebuild the interpreter from a checkpoint (and
 //                           its delta log) before running --run specs
 //   --checkpoint PATH       write a full checkpoint after the --run specs
-//   --checkpoint-delta PATH append a delta record to PATH's sidecar log
-//                           after the --run specs (PATH must exist)
+//   --checkpoint-delta PATH append a change record (the storage the --run
+//                           specs wrote) to PATH's sidecar log; PATH must
+//                           be the --restore or --checkpoint snapshot
 //   --fault-seed N          deterministically arm one process-kill fault
 //                           at a checkpoint I/O injection site derived
 //                           from N (crash-recovery drills from scripts)
