@@ -659,27 +659,6 @@ void DepGraph::selfInvalidate(DepNode &Proc) {
   Proc.Consistent = false;
 }
 
-bool DepGraph::settleUnobservedWrite(DepNode &N) {
-  StateGuard Guard(*this);
-  if (!N.isStorage() || N.Quarantined || N.FirstSucc)
-    return false;
-  // Same bookkeeping as processNode's storage branch: refresh the
-  // snapshot, and on a real change stamp a fresh version (journaled so a
-  // rollback restores the old stamp). enqueueSuccessors is vacuous here.
-  if (N.refreshStorage()) {
-    if (journaling()) {
-      UndoEntry U;
-      U.K = UndoEntry::Kind::VersionStamp;
-      U.Sink = N.Id;
-      U.OldVersion = N.Version;
-      Journal.push(std::move(U));
-      ++Stats.TxnUndoEntries;
-    }
-    N.Version = ++VersionCounter;
-  }
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Transactional mutation batches (see DESIGN.md "Transactions and recovery")
 //===----------------------------------------------------------------------===//

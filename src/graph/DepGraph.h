@@ -146,25 +146,13 @@ public:
   /// the fault-injection harness to force divergence.
   void selfInvalidate(DepNode &Proc);
 
-  /// Storage-write fast path for a node nothing depends on: when \p N is
-  /// storage with no successor edges (and not quarantined), folds the
-  /// pending change into its snapshot in place — refreshStorage plus the
-  /// version stamp processNode would apply, minus the queue round-trip
-  /// that would propagate to no one. Returns false (caller must
-  /// markInconsistent as usual) when the node has dependents. Keeps
-  /// pre-instantiated static slot nodes (DESIGN.md §14) from parking
-  /// pending work for locations no incremental procedure ever reads;
-  /// under dynamic construction such a node would not exist yet.
-  bool settleUnobservedWrite(DepNode &N);
-
   /// Bulk raw edge linkage: links every Source -> Sink edge in \p Sources
   /// order under one StateGuard, with rollback-grade bookkeeping only (no
   /// level recompute or dedup; partition unions are a sound over-merge).
   /// \p Sources arrive front-to-back (capture order); linkage is
   /// push-front, so this walks them in reverse to recover the original
-  /// predecessor-list order. Checkpoint restore and static-shape
-  /// instantiation (DESIGN.md §14) wire whole adjacency rows through here
-  /// instead of per-edge calls.
+  /// predecessor-list order. Checkpoint restore wires whole adjacency rows
+  /// through here instead of per-edge calls.
   void relinkPredecessors(DepNode &Sink, const std::vector<DepNode *> &Sources);
 
   /// Invariant audit over the whole graph: live node/edge counts, table

@@ -55,15 +55,6 @@ void GraphStore::refreshMemoryGauges() {
   }
 }
 
-void GraphStore::reserveShape(size_t Nodes, size_t Edges) {
-  StateGuard Guard(*this);
-  NodeTab.reserve(Nodes);
-  EdgeTab.reserve(Edges);
-  Stats.ShapeNodesReserved += Nodes;
-  Stats.ShapeEdgesReserved += Edges;
-  refreshMemoryGauges();
-}
-
 void GraphStore::republishMemoryGauges() {
   StateGuard Guard(*this);
   size_t NodeBytes = NodeTab.bytesReserved();

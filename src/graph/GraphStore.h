@@ -141,18 +141,6 @@ public:
     Free.push_back(Id.index());
   }
 
-  /// Pre-grows the table by \p N slots, parking them on the free list so
-  /// the next \p N alloc() calls are free-list pops with no slab growth
-  /// (static graph construction, DESIGN.md §14). Writer-side only, like
-  /// alloc().
-  void reserve(size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      Free.push_back(grow());
-  }
-
-  /// Slots currently parked on the free list.
-  size_t numFree() const { return Free.size(); }
-
   /// True when \p Id names a currently allocated slot of its generation.
   bool isLive(NodeId Id) const { return tryNode(Id) != nullptr; }
 
@@ -224,16 +212,6 @@ public:
     Free.push_back(Id.index());
   }
 
-  /// Pre-grows the table by \p N slots, parking them on the free list (see
-  /// NodeTable::reserve).
-  void reserve(size_t N) {
-    for (size_t I = 0; I < N; ++I)
-      Free.push_back(grow());
-  }
-
-  /// Slots currently parked on the free list.
-  size_t numFree() const { return Free.size(); }
-
   bool isLive(EdgeId Id) const {
     return Id && Id.index() < Slots.size() &&
            Slots.at(Id.index()).Gen == Id.gen();
@@ -303,19 +281,6 @@ public:
 
   size_t numPredecessors(const DepNode &N) const;
   size_t numSuccessors(const DepNode &N) const;
-
-  /// Bulk pre-reservation for static graph construction (paper §6.2,
-  /// DESIGN.md §14): grows the node and edge tables by \p Nodes / \p Edges
-  /// slots in one step, parking the new slots on the free lists, so the
-  /// instantiation (and the steady-state churn that follows it) is served
-  /// entirely by free-list pops — zero slab growth, directly assertable
-  /// via the pool.high_water gauge. Publishes the memory gauges once.
-  void reserveShape(size_t Nodes, size_t Edges);
-
-  /// Free node-table slots available before the next slab growth.
-  size_t nodeSlotsFree() const { return NodeTab.numFree(); }
-  /// Free edge-table slots available before the next slab growth.
-  size_t edgeSlotsFree() const { return EdgeTab.numFree(); }
 
   /// Unconditionally re-publishes graph.node_bytes / graph.edge_bytes /
   /// pool.high_water from the tables' current reservations. The growth

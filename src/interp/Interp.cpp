@@ -164,9 +164,8 @@ struct Interp::Frame {
 };
 
 Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
-               DepGraph::Config Cfg, bool EnableBytecode,
-               bool EnableStaticGraph)
-    : M(M), Info(Info), Mode(Mode), RT(Cfg) {
+               DepGraph::Config Cfg, bool EnableBytecode)
+    : M(M), Info(Info), Mode(Mode), RT(Cfg), Tables(M.Procs.size()) {
   // Compile before any language node exists: InterpProcNode consults BC
   // to decide whether its partition needs the serial pin. Compiled chunks
   // are derived state — never checkpointed, rebuilt from the module here
@@ -175,17 +174,8 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
   if (const char *E = std::getenv("ALPHONSE_NO_BYTECODE"))
     if (E[0] && !(E[0] == '0' && !E[1]))
       EnableBytecode = false;
-  if (const char *E = std::getenv("ALPHONSE_NO_STATIC_GRAPH"))
-    if (E[0] && !(E[0] == '0' && !E[1]))
-      EnableStaticGraph = false;
-  // The shape plan must exist before compilation so call sites get their
-  // static-instance slots baked into the chunk procedure pools. Derived
-  // state, like the bytecode module; only Alphonse mode builds graphs.
-  if (EnableStaticGraph && Mode == ExecMode::Alphonse)
-    Plan = std::make_unique<transform::GraphPlan>(
-        transform::buildGraphPlan(M, Info));
   if (EnableBytecode) {
-    BC = bytecode::compileModule(M, Info, Plan.get());
+    BC = bytecode::compileModule(M, Info);
     BCState = std::make_unique<bytecode::ExecArena>();
   }
   for (const Type &Ty : Info.GlobalTypes) {
@@ -211,93 +201,6 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
     }
     return Value();
   });
-  // Instantiate the static shape only now: a SlotNode snapshots the live
-  // value at construction, so building the globals' nodes before their
-  // initializers ran would plant stale snapshots and make the variable
-  // cutoff wrongly suppress the first real write.
-  instantiateStaticShape();
-}
-
-void Interp::instantiateStaticShape() {
-  if (!Plan)
-    return;
-  DepGraph &G = RT.graph();
-  // Top up the slab free lists to the plan's capacity in one bulk step.
-  // Instantiation below — and the steady-state churn after it — is then
-  // served entirely by free-list pops: zero slab growth, which the
-  // bench_static suite asserts via a flat pool.high_water gauge.
-  size_t NeedNodes = Plan->nodeCount();
-  size_t NeedEdges = Plan->edgeCount();
-  size_t FreeNodes = G.nodeSlotsFree();
-  size_t FreeEdges = G.edgeSlotsFree();
-  G.reserveShape(NeedNodes > FreeNodes ? NeedNodes - FreeNodes : 0,
-                 NeedEdges > FreeEdges ? NeedEdges - FreeEdges : 0);
-  // Globals' storage nodes, find-or-create (a restore or an initializer
-  // that called an incremental procedure may have materialized some).
-  for (auto &SlotPtr : Globals) {
-    StorageSlot &S = *SlotPtr;
-    if (S.Node)
-      continue;
-    S.Node = std::make_unique<SlotNode>(G, S, /*SerialPin=*/BC == nullptr);
-    S.Node->setName(S.label());
-  }
-  // Planned procedure instances: the nullary cached procedures whose
-  // single argument-table entry (the empty vector) is known at transform
-  // time. Created inconsistent with no cached value — the first call runs
-  // the body exactly like the dynamic path's first call.
-  StaticInstances.assign(Plan->Instances.size(), nullptr);
-  for (const transform::PlanInstance &PI : Plan->Instances) {
-    ArgTable &Table = Tables[PI.Proc];
-    std::vector<Value> Key;
-    auto It = Table.find(Key);
-    InterpProcNode *N;
-    if (It != Table.end()) {
-      N = It->second.get();
-    } else {
-      auto Owned = std::make_unique<InterpProcNode>(G, *this, PI.Proc,
-                                                    PI.Proc->Pragma.Strategy);
-      N = Owned.get();
-      N->setName(PI.Proc->Name);
-      Table.emplace(std::move(Key), std::move(Owned));
-      ++RT.stats().StaticInstances;
-    }
-    StaticInstances[static_cast<size_t>(PI.Slot)] = N;
-  }
-}
-
-void Interp::demolishStaticShape() {
-  if (!Plan || (StaticInstances.empty() && Plan->GlobalSlots == 0))
-    return;
-  DepGraph &G = RT.graph();
-  // Refuse unless every shape-built node is still pristine: a used
-  // interpreter must fail restore's freshness gate exactly like the
-  // dynamic path, not get silently wiped.
-  for (InterpProcNode *N : StaticInstances) {
-    if (!N)
-      return;
-    if (N->isConsistent() || N->Cached || N->isQuarantined() ||
-        G.numPredecessors(*N) != 0 || G.numSuccessors(*N) != 0)
-      return;
-  }
-  for (auto &SlotPtr : Globals) {
-    StorageSlot &S = *SlotPtr;
-    if (!S.Node)
-      return; // Shape incomplete: not the ctor-built state.
-    if (S.Node->isQuarantined() || !(S.Node->Snapshot == S.Live) ||
-        G.numPredecessors(*S.Node) != 0 || G.numSuccessors(*S.Node) != 0)
-      return;
-  }
-  for (const transform::PlanInstance &PI : Plan->Instances) {
-    auto TI = Tables.find(PI.Proc);
-    if (TI == Tables.end())
-      continue;
-    TI->second.erase(std::vector<Value>());
-    if (TI->second.empty())
-      Tables.erase(TI);
-  }
-  StaticInstances.clear();
-  for (auto &SlotPtr : Globals)
-    SlotPtr->Node.reset();
 }
 
 Interp::~Interp() = default;
@@ -413,12 +316,6 @@ void Interp::trackedWrite(StorageSlot &S, Value V, bool Tracked) {
     ++Stats.QuiescentWrites;
     return;
   }
-  // A node with no dependents (nothing ever incrementally read this slot)
-  // folds the change into its snapshot in place: queueing it would only
-  // park a refresh that propagates to no one. Matters for pre-built
-  // static slot nodes (DESIGN.md §14), which exist before any reader.
-  if (RT.graph().settleUnobservedWrite(*S.Node))
-    return;
   RT.graph().markInconsistent(*S.Node);
 }
 
@@ -427,41 +324,27 @@ void Interp::trackedWrite(StorageSlot &S, Value V, bool Tracked) {
 //===----------------------------------------------------------------------===//
 
 Value Interp::dispatch(const ProcDecl *P, const PragmaInfo &Pragma,
-                       bool Checked, std::vector<Value> Args,
-                       int StaticSlot) {
+                       bool Checked, std::vector<Value> Args) {
   // The call(p, ...) operation: with no table pointer (conventional mode,
   // unchecked site, or non-incremental callee) execute directly; reads
   // inside then attribute to the calling incremental instance, which is
   // exactly the transitive R(p) of Section 3.3.
   if (Mode == ExecMode::Alphonse && Checked && Pragma.isIncremental())
-    return incrementalCall(P, Pragma, std::move(Args), StaticSlot);
+    return incrementalCall(P, Pragma, std::move(Args));
   return runBody(P, Args);
 }
 
 Value Interp::incrementalCall(const ProcDecl *P, const PragmaInfo &Pragma,
-                              std::vector<Value> Args, int StaticSlot) {
+                              std::vector<Value> Args) {
   InterpProcNode *N;
   bool Existing = false;
-  // Static fast path (paper §6.2): a planned nullary procedure resolves
-  // to its pre-built instance with one indexed load — no StateGuard, no
-  // argument-vector hashing, no allocation. Compiled sites carry the slot
-  // in the chunk's procedure pool; tree-walked and driver-API sites
-  // consult the plan's index (one pointer hash, still allocation-free).
-  if (StaticSlot < 0 && Plan && Args.empty())
-    StaticSlot = Plan->slotOf(P);
-  if (StaticSlot >= 0 &&
-      static_cast<size_t>(StaticSlot) < StaticInstances.size() &&
-      StaticInstances[static_cast<size_t>(StaticSlot)]) {
-    N = StaticInstances[static_cast<size_t>(StaticSlot)];
-    Existing = true;
-    ++RT.stats().StaticCalls;
-  } else {
+  {
     // Table lookup/insert under the graph's state guard: compiled callers
     // on different wave workers can reach the same instance concurrently
-    // (mirrors Maintained::operator()). unordered_map reference stability
-    // keeps &Table valid for the undo closure.
+    // (mirrors Maintained::operator()). Tables never resizes, which keeps
+    // &Table valid for the undo closure.
     DepGraph::StateGuard Guard(RT.graph());
-    ArgTable &Table = Tables[P];
+    ArgTable &Table = Tables[static_cast<size_t>(P->Index)];
     auto It = Table.find(Args);
     if (It == Table.end()) {
       auto Owned = std::make_unique<InterpProcNode>(RT.graph(), *this, P,
@@ -1155,11 +1038,15 @@ void Interp::saveCheckpoint(const std::string &Path) {
   }
   {
     ByteWriter B;
-    B.u32(static_cast<uint32_t>(Tables.size()));
-    for (const auto &TE : Tables) {
-      B.str(TE.first->Name);
-      B.u32(static_cast<uint32_t>(TE.second.size()));
-      for (const auto &E : TE.second) {
+    B.u32(static_cast<uint32_t>(
+        std::count_if(Tables.begin(), Tables.end(),
+                      [](const ArgTable &T) { return !T.empty(); })));
+    for (size_t P = 0; P < Tables.size(); ++P) {
+      if (Tables[P].empty())
+        continue;
+      B.str(M.Procs[P]->Name);
+      B.u32(static_cast<uint32_t>(Tables[P].size()));
+      for (const auto &E : Tables[P]) {
         const InterpProcNode &N = *E.second;
         B.u32(N.id().bits());
         B.u8(static_cast<uint8_t>(N.strategy()));
@@ -1229,15 +1116,9 @@ void Interp::appendDelta(const std::string &Path) {
 void Interp::restoreCheckpoint(const std::string &Path) {
   auto Start = std::chrono::steady_clock::now();
   DepGraph &G = RT.graph();
-  // A static-graph interpreter is born with the shape pre-instantiated;
-  // tear a still-pristine shape down so the freshness gate below sees the
-  // same empty graph a dynamic-path interpreter starts with. The shape is
-  // derived state — never part of the checkpoint — and is rebuilt from
-  // the plan after the snapshot's nodes are back (a used interpreter
-  // fails the pristine check, keeps its shape, and is rejected here
-  // exactly like the dynamic path).
-  demolishStaticShape();
-  if (G.inBatch() || G.numLiveNodes() != 0 || !Tables.empty())
+  // Every argument-table entry owns a live node, so an empty graph also
+  // means empty tables.
+  if (G.inBatch() || G.numLiveNodes() != 0)
     throw CheckpointError(
         CkptError::Busy,
         "restore requires a freshly constructed interpreter");
@@ -1505,7 +1386,7 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     RestoreSlot(*Globals[I], GlobalSlots[I]);
 
   for (const StagedTable &Tab : StagedTables) {
-    ArgTable &Table = Tables[Tab.Proc];
+    ArgTable &Table = Tables[static_cast<size_t>(Tab.Proc->Index)];
     for (const StagedEntry &En : Tab.Entries) {
       auto Owned = std::make_unique<InterpProcNode>(G, *this, Tab.Proc,
                                                     En.Strategy);
@@ -1548,12 +1429,6 @@ void Interp::restoreCheckpoint(const std::string &Path) {
       throw CheckpointError(CkptError::VerifyFailed,
                             "post-delta verify failed: " + Problems.front());
   }
-
-  // Rebuild the static shape around the restored state: the snapshot
-  // brought back any instances and slot nodes it captured; this re-binds
-  // them into the slot-indexed table and find-or-creates the rest (all
-  // served from the slabs reserveShape pre-grew).
-  instantiateStaticShape();
 
   Output = std::move(StagedOutput);
   Failed = StagedFailed;

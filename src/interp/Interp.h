@@ -43,7 +43,6 @@
 #include "interp/Value.h"
 #include "lang/Sema.h"
 #include "support/CheckpointIO.h"
-#include "transform/GraphPlan.h"
 
 #include <memory>
 #include <optional>
@@ -111,16 +110,9 @@ public:
   /// (derived state, never checkpointed); pass false — or set
   /// ALPHONSE_NO_BYTECODE=1, which wins — to force the tree-walker, in
   /// which case every language node keeps its serial pin.
-  /// \p EnableStaticGraph pre-instantiates the module's static graph
-  /// shape (paper §6.2, DESIGN.md §14): globals' storage nodes and the
-  /// single instance of every nullary bounded-R(p) cached procedure are
-  /// built in bulk into pre-reserved slabs at construction, so those
-  /// calls skip the StateGuard find-or-emplace and steady-state churn
-  /// allocates nothing. Pass false — or set ALPHONSE_NO_STATIC_GRAPH=1,
-  /// which wins — to keep every node on the dynamic lazy path.
   Interp(const lang::Module &M, const lang::SemaInfo &Info, ExecMode Mode,
          DepGraph::Config Cfg = DepGraph::Config(),
-         bool EnableBytecode = true, bool EnableStaticGraph = true);
+         bool EnableBytecode = true);
   ~Interp();
 
   /// Calls a top-level procedure by name (the mutator's entry point).
@@ -208,11 +200,6 @@ public:
   /// --dump-bytecode disassembles it; tests assert on effect masks.
   const bytecode::BytecodeModule *bytecodeModule() const { return BC.get(); }
 
-  /// The static shape table, or nullptr when static graph construction is
-  /// disabled (--no-static-graph / ALPHONSE_NO_STATIC_GRAPH) or the mode
-  /// is conventional. Derived state, like the bytecode module.
-  const transform::GraphPlan *graphPlan() const { return Plan.get(); }
-
 private:
   friend class InterpProcNode;
   struct Frame;
@@ -228,15 +215,11 @@ private:
   Value evalCall(const lang::CallExpr *C, Frame &F);
   Value evalMethodCall(const lang::MethodCallExpr *C, Frame &F);
   Value evalBinary(const lang::BinaryExpr *B, Frame &F);
-  /// \p StaticSlot is the callee's pre-resolved static-instance slot
-  /// (ProcRef::StaticSlot, from the bytecode pool) or -1; sites without a
-  /// compile-time resolution still reach the static table through the
-  /// plan's slot index inside incrementalCall.
   Value dispatch(const lang::ProcDecl *P, const lang::PragmaInfo &Pragma,
-                 bool Checked, std::vector<Value> Args, int StaticSlot = -1);
+                 bool Checked, std::vector<Value> Args);
   Value incrementalCall(const lang::ProcDecl *P,
                         const lang::PragmaInfo &Pragma,
-                        std::vector<Value> Args, int StaticSlot);
+                        std::vector<Value> Args);
   Value executeInstance(class InterpProcNode &N);
   bool reexecuteInstance(class InterpProcNode &N);
 
@@ -279,37 +262,18 @@ private:
   std::unique_ptr<bytecode::BytecodeModule> BC;
   std::unique_ptr<bytecode::ExecArena> BCState;
 
-  /// The static shape table (derived state, null when disabled) and the
-  /// slot-indexed table of pre-built instances it resolved to. The
-  /// pointers alias Tables entries (unordered_map nodes are reference-
-  /// stable), so the hot path reads them with no guard and no hashing.
-  std::unique_ptr<transform::GraphPlan> Plan;
-  std::vector<class InterpProcNode *> StaticInstances;
-
-  /// Instantiates the plan: reserves slab capacity for any deficit, then
-  /// find-or-creates the globals' storage nodes and every planned
-  /// instance. Runs after the global initializers (a SlotNode snapshots
-  /// the live value at construction — building it earlier would corrupt
-  /// the variable cutoff) and again after a checkpoint restore rebuilds
-  /// the tables.
-  void instantiateStaticShape();
-  /// Tears the shape back down if — and only if — every shape-built node
-  /// is still pristine (no edges, no cached value, snapshot == live), so
-  /// a freshly constructed static-graph interpreter passes restore's
-  /// "fresh interpreter" gate; a used interpreter is left untouched and
-  /// fails that gate exactly like the dynamic path.
-  void demolishStaticShape();
-
   Runtime RT;
   std::vector<std::unique_ptr<StorageSlot>> Globals;
   std::unordered_map<std::string, int> GlobalIndex;
   std::vector<std::unique_ptr<HeapObject>> Heap;
 
-  /// Argument tables (Section 4.2), one per incremental procedure.
+  /// Argument tables (Section 4.2), indexed by ProcDecl::Index: one per
+  /// procedure, empty until an incremental call reaches it. Sized once at
+  /// construction, so a table's address is stable for undo closures.
   using ArgTable =
       std::unordered_map<std::vector<Value>,
                          std::unique_ptr<class InterpProcNode>, ValueVecHash>;
-  std::unordered_map<const lang::ProcDecl *, ArgTable> Tables;
+  std::vector<ArgTable> Tables;
 
   /// Delta checkpoints (DESIGN.md Section 10): the slots whose value
   /// moved since the last snapshot, restore or record (each once, flagged

@@ -118,11 +118,6 @@ static_assert(sizeof(Instr) == 12, "Instr must stay three packed words");
 /// incremental call protocol at the site).
 struct ProcRef {
   const lang::ProcDecl *P = nullptr;
-  /// Compile-time-resolved static-instance slot (GraphPlan, DESIGN.md
-  /// §14), or -1 when the callee stays on the dynamic find-or-emplace
-  /// path. Baked into the pool so the VM's CallProc resolves the callee's
-  /// pre-built graph node with one indexed load.
-  int32_t StaticSlot = -1;
 };
 
 /// A pre-resolved method site: the vtable slot plus the source name for

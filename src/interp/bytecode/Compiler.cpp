@@ -33,7 +33,6 @@
 
 #include "lang/AST.h"
 #include "lang/Types.h"
-#include "transform/GraphPlan.h"
 
 #include <cassert>
 #include <cstdint>
@@ -68,10 +67,8 @@ constexpr int MaxRegs = 0xFFFF;
 
 class ProcCompiler {
 public:
-  ProcCompiler(const ProcDecl &P, const ProcInfo &PI, Chunk &Ch,
-               const transform::GraphPlan *Plan)
-      : P(P), PI(PI), Ch(Ch), Plan(Plan), Next(PI.FrameSize),
-        High(PI.FrameSize) {}
+  ProcCompiler(const ProcDecl &P, const ProcInfo &PI, Chunk &Ch)
+      : P(P), PI(PI), Ch(Ch), Next(PI.FrameSize), High(PI.FrameSize) {}
 
   bool run() {
     // Prologue: local initializers in declaration order (the VM seeds the
@@ -157,9 +154,7 @@ private:
     for (size_t I = 0; I < Ch.Procs.size(); ++I)
       if (Ch.Procs[I].P == Callee)
         return static_cast<int32_t>(I);
-    // Resolve the callee's static-instance slot at compile time; -1 keeps
-    // the site on the dynamic find-or-emplace path.
-    Ch.Procs.push_back({Callee, Plan ? Plan->slotOf(Callee) : -1});
+    Ch.Procs.push_back({Callee});
     return static_cast<int32_t>(Ch.Procs.size() - 1);
   }
 
@@ -492,7 +487,6 @@ private:
   const ProcDecl &P;
   const ProcInfo &PI;
   Chunk &Ch;
-  const transform::GraphPlan *Plan;
   int Next; ///< Next free register.
   int High; ///< High-water mark (becomes Chunk::NumRegs).
   bool Failed = false;
@@ -628,8 +622,7 @@ void scanProc(const ProcDecl &P, const SemaInfo &Info, DirectInfo &D) {
 } // namespace
 
 std::unique_ptr<BytecodeModule>
-compileModule(const Module &M, const SemaInfo &Info,
-              const transform::GraphPlan *Plan) {
+compileModule(const Module &M, const SemaInfo &Info) {
   auto Mod = std::make_unique<BytecodeModule>();
   std::unordered_map<const ProcDecl *, DirectInfo> Direct;
 
@@ -650,7 +643,7 @@ compileModule(const Module &M, const SemaInfo &Info,
         Ch.SlotDefaults[PI->ParamTypes.size() + I] =
             defaultValueFor(PI->LocalTypes[I]);
       Ch.RetDefault = defaultValueFor(PI->RetType);
-      ProcCompiler PC(*P, *PI, Ch, Plan);
+      ProcCompiler PC(*P, *PI, Ch);
       if (PC.run()) {
         Mod->Chunks.emplace(P.get(), std::move(Ch));
         Compiled = true;

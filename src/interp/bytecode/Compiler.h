@@ -23,10 +23,6 @@
 #include <memory>
 #include <unordered_map>
 
-namespace alphonse::transform {
-struct GraphPlan;
-} // namespace alphonse::transform
-
 namespace alphonse::interp::bytecode {
 
 /// The compiled module: one chunk per procedure plus the per-procedure
@@ -58,13 +54,8 @@ public:
 
 /// Compiles every procedure of \p M. \p M and \p Info must outlive the
 /// result (chunks hold ProcDecl / ObjectTypeInfo pointers into them).
-/// With a \p Plan, call sites whose callee the plan covers get the
-/// static-instance slot baked into the chunk's procedure pool
-/// (ProcRef::StaticSlot), making hot-path node resolution an indexed
-/// load; without one, every site keeps the dynamic path.
-std::unique_ptr<BytecodeModule>
-compileModule(const lang::Module &M, const lang::SemaInfo &Info,
-              const transform::GraphPlan *Plan = nullptr);
+std::unique_ptr<BytecodeModule> compileModule(const lang::Module &M,
+                                              const lang::SemaInfo &Info);
 
 } // namespace alphonse::interp::bytecode
 

@@ -177,11 +177,9 @@ Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
       std::vector<Value> CallArgs(
           ES.Regs.begin() + static_cast<long>(Base + IP->B),
           ES.Regs.begin() + static_cast<long>(Base + IP->B + IP->C));
-      // PR.StaticSlot was resolved at compile time; a planned callee's
-      // instance node is then an indexed load inside incrementalCall.
       Value Ret = dispatch(PR.P, PR.P->Pragma,
                            (IP->Flags & FlagTracked) != 0,
-                           std::move(CallArgs), PR.StaticSlot);
+                           std::move(CallArgs));
       VM_R(IP->A) = std::move(Ret);
       VM_NEXT();
     }

@@ -332,6 +332,7 @@ struct ProcDecl {
   /// True once any type binds this procedure as a MAINTAINED method
   /// (Sema). Affects the runtime call protocol for method dispatch.
   bool BoundAsMaintained = false;
+  int Index = -1; ///< Position in Module::Procs (Sema).
 };
 
 struct FieldDecl {

@@ -232,12 +232,12 @@ private:
   void checkProcs() {
     // Register signatures first so procedures can call each other.
     for (auto &P : M.Procs) {
+      P->Index = static_cast<int>(&P - M.Procs.data());
       if (Info.Procs.count(P.get())) {
         Diags.error(P->Loc, "duplicate procedure '" + P->Name + "'");
         continue;
       }
       ProcInfo PI;
-      PI.DeclIndex = static_cast<int>(&P - M.Procs.data());
       for (const ParamDecl &PD : P->Params)
         PI.ParamTypes.push_back(resolveTypeRef(PD.Type));
       PI.RetType =

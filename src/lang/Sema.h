@@ -49,10 +49,6 @@ struct ProcInfo {
   /// ParamTypes.size() ... ParamTypes.size() + LocalTypes.size()).
   std::vector<Type> LocalTypes;
   Type RetType = Type::voidType();
-  /// Position of the declaration in Module::Procs. Gives downstream
-  /// passes (graph-plan slot assignment, bytecode pools) a stable
-  /// module-order index independent of hash-map iteration order.
-  int DeclIndex = -1;
   /// Frame slots: parameters first, then locals, then FOR variables.
   int FrameSize = 0;
 };

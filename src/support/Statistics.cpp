@@ -39,10 +39,6 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "graph.node_bytes     " << S.GraphNodeBytes.total() << '\n'
      << "graph.edge_bytes     " << S.GraphEdgeBytes.total() << '\n'
      << "pool.high_water      " << S.PoolHighWater.total() << '\n'
-     << "shape.nodes_reserved " << S.ShapeNodesReserved.total() << '\n'
-     << "shape.edges_reserved " << S.ShapeEdgesReserved.total() << '\n'
-     << "static.calls         " << S.StaticCalls.total() << '\n'
-     << "static.instances     " << S.StaticInstances.total() << '\n'
      << "ckpt.snapshots       " << S.CkptSnapshots.total() << '\n'
      << "ckpt.deltas          " << S.CkptDeltas.total() << '\n'
      << "ckpt.sections        " << S.CkptSections.total() << '\n'

@@ -246,16 +246,8 @@ struct Statistics {
   /// Resettable per Runtime (resetPoolHighWater) so a bench can scope the
   /// mark to a churn phase.
   StatCounter PoolHighWater;
-  /// Node slots pre-reserved by GraphStore::reserveShape (static graph
-  /// construction, DESIGN.md §14).
-  StatCounter ShapeNodesReserved;
-  /// Edge slots pre-reserved by GraphStore::reserveShape.
-  StatCounter ShapeEdgesReserved;
-  /// Incremental calls served by the static instance table (O(1) indexed
-  /// lookup; no StateGuard find-or-emplace).
+  /// No longer incremented; kept only because perfbench reads it.
   StatCounter StaticCalls;
-  /// Procedure instances pre-instantiated from the static graph plan.
-  StatCounter StaticInstances;
   /// Full checkpoint snapshots written (DESIGN.md §10).
   StatCounter CkptSnapshots;
   /// Delta records appended to checkpoint logs.

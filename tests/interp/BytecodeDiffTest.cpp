@@ -8,12 +8,12 @@
 /// \file
 /// The bytecode tier must be observationally identical to the tree-walking
 /// interpreter: same return values, same print output, same fault and
-/// quarantine outcomes, same checkpoint round-trips — at Workers = 0 and
-/// with parallel wave drains. Every Alphonse-L test program (the canonical
-/// height-tree and AVL modules plus the inline corpus below) runs through
-/// both engines with identical driver scripts, including fixed-seed
-/// randomized interleavings, and the new vm.* fault-injection sites are
-/// exercised for quarantine/recovery behavior.
+/// quarantine outcomes, same pending work, same checkpoint round-trips —
+/// at Workers = 0 and with parallel wave drains. Every Alphonse-L test
+/// program (the canonical height-tree and AVL modules plus the inline
+/// corpus below) runs through both engines with identical driver scripts,
+/// including fixed-seed randomized interleavings, and the new vm.*
+/// fault-injection sites are exercised for quarantine/recovery behavior.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +53,7 @@ struct RunResult {
   bool Failed = false;
   std::string Error;
   size_t Quarantined = 0;
+  size_t Pending = 0;
 };
 
 /// Runs \p Script on a fresh interpreter. \p Bytecode selects the engine,
@@ -80,6 +81,7 @@ static RunResult runScript(const Compiled &C, const std::vector<Step> &Script,
   }
   R.Output = I.output();
   R.Quarantined = I.runtime().graph().numQuarantined();
+  R.Pending = I.runtime().graph().numPending();
   return R;
 }
 
@@ -96,12 +98,44 @@ static void checkDifferential(const Compiled &C,
     EXPECT_EQ(Ref.Failed, BC.Failed);
     EXPECT_EQ(Ref.Error, BC.Error);
     EXPECT_EQ(Ref.Quarantined, BC.Quarantined);
+    EXPECT_EQ(Ref.Pending, BC.Pending);
   }
   // The tree-walker itself must be Workers-insensitive too (its nodes
   // stay serial-pinned, so the pool must simply leave them to the mop-up).
   RunResult TW4 = runScript(C, Script, /*Bytecode=*/false, /*Workers=*/4);
   ASSERT_EQ(Ref.Rendered, TW4.Rendered);
   EXPECT_EQ(Ref.Output, TW4.Output);
+  EXPECT_EQ(Ref.Pending, TW4.Pending);
+}
+
+/// Nullary cached procedures over globals. 'unread' is written but never
+/// read by any incremental procedure, so it never gets a graph node and
+/// its writes must park no work.
+static const char *coneProgram() {
+  return R"(
+VAR
+  a, b, scale, unread : INTEGER;
+
+(*CACHED*) PROCEDURE Sum() : INTEGER =
+BEGIN
+  RETURN a + b;
+END Sum;
+
+(*CACHED*) PROCEDURE Scaled() : INTEGER =
+BEGIN
+  RETURN Sum() * scale;
+END Scaled;
+
+(*CACHED*) PROCEDURE Ratio() : INTEGER =
+BEGIN
+  RETURN Sum() DIV scale;
+END Ratio;
+
+PROCEDURE SetA(v : INTEGER) = BEGIN a := v; END SetA;
+PROCEDURE SetB(v : INTEGER) = BEGIN b := v; END SetB;
+PROCEDURE SetScale(v : INTEGER) = BEGIN scale := v; END SetScale;
+PROCEDURE Touch(v : INTEGER) = BEGIN unread := v; END Touch;
+)";
 }
 
 TEST(BytecodeDiffTest, HeightTreeScript) {
@@ -190,6 +224,85 @@ END Show;
 )");
   ASSERT_TRUE(C->ok());
   checkDifferential(*C, {{"Show", {10}}, {"Show", {15}}, {"Show", {10}}});
+}
+
+TEST(BytecodeDiffTest, NullaryCachedCone) {
+  auto C = compile(coneProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  std::vector<Step> Script = {
+      {"SetA", {3}},
+      {"SetB", {4}},
+      {"SetScale", {2}},
+      {"Sum", {}},
+      {"Scaled", {}},
+      {"Ratio", {}},
+      {"SetA", {10}},
+      {"Sum", {}},
+      {"Scaled", {}},
+      {"Touch", {99}},
+      {"Sum", {}},
+      {"Touch", {7}},
+  };
+  checkDifferential(*C, Script);
+  // Every reader is up to date before the last write, which goes to a
+  // global nothing reads: no work may be left pending.
+  RunResult Ref = runScript(*C, Script, /*Bytecode=*/false, /*Workers=*/0);
+  EXPECT_EQ(Ref.Rendered[10], "14");
+  EXPECT_EQ(Ref.Pending, 0u);
+}
+
+TEST(BytecodeDiffTest, NullaryCachedConeFaultsAgree) {
+  // scale starts at 0: the first Ratio call divides by zero.
+  auto C = compile(coneProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  std::vector<Step> Script = {
+      {"SetA", {6}},
+      {"SetB", {2}},
+      {"Sum", {}},
+      {"Ratio", {}}, // division by zero
+  };
+  checkDifferential(*C, Script);
+  RunResult Ref = runScript(*C, Script, /*Bytecode=*/false, /*Workers=*/0);
+  EXPECT_TRUE(Ref.Failed);
+  EXPECT_EQ(Ref.Quarantined, 1u);
+}
+
+TEST(BytecodeDiffTest, RandomizedNullaryConeInterleavings) {
+  auto C = compile(coneProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  for (unsigned Seed = 41; Seed <= 45; ++Seed) {
+    SCOPED_TRACE("seed=" + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    std::vector<Step> Script = {{"SetScale", {1 + long(Rng() % 5)}}};
+    for (int I = 0; I < 60; ++I) {
+      switch (Rng() % 8) {
+      case 0:
+        Script.push_back({"SetA", {long(Rng() % 100)}});
+        break;
+      case 1:
+        Script.push_back({"SetB", {long(Rng() % 100)}});
+        break;
+      case 2:
+        // Occasionally zero: later Ratio calls fault, and both engines
+        // must agree on exactly when.
+        Script.push_back({"SetScale", {long(Rng() % 4)}});
+        break;
+      case 3:
+        Script.push_back({"Touch", {long(Rng() % 100)}});
+        break;
+      case 4:
+        Script.push_back({"Sum", {}});
+        break;
+      case 5:
+        Script.push_back({"Scaled", {}});
+        break;
+      default:
+        Script.push_back({"Ratio", {}});
+        break;
+      }
+    }
+    checkDifferential(*C, Script);
+  }
 }
 
 TEST(BytecodeDiffTest, OperatorsAndControlFlow) {
@@ -370,6 +483,52 @@ TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
     Value HG = B.call("RootHeight");
     ASSERT_FALSE(B.failed());
     EXPECT_EQ(HG.Int, HA.Int + 2);
+  }
+  std::remove(Path.c_str());
+  std::remove(deltaLogPath(Path).c_str());
+}
+
+TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
+  // A snapshot of the cone saved under parallel bytecode execution
+  // restores into either engine at either worker count, and incremental
+  // repair continues from it.
+  const std::string Path = std::string(std::getenv("TMPDIR")
+                                           ? std::getenv("TMPDIR")
+                                           : "/tmp") +
+                           "/bytecode-diff-cone." + std::to_string(::getpid()) +
+                           ".ckpt";
+  auto C = compile(coneProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+
+  DepGraph::Config Par;
+  Par.Workers = 4;
+  Interp A(C->M, C->Info, ExecMode::Alphonse, Par, /*EnableBytecode=*/true);
+  A.call("SetA", {IV(7)});
+  A.call("SetB", {IV(5)});
+  A.call("SetScale", {IV(3)});
+  Value SumA = A.call("Sum");
+  Value ScaledA = A.call("Scaled");
+  ASSERT_FALSE(A.failed()) << A.errorMessage();
+  A.saveCheckpoint(Path);
+
+  for (bool Bytecode : {true, false}) {
+    for (unsigned Workers : {0u, 4u}) {
+      SCOPED_TRACE(std::string(Bytecode ? "bytecode" : "treewalk") +
+                   " workers=" + std::to_string(Workers));
+      DepGraph::Config Cfg;
+      Cfg.Workers = Workers;
+      Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg, Bytecode);
+      B.restoreCheckpoint(Path);
+      EXPECT_TRUE(SumA == B.call("Sum"));
+      EXPECT_TRUE(ScaledA == B.call("Scaled"));
+      ASSERT_FALSE(B.failed()) << B.errorMessage();
+      B.call("SetA", {IV(9)});
+      B.call("Touch", {IV(1)});
+      Value Sum2 = B.call("Sum");
+      ASSERT_FALSE(B.failed()) << B.errorMessage();
+      EXPECT_EQ(Sum2.Int, 14);
+      EXPECT_EQ(B.runtime().graph().numPending(), 0u);
+    }
   }
   std::remove(Path.c_str());
   std::remove(deltaLogPath(Path).c_str());

@@ -102,6 +102,15 @@ END P;
   EXPECT_EQ(PI->FrameSize, 2);
 }
 
+TEST(SemaTest, ProcIndexIsDeclarationPosition) {
+  // The interpreter indexes its argument tables by ProcDecl::Index.
+  auto C = compile(testing::avlProgram(), /*DoTransform=*/false);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  ASSERT_FALSE(C->M.Procs.empty());
+  for (size_t I = 0; I < C->M.Procs.size(); ++I)
+    EXPECT_EQ(C->M.Procs[I]->Index, static_cast<int>(I));
+}
+
 TEST(SemaTest, ForVariableGetsItsOwnSlot) {
   auto C = compile(R"(
 PROCEDURE P() : INTEGER =

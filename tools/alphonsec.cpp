@@ -34,13 +34,6 @@
 //   --dump-bytecode         disassemble the compiled form of every
 //                           procedure, with its side-effect mask and
 //                           whether it cleared the parallel-safety check
-//   --static-graph          pre-instantiate the static graph shape for
-//                           --run (paper 6.2; the default — the flag
-//                           exists to override ALPHONSE_NO_STATIC_GRAPH
-//                           documentation-style in scripts)
-//   --no-static-graph       keep every node on the dynamic lazy path
-//                           (ALPHONSE_NO_STATIC_GRAPH=1 does the same,
-//                           and wins over --static-graph)
 //   --restore PATH          rebuild the interpreter from a checkpoint (and
 //                           its delta log) before running --run specs
 //   --checkpoint PATH       write a full checkpoint after the --run specs
@@ -118,7 +111,6 @@ struct Options {
   ExecMode Mode = ExecMode::Alphonse;
   unsigned Jobs = 0;
   bool NoBytecode = false;
-  bool NoStaticGraph = false;
   bool DumpBytecode = false;
   WaveBudget Budget;
 };
@@ -130,7 +122,6 @@ void usage() {
       "                 [--conservative] [--analyze] [--run PROC[,INT...]]\n"
       "                 [--mode alphonse|conventional] [--transactional]\n"
       "                 [--stats] [--jobs N] [--no-bytecode]\n"
-      "                 [--static-graph] [--no-static-graph]\n"
       "                 [--dump-bytecode] [--restore PATH]\n"
       "                 [--checkpoint PATH] [--checkpoint-delta PATH]\n"
       "                 [--fault-seed N] [--deadline-ms N] [--step-budget N]\n"
@@ -155,10 +146,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Transactional = true;
     } else if (Arg == "--no-bytecode") {
       Opts.NoBytecode = true;
-    } else if (Arg == "--static-graph") {
-      Opts.NoStaticGraph = false;
-    } else if (Arg == "--no-static-graph") {
-      Opts.NoStaticGraph = true;
     } else if (Arg == "--dump-bytecode") {
       Opts.DumpBytecode = true;
     } else if (Arg == "--run") {
@@ -281,8 +268,7 @@ int runProgram(const Options &Opts, const Module &M, const SemaInfo &Info) {
   // RunSpec: "Proc" or "Proc,1,2,3"; several specs separated by ';'.
   DepGraph::Config Cfg;
   Cfg.Workers = Opts.Jobs; // ALPHONSE_JOBS overrides (Runtime env hook).
-  Interp I(M, Info, Opts.Mode, Cfg, /*EnableBytecode=*/!Opts.NoBytecode,
-           /*EnableStaticGraph=*/!Opts.NoStaticGraph);
+  Interp I(M, Info, Opts.Mode, Cfg, /*EnableBytecode=*/!Opts.NoBytecode);
   // The budget flags govern every un-annotated pump the run performs
   // (checkpoint capture still pumps unbounded — it needs true
   // quiescence).

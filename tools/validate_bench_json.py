@@ -101,7 +101,8 @@ def main():
         metavar="NAME",
         help="fail unless this suite has at least one benchmark whose "
         "pool_high_water_start equals pool_high_water_end (repeatable); "
-        "asserts the zero-allocation steady state of bench_static (E16)",
+        "asserts the zero-growth steady state of bench_interp's "
+        "BM_SteadyStateHighWater (E16a)",
     )
     args = ap.parse_args()
 
