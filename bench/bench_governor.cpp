@@ -97,8 +97,8 @@ BENCHMARK(BM_E13a_GovernedPumpOverhead)->Arg(0)->Arg(1)->Arg(2);
 // repair within one deadline, and the source changes every iteration, so
 // every wave degrades and parks residue — the steady state the governor
 // exists for. The measured latency is the budgeted wave alone; p50/p99/max
-// land in the counters so BENCH_governor.json documents that p99 tracks
-// the deadline while the backlog stays graph-sized.
+// land in the counters so BENCH_all.json's bench_governor suite documents
+// that p99 tracks the deadline while the backlog stays graph-sized.
 static void BM_E13b_DeadlineBoundedWave(benchmark::State &State) {
   uint64_t DeadlineUs = static_cast<uint64_t>(State.range(0));
   Runtime RT;

@@ -5,21 +5,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The bytecode tier's two claims, measured on Alphonse-L programs:
-//
-//  1. Language nodes join parallel drains. An attribute-grammar-style
-//     workload — independent lanes of (*MAINTAINED EAGER*) total()
-//     chains whose recomputes block in pause() — is swept over worker
-//     counts. The lanes are disjoint partitions, so wave workers overlap
-//     their blocked time; with the tree-walker every language node was
-//     serial-pinned and the mop-up drained them one by one.
-//     BM_InterpWaveSpeedup reports the 4-worker-vs-serial ratio as the
-//     speedup_4w counter (the E15 acceptance number).
-//
-//  2. Compiled bodies are cheaper than walking the tree. A CPU-bound
-//     transform-style workload (the instrumented mutator program of E7)
-//     runs through both engines at Workers = 0; the compiled_vs_treewalk
-//     counter is treewalk-ns / bytecode-ns.
+// The bytecode tier's parallel claim, measured on an Alphonse-L program:
+// language nodes join parallel drains. An attribute-grammar-style
+// workload — independent lanes of (*MAINTAINED EAGER*) total() chains
+// whose recomputes block in pause() — is swept over worker counts. The
+// lanes are disjoint partitions, so wave workers overlap their blocked
+// time. BM_InterpWaveSpeedup reports the 4-worker-vs-serial ratio as the
+// speedup_4w counter (the E15 acceptance number).
 //
 // Plus the E16a steady-state check: once warm, churn through a cone of
 // nullary cached procedures grows no graph storage. After a warm-up the
@@ -136,48 +128,6 @@ BEGIN
 END BumpAll;
 )";
 
-// Transform-style CPU-bound workload: the E7 instrumented mutator program
-// (list build + repeated summation), here comparing the two execution
-// engines rather than the transformation variants.
-const char *CpuProgram = R"(
-TYPE Node = OBJECT v : INTEGER; next : Node; END;
-VAR head : Node; total : INTEGER;
-
-PROCEDURE BuildList(n : INTEGER) =
-VAR p : Node; i : INTEGER;
-BEGIN
-  head := NIL;
-  FOR i := 1 TO n DO
-    p := NEW(Node);
-    p.v := i;
-    p.next := head;
-    head := p;
-  END;
-END BuildList;
-
-PROCEDURE SumList() : INTEGER =
-VAR p : Node; s : INTEGER;
-BEGIN
-  s := 0;
-  p := head;
-  WHILE p # NIL DO
-    s := s + p.v;
-    p := p.next;
-  END;
-  RETURN s;
-END SumList;
-
-PROCEDURE Work(rounds : INTEGER) : INTEGER =
-VAR i : INTEGER;
-BEGIN
-  total := 0;
-  FOR i := 1 TO rounds DO
-    total := total + SumList() MOD 1000;
-  END;
-  RETURN total;
-END Work;
-)";
-
 // Eight globals feeding a three-level cone of nullary cached procedures.
 const char *ConeProgram = R"(
 VAR
@@ -240,11 +190,10 @@ constexpr int NumLanes = 8;
 constexpr int LaneDepth = 6;
 
 std::unique_ptr<Interp> makeLaneInterp(const CompiledProgram &C,
-                                       unsigned Workers, bool Bytecode) {
+                                       unsigned Workers) {
   DepGraph::Config Cfg;
   Cfg.Workers = Workers;
-  auto I = std::make_unique<Interp>(C.M, C.Info, ExecMode::Alphonse, Cfg,
-                                    Bytecode);
+  auto I = std::make_unique<Interp>(C.M, C.Info, ExecMode::Alphonse, Cfg);
   I->call("Setup", {Value::integer(NumLanes), Value::integer(LaneDepth)});
   I->call("Demand"); // Materialize every lane's instance chain.
   I->pump();
@@ -258,13 +207,12 @@ void repairCycle(Interp &I, long &Tick) {
   I.pump();
 }
 
-/// The lane workload swept over worker counts (compiled engine). Each
+/// The lane workload swept over worker counts. Each
 /// iteration repairs NumLanes * LaneDepth instances, each blocking in
 /// pause(200); independent partitions let workers overlap that time.
 void BM_InterpParallelWaves(benchmark::State &State) {
   auto C = compileProgram(LaneProgram);
-  auto I = makeLaneInterp(*C, static_cast<unsigned>(State.range(0)),
-                          /*Bytecode=*/true);
+  auto I = makeLaneInterp(*C, static_cast<unsigned>(State.range(0)));
   long Tick = 100;
   for (auto _ : State)
     repairCycle(*I, Tick);
@@ -278,28 +226,14 @@ BENCHMARK(BM_InterpParallelWaves)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Same workload under the tree-walker for reference: every node is
-/// serial-pinned, so worker counts change nothing and the whole wave
-/// drains on the mop-up thread.
-void BM_InterpTreewalkWaves(benchmark::State &State) {
-  auto C = compileProgram(LaneProgram);
-  auto I = makeLaneInterp(*C, static_cast<unsigned>(State.range(0)),
-                          /*Bytecode=*/false);
-  long Tick = 100;
-  for (auto _ : State)
-    repairCycle(*I, Tick);
-}
-BENCHMARK(BM_InterpTreewalkWaves)->Arg(0)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-
 /// The E15 acceptance number in one run: interleaves 4-worker and serial
-/// repair cycles on the compiled engine and reports their ratio as
+/// repair cycles and reports their ratio as
 /// speedup_4w (>= 2 expected — blocked recomputes overlap even on one
 /// core).
 void BM_InterpWaveSpeedup(benchmark::State &State) {
   auto C = compileProgram(LaneProgram);
-  auto Par = makeLaneInterp(*C, /*Workers=*/4, /*Bytecode=*/true);
-  auto Ser = makeLaneInterp(*C, /*Workers=*/0, /*Bytecode=*/true);
+  auto Par = makeLaneInterp(*C, /*Workers=*/4);
+  auto Ser = makeLaneInterp(*C, /*Workers=*/0);
   long TickP = 100, TickS = 100;
   double ParNs = 0, SerNs = 0;
   using Clock = std::chrono::steady_clock;
@@ -318,37 +252,6 @@ void BM_InterpWaveSpeedup(benchmark::State &State) {
   State.counters["speedup_4w"] = ParNs > 0 ? SerNs / ParNs : 0;
 }
 BENCHMARK(BM_InterpWaveSpeedup)->Unit(benchmark::kMillisecond);
-
-/// Transform-style CPU-bound run through both engines at Workers = 0.
-/// compiled_vs_treewalk = treewalk-ns / bytecode-ns (> 1 means the
-/// bytecode engine is faster).
-void BM_InterpCompiledVsTreewalk(benchmark::State &State) {
-  auto C = compileProgram(CpuProgram);
-  DepGraph::Config Cfg;
-  Interp BC(C->M, C->Info, ExecMode::Alphonse, Cfg, /*EnableBytecode=*/true);
-  Interp TW(C->M, C->Info, ExecMode::Alphonse, Cfg, /*EnableBytecode=*/false);
-  BC.call("BuildList", {Value::integer(200)});
-  TW.call("BuildList", {Value::integer(200)});
-  double BcNs = 0, TwNs = 0;
-  using Clock = std::chrono::steady_clock;
-  for (auto _ : State) {
-    auto T0 = Clock::now();
-    Value VB = BC.call("Work", {Value::integer(50)});
-    auto T1 = Clock::now();
-    State.PauseTiming();
-    auto T2 = Clock::now();
-    Value VT = TW.call("Work", {Value::integer(50)});
-    auto T3 = Clock::now();
-    BcNs += std::chrono::duration<double, std::nano>(T1 - T0).count();
-    TwNs += std::chrono::duration<double, std::nano>(T3 - T2).count();
-    benchmark::DoNotOptimize(VB);
-    benchmark::DoNotOptimize(VT);
-    assert(VB == VT);
-    State.ResumeTiming();
-  }
-  State.counters["compiled_vs_treewalk"] = BcNs > 0 ? TwNs / BcNs : 0;
-}
-BENCHMARK(BM_InterpCompiledVsTreewalk)->Unit(benchmark::kMillisecond);
 
 /// One churn wave: dirty one global, then demand the full cone plus every
 /// leaf — one re-execution cascade (edge teardown + re-record) and ten

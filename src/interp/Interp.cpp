@@ -15,8 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <thread>
 
 using namespace alphonse::lang;
 
@@ -63,17 +61,8 @@ public:
 /// dependents last observed (compared by Algorithm 4 and at refresh).
 class SlotNode final : public DepNode {
 public:
-  SlotNode(DepGraph &G, StorageSlot &Owner, bool SerialPin)
-      : DepNode(G, NodeKind::Storage), Owner(&Owner), Snapshot(Owner.Live) {
-    // Tree-walking recomputes share one output stream, heap, and
-    // conventional call depth, so without the bytecode tier every
-    // language node pins its partition serial. With compiled bodies the
-    // per-thread VM state makes refresh safe on wave workers; only the
-    // nodes of procedures the effect analysis could not clear stay
-    // pinned (see InterpProcNode).
-    if (SerialPin)
-      requireSerialEval();
-  }
+  SlotNode(DepGraph &G, StorageSlot &Owner)
+      : DepNode(G, NodeKind::Storage), Owner(&Owner), Snapshot(Owner.Live) {}
 
   bool refreshStorage() override {
     faultInjectionPoint(name());
@@ -99,11 +88,10 @@ public:
                  EvalStrategy Strategy)
       : DepNode(G, NodeKind::Procedure, Strategy), Owner(&Owner),
         Proc(Proc) {
-    // A compiled, side-effect-free body executes in per-thread VM state
-    // and may re-run on parallel wave workers; anything the effect
-    // analysis could not clear (prints, NEW, global or field writes,
-    // uncompiled bodies) keeps the serial pin.
-    if (!Owner.BC || !Owner.BC->parallelSafe(Proc))
+    // A side-effect-free body executes in per-thread VM state and may
+    // re-run on parallel wave workers; anything the effect analysis could
+    // not clear (prints, NEW, global or field writes) keeps the serial pin.
+    if (!Owner.BC->parallelSafe(Proc))
       requireSerialEval();
   }
 
@@ -157,27 +145,18 @@ std::string Value::render() const {
 // Interp: construction
 //===----------------------------------------------------------------------===//
 
-struct Interp::Frame {
-  std::vector<Value> Slots;
-  bool Returning = false;
-  Value RetVal;
-};
-
 Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
-               DepGraph::Config Cfg, bool EnableBytecode)
-    : M(M), Info(Info), Mode(Mode), RT(Cfg), Tables(M.Procs.size()) {
+               DepGraph::Config Cfg)
+    : M(M), Info(Info), Mode(Mode),
+      BCState(std::make_unique<bytecode::ExecArena>()), RT(Cfg),
+      Tables(M.Procs.size()) {
   // Compile before any language node exists: InterpProcNode consults BC
   // to decide whether its partition needs the serial pin. Compiled chunks
   // are derived state — never checkpointed, rebuilt from the module here
   // on every construction (including the fresh interpreter a restore
   // requires).
-  if (const char *E = std::getenv("ALPHONSE_NO_BYTECODE"))
-    if (E[0] && !(E[0] == '0' && !E[1]))
-      EnableBytecode = false;
-  if (EnableBytecode) {
-    BC = bytecode::compileModule(M, Info);
-    BCState = std::make_unique<bytecode::ExecArena>();
-  }
+  DiagnosticEngine Diags;
+  BC = bytecode::compileModule(M, Info, Diags);
   for (const Type &Ty : Info.GlobalTypes) {
     auto Slot = std::make_unique<StorageSlot>();
     Slot->Live = defaultValue(Ty);
@@ -189,18 +168,25 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
       GlobalIndex[G.Name] = G.Index;
       Globals[static_cast<size_t>(G.Index)]->DebugName = "G." + G.Name;
     }
-  // Run initializers in declaration order. They execute as mutator code
-  // (empty call stack), so no dependencies are recorded.
-  guarded([&] {
-    Frame F;
-    for (const GlobalDecl &G : M.Globals) {
-      if (!G.Init || G.Index < 0)
-        continue;
-      Globals[static_cast<size_t>(G.Index)]->Live =
-          evalExpr(G.Init.get(), F);
-    }
-    return Value();
-  });
+  if (!BC) {
+    const Diagnostic &D = Diags.diagnostics().front();
+    Failed = true;
+    // Formatted as a printed compile diagnostic, unlike a runtime error.
+    ErrorMessage = D.Loc.str() + ": error: " + D.Message;
+    return;
+  }
+  // Run the initializers in declaration order, conventionally in either
+  // mode: their stores are untracked, so an instance a (*CACHED*) call
+  // built here would never see a later initializer's write, and it would
+  // leave the graph busy for a restore. By Theorem 5.1 the values are the
+  // same. The chunk is not a call level: a procedure it calls starts at
+  // depth 0, as a driver call does.
+  this->Mode = ExecMode::Conventional;
+  bytecode::ExecState &ES = BCState->current();
+  ES.Depth = -1;
+  guarded([&] { return runChunk(BC->Init, {}); });
+  ES.Depth = 0;
+  this->Mode = Mode;
 }
 
 Interp::~Interp() = default;
@@ -272,8 +258,7 @@ Value Interp::trackedRead(StorageSlot &S, bool Tracked) {
     // slot's node (same pattern as Cell::ensureNode).
     DepGraph::StateGuard Guard(RT.graph());
     if (!S.Node) {
-      S.Node =
-          std::make_unique<SlotNode>(RT.graph(), S, /*SerialPin=*/BC == nullptr);
+      S.Node = std::make_unique<SlotNode>(RT.graph(), S);
       S.Node->setName(S.label());
       // Slot nodes created inside a batch are destroyed again on rollback.
       if (RT.inBatch())
@@ -331,7 +316,7 @@ Value Interp::dispatch(const ProcDecl *P, const PragmaInfo &Pragma,
   // exactly the transitive R(p) of Section 3.3.
   if (Mode == ExecMode::Alphonse && Checked && Pragma.isIncremental())
     return incrementalCall(P, Pragma, std::move(Args));
-  return runBody(P, Args);
+  return runChunk(BC->chunk(P), Args);
 }
 
 Value Interp::incrementalCall(const ProcDecl *P, const PragmaInfo &Pragma,
@@ -386,7 +371,7 @@ Value Interp::incrementalCall(const ProcDecl *P, const PragmaInfo &Pragma,
     // this is a dependency cycle and its constructor throws CycleError.
     ReentrantScope Reentrant(RT.graph(), *N);
     Runtime::CallScope Call(RT, N);
-    return runBody(P, N->Key);
+    return runChunk(BC->chunk(P), N->Key);
   }
   if (N->isConsistent()) {
     assert(N->Cached && "consistent instance with no cached value");
@@ -410,7 +395,7 @@ Value Interp::executeInstance(InterpProcNode &N) {
   Runtime::CallScope Call(RT, &N);
   try {
     auto Inject = faultInjectionPoint(N.name());
-    Value Ret = runBody(N.Proc, N.Key);
+    Value Ret = runChunk(BC->chunk(N.Proc), N.Key);
     if (Inject == FaultInjector::Action::Diverge)
       G.selfInvalidate(N);
     N.Cached = Ret;
@@ -523,306 +508,6 @@ void Interp::setField(Value Receiver, const std::string &Field, Value V) {
                  std::move(V), /*Tracked=*/true);
     return Value();
   });
-}
-
-//===----------------------------------------------------------------------===//
-// Execution engine
-//===----------------------------------------------------------------------===//
-
-namespace {
-/// RAII depth counter: balanced even when a statement throws (a manual
-/// decrement would leak frames across exception unwinding and make the
-/// depth limit trip spuriously later).
-class DepthGuard {
-public:
-  explicit DepthGuard(int &Depth) : Depth(Depth) { ++Depth; }
-  ~DepthGuard() { --Depth; }
-
-  DepthGuard(const DepthGuard &) = delete;
-  DepthGuard &operator=(const DepthGuard &) = delete;
-
-private:
-  int &Depth;
-};
-} // namespace
-
-Value Interp::runBody(const ProcDecl *P, const std::vector<Value> &Args) {
-  // Compiled bodies run in the VM with per-thread frames and depth —
-  // CallDepth is shared interpreter state and must stay untouched here,
-  // or parallel drains would race on it.
-  if (BC)
-    if (const bytecode::Chunk *Ch = BC->chunk(P))
-      return runChunk(*Ch, Args);
-  if (CallDepth >= MaxCallDepth)
-    fail(P->Loc, "call depth exceeded in '" + P->Name +
-                     "' (runaway recursion?)");
-  DepthGuard Depth(CallDepth);
-  const ProcInfo *PI = Info.procInfo(P);
-  assert(PI && "procedure was not analyzed");
-  Frame F;
-  F.Slots.resize(static_cast<size_t>(PI->FrameSize));
-  assert(Args.size() == PI->ParamTypes.size() && "arity mismatch");
-  for (size_t I = 0; I < Args.size(); ++I)
-    F.Slots[I] = Args[I];
-  // Default-initialize locals by type, then run their initializers.
-  for (size_t I = 0; I < PI->LocalTypes.size(); ++I)
-    F.Slots[Args.size() + I] = defaultValue(PI->LocalTypes[I]);
-  for (size_t I = 0; I < P->Locals.size(); ++I) {
-    if (!P->Locals[I].Init)
-      continue;
-    F.Slots[Args.size() + I] = evalExpr(P->Locals[I].Init.get(), F);
-  }
-  execStmts(P->Body, F);
-  if (F.Returning)
-    return F.RetVal;
-  return defaultValue(PI->RetType);
-}
-
-void Interp::execStmts(const std::vector<StmtPtr> &Stmts, Frame &F) {
-  for (const StmtPtr &S : Stmts) {
-    if (F.Returning)
-      return;
-    execStmt(S.get(), F);
-  }
-}
-
-void Interp::execStmt(const Stmt *S, Frame &F) {
-  switch (S->Kind) {
-  case StmtKind::Assign: {
-    const auto *A = static_cast<const AssignStmt *>(S);
-    Value V = evalExpr(A->Value.get(), F);
-    if (A->Target->Kind == ExprKind::NameRef) {
-      const auto *N = static_cast<const NameRefExpr *>(A->Target.get());
-      if (N->Binding == NameBinding::Global) {
-        trackedWrite(*Globals[static_cast<size_t>(N->Index)], std::move(V),
-                     A->TrackedModify);
-      } else {
-        F.Slots[static_cast<size_t>(N->Index)] = std::move(V);
-      }
-      return;
-    }
-    const auto *FA = static_cast<const FieldAccessExpr *>(A->Target.get());
-    Value Base = evalExpr(FA->Base.get(), F);
-    if (Base.K != Value::Kind::Object)
-      fail(FA->Loc, "NIL dereference writing field '" + FA->Field + "'");
-    trackedWrite(Base.Obj->slot(static_cast<size_t>(FA->FieldIndex)),
-                 std::move(V), A->TrackedModify);
-    return;
-  }
-  case StmtKind::If: {
-    const auto *I = static_cast<const IfStmt *>(S);
-    for (const IfStmt::Arm &Arm : I->Arms) {
-      Value C = evalExpr(Arm.Cond.get(), F);
-      if (C.Bool) {
-        execStmts(Arm.Body, F);
-        return;
-      }
-    }
-    execStmts(I->ElseBody, F);
-    return;
-  }
-  case StmtKind::While: {
-    const auto *W = static_cast<const WhileStmt *>(S);
-    while (!F.Returning) {
-      Value C = evalExpr(W->Cond.get(), F);
-      if (!C.Bool)
-        return;
-      execStmts(W->Body, F);
-    }
-    return;
-  }
-  case StmtKind::For: {
-    const auto *For = static_cast<const ForStmt *>(S);
-    Value From = evalExpr(For->From.get(), F);
-    Value To = evalExpr(For->To.get(), F);
-    for (long I = From.Int; I <= To.Int && !F.Returning; ++I) {
-      F.Slots[static_cast<size_t>(For->VarIndex)] = Value::integer(I);
-      execStmts(For->Body, F);
-    }
-    return;
-  }
-  case StmtKind::Return: {
-    const auto *R = static_cast<const ReturnStmt *>(S);
-    if (R->Value)
-      F.RetVal = evalExpr(R->Value.get(), F);
-    F.Returning = true;
-    return;
-  }
-  case StmtKind::Expr:
-    evalExpr(static_cast<const ExprStmt *>(S)->E.get(), F);
-    return;
-  }
-}
-
-Value Interp::evalExpr(const Expr *E, Frame &F) {
-  switch (E->Kind) {
-  case ExprKind::IntLit:
-    return Value::integer(static_cast<const IntLitExpr *>(E)->Value);
-  case ExprKind::BoolLit:
-    return Value::boolean(static_cast<const BoolLitExpr *>(E)->Value);
-  case ExprKind::TextLit:
-    return Value::text(static_cast<const TextLitExpr *>(E)->Value);
-  case ExprKind::NilLit:
-    return Value::nil();
-  case ExprKind::NameRef: {
-    const auto *N = static_cast<const NameRefExpr *>(E);
-    if (N->Binding == NameBinding::Global)
-      return trackedRead(*Globals[static_cast<size_t>(N->Index)],
-                         N->TrackedAccess);
-    assert(N->Index >= 0 && "unresolved name survived Sema");
-    return F.Slots[static_cast<size_t>(N->Index)];
-  }
-  case ExprKind::FieldAccess: {
-    const auto *FA = static_cast<const FieldAccessExpr *>(E);
-    Value Base = evalExpr(FA->Base.get(), F);
-    if (Base.K != Value::Kind::Object)
-      fail(FA->Loc, "NIL dereference reading field '" + FA->Field + "'");
-    return trackedRead(Base.Obj->slot(static_cast<size_t>(FA->FieldIndex)),
-                       FA->TrackedAccess);
-  }
-  case ExprKind::Call:
-    return evalCall(static_cast<const CallExpr *>(E), F);
-  case ExprKind::MethodCall:
-    return evalMethodCall(static_cast<const MethodCallExpr *>(E), F);
-  case ExprKind::New: {
-    const auto *N = static_cast<const NewExpr *>(E);
-    assert(N->Resolved && "unresolved NEW survived Sema");
-    return Value::object(allocate(N->Resolved));
-  }
-  case ExprKind::Binary:
-    return evalBinary(static_cast<const BinaryExpr *>(E), F);
-  case ExprKind::Unary: {
-    const auto *U = static_cast<const UnaryExpr *>(E);
-    Value V = evalExpr(U->Sub.get(), F);
-    if (U->Op == UnaryOp::Neg)
-      return Value::integer(-V.Int);
-    return Value::boolean(!V.Bool);
-  }
-  case ExprKind::Unchecked: {
-    const auto *U = static_cast<const UncheckedExpr *>(E);
-    if (Mode != ExecMode::Alphonse)
-      return evalExpr(U->Sub.get(), F);
-    // RAII null frame: accesses record nothing; the frame pops even when
-    // the subexpression throws.
-    UncheckedScope Scope(RT);
-    return evalExpr(U->Sub.get(), F);
-  }
-  }
-  return Value();
-}
-
-Value Interp::evalCall(const CallExpr *C, Frame &F) {
-  if (C->BuiltinIndex >= 0) {
-    switch (static_cast<Builtin>(C->BuiltinIndex)) {
-    case Builtin::Print: {
-      Value V = evalExpr(C->Args[0].get(), F);
-      Output += renderForPrint(V) + "\n";
-      return Value();
-    }
-    case Builtin::Fmt: {
-      Value V = evalExpr(C->Args[0].get(), F);
-      return Value::text(renderForPrint(V));
-    }
-    case Builtin::Max:
-    case Builtin::Min: {
-      Value A = evalExpr(C->Args[0].get(), F);
-      Value B = evalExpr(C->Args[1].get(), F);
-      bool IsMax = C->BuiltinIndex == static_cast<int>(Builtin::Max);
-      return Value::integer(IsMax ? std::max(A.Int, B.Int)
-                                  : std::min(A.Int, B.Int));
-    }
-    case Builtin::Abs: {
-      Value A = evalExpr(C->Args[0].get(), F);
-      return Value::integer(A.Int < 0 ? -A.Int : A.Int);
-    }
-    case Builtin::Pause: {
-      Value A = evalExpr(C->Args[0].get(), F);
-      // Simulated blocking external work: sleeps this thread only, touches
-      // no interpreter state (so bodies using it stay parallel-clearable).
-      if (A.Int > 0)
-        std::this_thread::sleep_for(std::chrono::microseconds(A.Int));
-      return Value();
-    }
-    case Builtin::NumBuiltins:
-      break;
-    }
-    fail(C->Loc, "bad builtin index");
-  }
-  assert(C->Resolved && "unresolved call survived Sema");
-  std::vector<Value> Args;
-  Args.reserve(C->Args.size());
-  for (const ExprPtr &A : C->Args)
-    Args.push_back(evalExpr(A.get(), F));
-  return dispatch(C->Resolved, C->Resolved->Pragma, C->CheckedCall,
-                  std::move(Args));
-}
-
-Value Interp::evalMethodCall(const MethodCallExpr *C, Frame &F) {
-  Value Base = evalExpr(C->Base.get(), F);
-  if (Base.K != Value::Kind::Object)
-    fail(C->Loc, "NIL dereference calling method '" + C->Method + "'");
-  const auto &VTable = Base.Obj->type()->VTable;
-  assert(C->MethodSlot >= 0 &&
-         static_cast<size_t>(C->MethodSlot) < VTable.size() &&
-         "bad method slot");
-  const MethodImpl &MI = VTable[static_cast<size_t>(C->MethodSlot)];
-  if (!MI.Impl)
-    fail(C->Loc, "method '" + C->Method + "' has no implementation");
-  std::vector<Value> Args;
-  Args.reserve(C->Args.size() + 1);
-  Args.push_back(Base);
-  for (const ExprPtr &A : C->Args)
-    Args.push_back(evalExpr(A.get(), F));
-  return dispatch(MI.Impl, MI.Pragma, C->CheckedCall, std::move(Args));
-}
-
-Value Interp::evalBinary(const BinaryExpr *B, Frame &F) {
-  // AND / OR are short-circuit, like Modula-3.
-  if (B->Op == BinaryOp::And || B->Op == BinaryOp::Or) {
-    Value L = evalExpr(B->Lhs.get(), F);
-    if (B->Op == BinaryOp::And && !L.Bool)
-      return Value::boolean(false);
-    if (B->Op == BinaryOp::Or && L.Bool)
-      return Value::boolean(true);
-    Value R = evalExpr(B->Rhs.get(), F);
-    return Value::boolean(R.Bool);
-  }
-  Value L = evalExpr(B->Lhs.get(), F);
-  Value R = evalExpr(B->Rhs.get(), F);
-  switch (B->Op) {
-  case BinaryOp::Add:
-    return Value::integer(L.Int + R.Int);
-  case BinaryOp::Sub:
-    return Value::integer(L.Int - R.Int);
-  case BinaryOp::Mul:
-    return Value::integer(L.Int * R.Int);
-  case BinaryOp::Div:
-    if (R.Int == 0)
-      fail(B->Loc, "division by zero");
-    return Value::integer(L.Int / R.Int);
-  case BinaryOp::Mod:
-    if (R.Int == 0)
-      fail(B->Loc, "modulo by zero");
-    return Value::integer(L.Int % R.Int);
-  case BinaryOp::Concat:
-    return Value::text(L.Text + R.Text);
-  case BinaryOp::Eq:
-    return Value::boolean(L == R);
-  case BinaryOp::Ne:
-    return Value::boolean(!(L == R));
-  case BinaryOp::Lt:
-    return Value::boolean(L.Int < R.Int);
-  case BinaryOp::Le:
-    return Value::boolean(L.Int <= R.Int);
-  case BinaryOp::Gt:
-    return Value::boolean(L.Int > R.Int);
-  case BinaryOp::Ge:
-    return Value::boolean(L.Int >= R.Int);
-  case BinaryOp::And:
-  case BinaryOp::Or:
-    break; // Handled above.
-  }
-  fail(B->Loc, "bad binary operator");
 }
 
 //===----------------------------------------------------------------------===//
@@ -1117,11 +802,12 @@ void Interp::restoreCheckpoint(const std::string &Path) {
   auto Start = std::chrono::steady_clock::now();
   DepGraph &G = RT.graph();
   // Every argument-table entry owns a live node, so an empty graph also
-  // means empty tables.
-  if (G.inBatch() || G.numLiveNodes() != 0)
-    throw CheckpointError(
-        CkptError::Busy,
-        "restore requires a freshly constructed interpreter");
+  // means empty tables. A module that did not compile cannot run what it
+  // would restore.
+  if (!BC || G.inBatch() || G.numLiveNodes() != 0)
+    throw CheckpointError(CkptError::Busy,
+                          "restore requires a freshly constructed "
+                          "interpreter over a compiled module");
 
   //===--- Phase 1: decode and validate everything; mutate nothing. ------===//
 
@@ -1371,7 +1057,7 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     S.Live = Resolve(St.Live);
     if (!St.HasNode)
       return;
-    S.Node = std::make_unique<SlotNode>(G, S, /*SerialPin=*/BC == nullptr);
+    S.Node = std::make_unique<SlotNode>(G, S);
     S.Node->setName(S.label());
     // The constructor snapshots Live; dependents may have observed an
     // older value (quarantined writer), so re-apply the captured one.

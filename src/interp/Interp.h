@@ -6,8 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tree-walking interpreter for (transformed) Alphonse-L modules, with
-/// two execution modes:
+/// The interpreter for (transformed) Alphonse-L modules. Procedure bodies
+/// and global initializers are compiled to register bytecode at
+/// construction and run on the VM (bytecode/VM.h); there is one engine,
+/// with two execution modes:
 ///
 ///  - Conventional: pragmas and transformation flags are ignored; this is
 ///    the paper's "conventional execution of P".
@@ -20,7 +22,9 @@
 ///
 /// Theorem 5.1 (Alphonse execution produces the same output as
 /// conventional execution) is directly checkable by running one module
-/// through both modes; the interpreter tests do exactly that.
+/// through both modes. The tests hold both modes to a graph-free
+/// reference evaluator (tests/interp/Reference.h), which shares no code
+/// with the VM.
 ///
 /// Divergences from the paper, documented: no garbage collector (objects
 /// live as long as the interpreter), no VAR parameters, and runtime errors
@@ -65,8 +69,8 @@ enum class ExecMode : uint8_t {
 };
 
 /// An Alphonse-L runtime error (NIL dereference, division by zero, call
-/// depth exceeded, ...). Thrown by the execution engine, caught at the
-/// public driver API, which records it behind failed()/errorMessage().
+/// depth exceeded, ...). Thrown by the VM, caught at the public driver
+/// API, which records it behind failed()/errorMessage().
 class RuntimeError : public IncrementalFault {
 public:
   RuntimeError(SourceLocation Loc, const std::string &Message)
@@ -105,14 +109,15 @@ private:
 class Interp {
 public:
   /// \p M and \p Info must outlive the interpreter. Pass the graph config
-  /// to ablate partitioning / cutoffs in benchmarks. \p EnableBytecode
-  /// compiles procedure bodies to register bytecode at construction
-  /// (derived state, never checkpointed); pass false — or set
-  /// ALPHONSE_NO_BYTECODE=1, which wins — to force the tree-walker, in
-  /// which case every language node keeps its serial pin.
+  /// to ablate partitioning / cutoffs in benchmarks. Compiles the module
+  /// (derived state, never checkpointed), then runs the global
+  /// initializers with conventional dispatch in either mode, so they
+  /// leave no graph state. A body the compiler rejects (more than
+  /// bytecode::MaxRegs registers) or a faulting initializer is reported
+  /// through failed()/errorMessage(); a module that did not compile never
+  /// runs (compiled() is false), and clearError() keeps that error.
   Interp(const lang::Module &M, const lang::SemaInfo &Info, ExecMode Mode,
-         DepGraph::Config Cfg = DepGraph::Config(),
-         bool EnableBytecode = true);
+         DepGraph::Config Cfg = DepGraph::Config());
   ~Interp();
 
   /// Calls a top-level procedure by name (the mutator's entry point).
@@ -148,11 +153,16 @@ public:
   /// the error is cleared.
   bool failed() const { return Failed; }
   const std::string &errorMessage() const { return ErrorMessage; }
+  /// False if the module did not compile; errorMessage() then holds the
+  /// compile error.
+  bool compiled() const { return BC != nullptr; }
 
   /// Clears a recorded runtime error so execution can resume. Instances
   /// quarantined by the failure stay quarantined until
   /// runtime().graph().resetQuarantined()/resetAllQuarantined().
   void clearError() {
+    if (!compiled())
+      return; // Nothing can run.
     Failed = false;
     ErrorMessage.clear();
   }
@@ -195,26 +205,30 @@ public:
   Runtime &runtime() { return RT; }
   ExecMode mode() const { return Mode; }
 
-  /// The compiled module, or nullptr when the bytecode tier is disabled
-  /// (--no-bytecode / ALPHONSE_NO_BYTECODE). Tooling: alphonsec
-  /// --dump-bytecode disassembles it; tests assert on effect masks.
-  const bytecode::BytecodeModule *bytecodeModule() const { return BC.get(); }
+  // Each VM call level costs a few C++ frames; under ASan the redzones
+  // inflate them past the 8 MiB default stack well before 2000 levels, so
+  // the limit must trip earlier there to fail cleanly instead of
+  // overflowing.
+#if defined(__SANITIZE_ADDRESS__)
+#define ALPHONSE_INTERP_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ALPHONSE_INTERP_ASAN 1
+#endif
+#endif
+  /// Procedure calls nested deeper than this fail with "call depth
+  /// exceeded" (a runtime error, not a crash).
+#ifdef ALPHONSE_INTERP_ASAN
+  static constexpr int MaxNestedCalls = 500;
+#else
+  static constexpr int MaxNestedCalls = 2000;
+#endif
 
 private:
   friend class InterpProcNode;
-  struct Frame;
 
-  // Execution engine. runBody dispatches compiled bodies to the bytecode
-  // VM (runChunk, defined in bytecode/VM.cpp) and walks the tree
-  // otherwise.
-  Value runBody(const lang::ProcDecl *P, const std::vector<Value> &Args);
+  // Execution engine: the bytecode VM (defined in bytecode/VM.cpp).
   Value runChunk(const bytecode::Chunk &Ch, const std::vector<Value> &Args);
-  void execStmts(const std::vector<lang::StmtPtr> &Stmts, Frame &F);
-  void execStmt(const lang::Stmt *S, Frame &F);
-  Value evalExpr(const lang::Expr *E, Frame &F);
-  Value evalCall(const lang::CallExpr *C, Frame &F);
-  Value evalMethodCall(const lang::MethodCallExpr *C, Frame &F);
-  Value evalBinary(const lang::BinaryExpr *B, Frame &F);
   Value dispatch(const lang::ProcDecl *P, const lang::PragmaInfo &Pragma,
                  bool Checked, std::vector<Value> Args);
   Value incrementalCall(const lang::ProcDecl *P,
@@ -257,8 +271,8 @@ private:
   ExecMode Mode;
 
   /// Compiled form of the module (derived state, rebuilt per
-  /// construction) and the per-thread VM execution arena. Both null when
-  /// the bytecode tier is disabled.
+  /// construction; null if it did not compile) and the per-thread VM
+  /// execution arena.
   std::unique_ptr<bytecode::BytecodeModule> BC;
   std::unique_ptr<bytecode::ExecArena> BCState;
 
@@ -287,23 +301,6 @@ private:
   bool Failed = false;
   std::string ErrorMessage;
   std::string RestoreNote;
-  int CallDepth = 0;
-  // Each interpreter call level costs several C++ frames; under ASan the
-  // redzones inflate them past the 8 MiB default stack well before 2000
-  // levels, so the guard must trip earlier there to fail cleanly instead
-  // of overflowing.
-#if defined(__SANITIZE_ADDRESS__)
-#define ALPHONSE_INTERP_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ALPHONSE_INTERP_ASAN 1
-#endif
-#endif
-#ifdef ALPHONSE_INTERP_ASAN
-  static constexpr int MaxCallDepth = 500;
-#else
-  static constexpr int MaxCallDepth = 2000;
-#endif
 };
 
 } // namespace alphonse::interp

@@ -6,13 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The compiled form of an Alphonse-L procedure body: a register bytecode
-/// Chunk (instruction stream + constant pool + pre-resolved slot, global,
-/// field, type, procedure, and method descriptors) executed by the
-/// reentrant VM in VM.h. Chunks are *derived state*: compiled once per
-/// (module, SemaInfo) at interpreter construction, never serialized — a
-/// checkpoint restore revalidates the module fingerprint and reuses the
-/// chunks compiled for that module.
+/// The compiled form of an Alphonse-L procedure body (or of a module's
+/// global initializers): a register bytecode Chunk (instruction stream +
+/// constant pool + pre-resolved slot, global, field, type, procedure, and
+/// method descriptors) executed by the reentrant VM in VM.h. Chunks are
+/// *derived state*: compiled once per (module, SemaInfo) at interpreter
+/// construction, never serialized — a checkpoint restore revalidates the
+/// module fingerprint and reuses the chunks compiled for that module.
 ///
 /// Everything name-shaped is resolved at compile time (frame slot indices,
 /// global indices, field indices, vtable slots, callee ProcDecls), so the
@@ -127,15 +127,14 @@ struct MethodRef {
   std::string Name;
 };
 
-/// The compiled form of one procedure body.
+/// The compiled form of one procedure body or of the initializers.
 struct Chunk {
   std::string Name;      ///< Procedure name (diagnostics, disassembly).
   std::string FaultSite; ///< "vm.<Name>": hit once per VM execution.
   SourceLocation Loc;    ///< Declaration site (depth-limit errors).
 
   std::vector<Instr> Code;
-  /// Source location per instruction (runtime error attribution parity
-  /// with the tree-walker).
+  /// Source location per instruction (runtime error attribution).
   std::vector<SourceLocation> Locs;
 
   std::vector<Value> Consts;
@@ -145,9 +144,9 @@ struct Chunk {
   std::vector<MethodRef> Methods;
 
   /// Initial values for frame registers [NumParams, FrameSize): locals
-  /// default-initialized by declared type, FOR variables NIL — exactly
-  /// the tree-walker's frame setup. Indexed from register 0 (the
-  /// parameter prefix is unused; arguments overwrite it).
+  /// default-initialized by declared type, FOR variables NIL. Indexed
+  /// from register 0 (the parameter prefix is unused; arguments overwrite
+  /// it).
   std::vector<Value> SlotDefaults;
   /// Value of a fall-off-the-end return (defaultValue of the declared
   /// return type).

@@ -5,27 +5,28 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Two passes over every procedure of a Sema-checked module:
+// One pass over every procedure body and over the global initializers:
 //
-//  1. Lowering: each body becomes a register Chunk. Frame registers
-//     0..FrameSize-1 reuse Sema's slot numbering (parameters, locals, FOR
-//     variables), so no remapping table is needed at run time; expression
-//     temporaries are allocated monotonically above the frame and released
-//     at statement boundaries. All name resolution (globals, fields,
-//     callees, vtable slots) is burned into operands here. The evaluation
-//     order and error behavior of every construct replicates the
-//     tree-walker exactly — the differential suite holds the two engines
-//     to bit-identical observable behavior.
+//  - Lowering: each body becomes a register Chunk. Frame registers
+//    0..FrameSize-1 reuse Sema's slot numbering (parameters, locals, FOR
+//    variables), so no remapping table is needed at run time; expression
+//    temporaries are allocated monotonically above the frame and released
+//    at statement boundaries. All name resolution (globals, fields,
+//    callees, vtable slots) is burned into operands here. Evaluation order
+//    follows the source left to right, and every runtime error is raised
+//    at the construct's source location; tests/interp holds a graph-free
+//    reference evaluator that the VM must match. A body whose registers
+//    do not fit the 16-bit operands is a compile error.
 //
-//  2. Effect analysis: the transitive side-effect mask that decides which
-//     procedure instances may execute on parallel wave workers. Direct
-//     effects (print, NEW, global writes, field writes) are unioned over
-//     the call graph to a fixpoint; method call sites conservatively union
-//     every implementation bound to the method name anywhere in the module
-//     (dynamic dispatch could reach any of them). A body whose mask comes
-//     out empty touches only its own frame and tracked reads, which the
-//     graph's ownership protocol already mediates — its node drops the
-//     serial pin.
+//  - Effect analysis: the transitive side-effect mask that decides which
+//    procedure instances may execute on parallel wave workers. Direct
+//    effects (print, NEW, global writes, field writes) are collected while
+//    lowering and unioned over the call graph to a fixpoint; method call
+//    sites conservatively union every implementation bound to the method
+//    name anywhere in the module (dynamic dispatch could reach any of
+//    them). A body whose mask comes out empty touches only its own frame
+//    and tracked reads, which the graph's ownership protocol already
+//    mediates — its node drops the serial pin.
 //
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +44,7 @@ namespace alphonse::interp::bytecode {
 
 namespace {
 
-/// Mirror of Interp::defaultValue — the zero value of a declared type.
+/// The zero value of a declared type (Interp::defaultValue).
 Value defaultValueFor(const Type &Ty) {
   switch (Ty.Kind) {
   case TypeKind::Integer:
@@ -57,38 +58,54 @@ Value defaultValueFor(const Type &Ty) {
   }
 }
 
-constexpr uint8_t EffAll =
-    EffPrint | EffAlloc | EffGlobalWrite | EffFieldWrite;
-constexpr int MaxRegs = 0xFFFF;
-
 //===----------------------------------------------------------------------===//
 // Lowering
 //===----------------------------------------------------------------------===//
 
-class ProcCompiler {
+class ChunkCompiler {
 public:
-  ProcCompiler(const ProcDecl &P, const ProcInfo &PI, Chunk &Ch)
-      : P(P), PI(PI), Ch(Ch), Next(PI.FrameSize), High(PI.FrameSize) {}
+  ChunkCompiler(const SemaInfo &Info, Chunk &Ch, int FrameSize)
+      : Info(Info), Ch(Ch), Next(FrameSize), High(FrameSize) {}
 
-  bool run() {
-    // Prologue: local initializers in declaration order (the VM seeds the
-    // frame from SlotDefaults first, exactly like the tree-walker's
-    // default-init-then-initialize sequence).
-    for (size_t I = 0; I < P.Locals.size(); ++I) {
-      if (!P.Locals[I].Init)
-        continue;
-      int M = mark();
-      exprInto(static_cast<int>(P.Params.size() + I), P.Locals[I].Init.get());
-      release(M);
-    }
+  /// A procedure body: local initializers in declaration order (the VM
+  /// seeds the frame from SlotDefaults first), then the statements.
+  void procBody(const ProcDecl &P) {
+    for (size_t I = 0; I < P.Locals.size(); ++I)
+      if (P.Locals[I].Init)
+        exprInto(static_cast<int>(P.Params.size() + I),
+                 P.Locals[I].Init.get());
     stmts(P.Body);
-    emit(OpCode::RetDefault, P.Loc);
-    Ch.NumRegs = static_cast<uint16_t>(High);
-    return !Failed;
+    finish(P.Loc);
   }
+
+  /// The module initializer: each global's initializer in declaration
+  /// order, stored untracked (the constructor runs it conventionally).
+  void initializers(const Module &M) {
+    for (const GlobalDecl &G : M.Globals) {
+      if (!G.Init || G.Index < 0)
+        continue;
+      int Mark = mark();
+      emit(OpCode::StoreGlobal, G.Loc, G.Index, expr(G.Init.get()));
+      release(Mark);
+    }
+    finish(SourceLocation());
+  }
+
+  /// Registers the chunk needs; above MaxRegs its operands are truncated
+  /// and the chunk must be discarded.
+  int regs() const { return High; }
+
+  /// Direct effects of the compiled code and the procedures it may call.
+  uint8_t Effects = EffNone;
+  std::vector<const ProcDecl *> Callees;
 
 private:
   //===--- Emission -------------------------------------------------------===//
+
+  void finish(SourceLocation Loc) {
+    emit(OpCode::RetDefault, Loc);
+    Ch.NumRegs = static_cast<uint16_t>(High);
+  }
 
   size_t emit(OpCode Op, SourceLocation Loc, int A = 0, int B = 0, int C = 0,
               int32_t Imm = 0, uint8_t Flags = 0) {
@@ -112,10 +129,6 @@ private:
   //===--- Register allocation --------------------------------------------===//
 
   int temp() {
-    if (Next >= MaxRegs) { // Pathological body; fall back to the walker.
-      Failed = true;
-      return 0;
-    }
     int R = Next++;
     if (Next > High)
       High = Next;
@@ -215,11 +228,14 @@ private:
       } else {
         exprInto(N->Index, A->Value.get());
       }
+      if (N->Binding == NameBinding::Global)
+        Effects |= EffGlobalWrite;
       return;
     }
-    // Field write: value first, then base, then the NIL check — the
-    // tree-walker's order, observable when both sides throw.
+    // Field write: value first, then base, then the NIL check — observable
+    // when both sides throw.
     const auto *FA = static_cast<const FieldAccessExpr *>(A->Target.get());
+    Effects |= EffFieldWrite;
     int V = expr(A->Value.get());
     int B = expr(FA->Base.get());
     emit(OpCode::StoreField, FA->Loc, B, V, FA->FieldIndex,
@@ -255,7 +271,7 @@ private:
 
   void forStmt(const ForStmt *F) {
     // A private counter/limit pair, evaluated once — body writes to the
-    // index variable do not perturb the iteration (tree-walker parity).
+    // index variable do not perturb the iteration.
     int Cnt = temp();
     int Lim = temp();
     exprInto(Cnt, F->From.get());
@@ -321,10 +337,7 @@ private:
              N->TrackedAccess ? FlagTracked : 0);
         return R;
       }
-      if (N->Index < 0) {
-        Failed = true;
-        return 0;
-      }
+      assert(N->Index >= 0 && "unresolved name survived Sema");
       return N->Index;
     }
     case ExprKind::FieldAccess: {
@@ -341,10 +354,8 @@ private:
       return methodCall(static_cast<const MethodCallExpr *>(E));
     case ExprKind::New: {
       const auto *N = static_cast<const NewExpr *>(E);
-      if (!N->Resolved) {
-        Failed = true;
-        return 0;
-      }
+      assert(N->Resolved && "unresolved NEW survived Sema");
+      Effects |= EffAlloc;
       int R = temp();
       emit(OpCode::NewObj, E->Loc, R, 0, 0, typeIdx(N->Resolved));
       return R;
@@ -366,7 +377,7 @@ private:
       return R;
     }
     }
-    Failed = true;
+    assert(false && "unknown expression kind");
     return 0;
   }
 
@@ -381,13 +392,15 @@ private:
       exprInto(ArgBase + I, C->Args[I].get());
     int R = temp();
     if (C->BuiltinIndex >= 0) {
+      // print is the only effectful builtin (pause sleeps but touches no
+      // shared state; fmt/max/min/abs are pure).
+      if (C->BuiltinIndex == static_cast<int>(Builtin::Print))
+        Effects |= EffPrint;
       emit(OpCode::CallBuiltin, C->Loc, R, ArgBase, NArgs, C->BuiltinIndex);
       return R;
     }
-    if (!C->Resolved) {
-      Failed = true;
-      return R;
-    }
+    assert(C->Resolved && "unresolved call survived Sema");
+    Callees.push_back(C->Resolved);
     emit(OpCode::CallProc, C->Loc, R, ArgBase, NArgs, procIdx(C->Resolved),
          C->CheckedCall ? FlagTracked : 0);
     return R;
@@ -400,15 +413,18 @@ private:
       temp();
     exprInto(ArgBase, C->Base.get());
     // The receiver NIL check sits between receiver and argument
-    // evaluation, exactly where the tree-walker raises it.
+    // evaluation.
     emit(OpCode::CheckRecv, C->Loc, ArgBase, 0, 0, nameIdx(C->Method));
     for (int I = 0; I < NArgs; ++I)
       exprInto(ArgBase + 1 + I, C->Args[I].get());
     int R = temp();
-    if (C->MethodSlot < 0) {
-      Failed = true;
-      return R;
-    }
+    assert(C->MethodSlot >= 0 && "unresolved method survived Sema");
+    // Dynamic dispatch: any implementation bound to this method name
+    // anywhere in the module could be the callee.
+    for (const auto &Ty : Info.Types)
+      for (const MethodImpl &MI : Ty->VTable)
+        if (MI.Impl && MI.Sig && MI.Sig->Name == C->Method)
+          Callees.push_back(MI.Impl);
     emit(OpCode::CallMethod, C->Loc, R, ArgBase, NArgs + 1,
          methodIdx(C->MethodSlot, C->Method),
          C->CheckedCall ? FlagTracked : 0);
@@ -417,9 +433,8 @@ private:
 
   int binary(const BinaryExpr *B) {
     if (B->Op == BinaryOp::And || B->Op == BinaryOp::Or) {
-      // Short-circuit with the tree-walker's boolean coercion on both
-      // sides: AND yields boolean(L.Bool) when false, boolean(R.Bool)
-      // otherwise; OR dually.
+      // Short-circuit with a boolean coercion on both sides: AND yields
+      // boolean(L.Bool) when false, boolean(R.Bool) otherwise; OR dually.
       int Dst = temp();
       int M = mark();
       int L = expr(B->Lhs.get());
@@ -438,10 +453,11 @@ private:
     int L = expr(B->Lhs.get());
     int R = expr(B->Rhs.get());
     int Dst = temp();
-    OpCode Op;
+    OpCode Op = OpCode::Add;
     switch (B->Op) {
     case BinaryOp::Add:
-      Op = OpCode::Add;
+    case BinaryOp::And: // AND / OR were lowered above.
+    case BinaryOp::Or:
       break;
     case BinaryOp::Sub:
       Op = OpCode::Sub;
@@ -476,195 +492,74 @@ private:
     case BinaryOp::Ge:
       Op = OpCode::CmpGe;
       break;
-    default:
-      Failed = true;
-      return Dst;
     }
     emit(Op, B->Loc, Dst, L, R);
     return Dst;
   }
 
-  const ProcDecl &P;
-  const ProcInfo &PI;
+  const SemaInfo &Info;
   Chunk &Ch;
   int Next; ///< Next free register.
   int High; ///< High-water mark (becomes Chunk::NumRegs).
-  bool Failed = false;
 };
-
-//===----------------------------------------------------------------------===//
-// Effect analysis
-//===----------------------------------------------------------------------===//
-
-struct DirectInfo {
-  uint8_t Effects = 0;
-  std::vector<const ProcDecl *> Callees;
-};
-
-void scanExpr(const Expr *E, const SemaInfo &Info, DirectInfo &D);
-
-void scanStmt(const Stmt *S, const SemaInfo &Info, DirectInfo &D) {
-  switch (S->Kind) {
-  case StmtKind::Assign: {
-    const auto *A = static_cast<const AssignStmt *>(S);
-    scanExpr(A->Value.get(), Info, D);
-    if (A->Target->Kind == ExprKind::NameRef) {
-      const auto *N = static_cast<const NameRefExpr *>(A->Target.get());
-      if (N->Binding == NameBinding::Global)
-        D.Effects |= EffGlobalWrite;
-    } else {
-      const auto *FA = static_cast<const FieldAccessExpr *>(A->Target.get());
-      scanExpr(FA->Base.get(), Info, D);
-      D.Effects |= EffFieldWrite;
-    }
-    return;
-  }
-  case StmtKind::If: {
-    const auto *I = static_cast<const IfStmt *>(S);
-    for (const IfStmt::Arm &Arm : I->Arms) {
-      scanExpr(Arm.Cond.get(), Info, D);
-      for (const StmtPtr &B : Arm.Body)
-        scanStmt(B.get(), Info, D);
-    }
-    for (const StmtPtr &B : I->ElseBody)
-      scanStmt(B.get(), Info, D);
-    return;
-  }
-  case StmtKind::While: {
-    const auto *W = static_cast<const WhileStmt *>(S);
-    scanExpr(W->Cond.get(), Info, D);
-    for (const StmtPtr &B : W->Body)
-      scanStmt(B.get(), Info, D);
-    return;
-  }
-  case StmtKind::For: {
-    const auto *F = static_cast<const ForStmt *>(S);
-    scanExpr(F->From.get(), Info, D);
-    scanExpr(F->To.get(), Info, D);
-    for (const StmtPtr &B : F->Body)
-      scanStmt(B.get(), Info, D);
-    return;
-  }
-  case StmtKind::Return: {
-    const auto *R = static_cast<const ReturnStmt *>(S);
-    if (R->Value)
-      scanExpr(R->Value.get(), Info, D);
-    return;
-  }
-  case StmtKind::Expr:
-    scanExpr(static_cast<const ExprStmt *>(S)->E.get(), Info, D);
-    return;
-  }
-}
-
-void scanExpr(const Expr *E, const SemaInfo &Info, DirectInfo &D) {
-  switch (E->Kind) {
-  case ExprKind::IntLit:
-  case ExprKind::BoolLit:
-  case ExprKind::TextLit:
-  case ExprKind::NilLit:
-  case ExprKind::NameRef:
-    return;
-  case ExprKind::FieldAccess:
-    scanExpr(static_cast<const FieldAccessExpr *>(E)->Base.get(), Info, D);
-    return;
-  case ExprKind::Call: {
-    const auto *C = static_cast<const CallExpr *>(E);
-    for (const ExprPtr &A : C->Args)
-      scanExpr(A.get(), Info, D);
-    // print is the only effectful builtin (pause sleeps but touches no
-    // shared state; fmt/max/min/abs are pure).
-    if (C->BuiltinIndex == static_cast<int>(Builtin::Print))
-      D.Effects |= EffPrint;
-    else if (C->Resolved)
-      D.Callees.push_back(C->Resolved);
-    return;
-  }
-  case ExprKind::MethodCall: {
-    const auto *C = static_cast<const MethodCallExpr *>(E);
-    scanExpr(C->Base.get(), Info, D);
-    for (const ExprPtr &A : C->Args)
-      scanExpr(A.get(), Info, D);
-    // Dynamic dispatch: any implementation bound to this method name
-    // anywhere in the module could be the callee.
-    for (const auto &Ty : Info.Types)
-      for (const MethodImpl &MI : Ty->VTable)
-        if (MI.Impl && MI.Sig && MI.Sig->Name == C->Method)
-          D.Callees.push_back(MI.Impl);
-    return;
-  }
-  case ExprKind::New:
-    D.Effects |= EffAlloc;
-    return;
-  case ExprKind::Binary: {
-    const auto *B = static_cast<const BinaryExpr *>(E);
-    scanExpr(B->Lhs.get(), Info, D);
-    scanExpr(B->Rhs.get(), Info, D);
-    return;
-  }
-  case ExprKind::Unary:
-    scanExpr(static_cast<const UnaryExpr *>(E)->Sub.get(), Info, D);
-    return;
-  case ExprKind::Unchecked:
-    scanExpr(static_cast<const UncheckedExpr *>(E)->Sub.get(), Info, D);
-    return;
-  }
-}
-
-void scanProc(const ProcDecl &P, const SemaInfo &Info, DirectInfo &D) {
-  for (const LocalDecl &L : P.Locals)
-    if (L.Init)
-      scanExpr(L.Init.get(), Info, D);
-  for (const StmtPtr &S : P.Body)
-    scanStmt(S.get(), Info, D);
-}
 
 } // namespace
 
-std::unique_ptr<BytecodeModule>
-compileModule(const Module &M, const SemaInfo &Info) {
+std::unique_ptr<BytecodeModule> compileModule(const Module &M,
+                                              const SemaInfo &Info,
+                                              DiagnosticEngine &Diags) {
   auto Mod = std::make_unique<BytecodeModule>();
-  std::unordered_map<const ProcDecl *, DirectInfo> Direct;
+  size_t Errors = Diags.errorCount();
+  auto CheckRegs = [&](const ChunkCompiler &CC, SourceLocation Loc,
+                       const std::string &What) {
+    if (CC.regs() > MaxRegs)
+      Diags.error(Loc, What + " needs " + std::to_string(CC.regs()) +
+                           " registers; the limit is " +
+                           std::to_string(MaxRegs));
+  };
 
+  Mod->Chunks.resize(M.Procs.size());
+  Mod->Effects.resize(M.Procs.size(), EffNone);
+  std::vector<std::vector<const ProcDecl *>> Callees(M.Procs.size());
   for (const auto &P : M.Procs) {
-    DirectInfo D;
-    scanProc(*P, Info, D);
     const ProcInfo *PI = Info.procInfo(P.get());
-    bool Compiled = false;
-    if (PI && PI->FrameSize <= MaxRegs) {
-      Chunk Ch;
-      Ch.Name = P->Name;
-      Ch.FaultSite = "vm." + P->Name;
-      Ch.Loc = P->Loc;
-      Ch.NumParams = static_cast<uint16_t>(PI->ParamTypes.size());
-      Ch.FrameSize = static_cast<uint16_t>(PI->FrameSize);
-      Ch.SlotDefaults.assign(static_cast<size_t>(PI->FrameSize), Value());
-      for (size_t I = 0; I < PI->LocalTypes.size(); ++I)
-        Ch.SlotDefaults[PI->ParamTypes.size() + I] =
-            defaultValueFor(PI->LocalTypes[I]);
-      Ch.RetDefault = defaultValueFor(PI->RetType);
-      ProcCompiler PC(*P, *PI, Ch);
-      if (PC.run()) {
-        Mod->Chunks.emplace(P.get(), std::move(Ch));
-        Compiled = true;
-      }
-    }
-    // A procedure the compiler could not lower falls back to the shared
-    // tree-walker, whose frame and depth counter are not thread-safe — it
-    // (and transitively its callers) must keep the serial pin.
-    Mod->Effects[P.get()] = Compiled ? D.Effects : EffAll;
-    Direct.emplace(P.get(), std::move(D));
+    assert(PI && "procedure was not analyzed");
+    size_t Idx = static_cast<size_t>(P->Index);
+    Chunk &Ch = Mod->Chunks[Idx];
+    Ch.Name = P->Name;
+    Ch.FaultSite = "vm." + P->Name;
+    Ch.Loc = P->Loc;
+    Ch.NumParams = static_cast<uint16_t>(PI->ParamTypes.size());
+    Ch.FrameSize = static_cast<uint16_t>(PI->FrameSize);
+    Ch.SlotDefaults.assign(static_cast<size_t>(PI->FrameSize), Value());
+    for (size_t I = 0; I < PI->LocalTypes.size(); ++I)
+      Ch.SlotDefaults[PI->ParamTypes.size() + I] =
+          defaultValueFor(PI->LocalTypes[I]);
+    Ch.RetDefault = defaultValueFor(PI->RetType);
+    ChunkCompiler CC(Info, Ch, PI->FrameSize);
+    CC.procBody(*P);
+    CheckRegs(CC, P->Loc, "procedure '" + P->Name + "'");
+    Mod->Effects[Idx] = CC.Effects;
+    Callees[Idx] = std::move(CC.Callees);
   }
+
+  Mod->Init.Name = "<module initializer>";
+  Mod->Init.FaultSite = "vm.<init>";
+  ChunkCompiler CC(Info, Mod->Init, 0);
+  CC.initializers(M);
+  CheckRegs(CC, M.Globals.empty() ? SourceLocation() : M.Globals.front().Loc,
+            "the global initializers");
+  if (Diags.errorCount() != Errors)
+    return nullptr;
 
   // Transitive closure over the call graph, to a fixpoint.
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (const auto &P : M.Procs) {
-      uint8_t &E = Mod->Effects[P.get()];
-      for (const ProcDecl *Q : Direct[P.get()].Callees) {
-        auto It = Mod->Effects.find(Q);
-        uint8_t QE = It == Mod->Effects.end() ? EffAll : It->second;
+    for (size_t P = 0; P < Callees.size(); ++P) {
+      uint8_t &E = Mod->Effects[P];
+      for (const ProcDecl *Q : Callees[P]) {
+        uint8_t QE = Mod->Effects[static_cast<size_t>(Q->Index)];
         if ((E | QE) != E) {
           E |= QE;
           Changed = true;

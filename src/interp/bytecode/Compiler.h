@@ -7,10 +7,11 @@
 ///
 /// \file
 /// Lowers Sema-checked (and usually transformed) Alphonse-L procedure
-/// bodies to the register bytecode in Bytecode.h, and computes the
-/// transitive side-effect mask the interpreter uses to decide which
-/// procedure nodes may drop their serial pin and join parallel waves
-/// (DESIGN.md "Bytecode compilation and per-thread execution").
+/// bodies and global initializers to the register bytecode in Bytecode.h,
+/// and computes the transitive side-effect mask the interpreter uses to
+/// decide which procedure nodes may drop their serial pin and join
+/// parallel waves (DESIGN.md "Bytecode compilation and per-thread
+/// execution").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,27 +20,30 @@
 
 #include "interp/bytecode/Bytecode.h"
 #include "lang/Sema.h"
+#include "support/Diagnostics.h"
 
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 namespace alphonse::interp::bytecode {
 
-/// The compiled module: one chunk per procedure plus the per-procedure
-/// transitive effect masks. Derived state — rebuilt from (Module,
-/// SemaInfo) whenever an interpreter is constructed; never checkpointed.
+/// Registers one chunk can address: operands are 16 bits wide.
+constexpr int MaxRegs = 0xFFFF;
+
+/// The compiled module: one chunk and one transitive effect mask per
+/// procedure, both indexed by ProcDecl::Index, plus the module-initializer
+/// chunk. Derived state — rebuilt from (Module, SemaInfo) whenever an
+/// interpreter is constructed; never checkpointed.
 class BytecodeModule {
 public:
-  /// The compiled body of \p P, or nullptr if it was not compiled.
-  const Chunk *chunk(const lang::ProcDecl *P) const {
-    auto It = Chunks.find(P);
-    return It == Chunks.end() ? nullptr : &It->second;
+  /// The compiled body of \p P.
+  const Chunk &chunk(const lang::ProcDecl *P) const {
+    return Chunks[static_cast<size_t>(P->Index)];
   }
 
-  /// Transitive ProcEffect mask of \p P (EffNone for unknown procedures).
+  /// Transitive ProcEffect mask of \p P.
   uint8_t effects(const lang::ProcDecl *P) const {
-    auto It = Effects.find(P);
-    return It == Effects.end() ? uint8_t(EffNone) : It->second;
+    return Effects[static_cast<size_t>(P->Index)];
   }
 
   /// True when instances of \p P are side-effect-free and may re-execute
@@ -48,14 +52,21 @@ public:
     return effects(P) == EffNone;
   }
 
-  std::unordered_map<const lang::ProcDecl *, Chunk> Chunks;
-  std::unordered_map<const lang::ProcDecl *, uint8_t> Effects;
+  std::vector<Chunk> Chunks;
+  std::vector<uint8_t> Effects;
+  /// The global initializers in declaration order, each ending in an
+  /// untracked StoreGlobal. The interpreter's constructor runs it once,
+  /// with conventional dispatch.
+  Chunk Init;
 };
 
-/// Compiles every procedure of \p M. \p M and \p Info must outlive the
-/// result (chunks hold ProcDecl / ObjectTypeInfo pointers into them).
+/// Compiles every procedure of \p M and its global initializers. \p M and
+/// \p Info must outlive the result (chunks hold ProcDecl / ObjectTypeInfo
+/// pointers into them). A body that needs more than MaxRegs registers is
+/// an error in \p Diags, and the result is then null.
 std::unique_ptr<BytecodeModule> compileModule(const lang::Module &M,
-                                              const lang::SemaInfo &Info);
+                                              const lang::SemaInfo &Info,
+                                              DiagnosticEngine &Diags);
 
 } // namespace alphonse::interp::bytecode
 

@@ -12,12 +12,12 @@
 // and the guard restores Top/Depth on every exit path, including
 // exception unwind.
 //
-// Semantics are the tree-walker's, instruction by instruction: the same
-// evaluation order, the same error messages at the same source locations,
-// the same boolean coercions. Global and heap accesses go through the
-// existing trackedRead/trackedWrite protocol, so dependency recording,
-// write journaling, and the quiescence cutoff are shared with (and
-// therefore identical to) the walking engine.
+// Every runtime error is raised with its construct's source location, and
+// the differential tests hold the observable behavior (results, output,
+// errors) to the graph-free reference evaluator in tests/interp. Global
+// and heap accesses go through Interp's trackedRead/trackedWrite protocol,
+// which does dependency recording, write journaling, and the quiescence
+// cutoff.
 //
 //===----------------------------------------------------------------------===//
 
@@ -42,7 +42,7 @@ using namespace bytecode;
 
 Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
   ExecState &ES = BCState->current();
-  if (ES.Depth >= MaxCallDepth)
+  if (ES.Depth >= MaxNestedCalls)
     fail(Ch.Loc,
          "call depth exceeded in '" + Ch.Name + "' (runaway recursion?)");
   // One injection site per VM execution ("vm.<proc>"). Throw/Kill act

@@ -7,14 +7,11 @@
 ///
 /// \file
 /// The reentrant VM's mutable execution state, one instance per evaluator
-/// thread. The tree-walking engine allocates a Frame per call but shares
-/// one call-depth counter (and its C++ stack) across the whole
-/// interpreter, which is why language nodes historically pinned their
-/// partitions serial. Here every worker gets its own register stack,
-/// frame top, and depth counter, keyed by the same statistics shard id
-/// the runtime already hands each thread — so concurrent wave drains
-/// never share mutable interpreter state, and the only cross-thread
-/// traffic is the tracked-read/-write protocol the graph mediates.
+/// thread. Every worker gets its own register stack, frame top, and depth
+/// counter, keyed by the same statistics shard id the runtime already
+/// hands each thread — so concurrent wave drains never share mutable
+/// interpreter state, and the only cross-thread traffic is the
+/// tracked-read/-write protocol the graph mediates.
 ///
 /// The dispatch loop itself is Interp::runChunk (VM.cpp): it needs the
 /// interpreter's storage protocol and call machinery, so it lives as a
@@ -34,8 +31,8 @@
 namespace alphonse::interp::bytecode {
 
 /// One thread's VM state: a register stack that frames carve contiguous
-/// windows out of, plus the thread's VM call depth (the per-thread
-/// equivalent of Interp::CallDepth).
+/// windows out of, plus the thread's VM call depth (checked against
+/// Interp::MaxNestedCalls).
 struct ExecState {
   std::vector<Value> Regs;
   size_t Top = 0; ///< First free register — the next frame's base.

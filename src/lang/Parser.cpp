@@ -9,6 +9,7 @@
 
 #include "lang/Lexer.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace alphonse::lang {
@@ -377,8 +378,8 @@ StmtPtr Parser::parseStmt() {
 StmtPtr Parser::parseReturn() {
   SourceLocation Loc = advance().Loc; // RETURN
   ExprPtr Value;
-  if (!check(TokenKind::Semicolon))
-    Value = parseExpr();
+  if (!check(TokenKind::Semicolon) && !(Value = parseExpr()))
+    return nullptr;
   expect(TokenKind::Semicolon, "after RETURN");
   return std::make_unique<ReturnStmt>(Loc, std::move(Value));
 }
@@ -433,14 +434,42 @@ StmtPtr Parser::parseFor() {
 // Expressions
 //===----------------------------------------------------------------------===//
 
+/// Records that the expression just built sits one level above a
+/// subexpression \p SubDepth deep; past MaxExprDepth that is an error at
+/// \p Loc, the token that opened the level.
+bool Parser::deeper(unsigned SubDepth, SourceLocation Loc) {
+  Depth = SubDepth + 1;
+  if (Depth <= MaxExprDepth)
+    return true;
+  Diags.error(Loc, "expression nested more than " +
+                       std::to_string(MaxExprDepth) + " levels deep");
+  return false;
+}
+
+/// Parses one nested operand with \p Parse — the inside of parentheses,
+/// a call argument, or the operand of a prefix operator — one level below
+/// the token at \p Loc. Refuses before recursing once MaxExprDepth levels
+/// are open, so the parser's own stack stays bounded.
+template <typename Fn> ExprPtr Parser::nested(SourceLocation Loc, Fn Parse) {
+  if (Open == MaxExprDepth) {
+    deeper(MaxExprDepth, Loc);
+    return nullptr;
+  }
+  ++Open;
+  ExprPtr E = Parse();
+  --Open;
+  return E && deeper(Depth, Loc) ? std::move(E) : nullptr;
+}
+
 ExprPtr Parser::parseExpr() { return parseOr(); }
 
 ExprPtr Parser::parseOr() {
   ExprPtr L = parseAnd();
   while (L && check(TokenKind::KwOr)) {
+    unsigned LDepth = Depth;
     SourceLocation Loc = advance().Loc;
     ExprPtr R = parseAnd();
-    if (!R)
+    if (!R || !deeper(std::max(LDepth, Depth), Loc))
       return nullptr;
     L = std::make_unique<BinaryExpr>(Loc, BinaryOp::Or, std::move(L),
                                      std::move(R));
@@ -451,9 +480,10 @@ ExprPtr Parser::parseOr() {
 ExprPtr Parser::parseAnd() {
   ExprPtr L = parseRelational();
   while (L && check(TokenKind::KwAnd)) {
+    unsigned LDepth = Depth;
     SourceLocation Loc = advance().Loc;
     ExprPtr R = parseRelational();
-    if (!R)
+    if (!R || !deeper(std::max(LDepth, Depth), Loc))
       return nullptr;
     L = std::make_unique<BinaryExpr>(Loc, BinaryOp::And, std::move(L),
                                      std::move(R));
@@ -488,9 +518,10 @@ ExprPtr Parser::parseRelational() {
   default:
     return L;
   }
+  unsigned LDepth = Depth;
   SourceLocation Loc = advance().Loc;
   ExprPtr R = parseAdditive();
-  if (!R)
+  if (!R || !deeper(std::max(LDepth, Depth), Loc))
     return nullptr;
   return std::make_unique<BinaryExpr>(Loc, Op, std::move(L), std::move(R));
 }
@@ -502,9 +533,10 @@ ExprPtr Parser::parseAdditive() {
     BinaryOp Op = check(TokenKind::Plus)    ? BinaryOp::Add
                   : check(TokenKind::Minus) ? BinaryOp::Sub
                                             : BinaryOp::Concat;
+    unsigned LDepth = Depth;
     SourceLocation Loc = advance().Loc;
     ExprPtr R = parseMultiplicative();
-    if (!R)
+    if (!R || !deeper(std::max(LDepth, Depth), Loc))
       return nullptr;
     L = std::make_unique<BinaryExpr>(Loc, Op, std::move(L), std::move(R));
   }
@@ -518,9 +550,10 @@ ExprPtr Parser::parseMultiplicative() {
     BinaryOp Op = check(TokenKind::Star)    ? BinaryOp::Mul
                   : check(TokenKind::KwDiv) ? BinaryOp::Div
                                             : BinaryOp::Mod;
+    unsigned LDepth = Depth;
     SourceLocation Loc = advance().Loc;
     ExprPtr R = parseUnary();
-    if (!R)
+    if (!R || !deeper(std::max(LDepth, Depth), Loc))
       return nullptr;
     L = std::make_unique<BinaryExpr>(Loc, Op, std::move(L), std::move(R));
   }
@@ -530,14 +563,14 @@ ExprPtr Parser::parseMultiplicative() {
 ExprPtr Parser::parseUnary() {
   if (check(TokenKind::Minus)) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Sub = parseUnary();
+    ExprPtr Sub = nested(Loc, [this] { return parseUnary(); });
     if (!Sub)
       return nullptr;
     return std::make_unique<UnaryExpr>(Loc, UnaryOp::Neg, std::move(Sub));
   }
   if (check(TokenKind::KwNot)) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Sub = parseUnary();
+    ExprPtr Sub = nested(Loc, [this] { return parseUnary(); });
     if (!Sub)
       return nullptr;
     return std::make_unique<UnaryExpr>(Loc, UnaryOp::Not, std::move(Sub));
@@ -545,7 +578,7 @@ ExprPtr Parser::parseUnary() {
   if (check(TokenKind::Pragma) &&
       current().Text.rfind("UNCHECKED", 0) == 0) {
     SourceLocation Loc = advance().Loc;
-    ExprPtr Sub = parseUnary();
+    ExprPtr Sub = nested(Loc, [this] { return parseUnary(); });
     if (!Sub)
       return nullptr;
     return std::make_unique<UncheckedExpr>(Loc, std::move(Sub));
@@ -553,33 +586,43 @@ ExprPtr Parser::parseUnary() {
   return parsePostfix();
 }
 
-std::vector<ExprPtr> Parser::parseArgs() {
-  std::vector<ExprPtr> Args;
-  if (accept(TokenKind::RParen))
-    return Args;
-  while (true) {
-    ExprPtr A = parseExpr();
-    if (!A)
-      return Args;
-    Args.push_back(std::move(A));
-    if (accept(TokenKind::RParen))
-      return Args;
-    if (!expect(TokenKind::Comma, "between call arguments"))
-      return Args;
+/// Parses a call's arguments after its '('. Depth becomes the deepest
+/// argument's, counting the argument list as a level (0 with no
+/// arguments).
+bool Parser::parseArgs(std::vector<ExprPtr> &Args) {
+  unsigned ArgsDepth = 0;
+  if (!accept(TokenKind::RParen)) {
+    while (true) {
+      ExprPtr A = nested(current().Loc, [this] { return parseExpr(); });
+      if (!A)
+        return false;
+      ArgsDepth = std::max(ArgsDepth, Depth);
+      Args.push_back(std::move(A));
+      if (accept(TokenKind::RParen))
+        break;
+      if (!expect(TokenKind::Comma, "between call arguments"))
+        return false;
+    }
   }
+  Depth = ArgsDepth;
+  return true;
 }
 
 ExprPtr Parser::parsePostfix() {
   ExprPtr E = parsePrimary();
   while (E && accept(TokenKind::Dot)) {
+    unsigned BaseDepth = Depth;
     SourceLocation Loc = current().Loc;
     std::string Member = expectIdentifier("after '.'");
     if (accept(TokenKind::LParen)) {
       auto Call = std::make_unique<MethodCallExpr>(Loc, std::move(E),
                                                    std::move(Member));
-      Call->Args = parseArgs();
+      if (!parseArgs(Call->Args) || !deeper(std::max(BaseDepth, Depth), Loc))
+        return nullptr;
       E = std::move(Call);
     } else {
+      if (!deeper(BaseDepth, Loc))
+        return nullptr;
       E = std::make_unique<FieldAccessExpr>(Loc, std::move(E),
                                             std::move(Member));
     }
@@ -589,6 +632,7 @@ ExprPtr Parser::parsePostfix() {
 
 ExprPtr Parser::parsePrimary() {
   SourceLocation Loc = current().Loc;
+  Depth = 0; // Leaves; parentheses and calls set their own depth.
   switch (current().Kind) {
   case TokenKind::IntLiteral: {
     long V = advance().IntValue;
@@ -616,15 +660,17 @@ ExprPtr Parser::parsePrimary() {
   }
   case TokenKind::LParen: {
     advance();
-    ExprPtr E = parseExpr();
-    expect(TokenKind::RParen, "to close the parenthesized expression");
+    ExprPtr E = nested(Loc, [this] { return parseExpr(); });
+    if (E)
+      expect(TokenKind::RParen, "to close the parenthesized expression");
     return E;
   }
   case TokenKind::Identifier: {
     std::string Name = advance().Text;
     if (accept(TokenKind::LParen)) {
       auto Call = std::make_unique<CallExpr>(Loc, std::move(Name));
-      Call->Args = parseArgs();
+      if (!parseArgs(Call->Args))
+        return nullptr;
       return Call;
     }
     return std::make_unique<NameRefExpr>(Loc, std::move(Name));

@@ -30,6 +30,13 @@ namespace alphonse::lang {
 /// Diags.hasErrors().
 class Parser {
 public:
+  /// The deepest expression accepted. Depth counts parentheses, prefix
+  /// operators, argument lists and each binary or postfix operator on the
+  /// path to the deepest leaf, so it bounds both the parser's recursion
+  /// and the height of the tree every later pass (Sema, transformer,
+  /// unparser, bytecode compiler) recurses over.
+  static constexpr unsigned MaxExprDepth = 1000;
+
   Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags);
 
   Module run();
@@ -69,11 +76,18 @@ private:
   ExprPtr parseUnary();
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
-  std::vector<ExprPtr> parseArgs();
+  bool parseArgs(std::vector<ExprPtr> &Args);
+  template <typename Fn> ExprPtr nested(SourceLocation Loc, Fn Parse);
+  bool deeper(unsigned SubDepth, SourceLocation Loc);
 
   std::vector<Token> Tokens;
   DiagnosticEngine &Diags;
   size_t Pos = 0;
+  /// Nesting levels open around the current token: bounds the recursion
+  /// before the depth of what is inside is known.
+  unsigned Open = 0;
+  /// Depth of the expression the last parse*() call returned.
+  unsigned Depth = 0;
 };
 
 /// Convenience: lex + parse in one step.

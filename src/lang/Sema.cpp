@@ -46,8 +46,10 @@ public:
   SemaInfo run() {
     buildTypes();
     buildGlobals();
+    declareProcs(); // Global initializers may call procedures.
     checkGlobalInits();
-    checkProcs();
+    for (auto &P : M.Procs)
+      checkProcBody(P.get());
     return std::move(Info);
   }
 
@@ -229,8 +231,9 @@ private:
   // Phase 3: procedures
   //===--------------------------------------------------------------------===//
 
-  void checkProcs() {
-    // Register signatures first so procedures can call each other.
+  /// Registers every signature before any body or initializer is checked,
+  /// so calls can reach procedures declared later.
+  void declareProcs() {
     for (auto &P : M.Procs) {
       P->Index = static_cast<int>(&P - M.Procs.data());
       if (Info.Procs.count(P.get())) {
@@ -252,8 +255,6 @@ private:
         Diags.error(P->Loc, "(*MAINTAINED*) belongs on method bindings; use "
                             "(*CACHED*) for procedures");
     }
-    for (auto &P : M.Procs)
-      checkProcBody(P.get());
   }
 
   void checkProcBody(ProcDecl *P) {

@@ -1,4 +1,4 @@
-//===- BytecodeDiffTest.cpp - tree-walker vs bytecode differential --------===//
+//===- BytecodeDiffTest.cpp - VM vs reference differential ----------------===//
 //
 // Part of the Alphonse reproduction (Hoover, PLDI 1992).
 // SPDX-License-Identifier: MIT
@@ -6,20 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The bytecode tier must be observationally identical to the tree-walking
-/// interpreter: same return values, same print output, same fault and
-/// quarantine outcomes, same pending work, same checkpoint round-trips —
-/// at Workers = 0 and with parallel wave drains. Every Alphonse-L test
+/// The bytecode VM must be observationally identical to the graph-free
+/// reference evaluator (Reference.h): same return values, same print
+/// output, same final globals, same runtime errors at the same source
+/// locations — in both execution modes, at Workers = 0 and with parallel
+/// wave drains. Quarantine and pending work, which the reference does not
+/// have, must not depend on the worker count. Every Alphonse-L test
 /// program (the canonical height-tree and AVL modules plus the inline
-/// corpus below) runs through both engines with identical driver scripts,
-/// including fixed-seed randomized interleavings, and the new vm.*
+/// corpus below) runs through both with identical driver scripts,
+/// including fixed-seed randomized interleavings, and the vm.*
 /// fault-injection sites are exercised for quarantine/recovery behavior.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "interp/Interp.h"
+#include "interp/Differential.h"
 #include "interp/bytecode/Compiler.h"
-#include "lang/CompileTestHelper.h"
 #include "support/CheckpointIO.h"
 #include "support/FaultInjector.h"
 
@@ -36,77 +37,12 @@
 namespace alphonse::interp {
 namespace {
 
+using testing::checkDifferential;
 using testing::compile;
-using testing::Compiled;
+using testing::RunResult;
+using testing::Step;
 
 static Value IV(long X) { return Value::integer(X); }
-
-struct Step {
-  std::string Proc;
-  std::vector<long> Args;
-};
-
-/// Everything one engine observably produced for a script.
-struct RunResult {
-  std::vector<std::string> Rendered; ///< Per-step results ("!" = failed).
-  std::string Output;
-  bool Failed = false;
-  std::string Error;
-  size_t Quarantined = 0;
-  size_t Pending = 0;
-};
-
-/// Runs \p Script on a fresh interpreter. \p Bytecode selects the engine,
-/// \p Workers the wave pool size. A failing step records the error and
-/// stops (both engines must fail at the same step with the same message).
-static RunResult runScript(const Compiled &C, const std::vector<Step> &Script,
-                           bool Bytecode, unsigned Workers) {
-  DepGraph::Config Cfg;
-  Cfg.Workers = Workers;
-  Interp I(C.M, C.Info, ExecMode::Alphonse, Cfg, Bytecode);
-  RunResult R;
-  for (const Step &S : Script) {
-    std::vector<Value> Args;
-    for (long A : S.Args)
-      Args.push_back(IV(A));
-    Value V = I.call(S.Proc, std::move(Args));
-    if (I.failed()) {
-      R.Failed = true;
-      R.Error = I.errorMessage();
-      R.Rendered.push_back("!");
-      break;
-    }
-    // Object identities differ across interpreters; render the kind only.
-    R.Rendered.push_back(V.K == Value::Kind::Object ? "<obj>" : V.render());
-  }
-  R.Output = I.output();
-  R.Quarantined = I.runtime().graph().numQuarantined();
-  R.Pending = I.runtime().graph().numPending();
-  return R;
-}
-
-/// The differential check: tree-walker (serial) is the reference; the
-/// bytecode engine must match it at Workers = 0 and Workers = 4.
-static void checkDifferential(const Compiled &C,
-                              const std::vector<Step> &Script) {
-  RunResult Ref = runScript(C, Script, /*Bytecode=*/false, /*Workers=*/0);
-  for (unsigned Workers : {0u, 4u}) {
-    RunResult BC = runScript(C, Script, /*Bytecode=*/true, Workers);
-    SCOPED_TRACE("workers=" + std::to_string(Workers));
-    ASSERT_EQ(Ref.Rendered, BC.Rendered);
-    EXPECT_EQ(Ref.Output, BC.Output);
-    EXPECT_EQ(Ref.Failed, BC.Failed);
-    EXPECT_EQ(Ref.Error, BC.Error);
-    EXPECT_EQ(Ref.Quarantined, BC.Quarantined);
-    EXPECT_EQ(Ref.Pending, BC.Pending);
-  }
-  // The tree-walker itself must be Workers-insensitive too (its nodes
-  // stay serial-pinned, so the pool must simply leave them to the mop-up).
-  RunResult TW4 = runScript(C, Script, /*Bytecode=*/false, /*Workers=*/4);
-  ASSERT_EQ(Ref.Rendered, TW4.Rendered);
-  EXPECT_EQ(Ref.Output, TW4.Output);
-  EXPECT_EQ(Ref.Pending, TW4.Pending);
-}
 
 /// Nullary cached procedures over globals. 'unread' is written but never
 /// read by any incremental procedure, so it never gets a graph node and
@@ -135,6 +71,31 @@ PROCEDURE SetA(v : INTEGER) = BEGIN a := v; END SetA;
 PROCEDURE SetB(v : INTEGER) = BEGIN b := v; END SetB;
 PROCEDURE SetScale(v : INTEGER) = BEGIN scale := v; END SetScale;
 PROCEDURE Touch(v : INTEGER) = BEGIN unread := v; END Touch;
+)";
+}
+
+/// Operator boundaries: every comparison on equal, smaller and larger
+/// operands, abs/min/max on negative numbers, and DIV/MOD with negative
+/// operands. Each procedure prints its results.
+static const char *operatorEdgeProgram() {
+  return R"(
+PROCEDURE Compare(a, b : INTEGER) =
+BEGIN
+  print(a < b);
+  print(a <= b);
+  print(a > b);
+  print(a >= b);
+  print(a = b);
+  print(a # b);
+END Compare;
+PROCEDURE Numeric(a, b : INTEGER) =
+BEGIN
+  print(abs(a));
+  print(min(a, b));
+  print(max(a, b));
+  print(a DIV b);
+  print(a MOD b);
+END Numeric;
 )";
 }
 
@@ -246,9 +207,9 @@ TEST(BytecodeDiffTest, NullaryCachedCone) {
   checkDifferential(*C, Script);
   // Every reader is up to date before the last write, which goes to a
   // global nothing reads: no work may be left pending.
-  RunResult Ref = runScript(*C, Script, /*Bytecode=*/false, /*Workers=*/0);
-  EXPECT_EQ(Ref.Rendered[10], "14");
-  EXPECT_EQ(Ref.Pending, 0u);
+  RunResult VM = testing::runVM(*C, Script, ExecMode::Alphonse, 0);
+  EXPECT_EQ(VM.Rendered[10], "14");
+  EXPECT_EQ(VM.Pending, 0u);
 }
 
 TEST(BytecodeDiffTest, NullaryCachedConeFaultsAgree) {
@@ -262,9 +223,9 @@ TEST(BytecodeDiffTest, NullaryCachedConeFaultsAgree) {
       {"Ratio", {}}, // division by zero
   };
   checkDifferential(*C, Script);
-  RunResult Ref = runScript(*C, Script, /*Bytecode=*/false, /*Workers=*/0);
-  EXPECT_TRUE(Ref.Failed);
-  EXPECT_EQ(Ref.Quarantined, 1u);
+  RunResult VM = testing::runVM(*C, Script, ExecMode::Alphonse, 0);
+  EXPECT_TRUE(VM.Failed);
+  EXPECT_EQ(VM.Quarantined, 1u);
 }
 
 TEST(BytecodeDiffTest, RandomizedNullaryConeInterleavings) {
@@ -283,8 +244,8 @@ TEST(BytecodeDiffTest, RandomizedNullaryConeInterleavings) {
         Script.push_back({"SetB", {long(Rng() % 100)}});
         break;
       case 2:
-        // Occasionally zero: later Ratio calls fault, and both engines
-        // must agree on exactly when.
+        // Occasionally zero: later Ratio calls fault, and the VM must
+        // agree with the reference on exactly when.
         Script.push_back({"SetScale", {long(Rng() % 4)}});
         break;
       case 3:
@@ -307,7 +268,8 @@ TEST(BytecodeDiffTest, RandomizedNullaryConeInterleavings) {
 
 TEST(BytecodeDiffTest, OperatorsAndControlFlow) {
   // Every operator, AND/OR short-circuit, FOR with body writes to the
-  // index variable, WHILE, nested IF/ELSIF, text concat, unary ops.
+  // index variable, WHILE, nested IF/ELSIF, text concat, unary ops, and
+  // the operators' boundary cases.
   auto C = compile(R"(
 VAR log : TEXT := "";
 PROCEDURE Arith(a, b : INTEGER) : INTEGER =
@@ -363,11 +325,163 @@ END Tag;
                             {"Tag", {7}},
                             {"Tag", {99}},
                         });
+  // Boundaries: equal operands for every comparison, negative operands
+  // for abs/min/max and DIV/MOD.
+  auto E = compile(operatorEdgeProgram());
+  ASSERT_TRUE(E->ok()) << E->Diags.str();
+  checkDifferential(*E, {
+                            {"Compare", {4, 4}},
+                            {"Compare", {-3, -3}},
+                            {"Compare", {1, 2}},
+                            {"Compare", {2, 1}},
+                            {"Compare", {-5, 0}},
+                            {"Numeric", {-7, 2}},
+                            {"Numeric", {7, -2}},
+                            {"Numeric", {-7, -2}},
+                            {"Numeric", {-9, -30}},
+                            {"Numeric", {0, -4}},
+                        });
+}
+
+/// Initializers that read earlier globals, allocate, and call plain and
+/// cached procedures.
+static const char *initializerProgram() {
+  return R"(
+TYPE Box = OBJECT
+  v : INTEGER;
+END;
+VAR
+  base : INTEGER := 6;
+  sq : INTEGER := Square(base);
+  box : Box := Wrap(sq + 1);
+  fresh : Box := NEW(Box);
+  label : TEXT := "sq=" & fmt(sq);
+  big : BOOLEAN := sq >= 36 AND base # 0;
+(*CACHED*) PROCEDURE Square(x : INTEGER) : INTEGER =
+BEGIN
+  RETURN x * x;
+END Square;
+PROCEDURE Wrap(x : INTEGER) : Box =
+VAR b : Box;
+BEGIN
+  b := NEW(Box);
+  b.v := x;
+  RETURN b;
+END Wrap;
+PROCEDURE Report() : INTEGER =
+BEGIN
+  print(label);
+  print(big);
+  RETURN box.v + fresh.v + Square(base);
+END Report;
+PROCEDURE SetBase(x : INTEGER) = BEGIN base := x; END SetBase;
+)";
+}
+
+TEST(BytecodeDiffTest, GlobalInitializers) {
+  // Initializers run in declaration order as one compiled chunk.
+  auto C = compile(initializerProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  checkDifferential(*C, {{"Report", {}}, {"SetBase", {3}}, {"Report", {}}});
+  Interp I(C->M, C->Info, ExecMode::Alphonse);
+  ASSERT_FALSE(I.failed()) << I.errorMessage();
+  EXPECT_EQ(I.global("sq").Int, 36);
+  EXPECT_EQ(I.field(I.global("box"), "v").Int, 37);
+  EXPECT_EQ(I.global("label").Text, "sq=36");
+  EXPECT_TRUE(I.global("big").Bool);
+  EXPECT_EQ(I.call("Report").Int, 37 + 0 + 36);
+}
+
+TEST(BytecodeDiffTest, InitializerCachedCallsLeaveNoInstances) {
+  // Cached calls from initializers run conventionally. Inc reads the
+  // global its own initializer is computing, and Peek reads one a later
+  // initializer sets: neither answer may be cached across those
+  // untracked stores.
+  auto C = compile(R"(
+VAR
+  a : INTEGER := Inc();
+  b : INTEGER := Peek();
+  c : INTEGER := 5;
+(*CACHED*) PROCEDURE Inc() : INTEGER = BEGIN RETURN a + 1; END Inc;
+(*CACHED*) PROCEDURE Peek() : INTEGER = BEGIN RETURN c * 10; END Peek;
+PROCEDURE SetC(v : INTEGER) = BEGIN c := v; END SetC;
+)");
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  RunResult Ref = checkDifferential(*C, {{"Inc", {}},
+                                         {"Peek", {}},
+                                         {"SetC", {7}},
+                                         {"Peek", {}},
+                                         {"Inc", {}}});
+  EXPECT_EQ(Ref.Rendered,
+            (std::vector<std::string>{"2", "50", "NIL", "70", "2"}));
+  EXPECT_EQ(Ref.Globals, (std::vector<std::string>{"1", "0", "7"}));
+  Interp I(C->M, C->Info, ExecMode::Alphonse);
+  ASSERT_FALSE(I.failed()) << I.errorMessage();
+  EXPECT_EQ(I.runtime().graph().numLiveNodes(), 0u);
+}
+
+TEST(BytecodeDiffTest, InitializerCheckpointRoundTrip) {
+  // A module whose initializers call a cached procedure saves and
+  // restores like any other: the fresh interpreter's initializers leave
+  // no graph state for the restore to refuse.
+  const std::string Path = std::string(std::getenv("TMPDIR")
+                                           ? std::getenv("TMPDIR")
+                                           : "/tmp") +
+                           "/bytecode-diff-init." + std::to_string(::getpid()) +
+                           ".ckpt";
+  auto C = compile(initializerProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
+  A.call("SetBase", {IV(3)});
+  EXPECT_EQ(A.call("Report").Int, 37 + 0 + 9);
+  ASSERT_FALSE(A.failed()) << A.errorMessage();
+  A.saveCheckpoint(Path);
+
+  for (unsigned Workers : {0u, 4u}) {
+    SCOPED_TRACE("restore at workers=" + std::to_string(Workers));
+    DepGraph::Config Cfg;
+    Cfg.Workers = Workers;
+    Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg);
+    ASSERT_NO_THROW(B.restoreCheckpoint(Path));
+    EXPECT_EQ(B.global("base").Int, 3);
+    EXPECT_EQ(B.call("Report").Int, 37 + 0 + 9);
+    B.call("SetBase", {IV(5)});
+    EXPECT_EQ(B.call("Report").Int, 37 + 0 + 25);
+    ASSERT_FALSE(B.failed()) << B.errorMessage();
+    EXPECT_EQ(B.output(), "sq=36\nTRUE\nsq=36\nTRUE\nsq=36\nTRUE\n");
+  }
+  std::remove(Path.c_str());
+  std::remove(deltaLogPath(Path).c_str());
+}
+
+TEST(BytecodeDiffTest, InitializerFaultsPartWay) {
+  // The fourth initializer divides by zero: the globals before it keep
+  // their values, the rest keep their defaults, and failed() carries the
+  // message with its source location.
+  auto C = compile(R"(
+VAR
+  a : INTEGER := 5;
+  b : INTEGER := a * 2;
+  zero : INTEGER;
+  c : INTEGER := b DIV zero;
+  d : INTEGER := 7;
+PROCEDURE Sum() : INTEGER = BEGIN RETURN a + b + c + d; END Sum;
+)");
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  checkDifferential(*C, {{"Sum", {}}});
+  Interp I(C->M, C->Info, ExecMode::Alphonse);
+  ASSERT_TRUE(I.failed());
+  EXPECT_EQ(I.errorMessage(), "6:20: division by zero");
+  EXPECT_EQ(I.global("a").Int, 5);
+  EXPECT_EQ(I.global("b").Int, 10);
+  EXPECT_EQ(I.global("c").Int, 0);
+  EXPECT_EQ(I.global("d").Int, 0);
 }
 
 TEST(BytecodeDiffTest, RuntimeFaultsAgree) {
-  // Both engines must fail at the same step, with the same message (same
-  // source location), and quarantine the same number of instances.
+  // The VM must fail at the reference's step, with the same message (same
+  // source location).
   auto C = compile(R"(
 VAR d : INTEGER := 1;
 (*CACHED*) PROCEDURE Ratio(x : INTEGER) : INTEGER =
@@ -404,8 +518,8 @@ PROCEDURE WriteField(x : INTEGER) = BEGIN b.v := x; END WriteField;
 }
 
 TEST(BytecodeDiffTest, RecursionDepthLimitAgrees) {
-  // The VM's per-thread depth counter must trip with the tree-walker's
-  // exact limit and message.
+  // The VM's per-thread depth counter must trip at the language's limit
+  // (Interp::MaxNestedCalls) with the reference's message.
   auto C = compile(R"(
 PROCEDURE Down(n : INTEGER) : INTEGER =
 BEGIN
@@ -414,6 +528,25 @@ END Down;
 )");
   ASSERT_TRUE(C->ok());
   checkDifferential(*C, {{"Down", {0}}});
+  // The initializer chunk is not a call level: a procedure it calls
+  // starts at depth 0, as a driver call does, so a chain of exactly
+  // Interp::MaxNestedCalls frames fits and one more frame fails.
+  for (int Frames : {Interp::MaxNestedCalls, Interp::MaxNestedCalls + 1}) {
+    SCOPED_TRACE("initializer chain of " + std::to_string(Frames));
+    auto I = compile("VAR d : INTEGER := Count(" +
+                     std::to_string(Frames - 1) + R"();
+PROCEDURE Count(n : INTEGER) : INTEGER =
+BEGIN
+  IF n = 0 THEN
+    RETURN 0;
+  END;
+  RETURN Count(n - 1) + 1;
+END Count;
+)");
+    ASSERT_TRUE(I->ok()) << I->Diags.str();
+    RunResult Ref = checkDifferential(*I, {{"Count", {2}}});
+    EXPECT_EQ(Ref.Failed, Frames > Interp::MaxNestedCalls) << Ref.Error;
+  }
 }
 
 TEST(BytecodeDiffTest, InjectedVmFaultQuarantinesAndRecovers) {
@@ -429,11 +562,7 @@ END Twice;
 PROCEDURE SetX(v : INTEGER) = BEGIN x := v; END SetX;
 )");
   ASSERT_TRUE(C->ok());
-  if (std::getenv("ALPHONSE_NO_BYTECODE"))
-    GTEST_SKIP() << "vm.* sites only exist in the bytecode engine";
-  DepGraph::Config Cfg;
-  Interp I(C->M, C->Info, ExecMode::Alphonse, Cfg, /*EnableBytecode=*/true);
-  ASSERT_NE(I.bytecodeModule(), nullptr);
+  Interp I(C->M, C->Info, ExecMode::Alphonse);
 
   FaultInjector Injector;
   Injector.armThrow("vm.Twice");
@@ -453,9 +582,10 @@ PROCEDURE SetX(v : INTEGER) = BEGIN x := v; END SetX;
 }
 
 TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
-  // A checkpoint is engine-agnostic: compiled chunks are derived state,
-  // so a snapshot saved under parallel bytecode execution restores into
-  // a tree-walking interpreter (and vice versa) with identical answers.
+  // A checkpoint does not depend on the engine configuration that wrote
+  // it: compiled chunks are derived state, so a snapshot saved under
+  // parallel execution restores at either worker count with identical
+  // answers.
   const std::string Path = std::string(std::getenv("TMPDIR")
                                            ? std::getenv("TMPDIR")
                                            : "/tmp") +
@@ -466,15 +596,17 @@ TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
 
   DepGraph::Config Par;
   Par.Workers = 4;
-  Interp A(C->M, C->Info, ExecMode::Alphonse, Par, /*EnableBytecode=*/true);
+  Interp A(C->M, C->Info, ExecMode::Alphonse, Par);
   A.call("BuildChain", {IV(9)});
   Value HA = A.call("RootHeight");
   ASSERT_FALSE(A.failed()) << A.errorMessage();
   A.saveCheckpoint(Path);
 
-  for (bool Bytecode : {true, false}) {
-    SCOPED_TRACE(Bytecode ? "restore-into-bytecode" : "restore-into-treewalk");
-    Interp B(C->M, C->Info, ExecMode::Alphonse, DepGraph::Config(), Bytecode);
+  for (unsigned Workers : {0u, 4u}) {
+    SCOPED_TRACE("restore at workers=" + std::to_string(Workers));
+    DepGraph::Config Cfg;
+    Cfg.Workers = Workers;
+    Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg);
     B.restoreCheckpoint(Path);
     Value HB = B.call("RootHeight");
     ASSERT_FALSE(B.failed()) << B.errorMessage();
@@ -489,9 +621,8 @@ TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
 }
 
 TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
-  // A snapshot of the cone saved under parallel bytecode execution
-  // restores into either engine at either worker count, and incremental
-  // repair continues from it.
+  // A snapshot of the cone saved under parallel execution restores at
+  // either worker count, and incremental repair continues from it.
   const std::string Path = std::string(std::getenv("TMPDIR")
                                            ? std::getenv("TMPDIR")
                                            : "/tmp") +
@@ -502,7 +633,7 @@ TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
 
   DepGraph::Config Par;
   Par.Workers = 4;
-  Interp A(C->M, C->Info, ExecMode::Alphonse, Par, /*EnableBytecode=*/true);
+  Interp A(C->M, C->Info, ExecMode::Alphonse, Par);
   A.call("SetA", {IV(7)});
   A.call("SetB", {IV(5)});
   A.call("SetScale", {IV(3)});
@@ -511,24 +642,21 @@ TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
   ASSERT_FALSE(A.failed()) << A.errorMessage();
   A.saveCheckpoint(Path);
 
-  for (bool Bytecode : {true, false}) {
-    for (unsigned Workers : {0u, 4u}) {
-      SCOPED_TRACE(std::string(Bytecode ? "bytecode" : "treewalk") +
-                   " workers=" + std::to_string(Workers));
-      DepGraph::Config Cfg;
-      Cfg.Workers = Workers;
-      Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg, Bytecode);
-      B.restoreCheckpoint(Path);
-      EXPECT_TRUE(SumA == B.call("Sum"));
-      EXPECT_TRUE(ScaledA == B.call("Scaled"));
-      ASSERT_FALSE(B.failed()) << B.errorMessage();
-      B.call("SetA", {IV(9)});
-      B.call("Touch", {IV(1)});
-      Value Sum2 = B.call("Sum");
-      ASSERT_FALSE(B.failed()) << B.errorMessage();
-      EXPECT_EQ(Sum2.Int, 14);
-      EXPECT_EQ(B.runtime().graph().numPending(), 0u);
-    }
+  for (unsigned Workers : {0u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    DepGraph::Config Cfg;
+    Cfg.Workers = Workers;
+    Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg);
+    B.restoreCheckpoint(Path);
+    EXPECT_TRUE(SumA == B.call("Sum"));
+    EXPECT_TRUE(ScaledA == B.call("Scaled"));
+    ASSERT_FALSE(B.failed()) << B.errorMessage();
+    B.call("SetA", {IV(9)});
+    B.call("Touch", {IV(1)});
+    Value Sum2 = B.call("Sum");
+    ASSERT_FALSE(B.failed()) << B.errorMessage();
+    EXPECT_EQ(Sum2.Int, 14);
+    EXPECT_EQ(B.runtime().graph().numPending(), 0u);
   }
   std::remove(Path.c_str());
   std::remove(deltaLogPath(Path).c_str());
@@ -537,7 +665,9 @@ TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
 TEST(BytecodeDiffTest, EffectAnalysisClearsPureMethods) {
   auto C = compile(testing::heightTreeProgram());
   ASSERT_TRUE(C->ok());
-  auto BC = bytecode::compileModule(C->M, C->Info);
+  DiagnosticEngine Diags;
+  auto BC = bytecode::compileModule(C->M, C->Info, Diags);
+  ASSERT_TRUE(BC) << Diags.str();
   const lang::ProcDecl *Height = C->M.findProc("Height");
   const lang::ProcDecl *HeightNil = C->M.findProc("HeightNil");
   const lang::ProcDecl *BuildChain = C->M.findProc("BuildChain");
@@ -546,25 +676,7 @@ TEST(BytecodeDiffTest, EffectAnalysisClearsPureMethods) {
   EXPECT_TRUE(BC->parallelSafe(HeightNil));
   // BuildChain allocates and writes globals/fields: pinned.
   EXPECT_FALSE(BC->parallelSafe(BuildChain));
-  EXPECT_NE(BC->chunk(Height), nullptr);
-}
-
-TEST(BytecodeDiffTest, NoBytecodeEnvWins) {
-  auto C = compile(testing::heightTreeProgram());
-  ASSERT_TRUE(C->ok());
-  const char *Prior = std::getenv("ALPHONSE_NO_BYTECODE");
-  ::setenv("ALPHONSE_NO_BYTECODE", "1", 1);
-  Interp I(C->M, C->Info, ExecMode::Alphonse, DepGraph::Config(),
-           /*EnableBytecode=*/true);
-  if (Prior)
-    ::setenv("ALPHONSE_NO_BYTECODE", Prior, 1);
-  else
-    ::unsetenv("ALPHONSE_NO_BYTECODE");
-  EXPECT_EQ(I.bytecodeModule(), nullptr);
-  I.call("BuildChain", {IV(5)});
-  Value H = I.call("RootHeight");
-  ASSERT_FALSE(I.failed()) << I.errorMessage();
-  EXPECT_EQ(H.Int, 5);
+  EXPECT_EQ(BC->chunk(Height).Name, "Height");
 }
 
 } // namespace

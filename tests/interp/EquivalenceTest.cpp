@@ -8,15 +8,18 @@
 /// \file
 /// Theorem 5.1: "Given an Alphonse program P, Alphonse execution of P will
 /// produce the same output as a conventional execution of P." These tests
-/// run one module through both execution modes with identical driver
-/// scripts and compare every observable: return values, print output, and
-/// final global state. A randomized driver sweeps many interleavings of
-/// mutation and demand.
+/// run one module through both execution modes of the interpreter with
+/// identical driver scripts, and hold each to the graph-free reference
+/// evaluator's conventional execution (Reference.h) with the check
+/// BytecodeDiffTest uses: every return value, the print output, and the
+/// final global state. The two modes share the VM, so comparing them only
+/// with each other would miss a VM bug; the reference shares no code with
+/// it. A randomized driver sweeps many interleavings of mutation and
+/// demand.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "interp/Interp.h"
-#include "lang/CompileTestHelper.h"
+#include "interp/Differential.h"
 
 #include <gtest/gtest.h>
 
@@ -27,38 +30,16 @@ namespace {
 
 using testing::compile;
 using testing::Compiled;
+using testing::RunResult;
+using testing::Step;
 
-static Value IV(long X) { return Value::integer(X); }
-
-/// A driver step: call a procedure with integer arguments.
-struct Step {
-  std::string Proc;
-  std::vector<long> Args;
-};
-
-/// Runs the same step sequence through both modes and compares every
-/// return value and the final output.
-static void checkEquivalence(const Compiled &C, const std::vector<Step> &Script) {
-  Interp Conv(C.M, C.Info, ExecMode::Conventional);
-  Interp Alph(C.M, C.Info, ExecMode::Alphonse);
-  for (size_t I = 0; I < Script.size(); ++I) {
-    std::vector<Value> Args;
-    for (long A : Script[I].Args)
-      Args.push_back(IV(A));
-    Value VC = Conv.call(Script[I].Proc, Args);
-    Value VA = Alph.call(Script[I].Proc, Args);
-    ASSERT_FALSE(Conv.failed()) << Conv.errorMessage();
-    ASSERT_FALSE(Alph.failed()) << Alph.errorMessage();
-    // Object references are per-interpreter identities; compare only
-    // scalar results (kind equality still applies to objects).
-    ASSERT_EQ(VC.K, VA.K) << "step " << I << " (" << Script[I].Proc << ")";
-    if (VC.K != Value::Kind::Object) {
-      ASSERT_TRUE(VC == VA) << "step " << I << " (" << Script[I].Proc
-                            << "): conventional=" << VC.render()
-                            << " alphonse=" << VA.render();
-    }
-  }
-  EXPECT_EQ(Conv.output(), Alph.output());
+/// Runs the same step sequence through the reference and through both
+/// modes at 0 and 4 workers (testing::checkDifferential). The Theorem 5.1
+/// scripts run to completion.
+static void checkEquivalence(const Compiled &C,
+                             const std::vector<Step> &Script) {
+  RunResult Ref = testing::checkDifferential(C, Script);
+  EXPECT_FALSE(Ref.Failed) << Ref.Error;
 }
 
 TEST(EquivalenceTest, HeightTreeScript) {
@@ -207,6 +188,38 @@ PROCEDURE Low() : INTEGER = BEGIN RETURN p.a; END Low;
                            {"SetPair", {7, 7}},
                            {"Low", {}},
                        });
+}
+
+TEST(EquivalenceTest, CachedOperatorResults) {
+  // Cached answers built from every comparison, abs/min/max and DIV/MOD,
+  // over inputs that move through equal, negative and mixed-sign values:
+  // each change must re-execute the readers, and each cache hit must
+  // serve what conventional execution computes.
+  auto C = compile(R"(
+VAR x, y : INTEGER;
+(*CACHED*) PROCEDURE Relations() : TEXT =
+BEGIN
+  RETURN fmt(x < y) & " " & fmt(x <= y) & " " & fmt(x > y) & " " &
+         fmt(x >= y) & " " & fmt(x = y) & " " & fmt(x # y);
+END Relations;
+(*CACHED*) PROCEDURE Numeric() : TEXT =
+BEGIN
+  RETURN fmt(abs(x)) & " " & fmt(min(x, y)) & " " & fmt(max(x, y)) & " " &
+         fmt(x DIV y) & " " & fmt(x MOD y);
+END Numeric;
+PROCEDURE Set(a, b : INTEGER) = BEGIN x := a; y := b; END Set;
+)");
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  std::vector<Step> Script;
+  for (std::pair<long, long> XY : std::vector<std::pair<long, long>>{
+           {4, 4}, {-3, -3}, {1, 2}, {2, 1}, {-5, 3}, {-7, 2}, {7, -2},
+           {-7, -2}, {-9, -30}, {0, -4}, {0, -4}}) {
+    Script.push_back({"Set", {XY.first, XY.second}});
+    Script.push_back({"Relations", {}});
+    Script.push_back({"Numeric", {}});
+    Script.push_back({"Relations", {}});
+  }
+  checkEquivalence(*C, Script);
 }
 
 TEST(EquivalenceTest, RandomHeightTreeGrowth) {

@@ -14,8 +14,16 @@
 
 #include "interp/Interp.h"
 #include "lang/CompileTestHelper.h"
+#include "support/CheckpointIO.h"
 
 #include <gtest/gtest.h>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 
 namespace alphonse::interp {
 namespace {
@@ -194,6 +202,60 @@ PROCEDURE Ok() : INTEGER = BEGIN RETURN 42; END Ok;
   I.clearError();
   EXPECT_FALSE(I.failed());
   EXPECT_EQ(I.call("Ok").Int, 42);
+}
+
+/// A procedure with 70,000 locals: more frame registers than a bytecode
+/// operand can address.
+static std::string registerLimitProgram() {
+  std::string Src = "PROCEDURE Big() : INTEGER =\nVAR\n";
+  for (int I = 0; I < 70000; ++I)
+    Src += "  v" + std::to_string(I) + " : INTEGER;\n";
+  return Src + "BEGIN\n  RETURN v0 + 1;\nEND Big;\n";
+}
+
+static const char *RegisterLimitError =
+    "1:11: error: procedure 'Big' needs 70002 registers; the limit is 65535";
+
+TEST(InterpConventionalTest, RegisterLimitIsACompileError) {
+  auto C = compile(registerLimitProgram());
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  for (ExecMode Mode : {ExecMode::Conventional, ExecMode::Alphonse}) {
+    Interp I(C->M, C->Info, Mode);
+    ASSERT_TRUE(I.failed());
+    EXPECT_EQ(I.errorMessage(), RegisterLimitError);
+    // A module that did not compile never runs, not even after
+    // clearError(), and refuses a restore.
+    I.clearError();
+    EXPECT_TRUE(I.failed());
+    EXPECT_TRUE(I.call("Big").isNil());
+    EXPECT_THROW(I.restoreCheckpoint("no-such-checkpoint"), CheckpointError);
+    EXPECT_EQ(I.errorMessage(), RegisterLimitError);
+  }
+}
+
+TEST(InterpConventionalTest, AlphonsecReportsRegisterLimit) {
+  std::string Path = std::string(std::getenv("TMPDIR") ? std::getenv("TMPDIR")
+                                                       : "/tmp") +
+                     "/register-limit." + std::to_string(::getpid()) + ".alf";
+  std::ofstream(Path) << registerLimitProgram();
+  // Running the module and disassembling it both report the compile
+  // error. Capture what alphonsec prints on both streams.
+  for (const char *Action : {"--run Big", "--dump-bytecode"}) {
+    SCOPED_TRACE(Action);
+    std::string Cmd =
+        std::string(ALPHONSEC_PATH) + " " + Path + " " + Action + " 2>&1";
+    FILE *P = ::popen(Cmd.c_str(), "r");
+    ASSERT_NE(P, nullptr);
+    std::string Out;
+    char Buf[512];
+    while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+      Out.append(Buf, N);
+    int Status = ::pclose(P);
+    ASSERT_TRUE(WIFEXITED(Status)) << Out; // A crash is a signal.
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
+    EXPECT_EQ(Out, std::string(RegisterLimitError) + "\n");
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(InterpAlphonseTest, RuntimeErrorQuarantinesInstanceAndRecovers) {

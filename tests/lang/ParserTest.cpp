@@ -7,6 +7,8 @@
 
 #include "lang/Parser.h"
 
+#include "interp/Interp.h"
+#include "lang/CompileTestHelper.h"
 #include "lang/Lexer.h"
 
 #include <gtest/gtest.h>
@@ -217,6 +219,80 @@ TYPE Q = OBJECT
 )",
               Diags);
   EXPECT_GE(Diags.errorCount(), 2u);
+}
+
+/// RETURN followed by \p N terms joined by '+': a left-associative chain
+/// of N - 1 operators.
+static std::string chainProgram(unsigned N) {
+  std::string Src = "PROCEDURE F() : INTEGER = BEGIN RETURN 1";
+  for (unsigned I = 1; I < N; ++I)
+    Src += " + 1";
+  return Src + "; END F;\n";
+}
+
+/// RETURN followed by 1 inside \p N pairs of parentheses.
+static std::string parenProgram(unsigned N) {
+  return "PROCEDURE F() : INTEGER = BEGIN RETURN " + std::string(N, '(') +
+         "1" + std::string(N, ')') + "; END F;\n";
+}
+
+/// Parses \p Src, which must fail with exactly one error: the depth
+/// limit, reported at \p Loc.
+static void expectTooDeep(const std::string &Src, SourceLocation Loc) {
+  DiagnosticEngine Diags;
+  parseModule(Src, Diags);
+  ASSERT_EQ(Diags.errorCount(), 1u) << Diags.str();
+  const Diagnostic &D = Diags.diagnostics().front();
+  EXPECT_EQ(D.Message, "expression nested more than 1000 levels deep");
+  if (Loc.isValid()) {
+    EXPECT_EQ(D.Loc, Loc) << D.Loc.str();
+  }
+}
+
+TEST(ParserTest, RejectsDeepExpressionsWithoutCrashing) {
+  // 10,000 levels of each shape. The error sits at the token that opens
+  // level 1,001: the 1,001st '+' (column 4k + 38 for the k-th), or the
+  // 1,001st '(' (the first is at column 40).
+  expectTooDeep(chainProgram(10000), SourceLocation(1, 4 * 1001 + 38));
+  expectTooDeep(parenProgram(10000), SourceLocation(1, 40 + 1000));
+  // One past the limit is rejected too.
+  expectTooDeep(chainProgram(Parser::MaxExprDepth + 2), SourceLocation());
+  expectTooDeep(parenProgram(Parser::MaxExprDepth + 1), SourceLocation());
+  // Prefix operators, call arguments and postfix chains count as well.
+  std::string Unary = "PROCEDURE F() : INTEGER = BEGIN RETURN ";
+  std::string Calls = "PROCEDURE F(x : INTEGER) : INTEGER = BEGIN RETURN ";
+  std::string Fields = "PROCEDURE F(t : T) : T = BEGIN RETURN t";
+  for (int I = 0; I < 10000; ++I) {
+    Unary += "- ";
+    Calls += "F(";
+    Fields += ".next";
+  }
+  expectTooDeep(Unary + "1; END F;\n", SourceLocation());
+  expectTooDeep(Calls + "1" + std::string(10000, ')') + "; END F;\n",
+                SourceLocation());
+  expectTooDeep(Fields + "; END F;\n", SourceLocation());
+}
+
+TEST(ParserTest, ExpressionsAtTheDepthLimitCompileAndRun) {
+  // The deepest chain and parenthesization the parser accepts go through
+  // Sema, the transformer and the bytecode compiler, and run.
+  struct Case {
+    std::string Src;
+    long Result;
+  };
+  const long Terms = Parser::MaxExprDepth + 1; // MaxExprDepth operators.
+  for (const Case &K : {Case{chainProgram(Terms), Terms},
+                        Case{parenProgram(Parser::MaxExprDepth), 1}}) {
+    auto C = testing::compile(K.Src);
+    ASSERT_TRUE(C->ok()) << C->Diags.str();
+    for (auto Mode :
+         {interp::ExecMode::Conventional, interp::ExecMode::Alphonse}) {
+      interp::Interp I(C->M, C->Info, Mode);
+      interp::Value V = I.call("F");
+      ASSERT_FALSE(I.failed()) << I.errorMessage();
+      EXPECT_EQ(V.Int, K.Result);
+    }
+  }
 }
 
 } // namespace

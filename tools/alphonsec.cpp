@@ -28,12 +28,10 @@
 //                           threads during propagation (0 = serial,
 //                           default). The ALPHONSE_JOBS environment
 //                           variable overrides this flag.
-//   --no-bytecode           force the tree-walking interpreter for --run
-//                           (every language node keeps its serial pin;
-//                           ALPHONSE_NO_BYTECODE=1 does the same)
 //   --dump-bytecode         disassemble the compiled form of every
 //                           procedure, with its side-effect mask and
-//                           whether it cleared the parallel-safety check
+//                           whether it cleared the parallel-safety check,
+//                           and of the global initializers
 //   --restore PATH          rebuild the interpreter from a checkpoint (and
 //                           its delta log) before running --run specs
 //   --checkpoint PATH       write a full checkpoint after the --run specs
@@ -55,6 +53,10 @@
 //                           does when parked residue from a previous
 //                           degraded wave still exists (accept = run
 //                           anyway, the default)
+//
+// The module compiles to bytecode before it runs or is disassembled; a
+// procedure that needs more registers than an instruction can address
+// (bytecode::MaxRegs) is a compile error.
 //
 // Exit status: 0 on success, 1 on usage or compile errors, 2 on runtime
 // errors — including runs that finish with quarantined nodes, so scripts
@@ -110,7 +112,6 @@ struct Options {
   bool HaveFaultSeed = false;
   ExecMode Mode = ExecMode::Alphonse;
   unsigned Jobs = 0;
-  bool NoBytecode = false;
   bool DumpBytecode = false;
   WaveBudget Budget;
 };
@@ -121,8 +122,8 @@ void usage() {
       "usage: alphonsec FILE.alf [--emit-transformed] [--emit-source]\n"
       "                 [--conservative] [--analyze] [--run PROC[,INT...]]\n"
       "                 [--mode alphonse|conventional] [--transactional]\n"
-      "                 [--stats] [--jobs N] [--no-bytecode]\n"
-      "                 [--dump-bytecode] [--restore PATH]\n"
+      "                 [--stats] [--jobs N] [--dump-bytecode]\n"
+      "                 [--restore PATH]\n"
       "                 [--checkpoint PATH] [--checkpoint-delta PATH]\n"
       "                 [--fault-seed N] [--deadline-ms N] [--step-budget N]\n"
       "                 [--mem-ceiling BYTES] "
@@ -144,8 +145,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
       Opts.Stats = true;
     } else if (Arg == "--transactional") {
       Opts.Transactional = true;
-    } else if (Arg == "--no-bytecode") {
-      Opts.NoBytecode = true;
     } else if (Arg == "--dump-bytecode") {
       Opts.DumpBytecode = true;
     } else if (Arg == "--run") {
@@ -264,11 +263,30 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   return true;
 }
 
+/// Prints each procedure's lowered form plus the effect mask the
+/// parallel-safety analysis derived for it, then the module initializer.
+void dumpBytecode(const Module &M, const interp::bytecode::BytecodeModule &BC) {
+  using namespace interp::bytecode;
+  for (const auto &P : M.Procs) {
+    std::printf("; effects: %s — %s\n",
+                effectsString(BC.effects(P.get())).c_str(),
+                BC.parallelSafe(P.get()) ? "joins parallel waves"
+                                         : "serial-pinned");
+    std::printf("%s\n", disassemble(BC.chunk(P.get())).c_str());
+  }
+  std::printf("%s\n", disassemble(BC.Init).c_str());
+}
+
 int runProgram(const Options &Opts, const Module &M, const SemaInfo &Info) {
   // RunSpec: "Proc" or "Proc,1,2,3"; several specs separated by ';'.
   DepGraph::Config Cfg;
   Cfg.Workers = Opts.Jobs; // ALPHONSE_JOBS overrides (Runtime env hook).
-  Interp I(M, Info, Opts.Mode, Cfg, /*EnableBytecode=*/!Opts.NoBytecode);
+  Interp I(M, Info, Opts.Mode, Cfg);
+  if (!I.compiled()) {
+    // A compile error, not a runtime one: the module never ran.
+    std::fprintf(stderr, "%s\n", I.errorMessage().c_str());
+    return 1;
+  }
   // The budget flags govern every un-annotated pump the run performs
   // (checkpoint capture still pumps unbounded — it needs true
   // quiescence).
@@ -463,24 +481,17 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(TS.CallsTotal));
   }
 
+  bool Run = !Opts.RunSpec.empty() || !Opts.RestorePath.empty() ||
+             !Opts.CheckpointPath.empty() || !Opts.DeltaPath.empty();
   if (Opts.DumpBytecode) {
-    // Compile the (transformed) module exactly as Interp's constructor
-    // would, and show each procedure's lowered form plus the effect mask
-    // the parallel-safety analysis derived for it.
-    auto BC = interp::bytecode::compileModule(M, Info);
-    for (const auto &P : M.Procs) {
-      uint8_t Eff = BC->effects(P.get());
-      std::printf("; effects: %s — %s\n",
-                  interp::bytecode::effectsString(Eff).c_str(),
-                  BC->parallelSafe(P.get())
-                      ? "joins parallel waves"
-                      : "serial-pinned");
-      if (const interp::bytecode::Chunk *Ch = BC->chunk(P.get()))
-        std::printf("%s\n", interp::bytecode::disassemble(*Ch).c_str());
-      else
-        std::printf("%s: <not compiled — tree-walker only>\n\n",
-                    P->Name.c_str());
+    // The (transformed) module as Interp's constructor compiles it.
+    DiagnosticEngine CompileDiags;
+    auto BC = interp::bytecode::compileModule(M, Info, CompileDiags);
+    if (!BC) {
+      CompileDiags.print(std::cerr);
+      return 1;
     }
+    dumpBytecode(M, *BC);
   }
 
   if (Opts.Analyze) {
@@ -503,8 +514,5 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  if (!Opts.RunSpec.empty() || !Opts.RestorePath.empty() ||
-      !Opts.CheckpointPath.empty() || !Opts.DeltaPath.empty())
-    return runProgram(Opts, M, Info);
-  return 0;
+  return Run ? runProgram(Opts, M, Info) : 0;
 }
