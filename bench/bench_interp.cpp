@@ -1,24 +1,16 @@
-//===- bench_interp.cpp - Experiment E15 ----------------------------------===//
+//===- bench_interp.cpp - Experiment E16a ---------------------------------===//
 //
 // Part of the Alphonse reproduction (Hoover, PLDI 1992).
 // SPDX-License-Identifier: MIT
 //
 //===----------------------------------------------------------------------===//
 //
-// The bytecode tier's parallel claim, measured on an Alphonse-L program:
-// language nodes join parallel drains. An attribute-grammar-style
-// workload — independent lanes of (*MAINTAINED EAGER*) total() chains
-// whose recomputes block in pause() — is swept over worker counts. The
-// lanes are disjoint partitions, so wave workers overlap their blocked
-// time. BM_InterpWaveSpeedup reports the 4-worker-vs-serial ratio as the
-// speedup_4w counter (the E15 acceptance number).
-//
-// Plus the E16a steady-state check: once warm, churn through a cone of
-// nullary cached procedures grows no graph storage. After a warm-up the
-// pool high-water mark is re-based (Runtime::resetPoolHighWater) and 10k
-// churn waves run; BM_SteadyStateHighWater reports
-// pool_high_water_start/_end, which must be equal
-// (tools/validate_bench_json.py --flat-gauge).
+// The E16a steady-state check on an Alphonse-L program: once warm, churn
+// through a cone of nullary cached procedures grows no graph storage.
+// After a warm-up the pool high-water mark is re-based
+// (Runtime::resetPoolHighWater) and 10k churn waves run;
+// BM_SteadyStateHighWater reports pool_high_water_start/_end, which must
+// be equal (tools/validate_bench_json.py --flat-gauge).
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +22,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <memory>
 
 using namespace alphonse;
@@ -38,95 +29,6 @@ using namespace alphonse::lang;
 using namespace alphonse::interp;
 
 namespace {
-
-// Attribute-grammar-style lanes: each lane is an independent chain of
-// cells with a maintained, eagerly repaired total. Every recompute
-// pauses, standing in for an evaluation that blocks (I/O, a slow
-// attribute function); the per-lane TailNil sentinels keep the lanes in
-// disjoint partitions so the scheduler may drain them concurrently.
-const char *LaneProgram = R"(
-TYPE Cell = OBJECT
-  val : INTEGER;
-  next : Cell;
-METHODS
-  (*MAINTAINED EAGER*) total() : INTEGER := Total;
-END;
-
-TYPE CellNil = Cell OBJECT
-OVERRIDES
-  (*MAINTAINED EAGER*) total := TotalNil;
-END;
-
-TYPE Lane = OBJECT
-  head, tail : Cell;
-  nextLane : Lane;
-END;
-
-VAR lanes : Lane;
-
-PROCEDURE Total(c : Cell) : INTEGER =
-BEGIN
-  pause(200);
-  RETURN c.val + c.next.total();
-END Total;
-
-PROCEDURE TotalNil(c : Cell) : INTEGER =
-BEGIN
-  RETURN 0;
-END TotalNil;
-
-PROCEDURE MakeLane(depth : INTEGER) : Lane =
-VAR l : Lane; c : Cell; i : INTEGER;
-BEGIN
-  l := NEW(Lane);
-  l.tail := NEW(CellNil);
-  l.head := l.tail;
-  FOR i := 1 TO depth DO
-    c := NEW(Cell);
-    c.val := i;
-    c.next := l.head;
-    l.head := c;
-  END;
-  RETURN l;
-END MakeLane;
-
-PROCEDURE Setup(k, depth : INTEGER) =
-VAR i : INTEGER; l : Lane;
-BEGIN
-  lanes := NIL;
-  FOR i := 1 TO k DO
-    l := MakeLane(depth);
-    l.nextLane := lanes;
-    lanes := l;
-  END;
-END Setup;
-
-PROCEDURE Demand() : INTEGER =
-VAR l : Lane; s : INTEGER;
-BEGIN
-  s := 0;
-  l := lanes;
-  WHILE l # NIL DO
-    s := s + l.head.total();
-    l := l.nextLane;
-  END;
-  RETURN s;
-END Demand;
-
-PROCEDURE BumpAll(x : INTEGER) =
-VAR l : Lane; c : Cell;
-BEGIN
-  l := lanes;
-  WHILE l # NIL DO
-    c := l.head;
-    WHILE c.next # l.tail DO
-      c := c.next;
-    END;
-    c.val := x;
-    l := l.nextLane;
-  END;
-END BumpAll;
-)";
 
 // Eight globals feeding a three-level cone of nullary cached procedures.
 const char *ConeProgram = R"(
@@ -185,73 +87,6 @@ std::unique_ptr<CompiledProgram> compileProgram(const char *Source) {
   transform::transform(C->M, C->Info, transform::TransformOptions());
   return C;
 }
-
-constexpr int NumLanes = 8;
-constexpr int LaneDepth = 6;
-
-std::unique_ptr<Interp> makeLaneInterp(const CompiledProgram &C,
-                                       unsigned Workers) {
-  DepGraph::Config Cfg;
-  Cfg.Workers = Workers;
-  auto I = std::make_unique<Interp>(C.M, C.Info, ExecMode::Alphonse, Cfg);
-  I->call("Setup", {Value::integer(NumLanes), Value::integer(LaneDepth)});
-  I->call("Demand"); // Materialize every lane's instance chain.
-  I->pump();
-  assert(!I->failed());
-  return I;
-}
-
-/// One repair cycle: dirty every lane's leaf, then drain the eager wave.
-void repairCycle(Interp &I, long &Tick) {
-  I.call("BumpAll", {Value::integer(++Tick)});
-  I.pump();
-}
-
-/// The lane workload swept over worker counts. Each
-/// iteration repairs NumLanes * LaneDepth instances, each blocking in
-/// pause(200); independent partitions let workers overlap that time.
-void BM_InterpParallelWaves(benchmark::State &State) {
-  auto C = compileProgram(LaneProgram);
-  auto I = makeLaneInterp(*C, static_cast<unsigned>(State.range(0)));
-  long Tick = 100;
-  for (auto _ : State)
-    repairCycle(*I, Tick);
-  State.counters["workers"] =
-      static_cast<double>(State.range(0));
-}
-BENCHMARK(BM_InterpParallelWaves)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-/// The E15 acceptance number in one run: interleaves 4-worker and serial
-/// repair cycles and reports their ratio as
-/// speedup_4w (>= 2 expected — blocked recomputes overlap even on one
-/// core).
-void BM_InterpWaveSpeedup(benchmark::State &State) {
-  auto C = compileProgram(LaneProgram);
-  auto Par = makeLaneInterp(*C, /*Workers=*/4);
-  auto Ser = makeLaneInterp(*C, /*Workers=*/0);
-  long TickP = 100, TickS = 100;
-  double ParNs = 0, SerNs = 0;
-  using Clock = std::chrono::steady_clock;
-  for (auto _ : State) {
-    auto T0 = Clock::now();
-    repairCycle(*Par, TickP);
-    auto T1 = Clock::now();
-    State.PauseTiming();
-    auto T2 = Clock::now();
-    repairCycle(*Ser, TickS);
-    auto T3 = Clock::now();
-    ParNs += std::chrono::duration<double, std::nano>(T1 - T0).count();
-    SerNs += std::chrono::duration<double, std::nano>(T3 - T2).count();
-    State.ResumeTiming();
-  }
-  State.counters["speedup_4w"] = ParNs > 0 ? SerNs / ParNs : 0;
-}
-BENCHMARK(BM_InterpWaveSpeedup)->Unit(benchmark::kMillisecond);
 
 /// One churn wave: dirty one global, then demand the full cone plus every
 /// leaf — one re-execution cascade (edge teardown + re-record) and ten

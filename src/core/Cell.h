@@ -25,7 +25,6 @@
 #include "core/Runtime.h"
 #include "support/FaultInjector.h"
 
-#include <atomic>
 #include <string>
 #include <utility>
 
@@ -46,7 +45,7 @@ public:
   Cell(const Cell &) = delete;
   Cell &operator=(const Cell &) = delete;
 
-  ~Cell() { delete Node.load(std::memory_order_relaxed); }
+  ~Cell() { delete Node; }
 
   /// The access(v) transformation: returns the live value and, when an
   /// incremental procedure is executing, records its dependence on this
@@ -67,10 +66,10 @@ public:
     if (RT->inBatch())
       RT->graph().logUndo([this, Old = Live]() {
         Live = Old;
-        if (StorageNode *SN = Node.load(std::memory_order_relaxed))
-          SN->Snapshot = Old;
+        if (Node)
+          Node->Snapshot = Old;
       });
-    StorageNode *SN = Node.load(std::memory_order_relaxed);
+    StorageNode *SN = Node;
     if (!SN) {
       // Never examined by an incremental procedure: plain store. This is
       // the fast path Section 6.1 wants for mutator-only data.
@@ -102,22 +101,17 @@ public:
   const T &peek() const { return Live; }
 
   /// True once the location is tracked (some incremental procedure read it).
-  bool isTracked() const {
-    return Node.load(std::memory_order_acquire) != nullptr;
-  }
+  bool isTracked() const { return Node != nullptr; }
 
   /// The location's dependency-graph node, or nullptr while untracked.
-  DepNode *node() const { return Node.load(std::memory_order_acquire); }
+  DepNode *node() const { return Node; }
 
   /// True while this location's tracked snapshot is *stale*: a budgeted
   /// pump was cancelled before propagating a change that (transitively)
   /// reaches it, so dependent values computed from it reflect the last
   /// quiescent state. Cleared once a later pump repairs the cone.
   /// Untracked cells are never stale (peek() always reads live storage).
-  bool isStale() const {
-    DepNode *N = Node.load(std::memory_order_acquire);
-    return N && N->isStale();
-  }
+  bool isStale() const { return Node && Node->isStale(); }
 
   /// Creates the location's node now (outside any incremental call) and
   /// returns it. Checkpoint restore uses this to rebuild a cell that was
@@ -147,31 +141,26 @@ private:
     T Snapshot;
   };
 
-  /// Lazily creates the node, double-checked: the unlocked acquire load
-  /// is the hot path, and two wave workers racing on the first tracked
-  /// read of one cell serialize on the graph's state lock.
+  /// The location's node, created at the first tracked access.
   StorageNode &ensureNode() const {
-    if (StorageNode *SN = Node.load(std::memory_order_acquire))
-      return *SN;
-    DepGraph::StateGuard Guard(RT->graph());
-    if (StorageNode *SN = Node.load(std::memory_order_relaxed))
-      return *SN; // A sibling worker won the race.
-    auto *SN = new StorageNode(RT->graph(), *this);
-    SN->setName(Name);
+    if (Node)
+      return *Node;
+    Node = new StorageNode(RT->graph(), *this);
+    Node->setName(Name);
     // A node created inside a batch is destroyed again on rollback (its
     // edges and journal references are undone first — they were recorded
     // later).
     if (RT->inBatch())
       RT->graph().logUndo([this]() {
-        delete Node.exchange(nullptr, std::memory_order_relaxed);
+        delete Node;
+        Node = nullptr;
       });
-    Node.store(SN, std::memory_order_release);
-    return *SN;
+    return *Node;
   }
 
   Runtime *RT;
   T Live;
-  mutable std::atomic<StorageNode *> Node{nullptr};
+  mutable StorageNode *Node = nullptr;
   std::string Name;
 };
 

@@ -78,36 +78,25 @@ public:
     Key K(A...);
     InstanceNode *N = nullptr;
     bool Existing = false;
-    {
-      // The argument table and LRU list are shared across evaluator
-      // threads; the graph's conditional lock (free when serial)
-      // serializes lookups and insertions during waves.
-      DepGraph::StateGuard Guard(RT->graph());
-      auto It = Table.find(K);
-      if (It == Table.end()) {
-        auto Owned = std::make_unique<InstanceNode>(RT->graph(), *this, K,
-                                                    Strategy);
-        N = Owned.get();
-        N->setName(Name);
-        Table.emplace(std::move(K), std::move(Owned));
-        touchLRU(*N);
-        // A cache entry inserted inside a batch is dropped again on
-        // rollback (journal entries touching the node were recorded later
-        // and are undone first).
-        if (RT->inBatch())
-          RT->graph().logUndo(
-              [this, DeadKey = N->K]() { eraseByKey(DeadKey); });
-        enforceCapacity();
-      } else {
-        N = It->second.get();
-        touchLRU(*N);
-        Existing = true;
-      }
+    auto It = Table.find(K);
+    if (It == Table.end()) {
+      auto Owned =
+          std::make_unique<InstanceNode>(RT->graph(), *this, K, Strategy);
+      N = Owned.get();
+      N->setName(Name);
+      Table.emplace(std::move(K), std::move(Owned));
+      touchLRU(*N);
+      // A cache entry inserted inside a batch is dropped again on rollback
+      // (journal entries touching the node were recorded later and are
+      // undone first).
+      if (RT->inBatch())
+        RT->graph().logUndo([this, DeadKey = N->K]() { eraseByKey(DeadKey); });
+      enforceCapacity();
+    } else {
+      N = It->second.get();
+      touchLRU(*N);
+      Existing = true;
     }
-    // A wave worker must own N's partition before relying on its cached
-    // state; contact with a sibling task's partition merges the two and
-    // abandons this execution (RetryConflict).
-    RT->graph().ensureWorkerAccess(*N, RT->currentProcedure());
     if (Existing) {
       // Algorithm 5 forces evaluation before reusing an existing node, so
       // that batched changes which affect this value are applied first.
@@ -272,12 +261,6 @@ private:
         G.selfInvalidate(N);
       N.Cached = Ret;
       return Ret;
-    } catch (const RetryConflict &) {
-      // Wave conflict: a scheduling event, not a program fault. Leave the
-      // instance inconsistent (ExecutionScope's endExecution re-queues
-      // eager nodes) so the merged partition's owner re-runs it.
-      G.selfInvalidate(N);
-      throw;
     } catch (...) {
       G.quarantine(N, captureCurrentFault(N.name()));
       throw;

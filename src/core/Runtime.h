@@ -22,7 +22,6 @@
 #include "graph/DepGraph.h"
 #include "support/Statistics.h"
 
-#include <array>
 #include <cstdlib>
 #include <vector>
 
@@ -37,11 +36,11 @@ public:
   /// Tag selecting the exact-config constructor below.
   struct ExactConfig {};
 
-  /// Constructs with \p Cfg exactly as given — no ALPHONSE_AUDIT /
-  /// ALPHONSE_JOBS environment overrides. Embeddings that manage many
-  /// runtimes themselves (the session service) use this: a debugging env
-  /// var must not silently hand every one of ten thousand sessions its
-  /// own worker pool.
+  /// Constructs with \p Cfg exactly as given — no ALPHONSE_AUDIT
+  /// environment override. Embeddings that manage many runtimes
+  /// themselves (the session service) use this: a debugging env var must
+  /// not silently audit every one of ten thousand sessions after every
+  /// wave.
   Runtime(DepGraph::Config Cfg, ExactConfig) : Graph(Stats, Cfg) {}
 
   DepGraph &graph() { return Graph; }
@@ -57,18 +56,15 @@ public:
   void resetPoolHighWater() { Graph.resetHighWater(); }
 
   /// The dependency-graph node of the most recently called incremental
-  /// procedure still executing on the calling thread, or nullptr outside
-  /// incremental execution and inside UncheckedScope frames (paper:
-  /// top(CallStack)). Each evaluator thread has its own stack, so a wave
-  /// worker's dependency recording never attributes an access to a frame
-  /// pushed by a sibling thread. Frames hold generation-checked NodeIds,
-  /// so a stale frame (its node died while on the stack) traps in debug
-  /// builds instead of dereferencing a recycled slot.
+  /// procedure still executing, or nullptr outside incremental execution
+  /// and inside UncheckedScope frames (paper: top(CallStack)). Frames
+  /// hold generation-checked NodeIds, so a stale frame (its node died
+  /// while on the stack) traps in debug builds instead of dereferencing a
+  /// recycled slot.
   DepNode *currentProcedure() const {
-    const std::vector<NodeId> &S = stack();
-    if (S.empty() || !S.back())
+    if (CallStack.empty() || !CallStack.back())
       return nullptr;
-    return &Graph.node(S.back());
+    return &Graph.node(CallStack.back());
   }
 
   /// True when storage accesses should record dependencies right now.
@@ -77,23 +73,21 @@ public:
   /// Pushes an execution frame. \p Proc may be nullptr to open an
   /// unchecked region (Section 6.4) in which accesses record nothing.
   void pushCall(DepNode *Proc) {
-    stack().push_back(Proc ? Proc->id() : NodeId());
+    CallStack.push_back(Proc ? Proc->id() : NodeId());
   }
 
   /// Pops the innermost execution frame. Underflow means dependency
   /// recording has already been attributed to the wrong procedure, so it
   /// is a hard failure even in release builds (not just an assert).
   void popCall() {
-    std::vector<NodeId> &S = stack();
-    if (S.empty())
+    if (CallStack.empty())
       fatalError("incremental call stack underflow: popCall() without a "
                  "matching pushCall()");
-    S.pop_back();
+    CallStack.pop_back();
   }
 
-  /// Depth of the calling thread's incremental call stack (frames,
-  /// including unchecked).
-  size_t callDepth() const { return stack().size(); }
+  /// Depth of the incremental call stack (frames, including unchecked).
+  size_t callDepth() const { return CallStack.size(); }
 
   /// The node half of the access(v) transformation (Algorithm 3): records
   /// that the currently executing procedure depends on \p Source.
@@ -183,38 +177,20 @@ public:
   };
 
 private:
-  /// Environment overrides applied at construction so deployed binaries
-  /// can flip debug aids without recompiling. ALPHONSE_AUDIT (non-empty,
-  /// not "0") enables Config::AuditAfterEvaluate; ALPHONSE_JOBS (a
-  /// non-negative integer) sets Config::Workers, overriding whatever the
-  /// embedding program configured (env wins over --jobs).
+  /// Environment override applied at construction so deployed binaries
+  /// can flip a debug aid without recompiling: ALPHONSE_AUDIT (non-empty,
+  /// not "0") enables Config::AuditAfterEvaluate.
   static DepGraph::Config applyEnvOverrides(DepGraph::Config Cfg) {
     if (const char *V = std::getenv("ALPHONSE_AUDIT"))
       if (V[0] != '\0' && !(V[0] == '0' && V[1] == '\0'))
         Cfg.AuditAfterEvaluate = true;
-    if (const char *V = std::getenv("ALPHONSE_JOBS"))
-      if (V[0] != '\0') {
-        char *End = nullptr;
-        unsigned long N = std::strtoul(V, &End, 10);
-        if (End && *End == '\0' && N <= kStatShards - 1)
-          Cfg.Workers = static_cast<unsigned>(N);
-        else if (End && *End == '\0')
-          Cfg.Workers = kStatShards - 1;
-      }
     return Cfg;
-  }
-
-  /// The calling thread's incremental call stack. Slot 0 is the main
-  /// thread; wave workers index by their statistics shard id, so stacks
-  /// are owner-exclusive without locking.
-  std::vector<NodeId> &stack() { return CallStacks[statShardId()]; }
-  const std::vector<NodeId> &stack() const {
-    return CallStacks[statShardId()];
   }
 
   Statistics Stats;
   DepGraph Graph;
-  std::array<std::vector<NodeId>, kStatShards> CallStacks;
+  /// The incremental call stack of Section 4.3.
+  std::vector<NodeId> CallStack;
 };
 
 /// RAII mutation batch: opens a batch on construction and rolls it back on

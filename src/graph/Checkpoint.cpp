@@ -20,12 +20,13 @@ namespace {
   throw CheckpointError(CkptError::Malformed, What);
 }
 
-/// The per-node flag byte of the wire format.
+/// The per-node flag byte of the wire format. Value 2 is unused: format
+/// version 2 kept the serial pin there, and decode rejects it as an
+/// unknown bit.
 enum NodeFlag : uint8_t {
   FlagConsistent = 1,
-  FlagSerial = 2,
   FlagReadMidExecution = 4,
-  KnownFlags = FlagConsistent | FlagSerial | FlagReadMidExecution,
+  KnownFlags = FlagConsistent | FlagReadMidExecution,
 };
 
 } // namespace
@@ -44,7 +45,6 @@ void GraphSnapshot::encode(ByteWriter &W) const {
     W.u8(N.Kind);
     W.u8(N.Strategy);
     W.u8(static_cast<uint8_t>((N.Consistent ? FlagConsistent : 0) |
-                              (N.Serial ? FlagSerial : 0) |
                               (N.ReadMidExecution ? FlagReadMidExecution : 0)));
     W.u32(N.Level);
     W.u32(N.PartitionTag);
@@ -86,7 +86,6 @@ GraphSnapshot GraphSnapshot::decode(ByteReader &R) {
     N.Strategy = R.u8();
     uint8_t Flags = R.u8();
     N.Consistent = (Flags & FlagConsistent) != 0;
-    N.Serial = (Flags & FlagSerial) != 0;
     N.ReadMidExecution = (Flags & FlagReadMidExecution) != 0;
     N.Level = R.u32();
     N.PartitionTag = R.u32();
@@ -162,8 +161,8 @@ GraphSnapshot GraphCheckpoint::capture(DepGraph &G) {
                               " node(s); pump first)");
 
   GraphSnapshot S;
-  S.VersionCounter = G.VersionCounter.load(std::memory_order_relaxed);
-  S.StampCounter = G.StampCounter.load(std::memory_order_relaxed);
+  S.VersionCounter = G.VersionCounter;
+  S.StampCounter = G.StampCounter;
   S.Epoch = G.Epoch;
 
   for (uint32_t I = 0, E = G.NodeTab.span(); I < E; ++I) {
@@ -186,11 +185,6 @@ GraphSnapshot GraphCheckpoint::capture(DepGraph &G) {
     R.Name = N->name();
     UnionFind::Id Root = G.Partitions.find(N->Partition);
     R.PartitionTag = Root;
-    // Per-node pin, not the partition tag: restore re-pins exactly the
-    // nodes that held pins, rebuilding the partition counts — a partition
-    // serial only because of since-destroyed neighbors must not come back
-    // serial.
-    R.Serial = N->SerialPinned ? 1 : 0;
 
     if (N->FirstPred) {
       CkptPredList P;
@@ -310,26 +304,15 @@ void GraphRestorer::finish(DepGraph &G) {
     if (!Fresh) {
       UnionFind::Id Rep = G.Partitions.find(It->second);
       if (Rep != Root)
-        Rep = G.uniteRoots(Rep, Root); // Never conflicts outside a wave.
+        Rep = G.uniteRoots(Rep, Root);
       It->second = Rep;
     }
   }
 
-  // Serial pins, after the unions so the merged root carries the count.
-  // requireSerialEval is idempotent per node, so nodes the typed layer
-  // already pinned at re-creation are not double-counted.
-  for (const CkptNode &R : Snap.Nodes)
-    if (R.Serial)
-      Bound.at(R.IdBits)->requireSerialEval();
-
   // Monotonic counters only ever move forward, even across a restore
   // into a runtime that already stamped something.
-  auto RaiseTo = [](std::atomic<uint64_t> &C, uint64_t V) {
-    if (C.load(std::memory_order_relaxed) < V)
-      C.store(V, std::memory_order_relaxed);
-  };
-  RaiseTo(G.VersionCounter, Snap.VersionCounter);
-  RaiseTo(G.StampCounter, Snap.StampCounter);
+  G.VersionCounter = std::max(G.VersionCounter, Snap.VersionCounter);
+  G.StampCounter = std::max(G.StampCounter, Snap.StampCounter);
   G.Epoch = std::max(G.Epoch, Snap.Epoch);
 
   G.Stats.CkptRestoredNodes += Snap.Nodes.size();

@@ -50,7 +50,6 @@ struct CkptNode {
   uint8_t Kind = 0;       ///< NodeKind
   uint8_t Strategy = 0;   ///< EvalStrategy
   uint8_t Consistent = 0; ///< consistent(u) bit
-  uint8_t Serial = 0;     ///< node held a serial pin (requireSerialEval)
   /// DepNode::ReadMidExecution: verify()'s exemption for the inverted
   /// levels a re-entrant read leaves on this node's successor edges.
   uint8_t ReadMidExecution = 0;

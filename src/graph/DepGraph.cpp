@@ -16,7 +16,6 @@
 
 #include "graph/DepGraph.h"
 
-#include "graph/Scheduler.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
@@ -53,14 +52,6 @@ size_t DepNode::numSuccessors() const {
   return Graph->numSuccessors(*this);
 }
 
-void DepNode::requireSerialEval() {
-  assert(Graph && "node not attached to a graph");
-  if (SerialPinned)
-    return; // One pin per node; the partition count stays balanced.
-  SerialPinned = true;
-  Graph->tagSerialPartition(*this);
-}
-
 //===----------------------------------------------------------------------===//
 // DepGraph: construction and node registry
 //===----------------------------------------------------------------------===//
@@ -77,24 +68,13 @@ DepGraph::~DepGraph() {
 }
 
 void DepGraph::registerNode(DepNode &N) {
-  StateGuard Guard(*this);
   N.Id = allocNodeSlot(N);
   N.Partition = Partitions.makeSet();
-  if (SerialTag.size() <= N.Partition)
-    SerialTag.resize(N.Partition + 1, 0);
   ++NumLiveNodes;
   ++Stats.NodesCreated;
 }
 
 void DepGraph::unregisterNode(DepNode &N) {
-  StateGuard Guard(*this);
-  // Release the node's serial pin: when the last pinned node of a
-  // partition dies, the partition reverts to parallel eligibility
-  // instead of staying serial-affine forever.
-  if (N.SerialPinned) {
-    untagSerialPartition(N);
-    N.SerialPinned = false;
-  }
   // Drop any pending entry for the dying node.
   eraseFromPendingSets(N);
   if (size_t I = findFault(N.Id); I != SIZE_MAX) {
@@ -146,7 +126,6 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
   assert(Sink.Graph == this && Source.Graph == this &&
          "edge endpoints belong to another graph");
   assert(Sink.isProcedure() && "only procedure instances have dependencies");
-  StateGuard Guard(*this);
 
   // Level update happens even for deduplicated edges (it is idempotent).
   if (Sink.Level <= Source.Level)
@@ -184,9 +163,7 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
     return;
 
   // Dynamic partition refinement (Section 6.3): connected nodes share one
-  // instance of quiescence propagation. Note the edge above is already in
-  // place when uniteRoots throws RetryConflict — an extra recorded
-  // dependency is always sound (it can only cause extra recomputation).
+  // instance of quiescence propagation.
   UnionFind::Id RootA = Partitions.find(Sink.Partition);
   UnionFind::Id RootB = Partitions.find(Source.Partition);
   if (RootA == RootB)
@@ -195,7 +172,6 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
 }
 
 void DepGraph::removePredEdges(DepNode &Sink) {
-  StateGuard Guard(*this);
   bool Log = journaling() && static_cast<bool>(Sink.FirstPred);
   UndoEntry U;
   uint64_t Count = 0;
@@ -241,7 +217,6 @@ void DepGraph::beginExecution(DepNode &Proc) {
   assert(!Proc.Executing && "recursive execution of one procedure instance; "
                             "a DET incremental procedure cannot call itself "
                             "with identical arguments");
-  StateGuard Guard(*this);
   if (journaling()) {
     UndoEntry U;
     U.K = UndoEntry::Kind::ExecSnapshot;
@@ -257,7 +232,7 @@ void DepGraph::beginExecution(DepNode &Proc) {
   // stale mark left by a cancelled wave is repaired here.
   if (Proc.Stale) {
     Proc.Stale = false;
-    Gov.StaleCount.fetch_sub(1, std::memory_order_relaxed);
+    --Gov.StaleCount;
   }
   // Algorithm 5 sets consistent(n) := TRUE before running the body so that
   // invalidation during the run (e.g. a self-write) is observable afterward.
@@ -273,7 +248,6 @@ void DepGraph::beginExecution(DepNode &Proc) {
 
 void DepGraph::endExecution(DepNode &Proc) {
   assert(Proc.Executing && "endExecution without beginExecution");
-  StateGuard Guard(*this);
   Proc.Executing = false;
   // Invalidated mid-run: demand nodes recompute at their next call; eager
   // nodes must be queued again so the pump re-runs them.
@@ -324,7 +298,7 @@ void DepGraph::processNode(DepNode &N) {
   // next call), so a stale mark left by a cancelled wave is lifted here.
   if (N.Stale) {
     N.Stale = false;
-    Gov.StaleCount.fetch_sub(1, std::memory_order_relaxed);
+    --Gov.StaleCount;
   }
 
   if (N.isStorage()) {
@@ -426,14 +400,6 @@ void DepGraph::processNode(DepNode &N) {
   };
   try {
     Changed = N.reexecute();
-  } catch (const RetryConflict &) {
-    // A wave conflict is a scheduling event, not a fault: the node was
-    // left inconsistent (and re-queued) by the abandoned execution, and
-    // ownership of the merged partition has already moved. Unwind the
-    // calling drain task.
-    if (Watch)
-      BillWatch();
-    throw;
   } catch (...) {
     // The typed layer usually quarantines the node itself (with the most
     // precise fault kind) before rethrowing; this is the backstop for
@@ -446,13 +412,10 @@ void DepGraph::processNode(DepNode &N) {
   if (Watch) {
     const bool Blown = BillWatch() >= Gov.currentDeadlineUs();
     uint32_t Blows = 0;
-    {
-      StateGuard Guard(*this);
-      if (Blown)
-        Blows = ++Gov.Strikes[N.Id];
-      else
-        Gov.Strikes.erase(N.Id); // A clean evaluation breaks the streak.
-    }
+    if (Blown)
+      Blows = ++Gov.Strikes[N.Id];
+    else
+      Gov.Strikes.erase(N.Id); // A clean evaluation breaks the streak.
     if (Blown) {
       ++Stats.GovDeadlineBlows;
       if (Blows >= Cfg.WatchdogTrips) {
@@ -481,51 +444,42 @@ void DepGraph::evaluateFor(DepNode &N) {
   }
   ++Stats.PartitionScopedEvals;
   bool OwnWave = false;
-  {
-    StateGuard Guard(*this);
-    ++EvalDepth;
-    if (EvalDepth == 1) {
-      EvalSteps = 0;
-      ++EvalEpoch;
-      DrainAborted = false;
-      // A top-level partition-scoped pump is a wave of its own when a
-      // default budget is configured (nested drains inherit the enclosing
-      // wave's budget through governorStop()).
-      if (!Gov.waveActive() && !TxnActive && !Gov.defaultBudget().unlimited()) {
-        Gov.openWave(Gov.defaultBudget());
-        OwnWave = true;
-      }
+  ++EvalDepth;
+  if (EvalDepth == 1) {
+    EvalSteps = 0;
+    ++EvalEpoch;
+    DrainAborted = false;
+    // A top-level partition-scoped pump is a wave of its own when a
+    // default budget is configured (nested drains inherit the enclosing
+    // wave's budget through governorStop()).
+    if (!Gov.waveActive() && !TxnActive && !Gov.defaultBudget().unlimited()) {
+      Gov.openWave(Gov.defaultBudget());
+      OwnWave = true;
     }
   }
-  // Restores the depth even when a wave conflict (RetryConflict) unwinds
-  // a nested drain on a worker thread, and closes a wave this entry
-  // opened so the governor never leaks an open wave past an unwind.
+  // Restores the depth even when the drain unwinds by an exception, and
+  // closes a wave this entry opened so the governor never leaks an open
+  // wave past an unwind.
   struct DepthScope {
     DepGraph &G;
     bool OwnWave;
     ~DepthScope() {
-      StateGuard Guard(G);
       --G.EvalDepth;
       if (OwnWave && G.Gov.waveActive())
         G.Gov.closeWave(G.TotalPending);
     }
   } Depth{*this, OwnWave};
   // Re-resolve the set each round: processing can merge partitions.
-  while (!DrainAborted.load(std::memory_order_relaxed)) {
+  while (!DrainAborted) {
     if (governorStop())
       break;
-    DepNode *U = nullptr;
-    {
-      StateGuard Guard(*this);
-      InconsistentSet *S = findSet(Partitions.find(N.Partition));
-      if (!S || S->empty())
-        break;
-      U = &S->pop(*this);
-      --TotalPending;
-    }
-    processNode(*U);
+    InconsistentSet *S = findSet(Partitions.find(N.Partition));
+    if (!S || S->empty())
+      break;
+    DepNode &U = S->pop(*this);
+    --TotalPending;
+    processNode(U);
   }
-  StateGuard Guard(*this);
   if (OwnWave) {
     Depth.OwnWave = false; // Closed here; the scope need not repeat it.
     WaveOutcome O = Gov.closeWave(TotalPending);
@@ -542,9 +496,9 @@ void DepGraph::evaluateFor(DepNode &N) {
 
 WaveOutcome DepGraph::evaluateAll(const WaveBudget &B) {
   // Re-entered from inside an execution: the enclosing wave (if any)
-  // governs through governorStop(); just drain serially.
+  // governs through governorStop(); just drain.
   if (EvalDepth != 0) {
-    evaluateAllSerial();
+    drainAll();
     return WaveOutcome::Completed;
   }
 
@@ -555,22 +509,7 @@ WaveOutcome DepGraph::evaluateAll(const WaveBudget &B) {
 
   Gov.openWave(B);
   try {
-    // Top-level propagation goes parallel only when it is safe to: workers
-    // configured, partitioning on (partitions are the unit of concurrency),
-    // and no transactional batch open (the journal is strictly serial).
-    bool Parallel = false;
-    if (Cfg.Workers > 0 && Cfg.Partitioning && !TxnActive) {
-      if (!Scheduler)
-        Scheduler = std::make_unique<PropagationScheduler>(*this, Cfg.Workers,
-                                                           Cfg.Pool);
-      // Zero-width pool (shard budget exhausted at creation, or an
-      // attached external pool with no workers): fall back to serial.
-      Parallel = Scheduler->workers() > 0;
-    }
-    if (Parallel)
-      Scheduler->run();
-    else
-      evaluateAllSerial();
+    drainAll();
   } catch (...) {
     Gov.closeWave(TotalPending);
     throw;
@@ -589,7 +528,7 @@ WaveOutcome DepGraph::evaluateAll(const WaveBudget &B) {
   return O;
 }
 
-void DepGraph::evaluateAllSerial() {
+void DepGraph::drainAll() {
   ++EvalDepth;
   if (EvalDepth == 1) {
     EvalSteps = 0;
@@ -820,7 +759,6 @@ void DepGraph::relinkEdge(DepNode &Source, DepNode &Sink) {
 
 void DepGraph::relinkPredecessors(DepNode &Sink,
                                   const std::vector<DepNode *> &Sources) {
-  StateGuard Guard(*this);
   for (auto It = Sources.rbegin(); It != Sources.rend(); ++It)
     relinkEdge(**It, Sink);
 }
@@ -830,8 +768,6 @@ void DepGraph::relinkPredecessors(DepNode &Sink,
 //===----------------------------------------------------------------------===//
 
 void DepGraph::stampStaleResidue() {
-  StateGuard Guard(*this);
-
   // Seed with everything still pending (the parked residue), then stamp
   // the transitive successor cone: any value downstream of unrepaired
   // work may reflect inputs the cancelled wave never propagated. Nodes
@@ -855,7 +791,7 @@ void DepGraph::stampStaleResidue() {
     if (!N.Stale) {
       N.Stale = true;
       Gov.StaleList.push_back(Id);
-      Gov.StaleCount.fetch_add(1, std::memory_order_relaxed);
+      ++Gov.StaleCount;
     }
     ++Stats.GovNodesStamped;
     N.forEachSuccessor([&](DepNode &Succ) { Stack.push_back(Succ.Id); });
@@ -865,12 +801,11 @@ void DepGraph::stampStaleResidue() {
 void DepGraph::clearStaleMarks() {
   if (Gov.StaleList.empty())
     return;
-  StateGuard Guard(*this);
   for (NodeId Id : Gov.StaleList)
     if (isLiveNode(Id))
       node(Id).Stale = false;
   Gov.StaleList.clear();
-  Gov.StaleCount.store(0, std::memory_order_relaxed);
+  Gov.StaleCount = 0;
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,9 +9,8 @@
 /// The propagation layer and public façade of the dependency-graph engine
 /// (Sections 4 and 6.3 of the paper; DESIGN.md "Engine layering and
 /// handle-based storage"). DepGraph adds the evaluation routine of
-/// Section 4.5, the execution protocol, the transaction drivers, the
-/// parallel scheduler integration, and the invariant audit on top of the
-/// policy layer (GraphPolicy: partitions, pending sets, quarantine,
+/// Section 4.5, the execution protocol, the transaction drivers, and the
+/// invariant audit on top of the policy layer (GraphPolicy: partitions, pending sets, quarantine,
 /// journal) which itself sits on the storage layer (GraphStore: dense
 /// node/edge slabs). Nodes are owned by the typed layer (Cell /
 /// Maintained / interpreter objects) and register themselves.
@@ -26,23 +25,17 @@
 #include "support/Budget.h"
 #include "support/FaultInfo.h"
 
-#include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace alphonse {
 
-class PropagationScheduler;
-
 /// The dependency graph plus its evaluator.
 ///
 /// All mutation goes through the graph so that bookkeeping (statistics,
-/// partitions, pending sets) stays coherent. By default execution is
-/// single-threaded, matching the paper's execution model; with
-/// Config::Workers > 0 top-level propagation drains independent
-/// partitions concurrently (DESIGN.md "Parallel propagation") while all
-/// mutator-side entry points remain single-threaded.
+/// partitions, pending sets) stays coherent. Execution is single-threaded,
+/// matching the paper's execution model: one thread at a time drives a
+/// graph, and nothing in it locks.
 class DepGraph : public GraphPolicy {
 public:
   /// Engine tunables (see GraphConfig in GraphStore.h).
@@ -80,17 +73,14 @@ public:
   /// may call back into the evaluator.
   void evaluateFor(DepNode &N);
 
-  /// Drains every partition's inconsistent set. With Config::Workers > 0
-  /// (and partitioning on, no batch open, top-level entry) independent
-  /// partitions are drained concurrently by the propagation scheduler;
-  /// otherwise this is the classic serial drain. Governed by the
-  /// Governor's default budget (unlimited unless configured).
+  /// Drains every partition's inconsistent set (Section 4.5). Governed by
+  /// the Governor's default budget (unlimited unless configured).
   void evaluateAll() { evaluateAll(Gov.defaultBudget()); }
 
   /// Budgeted quiescence propagation (DESIGN.md Section 11): drains
   /// pending work under \p B's wall-clock deadline / evaluation-step
   /// budget / slab-memory ceiling. When a bound is exhausted mid-wave,
-  /// every drain loop is cooperatively cancelled at the next evaluation
+  /// the drain is cooperatively cancelled at the next evaluation
   /// boundary; the residual inconsistent sets stay parked (resumable by
   /// any later pump), the unrepaired cone is stamped stale
   /// (DepNode::isStale()), and the degraded outcome is returned. With an
@@ -147,8 +137,8 @@ public:
   void selfInvalidate(DepNode &Proc);
 
   /// Bulk raw edge linkage: links every Source -> Sink edge in \p Sources
-  /// order under one StateGuard, with rollback-grade bookkeeping only (no
-  /// level recompute or dedup; partition unions are a sound over-merge).
+  /// order, with rollback-grade bookkeeping only (no level recompute or
+  /// dedup; partition unions are a sound over-merge).
   /// \p Sources arrive front-to-back (capture order); linkage is
   /// push-front, so this walks them in reverse to recover the original
   /// predecessor-list order. Checkpoint restore wires whole adjacency rows
@@ -165,7 +155,6 @@ public:
 
 private:
   friend class DepNode;
-  friend class PropagationScheduler;
   friend class GraphCheckpoint;
   friend class GraphRestorer;
 
@@ -181,22 +170,21 @@ private:
   /// Config::MaxReexecutions (counter is maintained here).
   bool tripsReexecutionLimit(DepNode &N);
 
-  /// The pre-parallel top-level drain loop: drains every partition's
-  /// pending set on the calling thread. evaluateAll() delegates here
-  /// directly when Workers == 0, and the scheduler uses it as the
-  /// serial-affinity path and the post-wave mop-up.
-  void evaluateAllSerial();
+  /// The drain loop behind evaluateAll(): pops every partition's pending
+  /// set until quiescence, a budget stop, or the step limit. Re-entered
+  /// calls (from inside an execution) run it directly, under the
+  /// enclosing wave.
+  void drainAll();
 
-  /// Cooperative-cancellation poll, called by every drain loop before
-  /// popping its next node. Free when the current wave is unbudgeted
+  /// Cooperative-cancellation poll, called by the drain loops before
+  /// popping the next node. Free when the current wave is unbudgeted
   /// (one bool); otherwise runs the governor's boundary check against
   /// the live step counter and slab gauges.
   bool governorStop() {
     if (!Gov.checksOn())
       return false;
     return Gov.cancelled() ||
-           Gov.checkBoundary(EvalSteps.load(std::memory_order_relaxed),
-                             LastNodeBytes + LastEdgeBytes);
+           Gov.checkBoundary(EvalSteps, LastNodeBytes + LastEdgeBytes);
   }
 
   /// After a cancelled wave: stamps every still-pending node and its
@@ -216,23 +204,18 @@ private:
   void unlinkOneEdge(DepNode &Source, DepNode &Sink);
 
   /// Source of DepNode::Version stamps; monotonic, never rolled back.
-  /// Atomic because wave workers stamp executions concurrently; the
-  /// serial instruction sequence is unchanged.
-  std::atomic<uint64_t> VersionCounter{0};
-  /// Source of DepNode::ExecStamp (atomic for wave workers, as above).
-  std::atomic<uint64_t> StampCounter{0};
-  std::atomic<uint64_t> EvalSteps{0};
+  uint64_t VersionCounter = 0;
+  /// Source of DepNode::ExecStamp.
+  uint64_t StampCounter = 0;
+  /// Nodes processed by the current top-level propagation.
+  uint64_t EvalSteps = 0;
   /// Stamp of the current top-level propagation (divergence counters are
   /// scoped to one epoch).
   uint64_t EvalEpoch = 0;
   int EvalDepth = 0;
   /// Set when EvalStepLimit trips; every drain loop unwinds, leaving the
   /// remaining pending work queued. Cleared at the next top-level entry.
-  std::atomic<bool> DrainAborted{false};
-
-  /// Worker pool + wave driver; created lazily on the first parallel
-  /// evaluateAll() with Workers > 0.
-  std::unique_ptr<PropagationScheduler> Scheduler;
+  bool DrainAborted = false;
 
   /// Resource governance: wave budgets, the cancel latch, staleness and
   /// parked-residue bookkeeping (DESIGN.md Section 11).

@@ -166,24 +166,6 @@ public:
   void setName(const std::string &Name) { DebugName = &Name; }
   void setName(std::string &&) = delete;
 
-  /// Pins this node's partition (and every partition it later merges
-  /// with) to the calling thread: the parallel scheduler never hands
-  /// serial-tagged partitions to pool workers. Used by nodes whose
-  /// recompute touches shared non-graph state (e.g. the interpreter's
-  /// output stream and heap), where thread affinity — not just mutual
-  /// exclusion — preserves deterministic observable order.
-  ///
-  /// The pin is per-node and counted at the partition level: when the
-  /// last pinned node of a partition is destroyed, the partition reverts
-  /// to parallel eligibility (it does not stay serial-affine forever).
-  /// Idempotent per node.
-  void requireSerialEval();
-
-  /// True if this node itself holds a serial pin (requireSerialEval was
-  /// called on it). The partition may be serial-affine because of *other*
-  /// pinned nodes even when this is false.
-  bool isSerialPinned() const { return SerialPinned; }
-
   /// Evaluator hook for Storage nodes: reconcile the cached snapshot with
   /// the live storage value. \returns true if they differed (the change is
   /// real and must propagate), false for quiescence (the mutator wrote the
@@ -206,7 +188,6 @@ private:
   friend class GraphPolicy;
   friend class DepGraph;
   friend class InconsistentSet;
-  friend class PropagationScheduler;
   friend class GraphCheckpoint;
   friend class GraphRestorer;
 
@@ -246,10 +227,6 @@ private:
   bool InQueue = false;
   bool Executing = false;
   bool Quarantined = false;
-  /// This node holds a serial pin on its partition (see
-  /// requireSerialEval()); the pin is released when the node is
-  /// unregistered.
-  bool SerialPinned = false;
   /// A dependent recorded an edge from this node while it was executing
   /// (a re-entrant read): the dependent captured this node's *transient*
   /// level, so the usual stamp/level ordering need not hold on those

@@ -9,9 +9,6 @@
 
 #include "support/FaultInjector.h"
 
-#include <chrono>
-#include <thread>
-
 namespace alphonse {
 
 bool Governor::checkBoundary(uint64_t StepsDone, uint64_t SlabBytes) {
@@ -35,25 +32,11 @@ bool Governor::checkBoundary(uint64_t StepsDone, uint64_t SlabBytes) {
 }
 
 bool Governor::latchCancel(WaveOutcome Why) {
-  bool Expected = false;
-  if (CancelFlag.compare_exchange_strong(Expected, true,
-                                         std::memory_order_acq_rel))
-    CancelWhy.store(static_cast<uint8_t>(Why), std::memory_order_relaxed);
-  return true;
-}
-
-void Governor::backoffWait(uint64_t Us) {
-  uint64_t Remaining = remainingDeadlineUs();
-  if (Us > Remaining)
-    Us = Remaining;
-  if (Us == 0)
-    return;
-  ++Stats.GovBackoffWaits;
-  if (GovClock::virtualEnabled()) {
-    GovClock::advance(Us);
-    return;
+  if (!CancelFlag) {
+    CancelFlag = true;
+    CancelWhy = Why;
   }
-  std::this_thread::sleep_for(std::chrono::microseconds(Us));
+  return true;
 }
 
 } // namespace alphonse

@@ -9,7 +9,7 @@
 /// The resource governor of the propagation stack (DESIGN.md Section 11
 /// "Resource governance and graceful degradation"). One Governor per
 /// DepGraph holds the default WaveBudget, the per-wave cancellation latch
-/// that drain loops and wave workers poll at evaluation boundaries, the
+/// that the drain loops poll at evaluation boundaries, the
 /// overload-admission decision, and the bookkeeping behind graceful
 /// degradation: the list of nodes currently stamped stale, the residue
 /// parked by the last cancelled wave, and the watchdog's strike counts.
@@ -18,9 +18,7 @@
 ///
 /// The governor never touches graph structure itself — DepGraph drives it
 /// from the drain loops (the only places with the step counter and memory
-/// gauges in hand) and does the stamping/parking; the scheduler polls
-/// cancelled() from wave workers and paces conflicted retries through
-/// backoffWait().
+/// gauges in hand) and does the stamping/parking.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +29,6 @@
 #include "support/Budget.h"
 #include "support/Statistics.h"
 
-#include <atomic>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -79,40 +76,31 @@ public:
     return false;
   }
 
-  /// Opens a wave under \p B. Called on the main thread before any worker
-  /// dispatch, so the plain budget fields are safely published by the
-  /// pool's queue mutex.
+  /// Opens a wave under \p B.
   void openWave(const WaveBudget &B) {
     Active = true;
     ChecksNeeded = !B.unlimited();
     Cur = B;
     StartUs = ChecksNeeded ? GovClock::nowUs() : 0;
-    CancelFlag.store(false, std::memory_order_relaxed);
-    CancelWhy.store(static_cast<uint8_t>(WaveOutcome::Completed),
-                    std::memory_order_relaxed);
+    CancelFlag = false;
+    CancelWhy = WaveOutcome::Completed;
     ++Stats.GovWaves;
   }
 
-  /// Evaluation-boundary budget check, callable from any drain loop
-  /// (serial or wave worker). \returns true — latching the shared cancel
-  /// flag — when any bound of the current wave is exhausted. Hits the
-  /// "gov.tick" fault site first so virtual-clock tests advance time at
-  /// exact step boundaries.
+  /// Evaluation-boundary budget check, callable from any drain loop.
+  /// \returns true — latching the cancel flag — when any bound of the
+  /// current wave is exhausted. Hits the "gov.tick" fault site first so
+  /// virtual-clock tests advance time at exact step boundaries.
   bool checkBoundary(uint64_t StepsDone, uint64_t SlabBytes);
 
-  /// True once some boundary check cancelled the current wave. Workers
-  /// poll this before popping their next node.
-  bool cancelled() const {
-    return CancelFlag.load(std::memory_order_relaxed);
-  }
+  /// True once some boundary check cancelled the current wave.
+  bool cancelled() const { return CancelFlag; }
 
   /// Closes the wave: computes the outcome from the cancel latch, records
   /// \p ParkedLeft as the parked residue (the resumable inconsistent
   /// sets), and updates the gov.* gauges. \returns the outcome.
   WaveOutcome closeWave(uint64_t ParkedLeft) {
-    WaveOutcome O = WaveOutcome::Completed;
-    if (CancelFlag.load(std::memory_order_relaxed))
-      O = static_cast<WaveOutcome>(CancelWhy.load(std::memory_order_relaxed));
+    WaveOutcome O = CancelFlag ? CancelWhy : WaveOutcome::Completed;
     if (waveDegraded(O))
       ++Stats.GovWavesDegraded;
     Active = false;
@@ -128,14 +116,10 @@ public:
 
   /// True while the engine is serving degraded results: stale-stamped
   /// nodes exist or a cancelled wave's residue is still parked.
-  bool degraded() const {
-    return ParkedResidue != 0 || StaleCount.load(std::memory_order_relaxed) != 0;
-  }
+  bool degraded() const { return ParkedResidue != 0 || StaleCount != 0; }
 
   /// Nodes currently stamped stale.
-  uint64_t staleCount() const {
-    return StaleCount.load(std::memory_order_relaxed);
-  }
+  uint64_t staleCount() const { return StaleCount; }
 
   /// Pending nodes parked by the last cancelled wave.
   uint64_t parkedResidue() const { return ParkedResidue; }
@@ -151,53 +135,36 @@ public:
     return ChecksNeeded ? Cur.DeadlineUs : 0;
   }
 
-  /// Microseconds left before the current wave's deadline (UINT64_MAX
-  /// when no deadline is armed).
-  uint64_t remainingDeadlineUs() const {
-    if (!deadlineActive())
-      return UINT64_MAX;
-    uint64_t Elapsed = GovClock::nowUs() - StartUs;
-    return Elapsed >= Cur.DeadlineUs ? 0 : Cur.DeadlineUs - Elapsed;
-  }
-
-  /// Sleeps \p Us microseconds (capped at the remaining deadline) between
-  /// conflicted retry waves. On the virtual clock this advances time
-  /// instead of sleeping, so backoff stays deterministic in tests.
-  void backoffWait(uint64_t Us);
-
 private:
   friend class DepGraph;
 
-  /// Sets the shared cancel flag (first latch wins the reason) and always
+  /// Sets the cancel flag (the first latch wins the reason) and always
   /// returns true so boundary checks can tail-call it.
   bool latchCancel(WaveOutcome Why);
 
   Statistics &Stats;
   WaveBudget Default;
 
-  // Current-wave state. The plain fields are written by the main thread
-  // in openWave() before any worker dispatch and read-only during the
-  // wave; the atomics are the worker-shared cancel latch.
+  // Current-wave state, set by openWave().
   bool Active = false;
   bool ChecksNeeded = false;
   WaveBudget Cur;
   uint64_t StartUs = 0;
-  std::atomic<bool> CancelFlag{false};
-  std::atomic<uint8_t> CancelWhy{0};
+  bool CancelFlag = false;
+  WaveOutcome CancelWhy = WaveOutcome::Completed;
 
   WaveOutcome Last = WaveOutcome::Completed;
   uint64_t ParkedResidue = 0;
 
-  /// Nodes stamped stale by cancelled waves (DepGraph maintains both; the
-  /// count is atomic because drain workers clear marks as they repair
+  /// Nodes stamped stale by cancelled waves, and how many of them are
+  /// still stale (DepGraph maintains both; it clears marks as it repairs
   /// nodes mid-wave).
   std::vector<NodeId> StaleList;
-  std::atomic<uint64_t> StaleCount{0};
+  uint64_t StaleCount = 0;
 
   /// Watchdog strikes by node: the consecutive evaluations of the node
   /// that each consumed an entire wave deadline (quarantined at
   /// Config::WatchdogTrips; a clean evaluation erases the entry).
-  /// DepGraph maintains it under the graph's state lock.
   std::unordered_map<NodeId, uint32_t> Strikes;
 };
 

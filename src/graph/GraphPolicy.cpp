@@ -7,9 +7,8 @@
 ///
 /// \file
 /// Implements change tracking (Section 4.4), dynamic graph partitioning
-/// (Section 6.3), the quarantine fault set, journal bookkeeping, and
-/// parallel-wave partition ownership over the dense id-indexed structures
-/// declared in GraphPolicy.h.
+/// (Section 6.3), the quarantine fault set, and journal bookkeeping over
+/// the dense id-indexed structures declared in GraphPolicy.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,13 +17,6 @@
 #include <cassert>
 
 namespace alphonse {
-
-namespace detail {
-uint32_t &currentDrainTask() {
-  static thread_local uint32_t Task = 0;
-  return Task;
-}
-} // namespace detail
 
 //===----------------------------------------------------------------------===//
 // Pending sets and partitions
@@ -40,7 +32,6 @@ InconsistentSet &GraphPolicy::setFor(DepNode &N) {
 }
 
 bool GraphPolicy::samePartition(DepNode &A, DepNode &B) {
-  StateGuard Guard(*this);
   return Partitions.find(A.Partition) == Partitions.find(B.Partition);
 }
 
@@ -79,24 +70,6 @@ UnionFind::Id GraphPolicy::uniteRoots(UnionFind::Id RootA,
                                       UnionFind::Id RootB) {
   UnionFind::Id Root = Partitions.unite(RootA, RootB);
   ++Stats.PartitionUnions;
-
-  // The merged partition carries the sum of both pin counts, so it stays
-  // serial exactly as long as at least one pinned node survives in it.
-  // Stale (non-root) slots are zeroed: only root slots are ever read, and
-  // a later merge must not double-count a pin.
-  uint32_t Pins = 0;
-  if (RootA < SerialTag.size()) {
-    Pins += SerialTag[RootA];
-    SerialTag[RootA] = 0;
-  }
-  if (RootB < SerialTag.size()) {
-    Pins += SerialTag[RootB];
-    SerialTag[RootB] = 0;
-  }
-  if (Root >= SerialTag.size())
-    SerialTag.resize(Root + 1, 0);
-  SerialTag[Root] = Pins;
-
   UnionFind::Id Other = (Root == RootA) ? RootB : RootA;
   if (Other < SetVec.size() && !SetVec[Other].empty()) {
     InconsistentSet Orphan = std::move(SetVec[Other]);
@@ -106,84 +79,7 @@ UnionFind::Id GraphPolicy::uniteRoots(UnionFind::Id RootA,
     SetVec[Root].mergeFrom(*this, Orphan);
     DirtyRoots.push_back(Root);
   }
-
-  // Wave ownership handoff: the merged partition must end up with exactly
-  // one drain task. If the merge joins a sibling task's in-flight
-  // partition, that sibling inherits the whole thing and the calling
-  // execution abandons (RetryConflict); the abandoned node stays
-  // inconsistent and is re-drained by the new owner or the post-wave
-  // serial mop-up.
-  uint32_t Me = detail::currentDrainTask();
-  if (ParallelOn.load(std::memory_order_relaxed) && Me != 0) {
-    uint32_t OwnA = owner(RootA);
-    uint32_t OwnB = owner(RootB);
-    releaseOwner(RootA);
-    releaseOwner(RootB);
-    uint32_t Foreign = 0;
-    if (OwnA != 0 && OwnA != Me)
-      Foreign = OwnA;
-    if (OwnB != 0 && OwnB != Me)
-      Foreign = OwnB;
-    if (Foreign != 0) {
-      setOwner(Root, Foreign);
-      ++Stats.PropConflicts;
-      throw RetryConflict{};
-    }
-    if (OwnA == Me || OwnB == Me)
-      setOwner(Root, Me);
-  }
   return Root;
-}
-
-void GraphPolicy::ensureWorkerAccess(DepNode &Target, DepNode *Accessor) {
-  uint32_t Me = detail::currentDrainTask();
-  if (Me == 0 || !ParallelOn.load(std::memory_order_acquire))
-    return;
-  StateGuard Guard(*this);
-  UnionFind::Id Root = Partitions.find(Target.Partition);
-  uint32_t Own = owner(Root);
-  if (Own == 0) {
-    setOwner(Root, Me); // Unowned (not scheduled this wave): claim it.
-    return;
-  }
-  if (Own == Me)
-    return;
-  // Owned by a sibling task. With an accessor in hand the partitions are
-  // united — contact between them is a dependency-to-be — and uniteRoots
-  // hands ownership to the sibling and throws. Without one (no structural
-  // link yet) just abandon; the mop-up will retry serially.
-  if (Accessor) {
-    UnionFind::Id MyRoot = Partitions.find(Accessor->Partition);
-    if (MyRoot != Root) {
-      uniteRoots(MyRoot, Root); // Throws RetryConflict (foreign owner).
-      return;
-    }
-  }
-  ++Stats.PropConflicts;
-  throw RetryConflict{};
-}
-
-void GraphPolicy::tagSerialPartition(DepNode &N) {
-  StateGuard Guard(*this);
-  UnionFind::Id Root = Partitions.find(N.Partition);
-  if (Root >= SerialTag.size())
-    SerialTag.resize(Root + 1, 0);
-  ++SerialTag[Root];
-}
-
-void GraphPolicy::untagSerialPartition(DepNode &N) {
-  StateGuard Guard(*this);
-  UnionFind::Id Root = Partitions.find(N.Partition);
-  assert(Root < SerialTag.size() && SerialTag[Root] > 0 &&
-         "un-pinning a partition with no serial pins");
-  if (Root < SerialTag.size() && SerialTag[Root] > 0)
-    --SerialTag[Root];
-}
-
-bool GraphPolicy::serialEvalRequired(DepNode &N) {
-  StateGuard Guard(*this);
-  UnionFind::Id Root = Partitions.find(N.Partition);
-  return Root < SerialTag.size() && SerialTag[Root] != 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -227,7 +123,6 @@ GraphPolicy::quarantined() const {
 }
 
 void GraphPolicy::quarantine(DepNode &N, FaultInfo FI) {
-  StateGuard Guard(*this);
   if (N.Quarantined)
     return; // First fault wins.
   assert(&node(N.Id) == &N && "quarantining a node of another graph");

@@ -9,16 +9,19 @@
 /// The policy layer of the dependency-graph engine (DESIGN.md "Engine
 /// layering and handle-based storage"): dynamic graph partitioning
 /// (Section 6.3) with per-partition pending sets, change tracking
-/// (Section 4.4's markInconsistent), the quarantine fault set, the
-/// transactional undo journal's bookkeeping primitives, and parallel-wave
-/// partition ownership. It sits on GraphStore and knows nothing about the
-/// evaluation loops above it; the transaction *drivers* (beginBatch /
-/// commitBatch / rollbackBatch) live in DepGraph because committing runs
-/// the evaluator.
+/// (Section 4.4's markInconsistent), the quarantine fault set, and the
+/// transactional undo journal's bookkeeping primitives. It sits on
+/// GraphStore and knows nothing about the evaluation loops above it; the
+/// transaction *drivers* (beginBatch / commitBatch / rollbackBatch) live
+/// in DepGraph because committing runs the evaluator.
 ///
-/// All hot lookups here are dense and id-indexed: pending sets and wave
-/// owners are vectors indexed by union-find root, the quarantine set is a
-/// flat {NodeId, fault} vector, and journal entries carry NodeIds — no
+/// Partitions exist so that unrelated structures are not evaluated
+/// (Section 6.3), not to evaluate them concurrently: the graph is
+/// single-threaded.
+///
+/// All hot lookups here are dense and id-indexed: pending sets are a
+/// vector indexed by union-find root, the quarantine set is a flat
+/// {NodeId, fault} vector, and journal entries carry NodeIds — no
 /// pointer-keyed hash map survives on a propagation path.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,7 +35,6 @@
 #include "support/FaultInfo.h"
 #include "support/UnionFind.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -41,21 +43,7 @@
 
 namespace alphonse {
 
-/// Internal control-flow signal of the parallel scheduler: an execution on
-/// a wave worker touched a partition owned by a sibling drain task. The
-/// two partitions are united, ownership of the merged partition is handed
-/// to exactly one task, and the abandoned execution is left inconsistent
-/// so the surviving owner (or the post-wave serial mop-up) retries it.
-/// Deliberately not a FaultInfo: a conflict is a scheduling event, never a
-/// program fault, and must not quarantine anything.
-struct RetryConflict {};
-
-namespace detail {
-/// The drain-task id of the calling thread (0 = not a wave worker).
-uint32_t &currentDrainTask();
-} // namespace detail
-
-/// Policy layer: partitions, pending sets, quarantine, journal, ownership.
+/// Policy layer: partitions, pending sets, quarantine, journal.
 class GraphPolicy : public GraphStore {
 public:
   explicit GraphPolicy(Statistics &Stats) : GraphStore(Stats) {}
@@ -69,7 +57,6 @@ public:
   /// change-notification fast path, run once per edge of every dirtied
   /// node's successor fan-out.
   void markInconsistent(DepNode &N) {
-    StateGuard Guard(*this);
     // Quarantined nodes take no further part in propagation until reset.
     if (N.Quarantined)
       return;
@@ -96,7 +83,6 @@ public:
   /// True if the partition containing \p N has pending work (or, with
   /// partitioning disabled, if anything is pending).
   bool hasPendingFor(DepNode &N) {
-    StateGuard Guard(*this);
     if (!Cfg.Partitioning)
       return TotalPending != 0;
     InconsistentSet *S = findSet(Partitions.find(N.Partition));
@@ -170,27 +156,8 @@ public:
   /// Resets every quarantined node. \returns how many were reset.
   size_t resetAllQuarantined();
 
-  //===--------------------------------------------------------------------===//
-  // Parallel propagation — see DESIGN.md "Parallel propagation"
-  //===--------------------------------------------------------------------===//
-
-  /// Called by a typed-layer execution running on a wave worker before it
-  /// relies on state reachable from \p Target: claims Target's partition
-  /// for the calling drain task if unowned, returns if already owned by
-  /// it, and otherwise unites Target's partition with \p Accessor's (when
-  /// given) and throws RetryConflict — the execution is abandoned, left
-  /// inconsistent, and retried by the partition's surviving owner or the
-  /// post-wave serial mop-up. No-op on the main thread and outside waves.
-  void ensureWorkerAccess(DepNode &Target, DepNode *Accessor);
-
-  /// True if \p N's partition currently holds at least one serial pin —
-  /// i.e. the parallel scheduler would drain it on the mutator thread.
-  /// Diagnostic/test accessor.
-  bool serialEvalRequired(DepNode &N);
-
 protected:
   friend class DepNode;
-  friend class PropagationScheduler;
   friend class GraphCheckpoint;
   friend class GraphRestorer;
 
@@ -211,27 +178,12 @@ protected:
   void clearAllPending();
 
   /// Unites the partitions rooted at \p RootA and \p RootB (both must be
-  /// current roots), merging orphaned pending sets and serial tags and —
-  /// during a wave — reassigning ownership of the merged partition. When
-  /// the merge joins a foreign in-flight drain task's partition from a
-  /// worker thread, ownership goes to the foreign task and this throws
-  /// RetryConflict. \returns the merged root.
+  /// current roots), merging the orphaned pending set into the merged
+  /// root's. \returns the merged root.
   UnionFind::Id uniteRoots(UnionFind::Id RootA, UnionFind::Id RootB);
 
-  /// Adds one serial pin to \p N's partition (DepNode::requireSerialEval).
-  void tagSerialPartition(DepNode &N);
-
-  /// Releases one serial pin from \p N's partition (the node is being
-  /// unregistered, or its recompiled form no longer needs thread
-  /// affinity). When the count reaches zero the partition reverts to
-  /// parallel eligibility.
-  void untagSerialPartition(DepNode &N);
-
   /// Queues every dependent of \p N (change notification, Section 4.4).
-  /// Guarded: a sibling wave worker recording a new dependency on \p N
-  /// pushes onto N's successor list concurrently with this walk.
   void enqueueSuccessors(DepNode &N) {
-    StateGuard Guard(*this);
     for (EdgeId E = N.FirstSucc; E;) {
       const Edge &Ed = edge(E);
       EdgeId Next = Ed.NextSucc;
@@ -246,22 +198,6 @@ protected:
 
   /// Index of \p Id's quarantine entry, or npos.
   size_t findFault(NodeId Id) const;
-
-  /// Wave ownership accessors (dense by root id; meaningful only while
-  /// ParallelOn). All callers hold the state lock.
-  uint32_t owner(UnionFind::Id Root) const {
-    return Root < Owners.size() ? Owners[Root] : 0;
-  }
-  void setOwner(UnionFind::Id Root, uint32_t Task) {
-    if (Owners.size() <= Root)
-      Owners.resize(Root + 1, 0);
-    Owners[Root] = Task;
-  }
-  void releaseOwner(UnionFind::Id Root) {
-    if (Root < Owners.size())
-      Owners[Root] = 0;
-  }
-  void clearOwners() { std::fill(Owners.begin(), Owners.end(), 0); }
 
   UnionFind Partitions;
   /// Pending sets indexed by union-find root id (dense; grown on demand).
@@ -289,16 +225,6 @@ protected:
   std::optional<FaultInfo> AbortFault;
   /// Commit/rollback epoch (see epoch()).
   uint64_t Epoch = 1;
-
-  /// Wave ownership indexed by union-find root: drain-task id (1..N), 0 =
-  /// unowned. Meaningful only while ParallelOn; cleared between waves.
-  std::vector<uint32_t> Owners;
-  /// Serial-affinity pin counts indexed by union-find element id; a
-  /// nonzero count on a root means the whole partition drains on the
-  /// calling thread. Counted (not a sticky bit) so that destroying the
-  /// last pinned node of a partition returns it to the parallel waves;
-  /// merges sum the two roots' counts.
-  std::vector<uint32_t> SerialTag;
 };
 
 } // namespace alphonse

@@ -22,11 +22,7 @@ namespace alphonse {
 GraphStore::GraphStore(Statistics &Stats) : Stats(Stats) {}
 
 GraphStore::GraphStore(Statistics &Stats, GraphConfig Cfg)
-    : Stats(Stats), Cfg(Cfg) {
-  // Report the configured pool size even before (or without) a parallel
-  // wave; the scheduler refines this to the actual pool size it got.
-  Stats.PropWorkers = Cfg.Workers;
-}
+    : Stats(Stats), Cfg(Cfg) {}
 
 size_t GraphStore::numPredecessors(const DepNode &N) const {
   size_t Count = 0;
@@ -56,7 +52,6 @@ void GraphStore::refreshMemoryGauges() {
 }
 
 void GraphStore::republishMemoryGauges() {
-  StateGuard Guard(*this);
   size_t NodeBytes = NodeTab.bytesReserved();
   size_t EdgeBytes = EdgeTab.bytesReserved();
   LastNodeBytes = NodeBytes;
@@ -72,7 +67,6 @@ void GraphStore::republishMemoryGauges() {
 }
 
 void GraphStore::resetHighWater() {
-  StateGuard Guard(*this);
   HighWaterBytes = NodeTab.bytesReserved() + EdgeTab.bytesReserved();
   LastNodeBytes = NodeTab.bytesReserved();
   LastEdgeBytes = EdgeTab.bytesReserved();

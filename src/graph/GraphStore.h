@@ -9,20 +9,22 @@
 /// The storage layer of the dependency-graph engine (DESIGN.md "Engine
 /// layering and handle-based storage"). GraphStore owns the dense
 /// generation-checked node and edge tables, the raw doubly-linked edge
-/// lists (Section 9.2's O(1) edge removal), the live counts, the engine
-/// configuration, and the wave-time state lock. It knows nothing about
-/// pending sets, partitions, quarantine, transactions, or evaluation —
-/// those live in the layers stacked on top (GraphPolicy, DepGraph).
+/// lists (Section 9.2's O(1) edge removal), the live counts, and the
+/// engine configuration. It knows nothing about pending sets, partitions,
+/// quarantine, transactions, or evaluation — those live in the layers
+/// stacked on top (GraphPolicy, DepGraph).
 ///
 /// Layering (each layer sees only the ones below it):
 ///
-///   GraphStore   — node/edge slabs, edge linkage, config, stats, lock
+///   GraphStore   — node/edge slabs, edge linkage, config, stats
 ///      ^
-///   GraphPolicy  — partitions, pending sets, quarantine, undo journal,
-///      ^            wave ownership
+///   GraphPolicy  — partitions, pending sets, quarantine, undo journal
+///      ^
 ///   DepGraph     — change propagation, execution protocol, transaction
-///                  drivers, scheduler integration, audits (the façade
-///                  clients program against)
+///                  drivers, audits (the façade clients program against)
+///
+/// A graph is single-threaded: one thread at a time drives it, so none of
+/// the layers locks anything.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,16 +36,11 @@
 #include "support/Pool.h"
 #include "support/Statistics.h"
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace alphonse {
-
-class PropagationScheduler;
-class ThreadPool;
 
 /// Engine tunables; the defaults match the paper, the flags exist for the
 /// ablation experiments in DESIGN.md Section 5. (DepGraph::Config is an
@@ -83,31 +80,14 @@ struct GraphConfig {
   /// stack overflow. Legitimate re-entrancy (Algorithm 11's balance)
   /// nests only a few frames.
   uint32_t MaxReentrantDepth = 64;
-  /// Worker threads for top-level quiescence propagation (0 = serial,
-  /// the default; behavior is then byte-identical to the pre-parallel
-  /// evaluator). Requires Partitioning; waves run only when at least
-  /// two independent partitions have pending work. Capped by the
-  /// process-wide shard budget (kStatShards - 1).
+  /// Read by nothing; kept only until perfbench stops assigning it.
   unsigned Workers = 0;
-  /// Externally owned worker pool for parallel propagation. When set, the
-  /// scheduler dispatches waves onto this pool instead of creating its
-  /// own Workers-sized pool — many embedded graphs (the session service,
-  /// DESIGN.md Section 12) then share one fixed set of threads. The pool
-  /// must outlive the graph; Workers still gates whether parallel waves
-  /// run at all (0 keeps propagation serial even with a pool attached).
-  ThreadPool *Pool = nullptr;
   /// Watchdog: quarantine a node (FaultKind::Deadline) after this many
   /// single evaluations that each consumed an entire wave deadline by
   /// themselves (0 = never). Only armed while a deadline-budgeted wave is
   /// running; keeps one pathological node from starving every governed
   /// wave (DESIGN.md Section 11).
   uint32_t WatchdogTrips = 3;
-  /// Base delay for the capped exponential backoff (with jitter) the
-  /// scheduler inserts between consecutive conflicted parallel waves, in
-  /// microseconds (0 = no backoff).
-  uint64_t RetryBackoffBaseUs = 50;
-  /// Ceiling for the conflicted-retry backoff delay, in microseconds.
-  uint64_t RetryBackoffCapUs = 2000;
 };
 
 /// Dense node table: NodeId -> DepNode* with per-slot generations.
@@ -295,34 +275,8 @@ public:
   /// the gauge stayed flat.
   void resetHighWater();
 
-  /// RAII conditional lock over the graph's shared bookkeeping (pending
-  /// sets, union-find, edge tables, journal, quarantine). On the serial
-  /// path it costs one atomic load and takes no lock, so Workers = 0 is
-  /// byte-identical to the pre-parallel evaluator; during a wave it
-  /// holds the graph's recursive state mutex.
-  class StateGuard {
-  public:
-    explicit StateGuard(const GraphStore &G) : G(G) {
-      if (G.ParallelOn.load(std::memory_order_acquire)) {
-        G.StateMu.lock();
-        Locked = true;
-      }
-    }
-    ~StateGuard() {
-      if (Locked)
-        G.StateMu.unlock();
-    }
-    StateGuard(const StateGuard &) = delete;
-    StateGuard &operator=(const StateGuard &) = delete;
-
-  private:
-    const GraphStore &G;
-    bool Locked = false;
-  };
-
 protected:
   friend class DepNode;
-  friend class PropagationScheduler;
   friend class GraphCheckpoint;
   friend class GraphRestorer;
 
@@ -403,13 +357,6 @@ protected:
   size_t LastEdgeBytes = 0;
   /// Peak combined table reservation (pool.high_water).
   size_t HighWaterBytes = 0;
-
-  /// Guards the shared bookkeeping during waves. Recursive because
-  /// guarded operations nest (e.g. addDependency inside a guarded
-  /// execution prologue).
-  mutable std::recursive_mutex StateMu;
-  /// True only while a parallel wave is in flight; gates StateGuard.
-  std::atomic<bool> ParallelOn{false};
 };
 
 } // namespace alphonse

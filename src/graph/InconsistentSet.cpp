@@ -28,8 +28,7 @@ void InconsistentSet::mergeFrom(GraphStore &G, InconsistentSet &Other) {
   }
   size_t OldSize = Heap.size();
   // Reserve up front: insert() growing mid-copy would reallocate once per
-  // doubling while the entries are being appended; partition merges under
-  // the parallel scheduler hit this path hard.
+  // doubling while the entries are being appended.
   Heap.reserve(Heap.size() + Other.Heap.size());
   Heap.insert(Heap.end(), Other.Heap.begin(), Other.Heap.end());
   Other.Heap.clear();

@@ -87,13 +87,7 @@ public:
   InterpProcNode(DepGraph &G, Interp &Owner, const ProcDecl *Proc,
                  EvalStrategy Strategy)
       : DepNode(G, NodeKind::Procedure, Strategy), Owner(&Owner),
-        Proc(Proc) {
-    // A side-effect-free body executes in per-thread VM state and may
-    // re-run on parallel wave workers; anything the effect analysis could
-    // not clear (prints, NEW, global or field writes) keeps the serial pin.
-    if (!Owner.BC->parallelSafe(Proc))
-      requireSerialEval();
-  }
+        Proc(Proc) {}
 
   bool reexecute() override { return Owner->reexecuteInstance(*this); }
 
@@ -147,14 +141,10 @@ std::string Value::render() const {
 
 Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
                DepGraph::Config Cfg)
-    : M(M), Info(Info), Mode(Mode),
-      BCState(std::make_unique<bytecode::ExecArena>()), RT(Cfg),
-      Tables(M.Procs.size()) {
-  // Compile before any language node exists: InterpProcNode consults BC
-  // to decide whether its partition needs the serial pin. Compiled chunks
-  // are derived state — never checkpointed, rebuilt from the module here
-  // on every construction (including the fresh interpreter a restore
-  // requires).
+    : M(M), Info(Info), Mode(Mode), RT(Cfg), Tables(M.Procs.size()) {
+  // Compiled chunks are derived state — never checkpointed, rebuilt from
+  // the module here on every construction (including the fresh
+  // interpreter a restore requires).
   DiagnosticEngine Diags;
   BC = bytecode::compileModule(M, Info, Diags);
   for (const Type &Ty : Info.GlobalTypes) {
@@ -182,10 +172,9 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
   // same. The chunk is not a call level: a procedure it calls starts at
   // depth 0, as a driver call does.
   this->Mode = ExecMode::Conventional;
-  bytecode::ExecState &ES = BCState->current();
-  ES.Depth = -1;
+  BCState.Depth = -1;
   guarded([&] { return runChunk(BC->Init, {}); });
-  ES.Depth = 0;
+  BCState.Depth = 0;
   this->Mode = Mode;
 }
 
@@ -253,17 +242,11 @@ Value Interp::trackedRead(StorageSlot &S, bool Tracked) {
   if (Mode != ExecMode::Alphonse || !Tracked || !RT.inIncrementalCall())
     return S.Live;
   if (!S.Node) {
-    // Double-checked under the graph's state guard: with compiled bodies
-    // on wave workers, two refreshes can race to materialize the same
-    // slot's node (same pattern as Cell::ensureNode).
-    DepGraph::StateGuard Guard(RT.graph());
-    if (!S.Node) {
-      S.Node = std::make_unique<SlotNode>(RT.graph(), S);
-      S.Node->setName(S.label());
-      // Slot nodes created inside a batch are destroyed again on rollback.
-      if (RT.inBatch())
-        RT.graph().logUndo([&S]() { S.Node.reset(); });
-    }
+    S.Node = std::make_unique<SlotNode>(RT.graph(), S);
+    S.Node->setName(S.label());
+    // Slot nodes created inside a batch are destroyed again on rollback.
+    if (RT.inBatch())
+      RT.graph().logUndo([&S]() { S.Node.reset(); });
   }
   RT.recordAccess(*S.Node);
   return S.Live;
@@ -323,38 +306,28 @@ Value Interp::incrementalCall(const ProcDecl *P, const PragmaInfo &Pragma,
                               std::vector<Value> Args) {
   InterpProcNode *N;
   bool Existing = false;
-  {
-    // Table lookup/insert under the graph's state guard: compiled callers
-    // on different wave workers can reach the same instance concurrently
-    // (mirrors Maintained::operator()). Tables never resizes, which keeps
-    // &Table valid for the undo closure.
-    DepGraph::StateGuard Guard(RT.graph());
-    ArgTable &Table = Tables[static_cast<size_t>(P->Index)];
-    auto It = Table.find(Args);
-    if (It == Table.end()) {
-      auto Owned = std::make_unique<InterpProcNode>(RT.graph(), *this, P,
-                                                    Pragma.Strategy);
-      N = Owned.get();
-      N->setName(P->Name);
-      N->Key = Args;
-      Table.emplace(std::move(Args), std::move(Owned));
-      // Argument-table entries inserted inside a batch are dropped again on
-      // rollback (references to the node were journaled later, so they are
-      // undone first).
-      if (RT.inBatch())
-        RT.graph().logUndo(
-            [&Table, DeadKey = N->Key]() { Table.erase(DeadKey); });
-    } else {
-      N = It->second.get();
-      Existing = true;
-    }
+  // Tables never resizes, which keeps &Table valid for the undo closure.
+  ArgTable &Table = Tables[static_cast<size_t>(P->Index)];
+  auto It = Table.find(Args);
+  if (It == Table.end()) {
+    auto Owned = std::make_unique<InterpProcNode>(RT.graph(), *this, P,
+                                                  Pragma.Strategy);
+    N = Owned.get();
+    N->setName(P->Name);
+    N->Key = Args;
+    Table.emplace(std::move(Args), std::move(Owned));
+    // Argument-table entries inserted inside a batch are dropped again on
+    // rollback (references to the node were journaled later, so they are
+    // undone first).
+    if (RT.inBatch())
+      RT.graph().logUndo(
+          [&Table, DeadKey = N->Key]() { Table.erase(DeadKey); });
+  } else {
+    N = It->second.get();
+    Existing = true;
   }
-  // Partition-ownership handshake before touching the instance's state:
-  // claim an unowned partition for this worker, or throw RetryConflict to
-  // defer behind the current owner (the scheduler re-runs the accessor).
-  RT.graph().ensureWorkerAccess(*N, RT.currentProcedure());
   // Algorithm 5: before reusing an existing instance, apply any batched
-  // changes that could affect it. Outside the guard — this can evaluate.
+  // changes that could affect it.
   if (Existing)
     RT.ensureEvaluatedFor(*N);
   if (RT.inIncrementalCall())
@@ -400,12 +373,6 @@ Value Interp::executeInstance(InterpProcNode &N) {
       G.selfInvalidate(N);
     N.Cached = Ret;
     return Ret;
-  } catch (const RetryConflict &) {
-    // A wave conflict is a scheduling event, not a fault: leave the
-    // instance inconsistent for the scheduler's retry instead of
-    // quarantining it.
-    G.selfInvalidate(N);
-    throw;
   } catch (...) {
     G.quarantine(N, captureCurrentFault(N.name()));
     throw;

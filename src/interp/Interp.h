@@ -45,6 +45,7 @@
 
 #include "core/Runtime.h"
 #include "interp/Value.h"
+#include "interp/bytecode/VM.h"
 #include "lang/Sema.h"
 #include "support/CheckpointIO.h"
 
@@ -59,7 +60,6 @@ namespace alphonse::interp {
 namespace bytecode {
 struct Chunk;
 class BytecodeModule;
-class ExecArena;
 } // namespace bytecode
 
 /// How the interpreter treats the incremental annotations.
@@ -271,10 +271,10 @@ private:
   ExecMode Mode;
 
   /// Compiled form of the module (derived state, rebuilt per
-  /// construction; null if it did not compile) and the per-thread VM
-  /// execution arena.
+  /// construction; null if it did not compile) and the VM's execution
+  /// state.
   std::unique_ptr<bytecode::BytecodeModule> BC;
-  std::unique_ptr<bytecode::ExecArena> BCState;
+  bytecode::ExecState BCState;
 
   Runtime RT;
   std::vector<std::unique_ptr<StorageSlot>> Globals;

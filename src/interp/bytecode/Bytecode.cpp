@@ -26,24 +26,6 @@ const char *opcodeName(OpCode Op) {
   return "<bad-op>";
 }
 
-std::string effectsString(uint8_t Effects) {
-  if (Effects == EffNone)
-    return "pure";
-  std::string Out;
-  auto Bit = [&](uint8_t Mask, const char *Name) {
-    if (!(Effects & Mask))
-      return;
-    if (!Out.empty())
-      Out += "|";
-    Out += Name;
-  };
-  Bit(EffPrint, "print");
-  Bit(EffAlloc, "alloc");
-  Bit(EffGlobalWrite, "global-write");
-  Bit(EffFieldWrite, "field-write");
-  return Out;
-}
-
 namespace {
 
 const char *builtinName(int32_t Index) {
@@ -58,8 +40,6 @@ const char *builtinName(int32_t Index) {
     return "abs";
   case 4:
     return "fmt";
-  case 5:
-    return "pause";
   default:
     return "<bad-builtin>";
   }

@@ -157,21 +157,6 @@ struct Chunk {
   uint16_t NumRegs = 0;   ///< FrameSize + compiler temporaries.
 };
 
-/// Effect bits of a procedure body, unioned transitively over everything
-/// it can call (Compiler.cpp). A body with no bits set touches only its
-/// frame, tracked storage (reads), and other effect-free procedures — its
-/// instances are safe to re-execute on parallel wave workers.
-enum ProcEffect : uint8_t {
-  EffNone = 0,
-  EffPrint = 1 << 0,       ///< Appends to the shared output stream.
-  EffAlloc = 1 << 1,       ///< NEW: grows the shared heap.
-  EffGlobalWrite = 1 << 2, ///< Writes a top-level variable.
-  EffFieldWrite = 1 << 3,  ///< Writes an object field.
-};
-
-/// Renders the effect mask as a short string ("print|alloc", "pure").
-std::string effectsString(uint8_t Effects);
-
 /// Human-readable disassembly of one chunk (alphonsec --dump-bytecode).
 std::string disassemble(const Chunk &C);
 

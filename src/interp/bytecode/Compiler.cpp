@@ -6,27 +6,16 @@
 //===----------------------------------------------------------------------===//
 //
 // One pass over every procedure body and over the global initializers:
-//
-//  - Lowering: each body becomes a register Chunk. Frame registers
-//    0..FrameSize-1 reuse Sema's slot numbering (parameters, locals, FOR
-//    variables), so no remapping table is needed at run time; expression
-//    temporaries are allocated monotonically above the frame and released
-//    at statement boundaries. All name resolution (globals, fields,
-//    callees, vtable slots) is burned into operands here. Evaluation order
-//    follows the source left to right, and every runtime error is raised
-//    at the construct's source location; tests/interp holds a graph-free
-//    reference evaluator that the VM must match. A body whose registers
-//    do not fit the 16-bit operands is a compile error.
-//
-//  - Effect analysis: the transitive side-effect mask that decides which
-//    procedure instances may execute on parallel wave workers. Direct
-//    effects (print, NEW, global writes, field writes) are collected while
-//    lowering and unioned over the call graph to a fixpoint; method call
-//    sites conservatively union every implementation bound to the method
-//    name anywhere in the module (dynamic dispatch could reach any of
-//    them). A body whose mask comes out empty touches only its own frame
-//    and tracked reads, which the graph's ownership protocol already
-//    mediates — its node drops the serial pin.
+// each body becomes a register Chunk. Frame registers 0..FrameSize-1
+// reuse Sema's slot numbering (parameters, locals, FOR variables), so no
+// remapping table is needed at run time; expression temporaries are
+// allocated monotonically above the frame and released at statement
+// boundaries. All name resolution (globals, fields, callees, vtable
+// slots) is burned into operands here. Evaluation order follows the
+// source left to right, and every runtime error is raised at the
+// construct's source location; tests/interp holds a graph-free reference
+// evaluator that the VM must match. A body whose registers do not fit the
+// 16-bit operands is a compile error.
 //
 //===----------------------------------------------------------------------===//
 
@@ -64,8 +53,8 @@ Value defaultValueFor(const Type &Ty) {
 
 class ChunkCompiler {
 public:
-  ChunkCompiler(const SemaInfo &Info, Chunk &Ch, int FrameSize)
-      : Info(Info), Ch(Ch), Next(FrameSize), High(FrameSize) {}
+  ChunkCompiler(Chunk &Ch, int FrameSize)
+      : Ch(Ch), Next(FrameSize), High(FrameSize) {}
 
   /// A procedure body: local initializers in declaration order (the VM
   /// seeds the frame from SlotDefaults first), then the statements.
@@ -94,10 +83,6 @@ public:
   /// Registers the chunk needs; above MaxRegs its operands are truncated
   /// and the chunk must be discarded.
   int regs() const { return High; }
-
-  /// Direct effects of the compiled code and the procedures it may call.
-  uint8_t Effects = EffNone;
-  std::vector<const ProcDecl *> Callees;
 
 private:
   //===--- Emission -------------------------------------------------------===//
@@ -228,14 +213,11 @@ private:
       } else {
         exprInto(N->Index, A->Value.get());
       }
-      if (N->Binding == NameBinding::Global)
-        Effects |= EffGlobalWrite;
       return;
     }
     // Field write: value first, then base, then the NIL check — observable
     // when both sides throw.
     const auto *FA = static_cast<const FieldAccessExpr *>(A->Target.get());
-    Effects |= EffFieldWrite;
     int V = expr(A->Value.get());
     int B = expr(FA->Base.get());
     emit(OpCode::StoreField, FA->Loc, B, V, FA->FieldIndex,
@@ -355,7 +337,6 @@ private:
     case ExprKind::New: {
       const auto *N = static_cast<const NewExpr *>(E);
       assert(N->Resolved && "unresolved NEW survived Sema");
-      Effects |= EffAlloc;
       int R = temp();
       emit(OpCode::NewObj, E->Loc, R, 0, 0, typeIdx(N->Resolved));
       return R;
@@ -392,15 +373,10 @@ private:
       exprInto(ArgBase + I, C->Args[I].get());
     int R = temp();
     if (C->BuiltinIndex >= 0) {
-      // print is the only effectful builtin (pause sleeps but touches no
-      // shared state; fmt/max/min/abs are pure).
-      if (C->BuiltinIndex == static_cast<int>(Builtin::Print))
-        Effects |= EffPrint;
       emit(OpCode::CallBuiltin, C->Loc, R, ArgBase, NArgs, C->BuiltinIndex);
       return R;
     }
     assert(C->Resolved && "unresolved call survived Sema");
-    Callees.push_back(C->Resolved);
     emit(OpCode::CallProc, C->Loc, R, ArgBase, NArgs, procIdx(C->Resolved),
          C->CheckedCall ? FlagTracked : 0);
     return R;
@@ -419,12 +395,6 @@ private:
       exprInto(ArgBase + 1 + I, C->Args[I].get());
     int R = temp();
     assert(C->MethodSlot >= 0 && "unresolved method survived Sema");
-    // Dynamic dispatch: any implementation bound to this method name
-    // anywhere in the module could be the callee.
-    for (const auto &Ty : Info.Types)
-      for (const MethodImpl &MI : Ty->VTable)
-        if (MI.Impl && MI.Sig && MI.Sig->Name == C->Method)
-          Callees.push_back(MI.Impl);
     emit(OpCode::CallMethod, C->Loc, R, ArgBase, NArgs + 1,
          methodIdx(C->MethodSlot, C->Method),
          C->CheckedCall ? FlagTracked : 0);
@@ -497,7 +467,6 @@ private:
     return Dst;
   }
 
-  const SemaInfo &Info;
   Chunk &Ch;
   int Next; ///< Next free register.
   int High; ///< High-water mark (becomes Chunk::NumRegs).
@@ -519,8 +488,6 @@ std::unique_ptr<BytecodeModule> compileModule(const Module &M,
   };
 
   Mod->Chunks.resize(M.Procs.size());
-  Mod->Effects.resize(M.Procs.size(), EffNone);
-  std::vector<std::vector<const ProcDecl *>> Callees(M.Procs.size());
   for (const auto &P : M.Procs) {
     const ProcInfo *PI = Info.procInfo(P.get());
     assert(PI && "procedure was not analyzed");
@@ -536,37 +503,19 @@ std::unique_ptr<BytecodeModule> compileModule(const Module &M,
       Ch.SlotDefaults[PI->ParamTypes.size() + I] =
           defaultValueFor(PI->LocalTypes[I]);
     Ch.RetDefault = defaultValueFor(PI->RetType);
-    ChunkCompiler CC(Info, Ch, PI->FrameSize);
+    ChunkCompiler CC(Ch, PI->FrameSize);
     CC.procBody(*P);
     CheckRegs(CC, P->Loc, "procedure '" + P->Name + "'");
-    Mod->Effects[Idx] = CC.Effects;
-    Callees[Idx] = std::move(CC.Callees);
   }
 
   Mod->Init.Name = "<module initializer>";
   Mod->Init.FaultSite = "vm.<init>";
-  ChunkCompiler CC(Info, Mod->Init, 0);
+  ChunkCompiler CC(Mod->Init, 0);
   CC.initializers(M);
   CheckRegs(CC, M.Globals.empty() ? SourceLocation() : M.Globals.front().Loc,
             "the global initializers");
   if (Diags.errorCount() != Errors)
     return nullptr;
-
-  // Transitive closure over the call graph, to a fixpoint.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t P = 0; P < Callees.size(); ++P) {
-      uint8_t &E = Mod->Effects[P];
-      for (const ProcDecl *Q : Callees[P]) {
-        uint8_t QE = Mod->Effects[static_cast<size_t>(Q->Index)];
-        if ((E | QE) != E) {
-          E |= QE;
-          Changed = true;
-        }
-      }
-    }
-  }
   return Mod;
 }
 

@@ -7,11 +7,8 @@
 ///
 /// \file
 /// Lowers Sema-checked (and usually transformed) Alphonse-L procedure
-/// bodies and global initializers to the register bytecode in Bytecode.h,
-/// and computes the transitive side-effect mask the interpreter uses to
-/// decide which procedure nodes may drop their serial pin and join
-/// parallel waves (DESIGN.md "Bytecode compilation and per-thread
-/// execution").
+/// bodies and global initializers to the register bytecode in Bytecode.h
+/// (DESIGN.md "Bytecode compilation").
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,19 +38,7 @@ public:
     return Chunks[static_cast<size_t>(P->Index)];
   }
 
-  /// Transitive ProcEffect mask of \p P.
-  uint8_t effects(const lang::ProcDecl *P) const {
-    return Effects[static_cast<size_t>(P->Index)];
-  }
-
-  /// True when instances of \p P are side-effect-free and may re-execute
-  /// on parallel wave workers (serial-pin relaxation criterion).
-  bool parallelSafe(const lang::ProcDecl *P) const {
-    return effects(P) == EffNone;
-  }
-
   std::vector<Chunk> Chunks;
-  std::vector<uint8_t> Effects;
   /// The global initializers in declaration order, each ending in an
   /// untracked StoreGlobal. The interpreter's constructor runs it once,
   /// with conventional dispatch.

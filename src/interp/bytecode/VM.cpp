@@ -7,9 +7,9 @@
 //
 // Interp::runChunk — the execution engine for compiled procedure bodies.
 // Threaded dispatch (computed goto) under GCC/Clang, a switch loop
-// elsewhere. The frame is a window [Base, Base + NumRegs) of the calling
-// thread's ExecState register stack; nested calls push their window above
-// and the guard restores Top/Depth on every exit path, including
+// elsewhere. The frame is a window [Base, Base + NumRegs) of the
+// interpreter's ExecState register stack; nested calls push their window
+// above and the guard restores Top/Depth on every exit path, including
 // exception unwind.
 //
 // Every runtime error is raised with its construct's source location, and
@@ -31,8 +31,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <thread>
 
 using namespace alphonse::lang;
 
@@ -41,7 +39,7 @@ namespace alphonse::interp {
 using namespace bytecode;
 
 Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
-  ExecState &ES = BCState->current();
+  ExecState &ES = BCState;
   if (ES.Depth >= MaxNestedCalls)
     fail(Ch.Loc,
          "call depth exceeded in '" + Ch.Name + "' (runaway recursion?)");
@@ -223,13 +221,6 @@ Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
         VM_R(IP->A) = Value::integer(X < 0 ? -X : X);
         break;
       }
-      case Builtin::Pause: {
-        long Us = VM_R(IP->B).Int;
-        if (Us > 0)
-          std::this_thread::sleep_for(std::chrono::microseconds(Us));
-        VM_R(IP->A) = Value();
-        break;
-      }
       case Builtin::NumBuiltins:
         fail(Loc(), "bad builtin index");
       }
@@ -354,7 +345,7 @@ Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
   } catch (...) {
     // An Alphonse-L error (or injected fault) thrown inside an
     // (*UNCHECKED*) region unwinds past its LeaveUnchecked; rebalance the
-    // thread's incremental call stack before propagating.
+    // incremental call stack before propagating.
     for (; Unchecked > 0; --Unchecked)
       RT.popCall();
     throw;

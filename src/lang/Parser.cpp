@@ -343,6 +343,34 @@ Parser::parseStmtsUntil(std::initializer_list<TokenKind> Stops) {
   return Stmts;
 }
 
+/// Parses a statement body nested in the statement whose keyword is at
+/// \p Loc, up to one of \p Stops. Past MaxStmtDepth open bodies that is an
+/// error at \p Loc, and the rest of the statement is skipped, without
+/// recursing, up to the END that closes it: the parser's own stack stays
+/// bounded and the enclosing statements still close normally.
+std::vector<StmtPtr>
+Parser::parseBody(SourceLocation Loc, std::initializer_list<TokenKind> Stops) {
+  if (StmtOpen == MaxStmtDepth) {
+    Diags.error(Loc, "statements nested more than " +
+                         std::to_string(MaxStmtDepth) + " levels deep");
+    for (unsigned Nest = 0; !check(TokenKind::End); advance()) {
+      if (check(TokenKind::KwIf) || check(TokenKind::KwWhile) ||
+          check(TokenKind::KwFor)) {
+        ++Nest;
+      } else if (check(TokenKind::KwEnd)) {
+        if (Nest == 0)
+          break;
+        --Nest;
+      }
+    }
+    return {};
+  }
+  ++StmtOpen;
+  std::vector<StmtPtr> Body = parseStmtsUntil(Stops);
+  --StmtOpen;
+  return Body;
+}
+
 StmtPtr Parser::parseStmt() {
   if (check(TokenKind::KwReturn))
     return parseReturn();
@@ -391,14 +419,14 @@ StmtPtr Parser::parseIf() {
     IfStmt::Arm Arm;
     Arm.Cond = parseExpr();
     expect(TokenKind::KwThen, "after the condition");
-    Arm.Body = parseStmtsUntil(
-        {TokenKind::KwElsif, TokenKind::KwElse, TokenKind::KwEnd});
+    Arm.Body = parseBody(
+        Loc, {TokenKind::KwElsif, TokenKind::KwElse, TokenKind::KwEnd});
     S->Arms.push_back(std::move(Arm));
     if (!accept(TokenKind::KwElsif))
       break;
   }
   if (accept(TokenKind::KwElse))
-    S->ElseBody = parseStmtsUntil({TokenKind::KwEnd});
+    S->ElseBody = parseBody(Loc, {TokenKind::KwEnd});
   expect(TokenKind::KwEnd, "to close IF");
   expect(TokenKind::Semicolon, "after END");
   return S;
@@ -409,7 +437,7 @@ StmtPtr Parser::parseWhile() {
   ExprPtr Cond = parseExpr();
   auto S = std::make_unique<WhileStmt>(Loc, std::move(Cond));
   expect(TokenKind::KwDo, "after the loop condition");
-  S->Body = parseStmtsUntil({TokenKind::KwEnd});
+  S->Body = parseBody(Loc, {TokenKind::KwEnd});
   expect(TokenKind::KwEnd, "to close WHILE");
   expect(TokenKind::Semicolon, "after END");
   return S;
@@ -424,7 +452,7 @@ StmtPtr Parser::parseFor() {
   expect(TokenKind::KwTo, "in FOR bounds");
   S->To = parseExpr();
   expect(TokenKind::KwDo, "after FOR bounds");
-  S->Body = parseStmtsUntil({TokenKind::KwEnd});
+  S->Body = parseBody(Loc, {TokenKind::KwEnd});
   expect(TokenKind::KwEnd, "to close FOR");
   expect(TokenKind::Semicolon, "after END");
   return S;

@@ -36,6 +36,12 @@ public:
   /// and the height of the tree every later pass (Sema, transformer,
   /// unparser, bytecode compiler) recurses over.
   static constexpr unsigned MaxExprDepth = 1000;
+  /// The deepest statement nesting accepted. Each IF arm (ELSIF and ELSE
+  /// included), WHILE body and FOR body is one level inside the list that
+  /// holds its statement; an ELSIF chain is one IF, so its arms share a
+  /// level. Like MaxExprDepth, it bounds the recursion of the parser and
+  /// of every later pass over statements.
+  static constexpr unsigned MaxStmtDepth = 1000;
 
   Parser(std::vector<Token> Tokens, DiagnosticEngine &Diags);
 
@@ -61,6 +67,8 @@ private:
   TypeRef parseTypeRef();
 
   std::vector<StmtPtr> parseStmtsUntil(std::initializer_list<TokenKind> Stops);
+  std::vector<StmtPtr> parseBody(SourceLocation Loc,
+                                 std::initializer_list<TokenKind> Stops);
   StmtPtr parseStmt();
   StmtPtr parseIf();
   StmtPtr parseWhile();
@@ -88,6 +96,8 @@ private:
   unsigned Open = 0;
   /// Depth of the expression the last parse*() call returned.
   unsigned Depth = 0;
+  /// Statement bodies open around the current token.
+  unsigned StmtOpen = 0;
 };
 
 /// Convenience: lex + parse in one step.

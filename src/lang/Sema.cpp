@@ -491,18 +491,6 @@ private:
       C->BuiltinIndex = static_cast<int>(Builtin::Abs);
       return Type::integer();
     }
-    if (C->Callee == "pause") {
-      // A stand-in for blocking external work (a backend fetch, an RPC):
-      // sleeps the calling thread, touches no program state, so bodies
-      // using it stay side-effect-free for the bytecode parallel analysis.
-      if (C->Args.size() != 1) {
-        Diags.error(C->Loc, "'pause' takes one argument");
-        return Type::voidType();
-      }
-      requireType(C->Args[0].get(), Type::integer(), "argument");
-      C->BuiltinIndex = static_cast<int>(Builtin::Pause);
-      return Type::voidType();
-    }
     ProcDecl *Callee = M.findProc(C->Callee);
     if (!Callee) {
       Diags.error(C->Loc, "unknown procedure '" + C->Callee + "'");

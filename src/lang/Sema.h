@@ -38,7 +38,6 @@ enum class Builtin : int {
   Min,       ///< min(a, b: INTEGER): INTEGER.
   Abs,       ///< abs(a: INTEGER): INTEGER.
   Fmt,       ///< fmt(x): TEXT — render any value.
-  Pause,     ///< pause(us: INTEGER): block the calling thread for us µs.
   NumBuiltins,
 };
 

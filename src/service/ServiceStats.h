@@ -8,11 +8,8 @@
 /// \file
 /// Service-level counters for the session manager (DESIGN.md "Session
 /// service"), the svc.* companion to the per-runtime Statistics block each
-/// session already carries. Counters are StatCounters updated from the
-/// manager's driver thread (shard 0, fetch_add — safe even if an
-/// embedding drives several managers from different threads against
-/// different blocks); the latency histogram is single-writer by design
-/// and is only touched from the driver thread.
+/// session already carries. The counters and the latency histogram are
+/// only touched from the manager's driver thread.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -14,12 +14,12 @@
 /// construction, not by locking, and the only shared resource is the
 /// manager's worker pool that drains them.
 ///
-/// A session's runtime is strictly serial (Workers = 0, no scheduler):
-/// concurrency in the service comes from draining many sessions at once,
-/// one pool task each, never from parallelism inside one session's small
-/// graph. Runtime's environment overrides are bypassed (ExactConfig) so a
-/// debugging ALPHONSE_JOBS cannot hand every one of ten thousand sessions
-/// its own worker pool.
+/// Like every graph, a session's runtime is single-threaded: concurrency
+/// in the service comes from draining many sessions at once, one pool
+/// task each, and one session is drained by one task at a time.
+/// Runtime's environment override is bypassed (ExactConfig) so a
+/// debugging ALPHONSE_AUDIT cannot audit every one of ten thousand
+/// sessions after every wave.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,12 +12,7 @@
 namespace alphonse {
 
 SessionManager::SessionManager(ServiceConfig C)
-    : Cfg(std::move(C)), Pool(Cfg.Workers) {
-  // Session runtimes are strictly serial; concurrency is one drain task
-  // per session on the shared pool (Session.h).
-  Cfg.Graph.Workers = 0;
-  Cfg.Graph.Pool = nullptr;
-}
+    : Cfg(std::move(C)), Pool(Cfg.Workers) {}
 
 Session &SessionManager::open() {
   Session::Id Id = NextId++;
@@ -155,13 +150,6 @@ size_t SessionManager::drainAll(size_t MaxCycles) {
 }
 
 void SessionManager::drainOne(Session &S, const WaveBudget &B) {
-  // A session drain is a serial foreign task on this pool: pin statistics
-  // to slot 0 so the session's counters take the multi-writer-safe
-  // fetch_add path instead of lazily allocating worker-shard blocks in
-  // every session's Statistics (Statistics.h), and so the session
-  // runtime's call stack stays the slot-0 one no matter which worker
-  // drains it.
-  StatShardScope Pin(0);
   S.Faulted = false;
   try {
     S.LastOutcome = S.RT.pump(B);

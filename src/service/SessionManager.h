@@ -45,8 +45,7 @@ struct ServiceConfig {
   /// inline on the driver thread (serial service, useful for tests and
   /// for the serial-vs-parallel equivalence sweep).
   unsigned Workers = 4;
-  /// Per-session graph configuration. Workers/Pool are overridden to 0 /
-  /// nullptr: session runtimes are strictly serial (see Session.h).
+  /// Per-session graph configuration.
   DepGraph::Config Graph;
   /// Per-session budget each drain-cycle wave runs under. The default is
   /// unlimited (every admitted session reaches quiescence each cycle);
@@ -118,13 +117,9 @@ public:
   ServiceStats &stats() { return Stats; }
   const ServiceStats &stats() const { return Stats; }
 
-  /// The shared worker pool (exposed for embeddings that want to attach
-  /// a PropagationScheduler of a big standalone graph to it).
-  ThreadPool &pool() { return Pool; }
-
 private:
   /// One drain wave for \p S under \p B. Runs on a pool worker (or
-  /// inline); pins statistics to shard 0 for the duration.
+  /// inline).
   void drainOne(Session &S, const WaveBudget &B);
 
   /// Drain cycle over whatever is queued, pumping under \p B.

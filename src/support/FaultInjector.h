@@ -16,9 +16,9 @@
 /// No injector is installed by default; the per-site cost is then a single
 /// global pointer load. Install one for the current scope with
 /// FaultInjector::Scope (tests only). Hit accounting is internally
-/// locked, so instrumented sites may fire from parallel-propagation
-/// worker threads; arming/disarming must still happen while the graph is
-/// quiescent (install the Scope before dispatching work).
+/// locked, so instrumented sites may fire from session drains running on
+/// several pool threads at once; arming/disarming must still happen while
+/// nothing is draining (install the Scope before dispatching work).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -115,7 +115,7 @@ public:
 
   /// Records a hit of \p Site and returns the action to take. Never
   /// throws; the instrumented site performs the action itself. Safe to
-  /// call from parallel wave workers.
+  /// call from several threads at once.
   Action hit(std::string_view Site) {
     uint64_t PayloadUs = 0;
     return hit(Site, PayloadUs);

@@ -6,8 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Allocation fast path for the dependency graph's hot bookkeeping
-/// (DESIGN.md "Parallel propagation", allocation section). Edge churn
+/// Allocation fast path for the dependency graph's hot bookkeeping. Edge churn
 /// dominates beginExecution/endExecution — every re-execution retracts and
 /// re-records the instance's referenced-argument set — so Edge objects come
 /// from Pool<Edge>: a type-local free list layered over BumpArena chunks.
@@ -22,7 +21,6 @@
 #ifndef ALPHONSE_SUPPORT_POOL_H
 #define ALPHONSE_SUPPORT_POOL_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -124,13 +122,11 @@ private:
 
 /// Chunked, index-addressable slab: the storage behind the graph's dense
 /// NodeId/EdgeId tables (DESIGN.md "Engine layering and handle-based
-/// storage"). Slots are addressed by dense 32-bit indices, live in
+/// storage"). Slots are addressed by dense 32-bit indices and live in
 /// fixed-size chunks whose addresses never move (unlike std::vector, a
-/// reference taken before a push() stays valid afterwards), and the chunk
-/// directory is an array of atomic pointers, so readers may resolve
-/// indices lock-free while one externally serialized writer grows the
-/// slab. Every slot carries an 8-bit generation stored in the same chunk,
-/// so one allocation backs both and one directory walk resolves a slot
+/// reference taken before a push() stays valid afterwards). Every slot
+/// carries an 8-bit generation stored in the same chunk, so one
+/// allocation backs both and one directory lookup resolves a slot
 /// together with its generation. Slots and generations are
 /// value-initialized; recycling is the owner's job (the tables keep
 /// explicit free lists and advance the generations).
@@ -142,13 +138,6 @@ public:
   /// 8-byte directory entry per 32 slots, small next to the slots.
   static constexpr uint32_t ChunkSlotsLog2 = 5;
   static constexpr uint32_t ChunkSlots = 1u << ChunkSlotsLog2;
-  /// Geometry covers the full 24-bit handle index space.
-  static constexpr uint32_t MaxChunks = 1u << (24 - ChunkSlotsLog2);
-  /// Directory entries allocated up front: 16 chunks, the first 512
-  /// slots. A small graph never grows its directory; a large one doubles
-  /// it a few times (the retired copies cost about as much again as the
-  /// final directory, 8 bytes per chunk).
-  static constexpr uint32_t InitialDirChunks = 16;
 
   /// One slot together with its generation.
   struct Ref {
@@ -160,22 +149,12 @@ public:
     const uint8_t &Gen;
   };
 
-  Slab() { Dir.store(newDir(InitialDirChunks), std::memory_order_relaxed); }
-
-  ~Slab() {
-    std::atomic<Chunk *> *D = Dir.load(std::memory_order_relaxed);
-    for (uint32_t I = 0; I < DirCap; ++I)
-      delete D[I].load(std::memory_order_relaxed);
-    delete[] D;
-    for (std::atomic<Chunk *> *Old : Retired)
-      delete[] Old;
-  }
-
+  Slab() = default;
   Slab(const Slab &) = delete;
   Slab &operator=(const Slab &) = delete;
 
   /// Slots ever appended (free slots included; never shrinks).
-  uint32_t size() const { return Count.load(std::memory_order_acquire); }
+  uint32_t size() const { return Count; }
 
   T &operator[](uint32_t Index) {
     return chunk(Index).Slots[Index & (ChunkSlots - 1)];
@@ -197,26 +176,15 @@ public:
   }
 
   /// Appends one value-initialized slot (generation 0) and returns its
-  /// index. Writer-side only: calls must be externally serialized (the
-  /// graph's state lock).
+  /// index.
   uint32_t push() {
-    uint32_t Index = Count.load(std::memory_order_relaxed);
-    uint32_t C = Index >> ChunkSlotsLog2;
-    if ((Index & (ChunkSlots - 1)) == 0) {
-      if (C == DirCap)
-        growDir();
-      Dir.load(std::memory_order_relaxed)[C].store(
-          new Chunk(), std::memory_order_release);
-      ++NumChunks;
-    }
-    Count.store(Index + 1, std::memory_order_release);
-    return Index;
+    if ((Count & (ChunkSlots - 1)) == 0)
+      Dir.push_back(std::make_unique<Chunk>());
+    return Count++;
   }
 
   /// Bytes reserved by the allocated chunks (slots and generations).
-  size_t bytesReserved() const {
-    return static_cast<size_t>(NumChunks) * sizeof(Chunk);
-  }
+  size_t bytesReserved() const { return Dir.size() * sizeof(Chunk); }
 
 private:
   /// Generations sit after the slots, so a chunk of 8-byte pointers or
@@ -226,51 +194,15 @@ private:
     uint8_t Gens[ChunkSlots];
   };
 
-  Chunk &chunk(uint32_t Index) const {
-    return *Dir.load(std::memory_order_acquire)[Index >> ChunkSlotsLog2].load(
-        std::memory_order_acquire);
-  }
+  Chunk &chunk(uint32_t Index) const { return *Dir[Index >> ChunkSlotsLog2]; }
 
-  static std::atomic<Chunk *> *newDir(uint32_t Cap) {
-    std::atomic<Chunk *> *D = new std::atomic<Chunk *>[Cap];
-    for (uint32_t I = 0; I < Cap; ++I)
-      D[I].store(nullptr, std::memory_order_relaxed);
-    return D;
-  }
-
-  /// Doubles the chunk directory. The old directory is retired, not
-  /// freed: a concurrent reader that loaded Dir just before the swap may
-  /// still be indexing into it, and every index it can legally hold
-  /// (published before the grow) resolves identically through either
-  /// directory — chunks never move. Retired directories are reclaimed at
-  /// destruction. Readers needing an index minted after the grow
-  /// observed its publication, which happened after the release store of
-  /// the new directory, so their acquire load of Dir sees the new one.
-  void growDir() {
-    uint32_t NewCap = DirCap * 2 < MaxChunks ? DirCap * 2 : MaxChunks;
-    std::atomic<Chunk *> *New = newDir(NewCap);
-    std::atomic<Chunk *> *Old = Dir.load(std::memory_order_relaxed);
-    for (uint32_t I = 0; I < DirCap; ++I)
-      New[I].store(Old[I].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    Retired.push_back(Old);
-    Dir.store(New, std::memory_order_release);
-    DirCap = NewCap;
-  }
-
-  /// The chunk directory is heap-allocated and grown on demand (doubling
-  /// from InitialDirChunks) rather than sized for the full 24-bit index
-  /// space up front: a graph's baseline footprint is what bounds how many
-  /// embedded engines one process can hold (DESIGN.md "Session service"),
-  /// and an embedded full-space directory would cost 4 MB per slab at
-  /// this chunk granularity. Resolution pays one extra dependent load
-  /// over an embedded array; measured against bench_space/bench_overhead
-  /// this is inside run-to-run noise.
-  std::atomic<std::atomic<Chunk *> *> Dir;
-  std::atomic<uint32_t> Count{0};
-  uint32_t DirCap = InitialDirChunks;
-  uint32_t NumChunks = 0;
-  std::vector<std::atomic<Chunk *> *> Retired;
+  /// The chunk directory, grown on demand rather than sized for the full
+  /// 24-bit index space up front: a graph's baseline footprint is what
+  /// bounds how many embedded engines one process can hold (DESIGN.md
+  /// "Session service"). Growing it moves only the pointers; the chunks
+  /// stay put.
+  std::vector<std::unique_ptr<Chunk>> Dir;
+  uint32_t Count = 0;
 };
 
 } // namespace alphonse

@@ -32,9 +32,6 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "txn.committed        " << S.TxnCommitted.total() << '\n'
      << "txn.rolledBack       " << S.TxnRolledBack.total() << '\n'
      << "txn.undoEntries      " << S.TxnUndoEntries.total() << '\n'
-     << "prop.workers         " << S.PropWorkers.total() << '\n'
-     << "prop.partitions_drained " << S.PropPartitionsDrained.total() << '\n'
-     << "prop.conflicts       " << S.PropConflicts.total() << '\n'
      << "pool.edge_reuse      " << S.EdgeReuse.total() << '\n'
      << "graph.node_bytes     " << S.GraphNodeBytes.total() << '\n'
      << "graph.edge_bytes     " << S.GraphEdgeBytes.total() << '\n'
@@ -57,8 +54,7 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "gov.stale_nodes      " << S.GovStaleNodes.total() << '\n'
      << "gov.nodes_stamped    " << S.GovNodesStamped.total() << '\n'
      << "gov.deadline_blows   " << S.GovDeadlineBlows.total() << '\n'
-     << "gov.watchdog_quarantined " << S.GovWatchdogQuarantines.total() << '\n'
-     << "gov.backoff_waits    " << S.GovBackoffWaits.total() << '\n';
+     << "gov.watchdog_quarantined " << S.GovWatchdogQuarantines.total() << '\n';
   return OS;
 }
 

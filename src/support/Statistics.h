@@ -11,170 +11,46 @@
 /// benchmarks read these counters to check the claimed asymptotic shapes
 /// (experiments E7, E8, E11 in DESIGN.md).
 ///
-/// Counters are sharded per worker thread (DESIGN.md "Parallel
-/// propagation"): each pool worker owns one cache-line-padded slot it
-/// updates with plain load/store pairs (no contended read-modify-write),
-/// and reads merge the slots. Shard ids are pool-scoped — every ThreadPool
-/// numbers its own workers 1..kStatShards-1 — so any number of pools can
-/// coexist without starving each other of shards. The ownership rule that
-/// makes the load/store slots sound: at most one pool's workers may update
-/// a given Statistics block at a time (each pool drains its own graphs).
-/// Slot 0 is different: it is shared by the main thread and every thread
-/// without a shard, so it is updated with fetch_add — concurrent shard-0
-/// writers (e.g. session drains running as tasks on a shared pool) never
-/// lose increments.
-///
-/// Memory: the worker slots are allocated lazily per counter, the first
-/// time a worker-shard thread bumps it. A counter only ever touched from
-/// shard 0 — every counter of a serially-drained session runtime — costs
-/// 16 bytes instead of a kStatShards-sized padded array, which is what
-/// makes tens of thousands of per-session Statistics blocks affordable
-/// (DESIGN.md "Session service").
+/// A Statistics block belongs to one Runtime, and one thread at a time
+/// drives a Runtime's graph (the session service hands a session to one
+/// pool task at a time; DESIGN.md "Session service"), so every counter is
+/// a plain integer.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALPHONSE_SUPPORT_STATISTICS_H
 #define ALPHONSE_SUPPORT_STATISTICS_H
 
-#include <atomic>
 #include <cstdint>
 #include <ostream>
 
 namespace alphonse {
 
-/// Shard budget: slot 0 is the main thread (and every thread without a
-/// shard); slots 1..kStatShards-1 are handed to a pool's worker threads by
-/// ThreadPool, bounding the per-pool concurrent worker count.
-inline constexpr unsigned kStatShards = 17;
-
-namespace detail {
-/// The calling thread's counter slot. 0 outside worker threads.
-inline thread_local unsigned StatShard = 0;
-} // namespace detail
-
-/// The calling thread's statistics/evaluator shard id.
-inline unsigned statShardId() { return detail::StatShard; }
-
-/// RAII override of the calling thread's shard id. The session service
-/// uses StatShardScope(0) around a per-session serial drain running on a
-/// pool worker: the session's counters then land in the (fetch_add,
-/// multi-writer-safe) slot 0 instead of lazily allocating worker-slot
-/// blocks in every session's Statistics.
-class StatShardScope {
-public:
-  explicit StatShardScope(unsigned Shard) : Saved(detail::StatShard) {
-    detail::StatShard = Shard;
-  }
-  ~StatShardScope() { detail::StatShard = Saved; }
-
-  StatShardScope(const StatShardScope &) = delete;
-  StatShardScope &operator=(const StatShardScope &) = delete;
-
-private:
-  unsigned Saved;
-};
-
-/// One sharded event counter. Converts implicitly to uint64_t (the merged
-/// total), so call sites read and compare it like the plain integer it
-/// used to be; ++/+= update only the calling thread's slot.
+/// One event counter: a plain 64-bit integer that converts implicitly to
+/// uint64_t, so call sites read and compare it like one. total() names the
+/// value explicitly.
 class StatCounter {
 public:
   StatCounter() = default;
-
-  StatCounter(uint64_t V) { Main.store(V, std::memory_order_relaxed); }
-
-  StatCounter(const StatCounter &O) {
-    Main.store(O.total(), std::memory_order_relaxed);
-  }
-
-  ~StatCounter() { delete Workers.load(std::memory_order_relaxed); }
-
-  /// Copy-assignment merges the source into slot 0 (and zeroes the worker
-  /// slots), so Statistics::reset() — a whole-struct assignment from a
-  /// fresh Statistics — still zeroes everything.
-  StatCounter &operator=(const StatCounter &O) {
-    uint64_t T = O.total();
-    zeroWorkerSlots();
-    Main.store(T, std::memory_order_relaxed);
-    return *this;
-  }
-
-  StatCounter &operator=(uint64_t V) {
-    zeroWorkerSlots();
-    Main.store(V, std::memory_order_relaxed);
-    return *this;
-  }
+  StatCounter(uint64_t V) : V(V) {}
 
   StatCounter &operator++() {
-    bump(1);
+    ++V;
     return *this;
   }
-  void operator++(int) { bump(1); }
+  void operator++(int) { ++V; }
   StatCounter &operator+=(uint64_t N) {
-    bump(N);
+    V += N;
     return *this;
   }
 
-  /// Merged value across all shards.
-  uint64_t total() const {
-    uint64_t Sum = Main.load(std::memory_order_relaxed);
-    if (const ShardBlock *B = Workers.load(std::memory_order_acquire))
-      for (const Slot &S : B->Slots)
-        Sum += S.V.load(std::memory_order_relaxed);
-    return Sum;
-  }
-
-  operator uint64_t() const { return total(); }
+  uint64_t total() const { return V; }
+  operator uint64_t() const { return V; }
 
 private:
-  struct alignas(64) Slot {
-    std::atomic<uint64_t> V{0};
-  };
-  /// Padded slots for shards 1..kStatShards-1, allocated on the first
-  /// bump from a worker-shard thread.
-  struct ShardBlock {
-    Slot Slots[kStatShards - 1];
-  };
-
-  void bump(uint64_t N) {
-    unsigned Shard = statShardId();
-    if (Shard == 0) {
-      // Slot 0 has any number of writers (the main thread, overflow
-      // threads, session drains pinned to shard 0): a read-modify-write
-      // load/store pair here loses increments, so it must be fetch_add.
-      Main.fetch_add(N, std::memory_order_relaxed);
-      return;
-    }
-    // Owner-exclusive worker slot: a plain load/store pair, not a
-    // fetch_add — within the one pool allowed to drive this Statistics
-    // block, no second thread ever writes this slot.
-    std::atomic<uint64_t> &S = workerSlots().Slots[Shard - 1].V;
-    S.store(S.load(std::memory_order_relaxed) + N, std::memory_order_relaxed);
-  }
-
-  /// The worker-slot block, allocated on first use (CAS-installed: racing
-  /// workers agree on one block, losers free theirs).
-  ShardBlock &workerSlots() {
-    ShardBlock *B = Workers.load(std::memory_order_acquire);
-    if (B)
-      return *B;
-    ShardBlock *Fresh = new ShardBlock();
-    if (Workers.compare_exchange_strong(B, Fresh, std::memory_order_acq_rel))
-      return *Fresh;
-    delete Fresh; // Lost the race; B now holds the winner.
-    return *B;
-  }
-
-  void zeroWorkerSlots() {
-    if (ShardBlock *B = Workers.load(std::memory_order_relaxed))
-      for (Slot &S : B->Slots)
-        S.V.store(0, std::memory_order_relaxed);
-  }
-
-  /// Slot 0: the main thread and every unsharded thread (fetch_add).
-  std::atomic<uint64_t> Main{0};
-  std::atomic<ShardBlock *> Workers{nullptr};
+  uint64_t V = 0;
 };
+static_assert(sizeof(StatCounter) == 8, "a counter is one plain uint64_t");
 
 /// Aggregate event counters maintained by one Runtime instance.
 struct Statistics {
@@ -227,13 +103,6 @@ struct Statistics {
   StatCounter TxnRolledBack;
   /// Undo-journal entries recorded across all batches.
   StatCounter TxnUndoEntries;
-  /// Worker threads of the propagation scheduler's pool (0 = serial).
-  StatCounter PropWorkers;
-  /// Partitions drained to quiescence by parallel wave workers.
-  StatCounter PropPartitionsDrained;
-  /// Executions abandoned because they touched a partition owned by a
-  /// sibling worker (the partitions merge and the work is retried).
-  StatCounter PropConflicts;
   /// Edge allocations served from the free-list pool instead of the arena.
   StatCounter EdgeReuse;
   /// Bytes reserved by the node table's slab and free list
@@ -248,6 +117,8 @@ struct Statistics {
   StatCounter PoolHighWater;
   /// No longer incremented; kept only because perfbench reads it.
   StatCounter StaticCalls;
+  StatCounter PropPartitionsDrained;
+  StatCounter PropConflicts;
   /// Full checkpoint snapshots written (DESIGN.md §10).
   StatCounter CkptSnapshots;
   /// Delta records appended to checkpoint logs.
@@ -290,9 +161,6 @@ struct Statistics {
   /// Nodes quarantined by the watchdog for blowing the deadline
   /// Config::WatchdogTrips times.
   StatCounter GovWatchdogQuarantines;
-  /// Capped-exponential backoff waits taken between conflicted retry
-  /// waves.
-  StatCounter GovBackoffWaits;
 
   /// Resets every counter to zero.
   void reset() { *this = Statistics(); }
@@ -304,8 +172,7 @@ struct Statistics {
   uint64_t liveEdges() const { return EdgesCreated - EdgesRemoved; }
 };
 
-/// Prints all counters (merged across shards), one per line, for debugging
-/// and bench reports.
+/// Prints the counters, one per line, for debugging and bench reports.
 std::ostream &operator<<(std::ostream &OS, const Statistics &S);
 
 } // namespace alphonse

@@ -7,21 +7,12 @@
 
 #include "support/ThreadPool.h"
 
-#include "support/Statistics.h"
-
 namespace alphonse {
 
-ThreadPool::ThreadPool(unsigned Requested) {
-  // Pool-scoped shard assignment: worker I owns shard I+1 of this pool.
-  // No process-global allocator — concurrent pools number their workers
-  // independently (the ownership rule in Statistics.h keeps the slots
-  // sound: one pool drives a given Statistics block at a time).
-  unsigned N = Requested < kStatShards - 1 ? Requested : kStatShards - 1;
-  Threads.reserve(N);
-  for (unsigned I = 0; I < N; ++I) {
-    unsigned Shard = I + 1;
-    Threads.emplace_back([this, Shard] { workerMain(Shard); });
-  }
+ThreadPool::ThreadPool(unsigned Workers) {
+  Threads.reserve(Workers);
+  for (unsigned I = 0; I < Workers; ++I)
+    Threads.emplace_back([this] { workerMain(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -103,8 +94,7 @@ void ThreadPool::wait() {
   }
 }
 
-void ThreadPool::workerMain(unsigned Shard) {
-  detail::StatShard = Shard;
+void ThreadPool::workerMain() {
   for (;;) {
     std::function<void()> Task;
     {

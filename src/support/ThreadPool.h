@@ -6,15 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal fixed-size worker pool for the parallel propagation scheduler
-/// and the session service (DESIGN.md "Parallel propagation", "Session
-/// service"). Threads are created once, pull tasks from a shared queue,
-/// and are joined at destruction. Shard ownership is pool-scoped: worker I
-/// of any pool runs with statistics shard id I+1 (Statistics.h), so the
-/// StatCounter slots and Runtime's per-shard call stacks are
-/// owner-exclusive for any Statistics block driven by one pool at a time,
-/// and any number of pools can coexist without starving each other of
-/// shards. kStatShards-1 caps the per-pool worker count.
+/// A minimal fixed-size worker pool for the session service (DESIGN.md
+/// "Session service"). Threads are created once, pull tasks from a shared
+/// queue, and are joined at destruction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,15 +28,14 @@ namespace alphonse {
 /// Fixed pool of worker threads draining a shared task queue.
 class ThreadPool {
 public:
-  /// Creates up to \p Requested workers (bounded by the per-pool shard
-  /// budget kStatShards - 1; size() reports how many actually exist).
-  explicit ThreadPool(unsigned Requested);
+  /// Creates \p Workers worker threads.
+  explicit ThreadPool(unsigned Workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Number of live worker threads (may be less than requested).
+  /// Number of live worker threads (0 once stopped).
   unsigned size() const { return static_cast<unsigned>(Threads.size()); }
 
   /// Enqueues \p Task for execution on some worker. On a pool with no
@@ -70,7 +63,7 @@ public:
   void stop();
 
 private:
-  void workerMain(unsigned Shard);
+  void workerMain();
   /// Joins the workers and drains any queued backlog inline. Returns the
   /// pending first error (cleared from the pool), which stop() rethrows
   /// and the destructor discards.

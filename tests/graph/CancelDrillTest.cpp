@@ -176,14 +176,12 @@ TEST(CancelDrillTest, SerialCancelAtEveryStepSeedA) { runSerialDrill(17); }
 TEST(CancelDrillTest, SerialCancelAtEveryStepSeedB) { runSerialDrill(9001); }
 TEST(CancelDrillTest, SerialCancelAtEveryStepSeedC) { runSerialDrill(424242); }
 
-/// Parallel variant: four independent 10-stage chains across four
-/// workers, budgets cutting waves at arbitrary points. Parallel step
-/// interleaving is nondeterministic, so the drill asserts invariants
-/// (audit-clean, exact recovery) rather than exact cut positions.
+/// Multi-partition variant: four independent 10-stage chains, so four
+/// partitions hold pending work when a budget cuts the wave at an
+/// arbitrary point. Every cut must audit clean, and recovery must be
+/// exact.
 TEST(CancelDrillTest, ParallelCancelDrillRecoversExactly) {
-  DepGraph::Config Cfg;
-  Cfg.Workers = 4;
-  Runtime RT(Cfg);
+  Runtime RT;
 
   constexpr int Chains = 4, Stages = 10;
   std::vector<std::unique_ptr<Cell<int>>> Srcs;
@@ -210,7 +208,7 @@ TEST(CancelDrillTest, ParallelCancelDrillRecoversExactly) {
     EXPECT_TRUE(O == WaveOutcome::DegradedSteps || O == WaveOutcome::Completed)
         << "round " << Round << " budget " << K;
     EXPECT_TRUE(RT.graph().verify().empty())
-        << "cancelled parallel wave left torn state (round " << Round << ")";
+        << "cancelled wave left torn state (round " << Round << ")";
 
     EXPECT_EQ(RT.pumpUnbounded(), WaveOutcome::Completed);
     EXPECT_TRUE(RT.graph().verify().empty());

@@ -184,6 +184,57 @@ TEST(CheckpointTest, WrongVersionIsRejectedAsBadVersion) {
   }
 }
 
+TEST(CheckpointTest, VersionTwoFileIsRejectedAsBadVersion) {
+  // Format version 3 dropped the serial-pin bit from the node flags;
+  // version-2 files are refused like any other old version.
+  TempCheckpoint File("ckpt-version2");
+  {
+    CheckpointHost A(3);
+    A.touchAll();
+    A.save(File.path());
+  }
+  std::vector<uint8_t> Bytes = slurp(File.path());
+  ASSERT_GT(Bytes.size(), 12u);
+  ASSERT_EQ(Bytes[8], 3u);
+  Bytes[8] = 2;
+  spit(File.path(), Bytes);
+  try {
+    CheckpointHost B(3);
+    B.restore(File.path());
+    FAIL() << "a version-2 file must be refused";
+  } catch (const CheckpointError &E) {
+    EXPECT_EQ(E.code(), CkptError::BadVersion);
+  }
+}
+
+TEST(CheckpointTest, OldSerialFlagBitIsMalformed) {
+  GraphSnapshot S;
+  CkptNode N;
+  N.IdBits = 1;
+  N.Consistent = 1;
+  S.Nodes.push_back(N);
+  ByteWriter W;
+  S.encode(W);
+  std::vector<uint8_t> Bytes = W.take();
+  // Three u64 counters, the u32 node count, the node's u32 id and its
+  // kind and strategy bytes precede its flag byte.
+  const size_t FlagAt = 3 * 8 + 4 + 4 + 2;
+  ASSERT_GT(Bytes.size(), FlagAt);
+  ASSERT_EQ(Bytes[FlagAt], 1u);
+  {
+    ByteReader R(Bytes.data(), Bytes.size());
+    EXPECT_NO_THROW(GraphSnapshot::decode(R));
+  }
+  Bytes[FlagAt] |= 2; // The serial bit of format version 2.
+  ByteReader R(Bytes.data(), Bytes.size());
+  try {
+    GraphSnapshot::decode(R);
+    FAIL() << "a node flag byte with the old serial bit must be refused";
+  } catch (const CheckpointError &E) {
+    EXPECT_EQ(E.code(), CkptError::Malformed);
+  }
+}
+
 TEST(CheckpointTest, GarbageFileIsRejected) {
   TempCheckpoint File("ckpt-garbage");
   spit(File.path(), {'n', 'o', 't', ' ', 'a', ' ', 'c', 'k', 'p', 't'});

@@ -44,10 +44,6 @@ constexpr size_t kCells = 6;
 class CrashRecoveryTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    // The child forks from the test process; parallel evaluation threads
-    // must not leak across fork(). The host runtimes here are serial by
-    // construction, but the env override could silently re-enable them.
-    ::unsetenv("ALPHONSE_JOBS");
     const char *Dir = std::getenv("TMPDIR");
     Path = std::string(Dir ? Dir : "/tmp") + "/crash-recovery." +
            std::to_string(::getpid()) + ".ckpt";

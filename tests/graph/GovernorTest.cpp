@@ -112,17 +112,11 @@ TEST(GovernorTest, DeadlineOnVirtualClockCancelsAtExactBoundary) {
   C.Src.set(7);
   uint64_t StepsBefore = RT.stats().EvalSteps.total();
   // Deadline 350us: boundaries see t=100, 200, 300 (ok) then t=400
-  // (expired). Exactly 3 nodes may be processed — the deadline is
-  // honored within one evaluation-step granularity. Under parallel
-  // evaluation (ALPHONSE_JOBS) every worker's boundary checks advance
-  // the shared virtual clock, so only the upper bound is deterministic.
+  // (expired). Exactly 3 nodes are processed — the deadline is honored
+  // within one evaluation-step granularity.
   WaveOutcome O = RT.pump(WaveBudget::deadline(350));
   EXPECT_EQ(O, WaveOutcome::DegradedDeadline);
-  uint64_t Steps = RT.stats().EvalSteps.total() - StepsBefore;
-  if (RT.graph().config().Workers == 0)
-    EXPECT_EQ(Steps, 3u);
-  else
-    EXPECT_LE(Steps, 3u);
+  EXPECT_EQ(RT.stats().EvalSteps.total() - StepsBefore, 3u);
   EXPECT_GE(RT.stats().GovDeadlineExpired.total(), 1u);
   EXPECT_TRUE(RT.graph().verify().empty());
   EXPECT_TRUE(RT.degraded());
@@ -280,11 +274,9 @@ TEST(GovernorTest, CellIsStaleTracksTheUnrepairedCone) {
 }
 
 TEST(GovernorTest, GovernedParallelWaveParksAndRecovers) {
-  DepGraph::Config Cfg;
-  Cfg.Workers = 4;
-  Runtime RT(Cfg);
-  // Four independent chains: four partitions, so the pump actually runs
-  // parallel waves whose workers poll the shared cancel latch.
+  Runtime RT;
+  // Four independent chains: four partitions with pending work, so a
+  // budget cuts the wave with residue parked in several of them.
   std::vector<std::unique_ptr<Chain>> Chains;
   for (int I = 0; I < 4; ++I)
     Chains.push_back(std::make_unique<Chain>(RT, 12));
@@ -297,7 +289,7 @@ TEST(GovernorTest, GovernedParallelWaveParksAndRecovers) {
     EXPECT_TRUE(O == WaveOutcome::DegradedSteps ||
                 O == WaveOutcome::Completed);
     EXPECT_TRUE(RT.graph().verify().empty())
-        << "a cancelled parallel wave must leave no torn state";
+        << "a cancelled wave must leave no torn state";
     EXPECT_EQ(RT.pumpUnbounded(), WaveOutcome::Completed);
     EXPECT_TRUE(RT.graph().verify().empty());
     for (auto &C : Chains)

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// Direct tests of the InconsistentSet min-heap, focused on mergeFrom —
-/// the operation the parallel scheduler leans on when union-find
-/// partitions merge mid-wave: the survivor set absorbs the loser's
+/// the operation behind a union-find partition merge with work pending
+/// on both sides (Section 6.3): the survivor set absorbs the loser's
 /// entries and popping must still come out in non-decreasing level order.
 ///
 //===----------------------------------------------------------------------===//

@@ -9,9 +9,7 @@
 /// The bytecode VM must be observationally identical to the graph-free
 /// reference evaluator (Reference.h): same return values, same print
 /// output, same final globals, same runtime errors at the same source
-/// locations — in both execution modes, at Workers = 0 and with parallel
-/// wave drains. Quarantine and pending work, which the reference does not
-/// have, must not depend on the worker count. Every Alphonse-L test
+/// locations — in both execution modes. Every Alphonse-L test
 /// program (the canonical height-tree and AVL modules plus the inline
 /// corpus below) runs through both with identical driver scripts,
 /// including fixed-seed randomized interleavings, and the vm.*
@@ -20,7 +18,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "interp/Differential.h"
-#include "interp/bytecode/Compiler.h"
 #include "support/CheckpointIO.h"
 #include "support/FaultInjector.h"
 
@@ -207,7 +204,7 @@ TEST(BytecodeDiffTest, NullaryCachedCone) {
   checkDifferential(*C, Script);
   // Every reader is up to date before the last write, which goes to a
   // global nothing reads: no work may be left pending.
-  RunResult VM = testing::runVM(*C, Script, ExecMode::Alphonse, 0);
+  RunResult VM = testing::runVM(*C, Script, ExecMode::Alphonse);
   EXPECT_EQ(VM.Rendered[10], "14");
   EXPECT_EQ(VM.Pending, 0u);
 }
@@ -223,7 +220,7 @@ TEST(BytecodeDiffTest, NullaryCachedConeFaultsAgree) {
       {"Ratio", {}}, // division by zero
   };
   checkDifferential(*C, Script);
-  RunResult VM = testing::runVM(*C, Script, ExecMode::Alphonse, 0);
+  RunResult VM = testing::runVM(*C, Script, ExecMode::Alphonse);
   EXPECT_TRUE(VM.Failed);
   EXPECT_EQ(VM.Quarantined, 1u);
 }
@@ -438,19 +435,14 @@ TEST(BytecodeDiffTest, InitializerCheckpointRoundTrip) {
   ASSERT_FALSE(A.failed()) << A.errorMessage();
   A.saveCheckpoint(Path);
 
-  for (unsigned Workers : {0u, 4u}) {
-    SCOPED_TRACE("restore at workers=" + std::to_string(Workers));
-    DepGraph::Config Cfg;
-    Cfg.Workers = Workers;
-    Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg);
-    ASSERT_NO_THROW(B.restoreCheckpoint(Path));
-    EXPECT_EQ(B.global("base").Int, 3);
-    EXPECT_EQ(B.call("Report").Int, 37 + 0 + 9);
-    B.call("SetBase", {IV(5)});
-    EXPECT_EQ(B.call("Report").Int, 37 + 0 + 25);
-    ASSERT_FALSE(B.failed()) << B.errorMessage();
-    EXPECT_EQ(B.output(), "sq=36\nTRUE\nsq=36\nTRUE\nsq=36\nTRUE\n");
-  }
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  ASSERT_NO_THROW(B.restoreCheckpoint(Path));
+  EXPECT_EQ(B.global("base").Int, 3);
+  EXPECT_EQ(B.call("Report").Int, 37 + 0 + 9);
+  B.call("SetBase", {IV(5)});
+  EXPECT_EQ(B.call("Report").Int, 37 + 0 + 25);
+  ASSERT_FALSE(B.failed()) << B.errorMessage();
+  EXPECT_EQ(B.output(), "sq=36\nTRUE\nsq=36\nTRUE\nsq=36\nTRUE\n");
   std::remove(Path.c_str());
   std::remove(deltaLogPath(Path).c_str());
 }
@@ -518,7 +510,7 @@ PROCEDURE WriteField(x : INTEGER) = BEGIN b.v := x; END WriteField;
 }
 
 TEST(BytecodeDiffTest, RecursionDepthLimitAgrees) {
-  // The VM's per-thread depth counter must trip at the language's limit
+  // The VM's depth counter must trip at the language's limit
   // (Interp::MaxNestedCalls) with the reference's message.
   auto C = compile(R"(
 PROCEDURE Down(n : INTEGER) : INTEGER =
@@ -582,10 +574,9 @@ PROCEDURE SetX(v : INTEGER) = BEGIN x := v; END SetX;
 }
 
 TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
-  // A checkpoint does not depend on the engine configuration that wrote
-  // it: compiled chunks are derived state, so a snapshot saved under
-  // parallel execution restores at either worker count with identical
-  // answers.
+  // A checkpoint does not depend on the interpreter that wrote it:
+  // compiled chunks are derived state, so a fresh interpreter restores
+  // the snapshot with identical answers.
   const std::string Path = std::string(std::getenv("TMPDIR")
                                            ? std::getenv("TMPDIR")
                                            : "/tmp") +
@@ -594,35 +585,28 @@ TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
   auto C = compile(testing::heightTreeProgram());
   ASSERT_TRUE(C->ok());
 
-  DepGraph::Config Par;
-  Par.Workers = 4;
-  Interp A(C->M, C->Info, ExecMode::Alphonse, Par);
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
   A.call("BuildChain", {IV(9)});
   Value HA = A.call("RootHeight");
   ASSERT_FALSE(A.failed()) << A.errorMessage();
   A.saveCheckpoint(Path);
 
-  for (unsigned Workers : {0u, 4u}) {
-    SCOPED_TRACE("restore at workers=" + std::to_string(Workers));
-    DepGraph::Config Cfg;
-    Cfg.Workers = Workers;
-    Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg);
-    B.restoreCheckpoint(Path);
-    Value HB = B.call("RootHeight");
-    ASSERT_FALSE(B.failed()) << B.errorMessage();
-    EXPECT_TRUE(HA == HB);
-    B.call("GrowLeft", {IV(2)});
-    Value HG = B.call("RootHeight");
-    ASSERT_FALSE(B.failed());
-    EXPECT_EQ(HG.Int, HA.Int + 2);
-  }
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  B.restoreCheckpoint(Path);
+  Value HB = B.call("RootHeight");
+  ASSERT_FALSE(B.failed()) << B.errorMessage();
+  EXPECT_TRUE(HA == HB);
+  B.call("GrowLeft", {IV(2)});
+  Value HG = B.call("RootHeight");
+  ASSERT_FALSE(B.failed());
+  EXPECT_EQ(HG.Int, HA.Int + 2);
   std::remove(Path.c_str());
   std::remove(deltaLogPath(Path).c_str());
 }
 
 TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
-  // A snapshot of the cone saved under parallel execution restores at
-  // either worker count, and incremental repair continues from it.
+  // A snapshot of the cone restores into a fresh interpreter, and
+  // incremental repair continues from it.
   const std::string Path = std::string(std::getenv("TMPDIR")
                                            ? std::getenv("TMPDIR")
                                            : "/tmp") +
@@ -631,9 +615,7 @@ TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
   auto C = compile(coneProgram());
   ASSERT_TRUE(C->ok()) << C->Diags.str();
 
-  DepGraph::Config Par;
-  Par.Workers = 4;
-  Interp A(C->M, C->Info, ExecMode::Alphonse, Par);
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
   A.call("SetA", {IV(7)});
   A.call("SetB", {IV(5)});
   A.call("SetScale", {IV(3)});
@@ -642,41 +624,19 @@ TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
   ASSERT_FALSE(A.failed()) << A.errorMessage();
   A.saveCheckpoint(Path);
 
-  for (unsigned Workers : {0u, 4u}) {
-    SCOPED_TRACE("workers=" + std::to_string(Workers));
-    DepGraph::Config Cfg;
-    Cfg.Workers = Workers;
-    Interp B(C->M, C->Info, ExecMode::Alphonse, Cfg);
-    B.restoreCheckpoint(Path);
-    EXPECT_TRUE(SumA == B.call("Sum"));
-    EXPECT_TRUE(ScaledA == B.call("Scaled"));
-    ASSERT_FALSE(B.failed()) << B.errorMessage();
-    B.call("SetA", {IV(9)});
-    B.call("Touch", {IV(1)});
-    Value Sum2 = B.call("Sum");
-    ASSERT_FALSE(B.failed()) << B.errorMessage();
-    EXPECT_EQ(Sum2.Int, 14);
-    EXPECT_EQ(B.runtime().graph().numPending(), 0u);
-  }
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  B.restoreCheckpoint(Path);
+  EXPECT_TRUE(SumA == B.call("Sum"));
+  EXPECT_TRUE(ScaledA == B.call("Scaled"));
+  ASSERT_FALSE(B.failed()) << B.errorMessage();
+  B.call("SetA", {IV(9)});
+  B.call("Touch", {IV(1)});
+  Value Sum2 = B.call("Sum");
+  ASSERT_FALSE(B.failed()) << B.errorMessage();
+  EXPECT_EQ(Sum2.Int, 14);
+  EXPECT_EQ(B.runtime().graph().numPending(), 0u);
   std::remove(Path.c_str());
   std::remove(deltaLogPath(Path).c_str());
-}
-
-TEST(BytecodeDiffTest, EffectAnalysisClearsPureMethods) {
-  auto C = compile(testing::heightTreeProgram());
-  ASSERT_TRUE(C->ok());
-  DiagnosticEngine Diags;
-  auto BC = bytecode::compileModule(C->M, C->Info, Diags);
-  ASSERT_TRUE(BC) << Diags.str();
-  const lang::ProcDecl *Height = C->M.findProc("Height");
-  const lang::ProcDecl *HeightNil = C->M.findProc("HeightNil");
-  const lang::ProcDecl *BuildChain = C->M.findProc("BuildChain");
-  ASSERT_TRUE(Height && HeightNil && BuildChain);
-  EXPECT_TRUE(BC->parallelSafe(Height));
-  EXPECT_TRUE(BC->parallelSafe(HeightNil));
-  // BuildChain allocates and writes globals/fields: pinned.
-  EXPECT_FALSE(BC->parallelSafe(BuildChain));
-  EXPECT_EQ(BC->chunk(Height).Name, "Height");
 }
 
 } // namespace

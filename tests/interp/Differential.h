@@ -49,10 +49,8 @@ struct RunResult {
 /// Runs \p Script on a fresh interpreter. A failing step records the
 /// error and stops the script.
 inline RunResult runVM(const Compiled &C, const std::vector<Step> &Script,
-                       interp::ExecMode Mode, unsigned Workers) {
-  DepGraph::Config Cfg;
-  Cfg.Workers = Workers;
-  interp::Interp I(C.M, C.Info, Mode, Cfg);
+                       interp::ExecMode Mode) {
+  interp::Interp I(C.M, C.Info, Mode);
   RunResult R;
   for (const Step &S : Script) {
     std::vector<interp::Value> Args;
@@ -105,32 +103,21 @@ inline const char *modeName(interp::ExecMode Mode) {
 }
 
 /// The differential check of both interpreter suites: the reference is
-/// the oracle, and the VM must match it in both modes at Workers = 0 and
-/// Workers = 4 (each step's result, the final globals, the output, and
-/// the error). Quarantine and pending work, which the reference does not
-/// have, must not depend on the worker count. Returns the reference's run.
+/// the oracle, and the VM must match it in both modes (each step's
+/// result, the final globals, the output, and the error). Returns the
+/// reference's run.
 inline RunResult checkDifferential(const Compiled &C,
                                    const std::vector<Step> &Script) {
   RunResult Ref = runReference(C, Script);
   for (interp::ExecMode Mode :
        {interp::ExecMode::Conventional, interp::ExecMode::Alphonse}) {
-    RunResult Serial;
-    for (unsigned Workers : {0u, 4u}) {
-      RunResult VM = runVM(C, Script, Mode, Workers);
-      SCOPED_TRACE(std::string(modeName(Mode)) +
-                   " workers=" + std::to_string(Workers));
-      EXPECT_EQ(Ref.Rendered, VM.Rendered);
-      EXPECT_EQ(Ref.Globals, VM.Globals);
-      EXPECT_EQ(Ref.Output, VM.Output);
-      EXPECT_EQ(Ref.Failed, VM.Failed);
-      EXPECT_EQ(Ref.Error, VM.Error);
-      if (Workers == 0) {
-        Serial = VM;
-        continue;
-      }
-      EXPECT_EQ(Serial.Quarantined, VM.Quarantined);
-      EXPECT_EQ(Serial.Pending, VM.Pending);
-    }
+    RunResult VM = runVM(C, Script, Mode);
+    SCOPED_TRACE(modeName(Mode));
+    EXPECT_EQ(Ref.Rendered, VM.Rendered);
+    EXPECT_EQ(Ref.Globals, VM.Globals);
+    EXPECT_EQ(Ref.Output, VM.Output);
+    EXPECT_EQ(Ref.Failed, VM.Failed);
+    EXPECT_EQ(Ref.Error, VM.Error);
   }
   return Ref;
 }

@@ -33,9 +33,9 @@ using testing::Compiled;
 using testing::RunResult;
 using testing::Step;
 
-/// Runs the same step sequence through the reference and through both
-/// modes at 0 and 4 workers (testing::checkDifferential). The Theorem 5.1
-/// scripts run to completion.
+/// Runs the same step sequence through the reference and through the VM
+/// in both modes (testing::checkDifferential). The Theorem 5.1 scripts
+/// run to completion.
 static void checkEquivalence(const Compiled &C,
                              const std::vector<Step> &Script) {
   RunResult Ref = testing::checkDifferential(C, Script);

@@ -233,29 +233,98 @@ TEST(InterpConventionalTest, RegisterLimitIsACompileError) {
   }
 }
 
+/// A scratch .alf file for alphonsec runs, removed on exit.
+class ScratchProgram {
+public:
+  ScratchProgram(const std::string &Stem, const std::string &Source)
+      : Path(std::string(std::getenv("TMPDIR") ? std::getenv("TMPDIR")
+                                               : "/tmp") +
+             "/" + Stem + "." + std::to_string(::getpid()) + ".alf") {
+    std::ofstream(Path) << Source;
+  }
+  ~ScratchProgram() { std::remove(Path.c_str()); }
+  const std::string Path;
+};
+
+/// Runs alphonsec on \p Path with \p Args, capturing both streams.
+/// \returns the wait status; a crash shows as a signal, not an exit.
+static int runAlphonsec(const std::string &Path, const std::string &Args,
+                        std::string &Out) {
+  std::string Cmd =
+      std::string(ALPHONSEC_PATH) + " " + Path + " " + Args + " 2>&1";
+  FILE *P = ::popen(Cmd.c_str(), "r");
+  EXPECT_NE(P, nullptr);
+  if (!P)
+    return -1;
+  char Buf[512];
+  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
+    Out.append(Buf, N);
+  return ::pclose(P);
+}
+
 TEST(InterpConventionalTest, AlphonsecReportsRegisterLimit) {
-  std::string Path = std::string(std::getenv("TMPDIR") ? std::getenv("TMPDIR")
-                                                       : "/tmp") +
-                     "/register-limit." + std::to_string(::getpid()) + ".alf";
-  std::ofstream(Path) << registerLimitProgram();
+  ScratchProgram Prog("register-limit", registerLimitProgram());
   // Running the module and disassembling it both report the compile
   // error. Capture what alphonsec prints on both streams.
   for (const char *Action : {"--run Big", "--dump-bytecode"}) {
     SCOPED_TRACE(Action);
-    std::string Cmd =
-        std::string(ALPHONSEC_PATH) + " " + Path + " " + Action + " 2>&1";
-    FILE *P = ::popen(Cmd.c_str(), "r");
-    ASSERT_NE(P, nullptr);
     std::string Out;
-    char Buf[512];
-    while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
-      Out.append(Buf, N);
-    int Status = ::pclose(P);
+    int Status = runAlphonsec(Prog.Path, Action, Out);
     ASSERT_TRUE(WIFEXITED(Status)) << Out; // A crash is a signal.
     EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
     EXPECT_EQ(Out, std::string(RegisterLimitError) + "\n");
   }
-  std::remove(Path.c_str());
+}
+
+TEST(InterpConventionalTest, AlphonsecRejectsBadArgumentsAsUsageErrors) {
+  ScratchProgram Prog("bad-args", R"(
+PROCEDURE Main(n : INTEGER) : INTEGER = BEGIN RETURN n + 1; END Main;
+)");
+  // Malformed or out-of-range numbers, and unknown options such as
+  // --jobs, are usage errors: exit 1, reported before anything runs.
+  for (const char *Args :
+       {"--run Main,abc", "--run Main,99999999999999999999999",
+        "--run Main,5x", "--run Main,", "--step-budget -1 --run Main,1",
+        "--deadline-ms 18446744073709552 --run Main,1",
+        "--fault-seed 1x --run Main,1", "--jobs 2 --run Main,1"}) {
+    SCOPED_TRACE(Args);
+    std::string Out;
+    int Status = runAlphonsec(Prog.Path, Args, Out);
+    ASSERT_TRUE(WIFEXITED(Status)) << Out;
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Out;
+    EXPECT_EQ(Out.find("Main =>"), std::string::npos) << Out;
+  }
+  // Well-formed arguments, negative ones included, still run.
+  std::string Out;
+  int Status = runAlphonsec(Prog.Path, "--run \"Main,5;Main,-5\"", Out);
+  ASSERT_TRUE(WIFEXITED(Status)) << Out;
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << Out;
+  EXPECT_EQ(Out, "Main => 6\nMain => -4\n");
+}
+
+TEST(InterpConventionalTest, AlphonsecRejectsDeepStatementNesting) {
+  // Nesting past Parser::MaxStmtDepth is a compile error, with or
+  // without --run; 20,000 nested IFs would otherwise overflow the
+  // parser's stack.
+  std::string Src = "PROCEDURE Main() : INTEGER = BEGIN\n";
+  for (int I = 0; I < 20000; ++I)
+    Src += "IF TRUE THEN\n";
+  Src += "RETURN 1;\n";
+  for (int I = 0; I < 20000; ++I)
+    Src += "END;\n";
+  Src += "RETURN 0;\nEND Main;\n";
+  ScratchProgram Prog("deep-if", Src);
+  for (const char *Args : {"", "--run Main"}) {
+    SCOPED_TRACE(Args);
+    std::string Out;
+    int Status = runAlphonsec(Prog.Path, Args, Out);
+    ASSERT_TRUE(WIFEXITED(Status)) << Out.substr(0, 400);
+    EXPECT_EQ(WEXITSTATUS(Status), 1) << Out.substr(0, 400);
+    EXPECT_NE(Out.find("1002:1: error: statements nested more than 1000 "
+                       "levels deep"),
+              std::string::npos)
+        << Out.substr(0, 400);
+  }
 }
 
 TEST(InterpAlphonseTest, RuntimeErrorQuarantinesInstanceAndRecovers) {

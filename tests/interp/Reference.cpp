@@ -300,7 +300,6 @@ RefValue Evaluator::evalCall(const CallExpr *C, Frame &F) {
     return RefValue::integer(std::min(Args[0].Int, Args[1].Int));
   case Builtin::Abs:
     return RefValue::integer(Args[0].Int < 0 ? -Args[0].Int : Args[0].Int);
-  case Builtin::Pause: // Takes time only; nothing observable.
   case Builtin::NumBuiltins:
     return RefValue();
   }

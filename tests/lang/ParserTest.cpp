@@ -295,5 +295,81 @@ TEST(ParserTest, ExpressionsAtTheDepthLimitCompileAndRun) {
   }
 }
 
+/// A procedure whose body nests \p N copies of \p Open (a statement
+/// header up to its body), then RETURN \p Inner, then the N ENDs, all on
+/// line 1 after a fixed prefix.
+static std::string nestedProgram(unsigned N, const std::string &Open,
+                                 const std::string &Inner = "1") {
+  std::string Src = "PROCEDURE Main() : INTEGER = BEGIN ";
+  for (unsigned I = 0; I < N; ++I)
+    Src += Open;
+  Src += "RETURN " + Inner + "; ";
+  for (unsigned I = 0; I < N; ++I)
+    Src += "END; ";
+  return Src + "RETURN 0; END Main;\n";
+}
+
+/// Column of the \p K-th (1-based) copy of \p Open in nestedProgram.
+static unsigned nestedColumn(unsigned K, const std::string &Open) {
+  return 36 + static_cast<unsigned>(Open.size()) * (K - 1);
+}
+
+TEST(ParserTest, RejectsDeepStatementNestingWithoutCrashing) {
+  // 20,000 and 1,001 levels of IF, WHILE and FOR. There is exactly one
+  // error, at the statement that opens level 1,001; the statements
+  // around it still close, so nothing cascades.
+  for (const std::string Open : {"IF TRUE THEN ", "WHILE FALSE DO ",
+                                 "FOR i := 1 TO 2 DO "}) {
+    SCOPED_TRACE(Open);
+    for (unsigned N : {20000u, Parser::MaxStmtDepth + 1}) {
+      DiagnosticEngine Diags;
+      parseModule(nestedProgram(N, Open), Diags);
+      ASSERT_EQ(Diags.errorCount(), 1u) << Diags.str().substr(0, 400);
+      const Diagnostic &D = Diags.diagnostics().front();
+      EXPECT_EQ(D.Message, "statements nested more than 1000 levels deep");
+      EXPECT_EQ(D.Loc, SourceLocation(1, nestedColumn(1001, Open)))
+          << D.Loc.str();
+    }
+  }
+}
+
+TEST(ParserTest, ElsifChainsDoNotCountAsNesting) {
+  // An ELSIF chain is one IF statement: 20,000 arms sit at one level.
+  std::string Src = "PROCEDURE Main(n : INTEGER) : INTEGER = BEGIN IF n = 0 "
+                    "THEN RETURN 0;";
+  for (int I = 1; I < 20000; ++I)
+    Src += " ELSIF n = " + std::to_string(I) + " THEN RETURN " +
+           std::to_string(I) + ";";
+  Src += " ELSE RETURN -1; END; RETURN -2; END Main;\n";
+  auto C = testing::compile(Src);
+  ASSERT_TRUE(C->ok()) << C->Diags.str().substr(0, 400);
+  interp::Interp I(C->M, C->Info, interp::ExecMode::Conventional);
+  EXPECT_EQ(I.call("Main", {interp::Value::integer(19999)}).Int, 19999);
+  ASSERT_FALSE(I.failed()) << I.errorMessage();
+}
+
+TEST(ParserTest, StatementsAtTheDepthLimitCompileAndRun) {
+  // The deepest nest the parser accepts goes through Sema, the
+  // transformer and the bytecode compiler, and runs — also with an
+  // expression nearly as deep as the expression limit at its core.
+  std::string Deep = "0";
+  for (int I = 0; I < 989; ++I)
+    Deep = "(" + Deep + ")";
+  Deep += " + 1";
+  for (const std::string &Inner : {std::string("1"), Deep}) {
+    auto C =
+        testing::compile(nestedProgram(Parser::MaxStmtDepth, "IF TRUE THEN ",
+                                       Inner));
+    ASSERT_TRUE(C->ok()) << C->Diags.str().substr(0, 400);
+    for (auto Mode :
+         {interp::ExecMode::Conventional, interp::ExecMode::Alphonse}) {
+      interp::Interp I(C->M, C->Info, Mode);
+      interp::Value V = I.call("Main");
+      ASSERT_FALSE(I.failed()) << I.errorMessage();
+      EXPECT_EQ(V.Int, 1);
+    }
+  }
+}
+
 } // namespace
 } // namespace alphonse::lang

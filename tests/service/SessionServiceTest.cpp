@@ -249,8 +249,8 @@ TEST(SessionServiceTest, QueueDepthCapSheds) {
 }
 
 TEST(SessionServiceTest, TwoManagersCoexist) {
-  // Pool-scoped shard ownership: two live services with full-width pools,
-  // each draining its own sessions, interleaved.
+  // Two live services with full-width pools, each draining its own
+  // sessions, interleaved.
   ServiceConfig C;
   C.Workers = 4;
   SessionManager M1(C);

@@ -9,8 +9,8 @@
 /// Tests of Slab<T>, the chunked storage behind the graph's node and edge
 /// tables: index resolution across chunk and directory growth, stable slot
 /// addresses, generations paired with their slots, the reserved-bytes
-/// accounting the memory gauges publish, and lock-free readers racing
-/// the growing writer.
+/// accounting the memory gauges publish, and growth across handoffs from
+/// one owning thread to the next.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 
@@ -27,9 +26,9 @@ namespace {
 
 using U64Slab = Slab<uint64_t>;
 constexpr uint32_t ChunkSlots = U64Slab::ChunkSlots;
-/// Fills several chunks past the initial directory, forcing two
-/// directory doublings, and ends mid-chunk.
-constexpr uint32_t Many = U64Slab::InitialDirChunks * ChunkSlots * 4 + 3;
+/// Fills 64 chunks, growing the directory several times, and ends
+/// mid-chunk.
+constexpr uint32_t Many = 64 * ChunkSlots + 3;
 
 uint8_t genFor(uint32_t Index) { return static_cast<uint8_t>(Index % 255 + 1); }
 
@@ -102,41 +101,35 @@ TEST(SlabTest, BytesReservedCountsAllocatedChunks) {
   }
 }
 
-TEST(SlabTest, ReadersRacePublishedIndicesAgainstTheWriter) {
-  // The writer publishes each slot (value and generation) through a
-  // release store of the count; the reader resolves only published
-  // indices while the writer keeps adding chunks and replacing the
-  // directory underneath it. Meaningful under ThreadSanitizer.
-  constexpr uint32_t Total = 1u << 16;
+TEST(SlabTest, GrowsAcrossThreadHandoffs) {
+  // A slab belongs to one graph, and one thread at a time drives a graph,
+  // but not always the same one: the session service hands a session to
+  // whichever pool worker drains it. Each round here runs on a fresh
+  // thread, checks every slot the earlier rounds wrote, and keeps
+  // growing the slab (chunks and directory) from where they stopped.
+  // Meaningful under ThreadSanitizer.
+  constexpr uint32_t Rounds = 8;
+  constexpr uint32_t PerRound = Many / Rounds + 1;
   U64Slab S;
-  std::atomic<uint32_t> Published{0};
-  std::atomic<uint32_t> Bad{0};
-  std::thread Reader([&] {
-    uint32_t Seen = 0;
-    while (Seen < Total) {
-      Seen = Published.load(std::memory_order_acquire);
-      // The newest slots sit in the chunk being filled; slot 0 and the
-      // midpoint are usually resolved through a retired directory copy.
-      uint32_t From = Seen > 64 ? Seen - 64 : 0;
-      for (uint32_t I = From; I < Seen; ++I) {
+  uint32_t Bad = 0;
+  for (uint32_t R = 0; R < Rounds; ++R) {
+    std::thread Owner([&] {
+      for (uint32_t I = 0; I < S.size(); ++I) {
         auto [Slot, Gen] = S.at(I);
         if (Slot != I * 3u + 1 || Gen != genFor(I))
-          Bad.fetch_add(1, std::memory_order_relaxed);
+          ++Bad;
       }
-      for (uint32_t I : {0u, Seen / 2})
-        if (I < Seen && S[I] != I * 3u + 1)
-          Bad.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  for (uint32_t I = 0; I < Total; ++I) {
-    auto [Slot, Gen] = S.at(S.push());
-    Slot = I * 3u + 1;
-    Gen = genFor(I);
-    Published.store(I + 1, std::memory_order_release);
+      for (uint32_t K = 0; K < PerRound; ++K) {
+        uint32_t I = S.push();
+        auto [Slot, Gen] = S.at(I);
+        Slot = I * 3u + 1;
+        Gen = genFor(I);
+      }
+    });
+    Owner.join();
   }
-  Reader.join();
-  EXPECT_EQ(Bad.load(), 0u);
-  EXPECT_EQ(S.size(), Total);
+  EXPECT_EQ(Bad, 0u);
+  EXPECT_EQ(S.size(), Rounds * PerRound);
 }
 
 } // namespace

@@ -14,7 +14,8 @@
 //   --conservative          disable the Section 6.1 check elimination
 //   --analyze               report static partitions (Section 6.3) and
 //                           static referenced-argument sets (Section 6.2)
-//   --run PROC[,ARGS...]    execute PROC with integer arguments
+//   --run PROC[,ARGS...]    execute PROC with integer arguments; several
+//                           specs separated by ';' run in order
 //   --mode alphonse|conventional   execution model for --run (default
 //                           alphonse)
 //   --transactional         run each --run spec as a transactional batch:
@@ -24,14 +25,8 @@
 //   --stats                 print runtime statistics after --run (printed
 //                           even when the run fails, so fault.* and txn.*
 //                           counters of degraded runs are visible)
-//   --jobs N                drain independent graph partitions on N worker
-//                           threads during propagation (0 = serial,
-//                           default). The ALPHONSE_JOBS environment
-//                           variable overrides this flag.
 //   --dump-bytecode         disassemble the compiled form of every
-//                           procedure, with its side-effect mask and
-//                           whether it cleared the parallel-safety check,
-//                           and of the global initializers
+//                           procedure and of the global initializers
 //   --restore PATH          rebuild the interpreter from a checkpoint (and
 //                           its delta log) before running --run specs
 //   --checkpoint PATH       write a full checkpoint after the --run specs
@@ -53,6 +48,10 @@
 //                           does when parked residue from a previous
 //                           degraded wave still exists (accept = run
 //                           anyway, the default)
+//
+// Every number, in an option or a --run argument, must be a whole decimal
+// integer in range (options take no sign); anything else is a usage
+// error, reported before anything runs.
 //
 // The module compiles to bytecode before it runs or is disassembled; a
 // procedure that needs more registers than an instruction can address
@@ -81,6 +80,7 @@
 #include "transform/Transform.h"
 #include "transform/Unparser.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -96,6 +96,12 @@ using namespace alphonse::interp;
 
 namespace {
 
+/// One --run spec: a procedure and its integer arguments.
+struct RunSpec {
+  std::string Proc;
+  std::vector<long> Args;
+};
+
 struct Options {
   std::string InputPath;
   bool EmitTransformed = false;
@@ -104,14 +110,13 @@ struct Options {
   bool Analyze = false;
   bool Stats = false;
   bool Transactional = false;
-  std::string RunSpec;
+  std::vector<RunSpec> Runs;
   std::string RestorePath;
   std::string CheckpointPath;
   std::string DeltaPath;
   uint64_t FaultSeed = 0;
   bool HaveFaultSeed = false;
   ExecMode Mode = ExecMode::Alphonse;
-  unsigned Jobs = 0;
   bool DumpBytecode = false;
   WaveBudget Budget;
 };
@@ -122,12 +127,48 @@ void usage() {
       "usage: alphonsec FILE.alf [--emit-transformed] [--emit-source]\n"
       "                 [--conservative] [--analyze] [--run PROC[,INT...]]\n"
       "                 [--mode alphonse|conventional] [--transactional]\n"
-      "                 [--stats] [--jobs N] [--dump-bytecode]\n"
+      "                 [--stats] [--dump-bytecode]\n"
       "                 [--restore PATH]\n"
       "                 [--checkpoint PATH] [--checkpoint-delta PATH]\n"
       "                 [--fault-seed N] [--deadline-ms N] [--step-budget N]\n"
       "                 [--mem-ceiling BYTES] "
       "[--overload-policy accept|defer|shed]\n");
+}
+
+/// Parses all of \p Text as a decimal integer of type T: no whitespace, no
+/// '+', a '-' only for signed T, and nothing out of T's range.
+template <typename T> bool parseNumber(const std::string &Text, T &Out) {
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Err] = std::from_chars(Text.data(), End, Out);
+  return Err == std::errc() && Ptr == End;
+}
+
+/// Parses a --run argument: "Proc" or "Proc,1,2,3", several separated by
+/// ';'. Every field after a comma is an argument, so a trailing comma is
+/// an empty (malformed) one.
+bool parseRunSpecs(const std::string &Text, std::vector<RunSpec> &Out) {
+  std::stringstream Specs(Text);
+  std::string OneSpec;
+  while (std::getline(Specs, OneSpec, ';')) {
+    size_t Comma = OneSpec.find(',');
+    RunSpec R;
+    R.Proc = OneSpec.substr(0, Comma);
+    while (Comma != std::string::npos) {
+      size_t Next = OneSpec.find(',', Comma + 1);
+      std::string ArgText = OneSpec.substr(Comma + 1, Next - Comma - 1);
+      Comma = Next;
+      long V = 0;
+      if (!parseNumber(ArgText, V)) {
+        std::fprintf(stderr,
+                     "error: --run argument '%s' is not an integer in range\n",
+                     ArgText.c_str());
+        return false;
+      }
+      R.Args.push_back(V);
+    }
+    Out.push_back(std::move(R));
+  }
+  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
@@ -152,7 +193,9 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "error: --run needs an argument\n");
         return false;
       }
-      Opts.RunSpec = Argv[I];
+      Opts.Runs.clear(); // The last --run wins.
+      if (!parseRunSpecs(Argv[I], Opts.Runs))
+        return false;
     } else if (Arg == "--mode") {
       if (++I >= Argc) {
         std::fprintf(stderr, "error: --mode needs an argument\n");
@@ -167,18 +210,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "error: unknown mode '%s'\n", M.c_str());
         return false;
       }
-    } else if (Arg == "--jobs") {
-      if (++I >= Argc) {
-        std::fprintf(stderr, "error: --jobs needs an argument\n");
-        return false;
-      }
-      char *End = nullptr;
-      unsigned long N = std::strtoul(Argv[I], &End, 10);
-      if (!End || *End != '\0' || Argv[I][0] == '\0') {
-        std::fprintf(stderr, "error: --jobs needs a non-negative integer\n");
-        return false;
-      }
-      Opts.Jobs = static_cast<unsigned>(N);
     } else if (Arg == "--restore") {
       if (++I >= Argc) {
         std::fprintf(stderr, "error: --restore needs a path\n");
@@ -203,10 +234,11 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "error: %s needs an argument\n", Arg.c_str());
         return false;
       }
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Argv[I], &End, 10);
-      if (!End || *End != '\0' || Argv[I][0] == '\0') {
-        std::fprintf(stderr, "error: %s needs a non-negative integer\n",
+      uint64_t N = 0;
+      if (!parseNumber(Argv[I], N) ||
+          (Arg == "--deadline-ms" && N > UINT64_MAX / 1000)) {
+        std::fprintf(stderr,
+                     "error: %s needs a non-negative integer in range\n",
                      Arg.c_str());
         return false;
       }
@@ -233,14 +265,12 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
         std::fprintf(stderr, "error: --fault-seed needs an argument\n");
         return false;
       }
-      char *End = nullptr;
-      unsigned long long N = std::strtoull(Argv[I], &End, 10);
-      if (!End || *End != '\0' || Argv[I][0] == '\0') {
+      if (!parseNumber(Argv[I], Opts.FaultSeed)) {
         std::fprintf(stderr,
-                     "error: --fault-seed needs a non-negative integer\n");
+                     "error: --fault-seed needs a non-negative integer in "
+                     "range\n");
         return false;
       }
-      Opts.FaultSeed = N;
       Opts.HaveFaultSeed = true;
     } else if (!Arg.empty() && Arg[0] == '-') {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
@@ -257,31 +287,22 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
     return false;
   }
   if (!Opts.EmitSource && !Opts.Analyze && !Opts.DumpBytecode &&
-      Opts.RunSpec.empty() && Opts.RestorePath.empty() &&
+      Opts.Runs.empty() && Opts.RestorePath.empty() &&
       Opts.CheckpointPath.empty() && Opts.DeltaPath.empty())
     Opts.EmitTransformed = true; // Default action.
   return true;
 }
 
-/// Prints each procedure's lowered form plus the effect mask the
-/// parallel-safety analysis derived for it, then the module initializer.
+/// Prints each procedure's lowered form, then the module initializer.
 void dumpBytecode(const Module &M, const interp::bytecode::BytecodeModule &BC) {
   using namespace interp::bytecode;
-  for (const auto &P : M.Procs) {
-    std::printf("; effects: %s — %s\n",
-                effectsString(BC.effects(P.get())).c_str(),
-                BC.parallelSafe(P.get()) ? "joins parallel waves"
-                                         : "serial-pinned");
+  for (const auto &P : M.Procs)
     std::printf("%s\n", disassemble(BC.chunk(P.get())).c_str());
-  }
   std::printf("%s\n", disassemble(BC.Init).c_str());
 }
 
 int runProgram(const Options &Opts, const Module &M, const SemaInfo &Info) {
-  // RunSpec: "Proc" or "Proc,1,2,3"; several specs separated by ';'.
-  DepGraph::Config Cfg;
-  Cfg.Workers = Opts.Jobs; // ALPHONSE_JOBS overrides (Runtime env hook).
-  Interp I(M, Info, Opts.Mode, Cfg);
+  Interp I(M, Info, Opts.Mode);
   if (!I.compiled()) {
     // A compile error, not a runtime one: the module never ran.
     std::fprintf(stderr, "%s\n", I.errorMessage().c_str());
@@ -306,16 +327,11 @@ int runProgram(const Options &Opts, const Module &M, const SemaInfo &Info) {
       return 2;
     }
   }
-  std::stringstream Specs(Opts.RunSpec);
-  std::string OneSpec;
-  while (std::getline(Specs, OneSpec, ';')) {
-    std::stringstream Parts(OneSpec);
-    std::string Name;
-    std::getline(Parts, Name, ',');
+  for (const RunSpec &R : Opts.Runs) {
+    const std::string &Name = R.Proc;
     std::vector<Value> Args;
-    std::string ArgText;
-    while (std::getline(Parts, ArgText, ','))
-      Args.push_back(Value::integer(std::stol(ArgText)));
+    for (long A : R.Args)
+      Args.push_back(Value::integer(A));
     if (Opts.Transactional) {
       // Each spec is one mutation batch: a fault anywhere in it (or in
       // the commit propagation) rolls the runtime back to the state after
@@ -481,7 +497,7 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(TS.CallsTotal));
   }
 
-  bool Run = !Opts.RunSpec.empty() || !Opts.RestorePath.empty() ||
+  bool Run = !Opts.Runs.empty() || !Opts.RestorePath.empty() ||
              !Opts.CheckpointPath.empty() || !Opts.DeltaPath.empty();
   if (Opts.DumpBytecode) {
     // The (transformed) module as Interp's constructor compiles it.

@@ -16,7 +16,7 @@
 #   tools/run_benches.sh [--build-dir DIR] [--out FILE] [--only NAME]
 #                        [--min-time SECS]
 #
-#   --only NAME   run a single binary (e.g. --only bench_parallel) instead
+#   --only NAME   run a single binary (e.g. --only bench_interp) instead
 #                 of the full sweep.
 #
 # Requires jq for aggregation.
