@@ -6,16 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Maintained<R(Args...)> is the C++ embedding of the paper's
-/// (*MAINTAINED*) and (*CACHED*) pragmas: an incremental procedure whose
-/// calls go through the call(p, a1..ak) transformation of Algorithm 5.
+/// The call protocol: the per-procedure argument table of Section 4.2 with
+/// the call(p, a1..ak) transformation of Algorithm 5 over it (ArgTable),
+/// and its typed owner Maintained<R(Args...)>, the C++ embedding of the
+/// paper's (*MAINTAINED*) and (*CACHED*) pragmas. ArgTable is the only
+/// implementation of the protocol: the Alphonse-L interpreter keeps one
+/// per incremental procedure, keyed by argument vectors of Values.
 ///
-/// Each distinct argument vector gets one dependency-graph node, stored in
-/// the per-procedure argument table of Section 4.2 and indexed by the
-/// argument tuple. Function caching is thereby integrated with quiescence
-/// propagation, which lifts the classical combinator restriction: the body
-/// may read global state (other Cells, other incremental procedures), and
-/// the referenced-argument set R(p) is recorded dynamically as edges.
+/// Each distinct argument key gets one dependency-graph node holding the
+/// key and the cached result. Function caching is thereby integrated with
+/// quiescence propagation, which lifts the classical combinator
+/// restriction: the body may read global state (other Cells, other
+/// incremental procedures), and the referenced-argument set R(p) is
+/// recorded dynamically as edges.
 ///
 /// Restrictions on the body (paper Section 3.5, proved by the programmer):
 ///  - DET: deterministic given its arguments and referenced storage;
@@ -35,7 +38,6 @@
 
 #include <cassert>
 #include <functional>
-#include <list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,6 +46,193 @@
 #include <utility>
 
 namespace alphonse {
+
+/// The argument table of one incremental procedure.
+///
+/// \p Key is the argument key (hashed by \p Hash, compared with ==);
+/// \p Result must be copyable and equality-comparable (re-execution
+/// compares it for the quiescence cutoff). \p Body is the procedure
+/// itself, called as `Result Body(const Key &)`; the table owns it.
+template <typename Key, typename Result, typename Body,
+          typename Hash = std::hash<Key>>
+class ArgTable {
+public:
+  /// \p Name labels the instance nodes in debug dumps and is their
+  /// fault-injection site.
+  ArgTable(Runtime &RT, Body Fn, std::string Name)
+      : RT(&RT), Fn(std::move(Fn)), Name(std::move(Name)) {}
+
+  ArgTable(const ArgTable &) = delete;
+  ArgTable &operator=(const ArgTable &) = delete;
+
+  /// The call transformation (Algorithm 5): find-or-create the instance
+  /// node, force pending evaluation, record the caller's dependence, then
+  /// either answer from the cache or (re-)execute. \p Strategy is the
+  /// instance's DEMAND / EAGER strategy (Section 3.3); it is fixed when
+  /// the instance is created.
+  Result call(Key K, EvalStrategy Strategy) {
+    Instance *N;
+    auto It = Table.find(K);
+    if (It == Table.end()) {
+      N = &insert(std::move(K), Strategy);
+      // A cache entry inserted inside a batch is dropped again on rollback
+      // (journal entries touching the node were recorded later and are
+      // undone first).
+      if (RT->inBatch())
+        RT->graph().logUndo([this, DeadKey = N->K]() { erase(DeadKey); });
+    } else {
+      N = It->second.get();
+      // Algorithm 5 forces evaluation before reusing an existing node, so
+      // that batched changes which affect this value are applied first.
+      RT->ensureEvaluatedFor(*N);
+    }
+    RT->recordAccess(*N);
+    if (N->isQuarantined()) {
+      // The last recompute failed; surface the original fault to the
+      // caller (an incremental caller is itself quarantined by its own
+      // execute() frame, cascading the poison) instead of serving a stale
+      // or missing cache entry.
+      throw QuarantinedError(*RT->graph().fault(*N));
+    }
+    if (N->isExecuting()) {
+      // Re-entrant call: the instance is already running further down the
+      // stack (Algorithm 11's balance() does this after a rotation). Run
+      // the body conventionally, attributing its reads to the in-flight
+      // instance *without* retracting the edges recorded so far — a sound
+      // over-approximation of R(p). The in-flight execution caches its own
+      // final result when it completes. ReentrantScope bounds the nesting:
+      // past Config::MaxReentrantDepth this is a dependency cycle (the
+      // value demands itself) and its constructor throws CycleError.
+      ReentrantScope Reentrant(RT->graph(), *N);
+      Runtime::CallScope Call(*RT, N);
+      return Fn(N->K);
+    }
+    if (N->isConsistent()) {
+      assert(N->Cached && "consistent instance with no cached value");
+      ++RT->stats().CacheHits;
+      return *N->Cached;
+    }
+    return execute(*N);
+  }
+
+  /// The instance node for \p K, or nullptr if the procedure was never
+  /// called with it. Records no dependency.
+  DepNode *find(const Key &K) const {
+    auto It = Table.find(K);
+    return It == Table.end() ? nullptr : It->second.get();
+  }
+
+  /// The cached result for \p K, forcing no evaluation (nullptr when the
+  /// instance or its cache does not exist).
+  const Result *peekCached(const Key &K) const {
+    auto It = Table.find(K);
+    if (It == Table.end() || !It->second->Cached)
+      return nullptr;
+    return &*It->second->Cached;
+  }
+
+  /// Number of live instances.
+  size_t size() const { return Table.size(); }
+
+  /// Drops the instance for \p K, if any. The instance must not be
+  /// depended upon or executing. Not transactional: do not call while a
+  /// batch is open (undo closures may reference the instance).
+  void erase(const Key &K) {
+    auto It = Table.find(K);
+    if (It == Table.end())
+      return;
+    assert(!It->second->isExecuting() && "erasing an executing instance");
+    Table.erase(It);
+  }
+
+  /// Invokes \p F(key, cachedResult, node) on every live instance, in
+  /// unspecified order. Checkpoint capture walks the table with this;
+  /// records no dependencies and evaluates nothing.
+  template <typename Fn> void forEachInstance(Fn F) const {
+    for (const auto &KV : Table)
+      F(KV.second->K, KV.second->Cached,
+        static_cast<const DepNode &>(*KV.second));
+  }
+
+  /// Recreates the instance for \p K with \p Cached as its cached result,
+  /// without executing the body — checkpoint restore rebuilds the table
+  /// from the captured entries, then the GraphRestorer re-applies
+  /// consistency flags and edges. The instance must not already exist.
+  /// \returns the new node (for GraphRestorer::bind).
+  DepNode &restoreInstance(Key K, std::optional<Result> Cached,
+                           EvalStrategy Strategy) {
+    assert(!find(K) && "restoring an instance that already exists");
+    Instance &N = insert(std::move(K), Strategy);
+    N.Cached = std::move(Cached);
+    return N;
+  }
+
+private:
+  struct Instance final : DepNode {
+    Instance(DepGraph &G, ArgTable &Parent, Key K, EvalStrategy S)
+        : DepNode(G, NodeKind::Procedure, S), Parent(&Parent),
+          K(std::move(K)) {}
+
+    /// Evaluator hook for eager instances: re-run the body and report
+    /// whether the cached result changed.
+    bool reexecute() override {
+      std::optional<Result> Old = Cached;
+      Result New = Parent->execute(*this);
+      return !Old || !(*Old == New);
+    }
+
+    ArgTable *Parent;
+    Key K;
+    std::optional<Result> Cached;
+  };
+
+  Instance &insert(Key K, EvalStrategy Strategy) {
+    auto Owned =
+        std::make_unique<Instance>(RT->graph(), *this, K, Strategy);
+    Instance &N = *Owned;
+    N.setName(Name);
+    Table.emplace(std::move(K), std::move(Owned));
+    return N;
+  }
+
+  /// The execution half of Algorithm 5: retract the old referenced-argument
+  /// set, push this instance on the call stack, run the body with the
+  /// stored key, cache and return the result. The protocol frames are
+  /// RAII so a throwing body unwinds with the graph and call stack
+  /// coherent; the instance is quarantined with the captured fault and the
+  /// exception continues to the caller (cascading through incremental
+  /// callers, which quarantine in their own frames).
+  Result execute(Instance &N) {
+    DepGraph &G = RT->graph();
+    // The graph journals the structural half of a re-execution itself
+    // (edges, flags, stamps); the cached result lives out here, so its
+    // restore is an Action entry.
+    if (G.inBatch())
+      G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
+    G.removePredEdges(N);
+    ExecutionScope Exec(G, N);
+    Runtime::CallScope Call(*RT, &N);
+    try {
+      // Inject *inside* the protocol so a forced throw exercises the same
+      // unwind path as a real body failure. A Diverge action re-marks the
+      // node inconsistent mid-run, as if it wrote storage it reads.
+      auto Inject = faultInjectionPoint(N.name());
+      Result Ret = Fn(N.K);
+      if (Inject == FaultInjector::Action::Diverge)
+        G.selfInvalidate(N);
+      N.Cached = Ret;
+      return Ret;
+    } catch (...) {
+      G.quarantine(N, captureCurrentFault(N.name()));
+      throw;
+    }
+  }
+
+  Runtime *RT;
+  Body Fn;
+  std::string Name;
+  std::unordered_map<Key, std::unique_ptr<Instance>, Hash> Table;
+};
 
 template <typename Signature> class Maintained;
 
@@ -65,263 +254,64 @@ public:
   Maintained(Runtime &RT, Body Fn,
              EvalStrategy Strategy = EvalStrategy::Demand,
              std::string Name = "")
-      : RT(&RT), Fn(std::move(Fn)), Strategy(Strategy),
-        Name(Name.empty() ? "proc" : std::move(Name)) {}
+      : Table(RT, Apply{std::move(Fn)},
+              Name.empty() ? "proc" : std::move(Name)),
+        Strategy(Strategy) {}
 
   Maintained(const Maintained &) = delete;
   Maintained &operator=(const Maintained &) = delete;
 
-  /// The call transformation (Algorithm 5): find-or-create the instance
-  /// node, force pending evaluation, record the caller's dependence, then
-  /// either answer from the cache or (re-)execute.
-  R operator()(Args... A) {
-    Key K(A...);
-    InstanceNode *N = nullptr;
-    bool Existing = false;
-    auto It = Table.find(K);
-    if (It == Table.end()) {
-      auto Owned =
-          std::make_unique<InstanceNode>(RT->graph(), *this, K, Strategy);
-      N = Owned.get();
-      N->setName(Name);
-      Table.emplace(std::move(K), std::move(Owned));
-      touchLRU(*N);
-      // A cache entry inserted inside a batch is dropped again on rollback
-      // (journal entries touching the node were recorded later and are
-      // undone first).
-      if (RT->inBatch())
-        RT->graph().logUndo([this, DeadKey = N->K]() { eraseByKey(DeadKey); });
-      enforceCapacity();
-    } else {
-      N = It->second.get();
-      touchLRU(*N);
-      Existing = true;
-    }
-    if (Existing) {
-      // Algorithm 5 forces evaluation before reusing an existing node, so
-      // that batched changes which affect this value are applied first.
-      RT->ensureEvaluatedFor(*N);
-    }
-    if (RT->inIncrementalCall())
-      RT->recordAccess(*N);
-    if (N->isQuarantined()) {
-      // The last recompute failed; surface the original fault to the
-      // caller (an incremental caller is itself quarantined by its own
-      // execute() frame, cascading the poison) instead of serving a stale
-      // or missing cache entry.
-      throw QuarantinedError(*RT->graph().fault(*N));
-    }
-    if (N->isExecuting()) {
-      // Re-entrant call: the instance is already running further down the
-      // stack (Algorithm 11's balance() does this after a rotation). Run
-      // the body conventionally, attributing its reads to the in-flight
-      // instance *without* retracting the edges recorded so far — a sound
-      // over-approximation of R(p). The in-flight execution caches its own
-      // final result when it completes. ReentrantScope bounds the nesting:
-      // past Config::MaxReentrantDepth this is a dependency cycle (the
-      // value demands itself) and its constructor throws CycleError.
-      ReentrantScope Reentrant(RT->graph(), *N);
-      Runtime::CallScope Call(*RT, N);
-      return std::apply(Fn, N->K);
-    }
-    if (N->isConsistent()) {
-      assert(N->Cached && "consistent instance with no cached value");
-      ++RT->stats().CacheHits;
-      return *N->Cached;
-    }
-    return execute(*N);
-  }
+  /// The call transformation (Algorithm 5), see ArgTable::call().
+  R operator()(Args... A) { return Table.call(Key(A...), Strategy); }
+
+  // Introspection (tests, benches, degraded-mode readers): none of these
+  // records a dependency or evaluates pending work.
 
   /// The dependency-graph node for these arguments, or nullptr if the
-  /// procedure was never called with them (test/bench introspection).
-  DepNode *instanceNode(Args... A) const {
-    auto It = Table.find(Key(A...));
-    return It == Table.end() ? nullptr : It->second.get();
-  }
-
+  /// procedure was never called with them.
+  DepNode *instanceNode(Args... A) const { return Table.find(Key(A...)); }
   /// Number of live (argument vector -> node) instances.
   size_t numInstances() const { return Table.size(); }
-
-  /// True if a consistent cached value exists for these arguments (test
-  /// introspection; records no dependency).
+  /// True if a consistent cached value exists for these arguments.
   bool hasCachedValue(Args... A) const {
-    auto It = Table.find(Key(A...));
-    return It != Table.end() && It->second->isConsistent();
+    DepNode *N = instanceNode(A...);
+    return N && N->isConsistent();
   }
-
   /// True while the cached value for these arguments is stale: a budgeted
   /// pump was cancelled before re-establishing it, so calls serve the
-  /// last-quiescent result (DESIGN.md Section 11). Records no dependency.
+  /// last-quiescent result (DESIGN.md Section 11).
   bool isStale(Args... A) const {
-    auto It = Table.find(Key(A...));
-    return It != Table.end() && It->second->isStale();
+    DepNode *N = instanceNode(A...);
+    return N && N->isStale();
   }
-
-  /// Untracked read of the cached value for these arguments, forcing no
-  /// evaluation (nullptr when the instance or its cache does not exist).
-  /// The degraded-mode introspection path: callers inspecting stale
-  /// (last-quiescent) values without paying for repair — operator()
-  /// would evaluate pending work first.
+  /// The cached value for these arguments, stale or not (nullptr when the
+  /// instance or its cache does not exist); see ArgTable::peekCached().
   const R *peekCached(Args... A) const {
-    auto It = Table.find(Key(A...));
-    if (It == Table.end() || !It->second->Cached)
-      return nullptr;
-    return &*It->second->Cached;
+    return Table.peekCached(Key(A...));
   }
 
-  /// Drops the instance for these arguments, if any. The instance must not
-  /// be depended upon or executing. Use when an argument (say, a destroyed
-  /// object) will never be passed again. Not transactional: do not call
-  /// while a batch is open (undo closures may reference the instance).
-  void erase(Args... A) { eraseByKey(Key(A...)); }
+  /// Drops the instance for these arguments (say, a destroyed object that
+  /// will never be passed again); see ArgTable::erase() for the contract.
+  void erase(Args... A) { Table.erase(Key(A...)); }
 
-  /// Bounds the argument table (the pragma's cache-size argument); the
-  /// least recently used instances that nothing depends on are evicted.
-  /// 0 means unbounded.
-  void setCapacity(size_t N) {
-    Capacity = N;
-    enforceCapacity();
-  }
-
-  /// Invokes \p F(key, cachedValue, node) on every live instance, in
-  /// unspecified order. Checkpoint capture walks the argument table with
-  /// this; records no dependencies and evaluates nothing.
+  /// Checkpoint support: see ArgTable::forEachInstance() and
+  /// ArgTable::restoreInstance().
   template <typename Fn> void forEachInstance(Fn F) const {
-    for (const auto &KV : Table)
-      F(KV.first, KV.second->Cached,
-        static_cast<const DepNode &>(*KV.second));
+    Table.forEachInstance(std::move(F));
   }
-
-  /// Recreates the instance for \p K with \p Cached as its cached value,
-  /// without executing the body — checkpoint restore rebuilds the
-  /// argument table from the captured entries, then the GraphRestorer
-  /// re-applies consistency flags and edges. The instance must not
-  /// already exist. \returns the new node (for GraphRestorer::bind).
   DepNode &restoreInstance(Key K, std::optional<R> Cached) {
-    assert(Table.find(K) == Table.end() &&
-           "restoring an instance that already exists");
-    auto Owned =
-        std::make_unique<InstanceNode>(RT->graph(), *this, K, Strategy);
-    InstanceNode *N = Owned.get();
-    N->setName(Name);
-    N->Cached = std::move(Cached);
-    Table.emplace(std::move(K), std::move(Owned));
-    touchLRU(*N);
-    return *N;
+    return Table.restoreInstance(std::move(K), std::move(Cached), Strategy);
   }
-
-  EvalStrategy strategy() const { return Strategy; }
-  Runtime &runtime() const { return *RT; }
 
 private:
-  struct InstanceNode final : DepNode {
-    InstanceNode(DepGraph &G, Maintained &Parent, Key K, EvalStrategy S)
-        : DepNode(G, NodeKind::Procedure, S), Parent(&Parent),
-          K(std::move(K)) {}
-
-    /// Evaluator hook for eager instances: re-run the body and report
-    /// whether the cached value changed.
-    bool reexecute() override {
-      std::optional<R> Old = Cached;
-      R New = Parent->execute(*this);
-      return !Old || !(*Old == New);
-    }
-
-    Maintained *Parent;
-    Key K;
-    std::optional<R> Cached;
-    typename std::list<InstanceNode *>::iterator LRUSlot;
-    bool InLRU = false;
+  /// Calls the wrapped function with a stored argument tuple.
+  struct Apply {
+    Body Fn;
+    R operator()(const Key &K) const { return std::apply(Fn, K); }
   };
 
-  /// The execution half of Algorithm 5: retract the old referenced-argument
-  /// set, push this instance on the call stack, run the body with the
-  /// stored arguments, cache and return the result. The protocol frames are
-  /// RAII so a throwing body unwinds with the graph and call stack
-  /// coherent; the instance is quarantined with the captured fault and the
-  /// exception continues to the caller (cascading through incremental
-  /// callers, which quarantine in their own frames).
-  R execute(InstanceNode &N) {
-    DepGraph &G = RT->graph();
-    // The graph journals the structural half of a re-execution itself
-    // (edges, flags, stamps); the cached value lives out here in the
-    // typed layer, so its restore is an Action entry.
-    if (G.inBatch())
-      G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
-    G.removePredEdges(N);
-    ExecutionScope Exec(G, N);
-    Runtime::CallScope Call(*RT, &N);
-    try {
-      // Inject *inside* the protocol so a forced throw exercises the same
-      // unwind path as a real body failure. A Diverge action re-marks the
-      // node inconsistent mid-run, as if it wrote storage it reads.
-      auto Inject = faultInjectionPoint(N.name());
-      R Ret = std::apply(Fn, N.K);
-      if (Inject == FaultInjector::Action::Diverge)
-        G.selfInvalidate(N);
-      N.Cached = Ret;
-      return Ret;
-    } catch (...) {
-      G.quarantine(N, captureCurrentFault(N.name()));
-      throw;
-    }
-  }
-
-  /// Moves \p N to the hot end of the LRU list. A hit relinks the
-  /// existing list node in place: no allocation on the call path.
-  void touchLRU(InstanceNode &N) {
-    if (N.InLRU) {
-      LRU.splice(LRU.begin(), LRU, N.LRUSlot);
-      return;
-    }
-    LRU.push_front(&N);
-    N.LRUSlot = LRU.begin();
-    N.InLRU = true;
-  }
-
-  void eraseByKey(const Key &K) {
-    auto It = Table.find(K);
-    if (It == Table.end())
-      return;
-    assert(!It->second->isExecuting() && "erasing an executing instance");
-    if (It->second->InLRU)
-      LRU.erase(It->second->LRUSlot);
-    Table.erase(It);
-  }
-
-  void enforceCapacity() {
-    if (Capacity == 0 || Table.size() <= Capacity)
-      return;
-    // Eviction is deferred while a batch is open: the journal holds
-    // closures over instance nodes, which must stay alive until the batch
-    // resolves. The next post-batch call (or setCapacity) trims the table.
-    if (RT->inBatch())
-      return;
-    // Scan from the cold end; skip instances that are pinned (depended
-    // upon or executing).
-    auto It = LRU.end();
-    while (Table.size() > Capacity && It != LRU.begin()) {
-      --It;
-      InstanceNode *N = *It;
-      if (N == LRU.front())
-        break; // Never evict the most recently used (the current call).
-      if (N->isExecuting() || N->numSuccessors() != 0)
-        continue;
-      It = LRU.erase(It);
-      Key Dead = N->K; // Copy: erasing the table entry destroys N.
-      Table.erase(Dead);
-    }
-  }
-
-  Runtime *RT;
-  Body Fn;
+  ArgTable<Key, R, Apply, TupleHash<std::decay_t<Args>...>> Table;
   EvalStrategy Strategy;
-  std::string Name;
-  std::unordered_map<Key, std::unique_ptr<InstanceNode>,
-                     TupleHash<std::decay_t<Args>...>>
-      Table;
-  std::list<InstanceNode *> LRU;
-  size_t Capacity = 0;
 };
 
 /// The (*CACHED*) pragma: identical machinery (Section 4.2 integrates

@@ -136,7 +136,7 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
   if (Source.Executing)
     Source.ReadMidExecution = true;
 
-  if (Cfg.DedupEdges && Sink.ExecStamp != 0 && Source.DedupSink == Sink.Id &&
+  if (Sink.ExecStamp != 0 && Source.DedupSink == Sink.Id &&
       Source.DedupStamp == Sink.ExecStamp) {
     ++Stats.EdgesDeduped;
     return;

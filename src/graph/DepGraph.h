@@ -49,8 +49,8 @@ public:
   bool isEvaluating() const { return EvalDepth != 0; }
 
   /// Records that \p Sink depends on \p Source and unites their partitions.
-  /// Duplicate edges within Sink's current execution are skipped when
-  /// Config::DedupEdges is set. Also raises Sink's level above Source's.
+  /// Duplicate edges within Sink's current execution are skipped. Also
+  /// raises Sink's level above Source's.
   void addDependency(DepNode &Sink, DepNode &Source);
 
   /// Detaches every predecessor edge of \p Sink (Algorithm 5's

@@ -13,11 +13,12 @@
 /// value `value(u)` and the status bit `consistent(u)` of the paper live in
 /// (subclasses of) DepNode.
 ///
-/// DepNode itself is value-agnostic: the typed layers (alphonse::Cell,
-/// alphonse::Maintained) and the Alphonse-L interpreter subclass it and
-/// implement the two virtual hooks the evaluator needs (refreshStorage and
-/// reexecute), so one evaluator serves both the C++ embedding and the toy
-/// language.
+/// DepNode itself is value-agnostic: core's two protocol pieces
+/// (alphonse::StorageNode's vertex and alphonse::ArgTable's instances)
+/// subclass it and implement the two virtual hooks the evaluator needs
+/// (refreshStorage and reexecute). Cell, Maintained and the Alphonse-L
+/// interpreter all run those pieces, so one evaluator and one
+/// instrumentation serve both the C++ embedding and the toy language.
 ///
 /// Edges are stored by EdgeId in the graph's dense edge slab (DESIGN.md
 /// "Engine layering and handle-based storage"), so an Edge is six 32-bit

@@ -52,9 +52,6 @@ struct GraphConfig {
   /// Suppress propagation from storage whose live value equals the cached
   /// snapshot (Algorithm 4's value comparison; experiment E11).
   bool VariableCutoff = true;
-  /// Skip duplicate edges created by one execution reading one location
-  /// repeatedly.
-  bool DedupEdges = true;
   /// Run verify() after every top-level evaluation and record any
   /// invariant violation in diagnostics() (debugging/testing aid).
   /// Toggleable at runtime via the ALPHONSE_AUDIT environment variable

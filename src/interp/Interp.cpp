@@ -11,7 +11,6 @@
 #include "interp/bytecode/Compiler.h"
 #include "interp/bytecode/VM.h"
 #include "lang/Types.h"
-#include "support/FaultInjector.h"
 
 #include <algorithm>
 #include <chrono>
@@ -21,102 +20,16 @@ using namespace alphonse::lang;
 namespace alphonse::interp {
 
 //===----------------------------------------------------------------------===//
-// Storage slots (the interpreter's Cell<T>)
-//===----------------------------------------------------------------------===//
-
-class SlotNode;
-
-/// One storage location: a live value plus a lazily created dependency
-/// node (Algorithm 3 creates nodes at the first access under a non-empty
-/// call stack).
-class StorageSlot {
-public:
-  StorageSlot() = default;
-  ~StorageSlot();
-  StorageSlot(const StorageSlot &) = delete;
-  StorageSlot &operator=(const StorageSlot &) = delete;
-
-  Value Live;
-  /// Debug label for the slot's node ("G.<name>" for globals, empty for
-  /// fields); doubles as the slot's fault-injection site. Declared before
-  /// Node: the node points at its label (see label()) until it dies.
-  std::string DebugName;
-  std::unique_ptr<SlotNode> Node;
-  /// The slot's location in change records: the owning object's heap
-  /// index and the field index, or Global and the global's index.
-  static constexpr uint32_t Global = UINT32_MAX;
-  uint32_t Object = Global;
-  uint32_t Index = 0;
-  /// On Interp::UnsavedSlots: written since the state was last durable.
-  bool Unsaved = false;
-
-  /// The label for this slot's node: DebugName, or "slot" for fields.
-  const std::string &label() const {
-    static const std::string Field = "slot";
-    return DebugName.empty() ? Field : DebugName;
-  }
-};
-
-/// The dependency-graph node of a storage slot; Snapshot is the value
-/// dependents last observed (compared by Algorithm 4 and at refresh).
-class SlotNode final : public DepNode {
-public:
-  SlotNode(DepGraph &G, StorageSlot &Owner)
-      : DepNode(G, NodeKind::Storage), Owner(&Owner), Snapshot(Owner.Live) {}
-
-  bool refreshStorage() override {
-    faultInjectionPoint(name());
-    bool Changed = !(Owner->Live == Snapshot);
-    Snapshot = Owner->Live;
-    return Changed;
-  }
-
-  StorageSlot *Owner;
-  Value Snapshot;
-};
-
-StorageSlot::~StorageSlot() = default;
-
-//===----------------------------------------------------------------------===//
-// Procedure instance nodes (the interpreter's argument-table entries)
-//===----------------------------------------------------------------------===//
-
-/// One (procedure, argument vector) incremental instance.
-class InterpProcNode final : public DepNode {
-public:
-  InterpProcNode(DepGraph &G, Interp &Owner, const ProcDecl *Proc,
-                 EvalStrategy Strategy)
-      : DepNode(G, NodeKind::Procedure, Strategy), Owner(&Owner),
-        Proc(Proc) {}
-
-  bool reexecute() override { return Owner->reexecuteInstance(*this); }
-
-  Interp *Owner;
-  const ProcDecl *Proc;
-  std::vector<Value> Key;
-  std::optional<Value> Cached;
-};
-
-//===----------------------------------------------------------------------===//
 // Heap objects
 //===----------------------------------------------------------------------===//
 
 HeapObject::HeapObject(const ObjectTypeInfo *Ty, size_t NumFields,
                        uint32_t Index)
-    : Ty(Ty), Index(Index) {
-  Slots.reserve(NumFields);
+    : Ty(Ty), Index(Index), Slots(NumFields) {
   for (size_t I = 0; I < NumFields; ++I) {
-    Slots.push_back(std::make_unique<StorageSlot>());
-    Slots.back()->Object = Index;
-    Slots.back()->Index = static_cast<uint32_t>(I);
+    Slots[I].Object = Index;
+    Slots[I].Index = static_cast<uint32_t>(I);
   }
-}
-
-HeapObject::~HeapObject() = default;
-
-StorageSlot &HeapObject::slot(size_t I) {
-  assert(I < Slots.size() && "field index out of range");
-  return *Slots[I];
 }
 
 std::string Value::render() const {
@@ -141,22 +54,22 @@ std::string Value::render() const {
 
 Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
                DepGraph::Config Cfg)
-    : M(M), Info(Info), Mode(Mode), RT(Cfg), Tables(M.Procs.size()) {
+    : M(M), Info(Info), Mode(Mode), RT(Cfg),
+      GlobalLabels(Info.GlobalTypes.size()),
+      Globals(Info.GlobalTypes.size()), Tables(M.Procs.size()) {
   // Compiled chunks are derived state — never checkpointed, rebuilt from
   // the module here on every construction (including the fresh
   // interpreter a restore requires).
   DiagnosticEngine Diags;
   BC = bytecode::compileModule(M, Info, Diags);
-  for (const Type &Ty : Info.GlobalTypes) {
-    auto Slot = std::make_unique<StorageSlot>();
-    Slot->Live = defaultValue(Ty);
-    Slot->Index = static_cast<uint32_t>(Globals.size());
-    Globals.push_back(std::move(Slot));
+  for (size_t I = 0; I < Globals.size(); ++I) {
+    Globals[I].Storage.initialize(defaultValue(Info.GlobalTypes[I]));
+    Globals[I].Index = static_cast<uint32_t>(I);
   }
   for (const GlobalDecl &G : M.Globals)
     if (G.Index >= 0) {
       GlobalIndex[G.Name] = G.Index;
-      Globals[static_cast<size_t>(G.Index)]->DebugName = "G." + G.Name;
+      GlobalLabels[static_cast<size_t>(G.Index)] = "G." + G.Name;
     }
   if (!BC) {
     const Diagnostic &D = Diags.diagnostics().front();
@@ -197,7 +110,8 @@ HeapObject *Interp::allocate(const ObjectTypeInfo *Ty) {
   auto Obj = std::make_unique<HeapObject>(Ty, Ty->Fields.size(),
                                           static_cast<uint32_t>(Heap.size()));
   for (const FieldInfo &FI : Ty->Fields)
-    Obj->slot(static_cast<size_t>(FI.Index)).Live = defaultValue(FI.Ty);
+    Obj->slot(static_cast<size_t>(FI.Index))
+        .Storage.initialize(defaultValue(FI.Ty));
   Heap.push_back(std::move(Obj));
   return Heap.back().get();
 }
@@ -235,154 +149,48 @@ void Interp::noteFailure() {
 std::string Interp::renderForPrint(const Value &V) const { return V.render(); }
 
 //===----------------------------------------------------------------------===//
-// Storage protocol
+// The checks in front of core's storage and call protocols
 //===----------------------------------------------------------------------===//
 
-Value Interp::trackedRead(StorageSlot &S, bool Tracked) {
-  if (Mode != ExecMode::Alphonse || !Tracked || !RT.inIncrementalCall())
-    return S.Live;
-  if (!S.Node) {
-    S.Node = std::make_unique<SlotNode>(RT.graph(), S);
-    S.Node->setName(S.label());
-    // Slot nodes created inside a batch are destroyed again on rollback.
-    if (RT.inBatch())
-      RT.graph().logUndo([&S]() { S.Node.reset(); });
-  }
-  RT.recordAccess(*S.Node);
-  return S.Live;
+const std::string &Interp::label(const StorageSlot &S) const {
+  static const std::string Field = "slot";
+  return S.Object == StorageSlot::Global ? GlobalLabels[S.Index] : Field;
 }
 
-void Interp::trackedWrite(StorageSlot &S, Value V, bool Tracked) {
+const Value &Interp::trackedRead(StorageSlot &S, bool Tracked) {
+  if (Mode == ExecMode::Alphonse && Tracked)
+    return S.Storage.read(RT, label(S));
+  return S.Storage.peek();
+}
+
+void Interp::trackedWrite(StorageSlot &S, Value V) {
   // Once there is a base snapshot, the next change record lists every
   // slot whose value moved. A rolled back write stays listed; the record
   // then repeats the restored value.
-  if (Deltas.started() && !S.Unsaved && !(V == S.Live)) {
+  if (Deltas.started() && !S.Unsaved && !(V == S.Storage.peek())) {
     S.Unsaved = true;
     UnsavedSlots.push_back(&S);
   }
-  // Journal every storage write inside a batch — untracked ones too,
-  // since the slot may gain a node later in the batch and rollback must
-  // restore the value written before it.
-  if (Mode == ExecMode::Alphonse && RT.inBatch())
-    RT.graph().logUndo([&S, Old = S.Live]() {
-      S.Live = Old;
-      if (S.Node)
-        S.Node->Snapshot = Old;
-    });
-  if (Mode != ExecMode::Alphonse || !Tracked || !S.Node) {
-    S.Live = std::move(V);
-    return;
-  }
-  Statistics &Stats = RT.stats();
-  ++Stats.TrackedWrites;
-  // Algorithm 4 begins with access(l): the writer depends on the location.
-  if (RT.inIncrementalCall())
-    RT.recordAccess(*S.Node);
-  bool Quiescent = (V == S.Node->Snapshot);
-  S.Live = std::move(V);
-  if (Quiescent && RT.graph().config().VariableCutoff) {
-    ++Stats.QuiescentWrites;
-    return;
-  }
-  RT.graph().markInconsistent(*S.Node);
+  S.Storage.write(RT, std::move(V));
 }
-
-//===----------------------------------------------------------------------===//
-// Call protocol
-//===----------------------------------------------------------------------===//
 
 Value Interp::dispatch(const ProcDecl *P, const PragmaInfo &Pragma,
                        bool Checked, std::vector<Value> Args) {
-  // The call(p, ...) operation: with no table pointer (conventional mode,
-  // unchecked site, or non-incremental callee) execute directly; reads
-  // inside then attribute to the calling incremental instance, which is
-  // exactly the transitive R(p) of Section 3.3.
+  // With no incremental call (conventional mode, unchecked site, or
+  // non-incremental callee) execute directly; reads inside then attribute
+  // to the calling incremental instance, which is exactly the transitive
+  // R(p) of Section 3.3.
   if (Mode == ExecMode::Alphonse && Checked && Pragma.isIncremental())
-    return incrementalCall(P, Pragma, std::move(Args));
+    return table(P).call(std::move(Args), Pragma.Strategy);
   return runChunk(BC->chunk(P), Args);
 }
 
-Value Interp::incrementalCall(const ProcDecl *P, const PragmaInfo &Pragma,
-                              std::vector<Value> Args) {
-  InterpProcNode *N;
-  bool Existing = false;
-  // Tables never resizes, which keeps &Table valid for the undo closure.
-  ArgTable &Table = Tables[static_cast<size_t>(P->Index)];
-  auto It = Table.find(Args);
-  if (It == Table.end()) {
-    auto Owned = std::make_unique<InterpProcNode>(RT.graph(), *this, P,
-                                                  Pragma.Strategy);
-    N = Owned.get();
-    N->setName(P->Name);
-    N->Key = Args;
-    Table.emplace(std::move(Args), std::move(Owned));
-    // Argument-table entries inserted inside a batch are dropped again on
-    // rollback (references to the node were journaled later, so they are
-    // undone first).
-    if (RT.inBatch())
-      RT.graph().logUndo(
-          [&Table, DeadKey = N->Key]() { Table.erase(DeadKey); });
-  } else {
-    N = It->second.get();
-    Existing = true;
-  }
-  // Algorithm 5: before reusing an existing instance, apply any batched
-  // changes that could affect it.
-  if (Existing)
-    RT.ensureEvaluatedFor(*N);
-  if (RT.inIncrementalCall())
-    RT.recordAccess(*N);
-  if (N->isQuarantined()) {
-    // The last recompute failed; resurface the original fault instead of
-    // serving a stale or missing cache entry.
-    throw QuarantinedError(*RT.graph().fault(*N));
-  }
-  if (N->isExecuting()) {
-    // Re-entrant call to an in-flight instance: run conventionally,
-    // attributing reads to the instance (sound over-approximation).
-    // ReentrantScope bounds the nesting; past Config::MaxReentrantDepth
-    // this is a dependency cycle and its constructor throws CycleError.
-    ReentrantScope Reentrant(RT.graph(), *N);
-    Runtime::CallScope Call(RT, N);
-    return runChunk(BC->chunk(P), N->Key);
-  }
-  if (N->isConsistent()) {
-    assert(N->Cached && "consistent instance with no cached value");
-    ++RT.stats().CacheHits;
-    return *N->Cached;
-  }
-  return executeInstance(*N);
-}
-
-Value Interp::executeInstance(InterpProcNode &N) {
-  DepGraph &G = RT.graph();
-  // The graph journals the structural half of a re-execution; the cached
-  // value lives here in the interpreter, so restore it via an Action.
-  if (G.inBatch())
-    G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
-  G.removePredEdges(N);
-  // RAII protocol frames: a throwing body (runtime error, poisoned callee,
-  // injected fault) unwinds with the graph and call stack coherent; the
-  // instance is quarantined and the exception continues to the caller.
-  ExecutionScope Exec(G, N);
-  Runtime::CallScope Call(RT, &N);
-  try {
-    auto Inject = faultInjectionPoint(N.name());
-    Value Ret = runChunk(BC->chunk(N.Proc), N.Key);
-    if (Inject == FaultInjector::Action::Diverge)
-      G.selfInvalidate(N);
-    N.Cached = Ret;
-    return Ret;
-  } catch (...) {
-    G.quarantine(N, captureCurrentFault(N.name()));
-    throw;
-  }
-}
-
-bool Interp::reexecuteInstance(InterpProcNode &N) {
-  std::optional<Value> Old = N.Cached;
-  Value New = executeInstance(N);
-  return !Old || !(*Old == New);
+Interp::ProcTable &Interp::table(const ProcDecl *P) {
+  std::unique_ptr<ProcTable> &T = Tables[static_cast<size_t>(P->Index)];
+  if (!T)
+    T = std::make_unique<ProcTable>(RT, ProcBody{this, &BC->chunk(P)},
+                                    P->Name);
+  return *T;
 }
 
 //===----------------------------------------------------------------------===//
@@ -438,7 +246,7 @@ Value Interp::global(const std::string &Name) {
     auto It = GlobalIndex.find(Name);
     if (It == GlobalIndex.end())
       fail(SourceLocation(), "unknown top-level variable '" + Name + "'");
-    return Globals[static_cast<size_t>(It->second)]->Live;
+    return Globals[static_cast<size_t>(It->second)].Storage.peek();
   });
 }
 
@@ -447,8 +255,7 @@ void Interp::setGlobal(const std::string &Name, Value V) {
     auto It = GlobalIndex.find(Name);
     if (It == GlobalIndex.end())
       fail(SourceLocation(), "unknown top-level variable '" + Name + "'");
-    trackedWrite(*Globals[static_cast<size_t>(It->second)], std::move(V),
-                 /*Tracked=*/true);
+    trackedWrite(Globals[static_cast<size_t>(It->second)], std::move(V));
     return Value();
   });
 }
@@ -460,7 +267,7 @@ Value Interp::field(Value Receiver, const std::string &Field) {
     const FieldInfo *FI = Receiver.Obj->type()->findField(Field);
     if (!FI)
       fail(SourceLocation(), "no field '" + Field + "'");
-    return Receiver.Obj->slot(static_cast<size_t>(FI->Index)).Live;
+    return Receiver.Obj->slot(static_cast<size_t>(FI->Index)).Storage.peek();
   });
 }
 
@@ -472,7 +279,7 @@ void Interp::setField(Value Receiver, const std::string &Field, Value V) {
     if (!FI)
       fail(SourceLocation(), "no field '" + Field + "'");
     trackedWrite(Receiver.Obj->slot(static_cast<size_t>(FI->Index)),
-                 std::move(V), /*Tracked=*/true);
+                 std::move(V));
     return Value();
   });
 }
@@ -592,12 +399,13 @@ struct StagedSlot {
 };
 
 void encodeSlot(ByteWriter &W, const StorageSlot &S) {
-  W.u8(S.Node ? 1 : 0);
-  if (S.Node) {
-    W.u32(S.Node->id().bits());
-    encodeValue(W, S.Node->Snapshot);
+  const DepNode *N = S.Storage.node();
+  W.u8(N ? 1 : 0);
+  if (N) {
+    W.u32(N->id().bits());
+    encodeValue(W, S.Storage.snapshot());
   }
-  encodeValue(W, S.Live);
+  encodeValue(W, S.Storage.peek());
 }
 
 StagedSlot decodeSlot(ByteReader &R, size_t HeapLimit) {
@@ -671,8 +479,8 @@ void Interp::saveCheckpoint(const std::string &Path) {
   {
     ByteWriter B;
     B.u32(static_cast<uint32_t>(Globals.size()));
-    for (const auto &S : Globals)
-      encodeSlot(B, *S);
+    for (const StorageSlot &S : Globals)
+      encodeSlot(B, S);
     W.addSection(TagGlobals, B.take());
   }
   {
@@ -690,25 +498,28 @@ void Interp::saveCheckpoint(const std::string &Path) {
   }
   {
     ByteWriter B;
+    auto Live = [](const std::unique_ptr<ProcTable> &T) {
+      return T && T->size() != 0;
+    };
     B.u32(static_cast<uint32_t>(
-        std::count_if(Tables.begin(), Tables.end(),
-                      [](const ArgTable &T) { return !T.empty(); })));
+        std::count_if(Tables.begin(), Tables.end(), Live)));
     for (size_t P = 0; P < Tables.size(); ++P) {
-      if (Tables[P].empty())
+      if (!Live(Tables[P]))
         continue;
       B.str(M.Procs[P]->Name);
-      B.u32(static_cast<uint32_t>(Tables[P].size()));
-      for (const auto &E : Tables[P]) {
-        const InterpProcNode &N = *E.second;
+      B.u32(static_cast<uint32_t>(Tables[P]->size()));
+      Tables[P]->forEachInstance([&B](const std::vector<Value> &Key,
+                                      const std::optional<Value> &Cached,
+                                      const DepNode &N) {
         B.u32(N.id().bits());
         B.u8(static_cast<uint8_t>(N.strategy()));
-        B.u32(static_cast<uint32_t>(N.Key.size()));
-        for (const Value &A : N.Key)
+        B.u32(static_cast<uint32_t>(Key.size()));
+        for (const Value &A : Key)
           encodeValue(B, A);
-        B.u8(N.Cached ? 1 : 0);
-        if (N.Cached)
-          encodeValue(B, *N.Cached);
-      }
+        B.u8(Cached ? 1 : 0);
+        if (Cached)
+          encodeValue(B, *Cached);
+      });
     }
     W.addSection(TagTables, B.take());
   }
@@ -754,7 +565,7 @@ void Interp::appendDelta(const std::string &Path) {
   for (const StorageSlot *S : UnsavedSlots) {
     B.u32(S->Object);
     B.u32(S->Index);
-    encodeValue(B, S->Live);
+    encodeValue(B, S->Storage.peek());
   }
   // A failed append keeps the list: the next record is then a superset.
   uint64_t Bytes = Deltas.append(B.bytes());
@@ -1021,39 +832,37 @@ void Interp::restoreCheckpoint(const std::string &Path) {
   };
 
   auto RestoreSlot = [&](StorageSlot &S, const StagedSlot &St) {
-    S.Live = Resolve(St.Live);
+    S.Storage.initialize(Resolve(St.Live));
     if (!St.HasNode)
       return;
-    S.Node = std::make_unique<SlotNode>(G, S);
-    S.Node->setName(S.label());
-    // The constructor snapshots Live; dependents may have observed an
+    Restorer.bind(St.NodeBits, S.Storage.ensureTracked(RT, label(S)));
+    // The node snapshots the live value; dependents may have observed an
     // older value (quarantined writer), so re-apply the captured one.
-    S.Node->Snapshot = Resolve(St.Snapshot);
-    Restorer.bind(St.NodeBits, *S.Node);
+    S.Storage.setSnapshot(Resolve(St.Snapshot));
   };
 
   for (size_t I = 0; I < HeapSlots.size(); ++I)
     for (size_t F = 0; F < HeapSlots[I].size(); ++F)
       RestoreSlot(Heap[I]->slot(F), HeapSlots[I][F]);
   for (size_t I = 0; I < GlobalSlots.size(); ++I)
-    RestoreSlot(*Globals[I], GlobalSlots[I]);
+    RestoreSlot(Globals[I], GlobalSlots[I]);
 
   for (const StagedTable &Tab : StagedTables) {
-    ArgTable &Table = Tables[static_cast<size_t>(Tab.Proc->Index)];
+    ProcTable &Table = table(Tab.Proc);
     for (const StagedEntry &En : Tab.Entries) {
-      auto Owned = std::make_unique<InterpProcNode>(G, *this, Tab.Proc,
-                                                    En.Strategy);
-      InterpProcNode *N = Owned.get();
-      N->setName(Tab.Proc->Name);
-      N->Key.reserve(En.Args.size());
+      std::vector<Value> Key;
+      Key.reserve(En.Args.size());
       for (const StagedValue &A : En.Args)
-        N->Key.push_back(Resolve(A));
-      if (En.HasCached)
-        N->Cached = Resolve(En.Cached);
-      if (!Table.emplace(N->Key, std::move(Owned)).second)
+        Key.push_back(Resolve(A));
+      if (Table.find(Key))
         ckptMalformed("duplicate argument vector in table for '" +
                       Tab.Proc->Name + "'");
-      Restorer.bind(En.NodeBits, *N);
+      std::optional<Value> Cached;
+      if (En.HasCached)
+        Cached = Resolve(En.Cached);
+      Restorer.bind(En.NodeBits,
+                    Table.restoreInstance(std::move(Key), std::move(Cached),
+                                          En.Strategy));
     }
   }
 
@@ -1071,9 +880,9 @@ void Interp::restoreCheckpoint(const std::string &Path) {
         allocate(Ty);
       for (const StagedWrite &W : D.Writes) {
         StorageSlot &S = W.Object == StorageSlot::Global
-                             ? *Globals[W.Index]
+                             ? Globals[W.Index]
                              : Heap[W.Object]->slot(W.Index);
-        trackedWrite(S, Resolve(W.Value), /*Tracked=*/true);
+        trackedWrite(S, Resolve(W.Value));
       }
     }
     RT.pumpUnbounded();

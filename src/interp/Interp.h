@@ -14,11 +14,13 @@
 ///  - Conventional: pragmas and transformation flags are ignored; this is
 ///    the paper's "conventional execution of P".
 ///  - Alphonse: the access/modify/call sites flagged by the Section 5
-///    transformer drive the same dependency graph and evaluator the C++
-///    embedding uses (src/graph, src/core). Maintained methods and cached
-///    procedures get argument tables keyed by Value vectors; object fields
-///    and top-level variables get storage nodes created lazily on first
-///    tracked access.
+///    transformer run core's storage and call protocols, the same code
+///    the C++ embedding's Cell and Maintained run (src/core). Top-level
+///    variables and object fields are StorageNode<Value>s whose graph
+///    nodes are created lazily on first tracked access; maintained methods
+///    and cached procedures get ArgTables keyed by Value vectors. The
+///    interpreter adds only the checks in front: the execution mode and
+///    the transformer's flags, and the bookkeeping of delta checkpoints.
 ///
 /// Theorem 5.1 (Alphonse execution produces the same output as
 /// conventional execution) is directly checkable by running one module
@@ -43,12 +45,15 @@
 #ifndef ALPHONSE_INTERP_INTERP_H
 #define ALPHONSE_INTERP_INTERP_H
 
-#include "core/Runtime.h"
+#include "core/Cell.h"
+#include "core/Maintained.h"
 #include "interp/Value.h"
 #include "interp/bytecode/VM.h"
 #include "lang/Sema.h"
 #include "support/CheckpointIO.h"
 
+#include <cassert>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -82,27 +87,40 @@ private:
   SourceLocation Loc;
 };
 
-/// One tracked storage location: the live value plus its lazily created
-/// dependency-graph node holding the snapshot dependents last saw.
-class StorageSlot;
+/// One storage location of the interpreter, a top-level variable or an
+/// object field: core's tracked storage plus the location's address in
+/// delta checkpoint records.
+struct StorageSlot {
+  StorageNode<Value> Storage;
+  /// The owning object's heap index and the field index, or Global and
+  /// the global's index.
+  static constexpr uint32_t Global = UINT32_MAX;
+  uint32_t Object = Global;
+  uint32_t Index = 0;
+  /// On Interp::UnsavedSlots: written since the state was last durable.
+  bool Unsaved = false;
+};
 
 /// A heap object: its dynamic type plus one slot per field.
 class HeapObject {
 public:
   HeapObject(const lang::ObjectTypeInfo *Ty, size_t NumFields,
              uint32_t Index);
-  ~HeapObject();
 
   const lang::ObjectTypeInfo *type() const { return Ty; }
   /// Position on the interpreter's heap, fixed at allocation (objects are
   /// never freed): the object's identity in checkpoints.
   uint32_t index() const { return Index; }
-  StorageSlot &slot(size_t I);
+  StorageSlot &slot(size_t I) {
+    assert(I < Slots.size() && "field index out of range");
+    return Slots[I];
+  }
 
 private:
   const lang::ObjectTypeInfo *Ty;
   uint32_t Index;
-  std::vector<std::unique_ptr<StorageSlot>> Slots;
+  /// Sized once at allocation: graph nodes point at their slots.
+  std::vector<StorageSlot> Slots;
 };
 
 /// Interprets one analyzed (and usually transformed) module.
@@ -225,21 +243,36 @@ public:
 #endif
 
 private:
-  friend class InterpProcNode;
+  /// The body of a procedure's argument table: runs its compiled chunk.
+  struct ProcBody {
+    Interp *I;
+    const bytecode::Chunk *Ch;
+    Value operator()(const std::vector<Value> &Args) const {
+      return I->runChunk(*Ch, Args);
+    }
+  };
+  using ProcTable = ArgTable<std::vector<Value>, Value, ProcBody, ValueVecHash>;
 
   // Execution engine: the bytecode VM (defined in bytecode/VM.cpp).
   Value runChunk(const bytecode::Chunk &Ch, const std::vector<Value> &Args);
+  /// The call(p, ...) operation: through \p P's argument table when the
+  /// mode, the call site (\p Checked) and \p Pragma make it incremental,
+  /// else a direct run of the body.
   Value dispatch(const lang::ProcDecl *P, const lang::PragmaInfo &Pragma,
                  bool Checked, std::vector<Value> Args);
-  Value incrementalCall(const lang::ProcDecl *P,
-                        const lang::PragmaInfo &Pragma,
-                        std::vector<Value> Args);
-  Value executeInstance(class InterpProcNode &N);
-  bool reexecuteInstance(class InterpProcNode &N);
+  /// \p P's argument table, created at its first incremental call.
+  ProcTable &table(const lang::ProcDecl *P);
 
-  // Storage protocol (Algorithms 3 and 4).
-  Value trackedRead(StorageSlot &S, bool Tracked);
-  void trackedWrite(StorageSlot &S, Value V, bool Tracked);
+  /// access(v) on a slot when the mode and the site's flag ask for it,
+  /// else a plain read.
+  const Value &trackedRead(StorageSlot &S, bool Tracked);
+  /// modify(l, v) on a slot, after listing it for the next delta record.
+  /// A store site needs no flag check: a slot gets a graph node only
+  /// through a tracked read, so an untracked site never finds one.
+  void trackedWrite(StorageSlot &S, Value V);
+  /// The label of \p S's graph node: "G.<name>" for a global, "slot" for
+  /// a field. Doubles as the node's fault-injection site.
+  const std::string &label(const StorageSlot &S) const;
 
   Value defaultValue(const lang::Type &Ty) const;
   HeapObject *allocate(const lang::ObjectTypeInfo *Ty);
@@ -277,17 +310,18 @@ private:
   bytecode::ExecState BCState;
 
   Runtime RT;
-  std::vector<std::unique_ptr<StorageSlot>> Globals;
+  /// Sized once at construction: graph nodes point at their labels and
+  /// slots (labels first, so they outlive the nodes).
+  std::vector<std::string> GlobalLabels;
+  std::vector<StorageSlot> Globals;
   std::unordered_map<std::string, int> GlobalIndex;
   std::vector<std::unique_ptr<HeapObject>> Heap;
 
   /// Argument tables (Section 4.2), indexed by ProcDecl::Index: one per
-  /// procedure, empty until an incremental call reaches it. Sized once at
-  /// construction, so a table's address is stable for undo closures.
-  using ArgTable =
-      std::unordered_map<std::vector<Value>,
-                         std::unique_ptr<class InterpProcNode>, ValueVecHash>;
-  std::vector<ArgTable> Tables;
+  /// procedure, null until an incremental call reaches it. A maintained
+  /// method's table is keyed by the implementing procedure; the binding's
+  /// pragma gives each instance its strategy.
+  std::vector<std::unique_ptr<ProcTable>> Tables;
 
   /// Delta checkpoints (DESIGN.md Section 10): the slots whose value
   /// moved since the last snapshot, restore or record (each once, flagged

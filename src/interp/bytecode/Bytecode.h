@@ -51,7 +51,7 @@ namespace alphonse::interp::bytecode {
   X(Move)        /* R[A] <- R[B] */                                            \
   X(CastBool)    /* R[A] <- boolean(R[B].Bool) */                              \
   X(LoadGlobal)  /* R[A] <- globals[B]; FlagTracked records the access */      \
-  X(StoreGlobal) /* globals[A] <- R[B]; FlagTracked goes through modify */     \
+  X(StoreGlobal) /* globals[A] <- R[B] through modify */                      \
   X(LoadField)   /* R[A] <- R[B].fields[C]; Imm names the field (errors) */    \
   X(StoreField)  /* R[A].fields[C] <- R[B]; Imm names the field */             \
   X(NewObj)      /* R[A] <- NEW Types[Imm] */                                  \
@@ -97,8 +97,9 @@ const char *opcodeName(OpCode Op);
 /// Flag bits (Instr::Flags).
 enum : uint8_t {
   /// Loads/stores: the site was flagged by the Section 5 transformer
-  /// (access/modify protocol applies). Calls: the site is checked (not
-  /// inside (*UNCHECKED*) at transform time).
+  /// (access/modify protocol applies; a store needs no check, since only
+  /// a flagged load gives a location a graph node). Calls: the site is
+  /// checked (not inside (*UNCHECKED*) at transform time).
   FlagTracked = 1 << 0,
 };
 

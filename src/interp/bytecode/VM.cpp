@@ -15,9 +15,9 @@
 // Every runtime error is raised with its construct's source location, and
 // the differential tests hold the observable behavior (results, output,
 // errors) to the graph-free reference evaluator in tests/interp. Global
-// and heap accesses go through Interp's trackedRead/trackedWrite protocol,
-// which does dependency recording, write journaling, and the quiescence
-// cutoff.
+// and heap accesses go through Interp's trackedRead/trackedWrite, in front
+// of core's storage protocol (dependency recording, write journaling, and
+// the quiescence cutoff).
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,8 +44,8 @@ Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
     fail(Ch.Loc,
          "call depth exceeded in '" + Ch.Name + "' (runaway recursion?)");
   // One injection site per VM execution ("vm.<proc>"). Throw/Kill act
-  // here; Diverge belongs to instance-node sites (executeInstance) and is
-  // a no-op at the chunk level.
+  // here; Diverge belongs to instance-node sites (ArgTable's execute) and
+  // is a no-op at the chunk level.
   (void)faultInjectionPoint(Ch.FaultSite);
 
   const size_t Base = ES.Top;
@@ -133,12 +133,11 @@ Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
     }
     VM_CASE(LoadGlobal) : {
       VM_R(IP->A) =
-          trackedRead(*Globals[IP->B], (IP->Flags & FlagTracked) != 0);
+          trackedRead(Globals[IP->B], (IP->Flags & FlagTracked) != 0);
       VM_NEXT();
     }
     VM_CASE(StoreGlobal) : {
-      trackedWrite(*Globals[IP->A], VM_R(IP->B),
-                   (IP->Flags & FlagTracked) != 0);
+      trackedWrite(Globals[IP->A], VM_R(IP->B));
       VM_NEXT();
     }
     VM_CASE(LoadField) : {
@@ -155,8 +154,7 @@ Value Interp::runChunk(const Chunk &Ch, const std::vector<Value> &Args) {
       if (B.K != Value::Kind::Object)
         fail(Loc(), "NIL dereference writing field '" +
                         Ch.Names[static_cast<size_t>(IP->Imm)] + "'");
-      trackedWrite(B.Obj->slot(IP->C), VM_R(IP->B),
-                   (IP->Flags & FlagTracked) != 0);
+      trackedWrite(B.Obj->slot(IP->C), VM_R(IP->B));
       VM_NEXT();
     }
     VM_CASE(NewObj) : {

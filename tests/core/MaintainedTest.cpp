@@ -200,56 +200,6 @@ TEST(MaintainedTest, EraseDropsAnInstance) {
   EXPECT_EQ(Runs, 3);
 }
 
-TEST(MaintainedTest, CapacityEvictsColdUnreferencedInstances) {
-  Runtime RT;
-  int Runs = 0;
-  Cached<int(int)> F(RT, [&Runs](int X) {
-    ++Runs;
-    return X;
-  });
-  F.setCapacity(2);
-  F(1);
-  F(2);
-  F(3); // Evicts the coldest (1).
-  EXPECT_EQ(F.numInstances(), 2u);
-  F(3);
-  F(2);
-  EXPECT_EQ(Runs, 3); // 2 and 3 still cached.
-  F(1);
-  EXPECT_EQ(Runs, 4); // 1 was evicted and recomputes.
-}
-
-TEST(MaintainedTest, CapacityHitsRefreshRecency) {
-  Runtime RT;
-  int Runs = 0;
-  Cached<int(int)> F(RT, [&Runs](int X) {
-    ++Runs;
-    return X;
-  });
-  F.setCapacity(2);
-  F(1);
-  F(2);
-  F(1); // A cache hit makes 1 the most recently used.
-  F(3); // So the coldest instance, evicted here, is 2.
-  EXPECT_EQ(Runs, 3);
-  EXPECT_TRUE(F.hasCachedValue(1));
-  EXPECT_FALSE(F.hasCachedValue(2));
-  EXPECT_TRUE(F.hasCachedValue(3));
-}
-
-TEST(MaintainedTest, CapacityNeverEvictsDependedUponInstances) {
-  Runtime RT;
-  Cached<int(int)> G(RT, [](int X) { return X * 2; });
-  Maintained<int()> F(RT, [&G] { return G(7); });
-  F(); // F depends on G(7).
-  G.setCapacity(1);
-  G(1);
-  G(2);
-  G(3);
-  // G(7) is pinned by F's dependence; the eviction scan skips it.
-  EXPECT_TRUE(G.hasCachedValue(7));
-}
-
 TEST(MaintainedTest, InstanceNodeIntrospection) {
   Runtime RT;
   Cell<int> A(RT, 1);

@@ -343,29 +343,5 @@ TEST(TransactionTest, HeightTreeBatchFaultLeavesHeightsIntact) {
             trees::HeightTree::exhaustiveHeight(Root, T.nil()));
 }
 
-TEST(TransactionTest, LruEvictionIsDeferredDuringBatch) {
-  Runtime RT;
-  Cell<int> A(RT, 1, "a");
-  Maintained<int(int)> F(
-      RT, [&](int X) { return A.get() + X; }, EvalStrategy::Demand, "f");
-  F.setCapacity(2);
-  EXPECT_EQ(F(1), 2);
-  EXPECT_EQ(F(2), 3);
-
-  RT.beginBatch();
-  EXPECT_EQ(F(3), 4);
-  EXPECT_EQ(F(4), 5);
-  // Over capacity, but eviction would destroy nodes the journal
-  // references; it must wait for the batch to resolve.
-  EXPECT_GT(F.numInstances(), 2u);
-  RT.rollbackBatch();
-  EXPECT_EQ(F.numInstances(), 2u); // In-batch instances rolled away.
-
-  // Post-batch calls trim the table again.
-  EXPECT_EQ(F(5), 6);
-  EXPECT_LE(F.numInstances(), 3u);
-  EXPECT_TRUE(RT.graph().verify().empty());
-}
-
 } // namespace
 } // namespace alphonse

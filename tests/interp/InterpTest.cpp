@@ -359,6 +359,53 @@ END Inv;
   EXPECT_FALSE(I.failed());
 }
 
+TEST(InterpAlphonseTest, ReentrantCycleIsQuarantinedAndRecovers) {
+  // Loop(k) demands its own value while computing it: each re-entrant run
+  // calls Loop(k) again, until the re-entrant depth limit calls it a
+  // dependency cycle.
+  const char *Src = R"(
+VAR base : INTEGER := 1;
+(*CACHED*) PROCEDURE Loop(k : INTEGER) : INTEGER =
+BEGIN
+  IF base > 0 THEN RETURN Loop(k) + 1; END;
+  RETURN k;
+END Loop;
+)";
+  ScratchProgram Prog("reentrant-cycle", Src);
+  std::string Out;
+  int Status = runAlphonsec(Prog.Path, "--run Loop,3 --stats", Out);
+  ASSERT_TRUE(WIFEXITED(Status)) << Out;
+  EXPECT_EQ(WEXITSTATUS(Status), 2) << Out;
+  EXPECT_NE(Out.find("runtime error: re-entrant call depth limit (64) "
+                     "reached on 'Loop': the value depends on its own "
+                     "in-flight computation (dependency cycle)\n"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("\nfault.quarantined    1\n"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\nfault.cycles         1\n"), std::string::npos) << Out;
+
+  auto C = compile(Src);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  Interp I(C->M, C->Info, ExecMode::Alphonse);
+  I.call("Loop", {IV(3)});
+  EXPECT_TRUE(I.failed());
+  EXPECT_NE(I.errorMessage().find("(dependency cycle)"), std::string::npos);
+  EXPECT_EQ(I.runtime().callDepth(), 0u);
+  auto Quarantined = I.runtime().graph().quarantined();
+  ASSERT_EQ(Quarantined.size(), 1u);
+  EXPECT_EQ(Quarantined[0].first->name(), "Loop");
+  EXPECT_EQ(Quarantined[0].first->reentrantDepth(), 0u);
+  EXPECT_EQ(Quarantined[0].second->Kind, FaultKind::Cycle);
+  EXPECT_TRUE(I.runtime().graph().verify().empty());
+
+  // Break the cycle, return the instance to service, and it computes.
+  I.setGlobal("base", IV(0));
+  EXPECT_EQ(I.runtime().graph().resetAllQuarantined(), 1u);
+  I.clearError();
+  EXPECT_EQ(I.call("Loop", {IV(3)}).Int, 3);
+  EXPECT_FALSE(I.failed()) << I.errorMessage();
+}
+
 TEST(InterpConventionalTest, ShortCircuitEvaluation) {
   auto C = compile(R"(
 TYPE T = OBJECT v : INTEGER; END;

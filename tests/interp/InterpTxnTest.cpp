@@ -85,6 +85,43 @@ TEST(InterpTxnTest, FaultedBatchRollsBackGlobalsAndCaches) {
   EXPECT_FALSE(I.failed());
 }
 
+const char *BoxProgram = R"(
+TYPE Box = OBJECT v : INTEGER; END;
+VAR g : INTEGER := 5;
+VAR box : Box;
+PROCEDURE Init() = BEGIN box := NEW(Box); box.v := 5; END Init;
+PROCEDURE Poke(x : INTEGER) : INTEGER =
+BEGIN
+  g := x;
+  box.v := x;
+  RETURN 1 DIV 0;
+END Poke;
+)";
+
+TEST(InterpTxnTest, RollbackRestoresGlobalsAndFieldsInEitherMode) {
+  auto C = compile(BoxProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  for (ExecMode Mode : {ExecMode::Conventional, ExecMode::Alphonse}) {
+    SCOPED_TRACE(Mode == ExecMode::Alphonse ? "Alphonse" : "Conventional");
+    Interp I(C->M, C->Info, Mode);
+    I.call("Init");
+    Value Box = I.global("box");
+    {
+      // The batch's stores land before the fault; rollback takes them
+      // back whatever the mode (alphonsec --transactional relies on it).
+      Transaction Txn(I.runtime());
+      I.call("Poke", {IV(99)});
+      EXPECT_TRUE(I.failed());
+      EXPECT_EQ(I.global("g").Int, 99);
+      EXPECT_EQ(I.field(Box, "v").Int, 99);
+      Txn.rollback();
+    }
+    EXPECT_EQ(I.global("g").Int, 5);
+    EXPECT_EQ(I.field(Box, "v").Int, 5);
+    EXPECT_TRUE(I.runtime().graph().verify().empty());
+  }
+}
+
 TEST(InterpTxnTest, GlobalSlotFaultSiteIsNamed) {
   auto C = compile(CounterProgram);
   ASSERT_TRUE(C->ok()) << C->Diags.str();
