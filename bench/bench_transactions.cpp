@@ -89,14 +89,9 @@ BENCHMARK(BM_TX_Commit)->Arg(1)->Arg(16)->Arg(256);
 
 // TXc: the same work rolled back — every iteration restores the pre-batch
 // state, so the workload stays attached-state-free across iterations.
-// VerifyOnRollback (on by default) audits the whole graph after each
-// rollback, an O(nodes+edges) safety net that would swamp the replay cost
-// here; it is disabled so the counter isolates the reverse replay itself.
 static void BM_TX_Rollback(benchmark::State &State) {
   size_t K = static_cast<size_t>(State.range(0));
-  DepGraph::Config Cfg;
-  Cfg.VerifyOnRollback = false;
-  Runtime RT(Cfg);
+  Runtime RT;
   HeightTree Tree(RT);
   auto Nodes = buildPerfectTree(Tree, TreeNodes);
   Tree.height(Nodes[0]);

@@ -50,11 +50,13 @@ public:
 
   /// The access(v) transformation: returns the live value and, when an
   /// incremental procedure of \p RT is executing, records its dependence on
-  /// this location (creating the graph vertex, labelled \p Name, on first
-  /// use). \p Name must outlive the vertex.
-  const T &read(Runtime &RT, const std::string &Name) const {
+  /// this location, creating the graph vertex on first use. \p Label is
+  /// called only then: it returns the vertex's name, a std::string that
+  /// outlives the vertex.
+  template <typename LabelFn>
+  const T &read(Runtime &RT, LabelFn Label) const {
     if (RT.inIncrementalCall())
-      RT.recordAccess(ensureTracked(RT, Name));
+      RT.recordAccess(Node ? *Node : ensureTracked(RT, Label()));
     return Live;
   }
 
@@ -184,7 +186,9 @@ public:
   Cell &operator=(const Cell &) = delete;
 
   /// The access(v) transformation (Algorithm 3), see StorageNode::read().
-  const T &get() const { return Storage.read(*RT, Name); }
+  const T &get() const {
+    return Storage.read(*RT, [this]() -> const std::string & { return Name; });
+  }
   /// The modify(l, v) transformation (Algorithm 4), see
   /// StorageNode::write().
   void set(T V) { Storage.write(*RT, std::move(V)); }

@@ -38,7 +38,6 @@
 
 #include <cassert>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -79,9 +78,9 @@ public:
       // (journal entries touching the node were recorded later and are
       // undone first).
       if (RT->inBatch())
-        RT->graph().logUndo([this, DeadKey = N->K]() { erase(DeadKey); });
+        RT->graph().logUndo([this, DeadKey = *N->K]() { erase(DeadKey); });
     } else {
-      N = It->second.get();
+      N = &It->second;
       // Algorithm 5 forces evaluation before reusing an existing node, so
       // that batched changes which affect this value are applied first.
       RT->ensureEvaluatedFor(*N);
@@ -105,7 +104,7 @@ public:
       // value demands itself) and its constructor throws CycleError.
       ReentrantScope Reentrant(RT->graph(), *N);
       Runtime::CallScope Call(*RT, N);
-      return Fn(N->K);
+      return Fn(*N->K);
     }
     if (N->isConsistent()) {
       assert(N->Cached && "consistent instance with no cached value");
@@ -119,16 +118,16 @@ public:
   /// called with it. Records no dependency.
   DepNode *find(const Key &K) const {
     auto It = Table.find(K);
-    return It == Table.end() ? nullptr : It->second.get();
+    return It == Table.end() ? nullptr : const_cast<Instance *>(&It->second);
   }
 
   /// The cached result for \p K, forcing no evaluation (nullptr when the
   /// instance or its cache does not exist).
   const Result *peekCached(const Key &K) const {
     auto It = Table.find(K);
-    if (It == Table.end() || !It->second->Cached)
+    if (It == Table.end() || !It->second.Cached)
       return nullptr;
-    return &*It->second->Cached;
+    return &*It->second.Cached;
   }
 
   /// Number of live instances.
@@ -141,7 +140,7 @@ public:
     auto It = Table.find(K);
     if (It == Table.end())
       return;
-    assert(!It->second->isExecuting() && "erasing an executing instance");
+    assert(!It->second.isExecuting() && "erasing an executing instance");
     Table.erase(It);
   }
 
@@ -150,8 +149,7 @@ public:
   /// records no dependencies and evaluates nothing.
   template <typename Fn> void forEachInstance(Fn F) const {
     for (const auto &KV : Table)
-      F(KV.second->K, KV.second->Cached,
-        static_cast<const DepNode &>(*KV.second));
+      F(KV.first, KV.second.Cached, static_cast<const DepNode &>(KV.second));
   }
 
   /// Recreates the instance for \p K with \p Cached as its cached result,
@@ -168,10 +166,11 @@ public:
   }
 
 private:
+  /// One argument key's graph node, held by value in the table. Map nodes
+  /// never move, so the instance points at the table's copy of its key.
   struct Instance final : DepNode {
-    Instance(DepGraph &G, ArgTable &Parent, Key K, EvalStrategy S)
-        : DepNode(G, NodeKind::Procedure, S), Parent(&Parent),
-          K(std::move(K)) {}
+    Instance(DepGraph &G, ArgTable &Parent, EvalStrategy S)
+        : DepNode(G, NodeKind::Procedure, S), Parent(&Parent) {}
 
     /// Evaluator hook for eager instances: re-run the body and report
     /// whether the cached result changed.
@@ -182,16 +181,17 @@ private:
     }
 
     ArgTable *Parent;
-    Key K;
+    const Key *K = nullptr;
     std::optional<Result> Cached;
   };
 
   Instance &insert(Key K, EvalStrategy Strategy) {
-    auto Owned =
-        std::make_unique<Instance>(RT->graph(), *this, K, Strategy);
-    Instance &N = *Owned;
+    auto [It, Fresh] =
+        Table.try_emplace(std::move(K), RT->graph(), *this, Strategy);
+    assert(Fresh && "inserting an instance that already exists");
+    Instance &N = It->second;
+    N.K = &It->first;
     N.setName(Name);
-    Table.emplace(std::move(K), std::move(Owned));
     return N;
   }
 
@@ -217,7 +217,7 @@ private:
       // unwind path as a real body failure. A Diverge action re-marks the
       // node inconsistent mid-run, as if it wrote storage it reads.
       auto Inject = faultInjectionPoint(N.name());
-      Result Ret = Fn(N.K);
+      Result Ret = Fn(*N.K);
       if (Inject == FaultInjector::Action::Diverge)
         G.selfInvalidate(N);
       N.Cached = Ret;
@@ -231,7 +231,7 @@ private:
   Runtime *RT;
   Body Fn;
   std::string Name;
-  std::unordered_map<Key, std::unique_ptr<Instance>, Hash> Table;
+  std::unordered_map<Key, Instance, Hash> Table;
 };
 
 template <typename Signature> class Maintained;

@@ -20,9 +20,9 @@
 #define ALPHONSE_CORE_RUNTIME_H
 
 #include "graph/DepGraph.h"
+#include "support/Diagnostics.h"
 #include "support/Statistics.h"
 
-#include <cstdlib>
 #include <vector>
 
 namespace alphonse {
@@ -31,17 +31,7 @@ namespace alphonse {
 class Runtime {
 public:
   explicit Runtime(DepGraph::Config Cfg = DepGraph::Config())
-      : Graph(Stats, applyEnvOverrides(Cfg)) {}
-
-  /// Tag selecting the exact-config constructor below.
-  struct ExactConfig {};
-
-  /// Constructs with \p Cfg exactly as given — no ALPHONSE_AUDIT
-  /// environment override. Embeddings that manage many runtimes
-  /// themselves (the session service) use this: a debugging env var must
-  /// not silently audit every one of ten thousand sessions after every
-  /// wave.
-  Runtime(DepGraph::Config Cfg, ExactConfig) : Graph(Stats, Cfg) {}
+      : Graph(Stats, Cfg) {}
 
   DepGraph &graph() { return Graph; }
   Statistics &stats() { return Stats; }
@@ -177,16 +167,6 @@ public:
   };
 
 private:
-  /// Environment override applied at construction so deployed binaries
-  /// can flip a debug aid without recompiling: ALPHONSE_AUDIT (non-empty,
-  /// not "0") enables Config::AuditAfterEvaluate.
-  static DepGraph::Config applyEnvOverrides(DepGraph::Config Cfg) {
-    if (const char *V = std::getenv("ALPHONSE_AUDIT"))
-      if (V[0] != '\0' && !(V[0] == '0' && V[1] == '\0'))
-        Cfg.AuditAfterEvaluate = true;
-    return Cfg;
-  }
-
   Statistics Stats;
   DepGraph Graph;
   /// The incremental call stack of Section 4.3.

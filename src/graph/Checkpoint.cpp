@@ -323,7 +323,7 @@ void GraphRestorer::finish(DepGraph &G) {
   G.republishMemoryGauges();
 
   // The gate: no restored graph is handed back without passing the same
-  // structural audit ALPHONSE_AUDIT runs after every evaluation.
+  // structural audit ALPHONSE_AUDIT runs after every outermost drain.
   std::vector<std::string> Problems = G.verify();
   if (!Problems.empty()) {
     std::string Msg = "restored graph failed verify(): " + Problems.front();

@@ -16,9 +16,11 @@
 
 #include "graph/DepGraph.h"
 
+#include "support/Diagnostics.h"
 #include "support/FaultInjector.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 namespace alphonse {
@@ -69,7 +71,11 @@ DepGraph::~DepGraph() {
 
 void DepGraph::registerNode(DepNode &N) {
   N.Id = allocNodeSlot(N);
-  N.Partition = Partitions.makeSet();
+  // Without partitioning (the E9 ablation) every node joins the first
+  // partition, so one pending set holds all the work.
+  N.Partition = Cfg.Partitioning || Partitions.size() == 0
+                    ? Partitions.makeSet()
+                    : 0;
   ++NumLiveNodes;
   ++Stats.NodesCreated;
 }
@@ -158,9 +164,6 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
     Journal.push(std::move(U));
     ++Stats.TxnUndoEntries;
   }
-
-  if (!Cfg.Partitioning)
-    return;
 
   // Dynamic partition refinement (Section 6.3): connected nodes share one
   // instance of quiescence propagation.
@@ -438,78 +441,37 @@ void DepGraph::processNode(DepNode &N) {
 }
 
 void DepGraph::evaluateFor(DepNode &N) {
-  if (!Cfg.Partitioning) {
-    evaluateAll();
-    return;
-  }
   ++Stats.PartitionScopedEvals;
-  bool OwnWave = false;
-  ++EvalDepth;
-  if (EvalDepth == 1) {
-    EvalSteps = 0;
-    ++EvalEpoch;
-    DrainAborted = false;
-    // A top-level partition-scoped pump is a wave of its own when a
-    // default budget is configured (nested drains inherit the enclosing
-    // wave's budget through governorStop()).
-    if (!Gov.waveActive() && !TxnActive && !Gov.defaultBudget().unlimited()) {
-      Gov.openWave(Gov.defaultBudget());
-      OwnWave = true;
-    }
-  }
-  // Restores the depth even when the drain unwinds by an exception, and
-  // closes a wave this entry opened so the governor never leaks an open
-  // wave past an unwind.
-  struct DepthScope {
-    DepGraph &G;
-    bool OwnWave;
-    ~DepthScope() {
-      --G.EvalDepth;
-      if (OwnWave && G.Gov.waveActive())
-        G.Gov.closeWave(G.TotalPending);
-    }
-  } Depth{*this, OwnWave};
-  // Re-resolve the set each round: processing can merge partitions.
-  while (!DrainAborted) {
-    if (governorStop())
-      break;
-    InconsistentSet *S = findSet(Partitions.find(N.Partition));
-    if (!S || S->empty())
-      break;
-    DepNode &U = S->pop(*this);
-    --TotalPending;
-    processNode(U);
-  }
-  if (OwnWave) {
-    Depth.OwnWave = false; // Closed here; the scope need not repeat it.
-    WaveOutcome O = Gov.closeWave(TotalPending);
-    if (waveDegraded(O))
-      stampStaleResidue();
-    else if (TotalPending == 0)
-      clearStaleMarks();
-    Stats.GovStaleNodes = Gov.staleCount();
-  }
-  if (EvalDepth == 1 && Cfg.AuditAfterEvaluate)
-    for (const std::string &V : verify())
-      Diags.error(SourceLocation(), "audit: " + V);
+  // A top-level scoped pump is a wave of its own when a default budget is
+  // configured; nested drains inherit the enclosing wave's budget through
+  // governorStop(), and a batch's propagation is governed by its commit.
+  if (EvalDepth == 0 && !TxnActive && !Gov.defaultBudget().unlimited())
+    runWave(&N, Gov.defaultBudget());
+  else
+    drain(&N);
 }
 
 WaveOutcome DepGraph::evaluateAll(const WaveBudget &B) {
   // Re-entered from inside an execution: the enclosing wave (if any)
   // governs through governorStop(); just drain.
   if (EvalDepth != 0) {
-    drainAll();
+    drain(nullptr);
     return WaveOutcome::Completed;
   }
+  return runWave(nullptr, B);
+}
 
-  // Overload admission (skipped under a batch: commitBatch must always
-  // attempt the propagation so the abort/rollback logic decides).
-  if (!TxnActive && !Gov.admitWave(B))
+WaveOutcome DepGraph::runWave(DepNode *Scope, const WaveBudget &B) {
+  // Overload admission applies to full pumps outside a batch: a scoped
+  // drain serves a demand that needs its partition repaired, and
+  // commitBatch must always attempt the propagation so the abort/rollback
+  // logic decides.
+  if (!Scope && !TxnActive && !Gov.admitWave(B))
     return Gov.lastOutcome();
 
   Gov.openWave(B);
   try {
-    drainAll();
+    drain(Scope);
   } catch (...) {
     Gov.closeWave(TotalPending);
     throw;
@@ -528,47 +490,63 @@ WaveOutcome DepGraph::evaluateAll(const WaveBudget &B) {
   return O;
 }
 
-void DepGraph::drainAll() {
-  ++EvalDepth;
-  if (EvalDepth == 1) {
+void DepGraph::drain(DepNode *Scope) {
+  if (EvalDepth++ == 0) {
     EvalSteps = 0;
     ++EvalEpoch;
     DrainAborted = false;
   }
-  if (!Cfg.Partitioning) {
-    while (!GlobalSet.empty() && !DrainAborted) {
-      if (governorStop())
+  try {
+    while (!DrainAborted) {
+      // Re-resolve the set each round: processing can merge partitions.
+      InconsistentSet *S = findSet(
+          Scope ? Partitions.find(Scope->Partition) : nextDirtyRoot());
+      if (!S || S->empty() || governorStop())
         break;
-      DepNode &U = GlobalSet.pop(*this);
-      --TotalPending;
-      processNode(U);
-    }
-  } else {
-    while (TotalPending > 0 && !DrainAborted) {
-      if (governorStop())
-        break;
-      if (DirtyRoots.empty()) {
-        // Rebuild from the live sets (roots can go stale across merges).
-        for (UnionFind::Id Root = 0; Root < SetVec.size(); ++Root)
-          if (!SetVec[Root].empty())
-            DirtyRoots.push_back(Root);
-        assert(!DirtyRoots.empty() && "pending count desynchronized");
-      }
-      UnionFind::Id Raw = DirtyRoots.back();
-      DirtyRoots.pop_back();
-      InconsistentSet *S = findSet(Partitions.find(Raw));
-      if (!S || S->empty())
-        continue;
       DepNode &U = S->pop(*this);
       --TotalPending;
       processNode(U);
-      DirtyRoots.push_back(Partitions.find(Raw));
     }
+    // A scoped drain pops no DirtyRoots entries; drop the ones it left
+    // stale, so a workload that only demands does not grow the list.
+    if (Scope)
+      nextDirtyRoot();
+  } catch (...) {
+    --EvalDepth;
+    throw;
   }
-  --EvalDepth;
-  if (EvalDepth == 0 && Cfg.AuditAfterEvaluate)
-    for (const std::string &V : verify())
-      Diags.error(SourceLocation(), "audit: " + V);
+  if (--EvalDepth == 0 && Cfg.Audit)
+    audit("drain");
+}
+
+UnionFind::Id DepGraph::nextDirtyRoot() {
+  while (TotalPending != 0) {
+    if (DirtyRoots.empty()) {
+      // Rebuild from the live sets (roots can go stale across merges).
+      for (UnionFind::Id Root = 0; Root < SetVec.size(); ++Root)
+        if (!SetVec[Root].empty())
+          DirtyRoots.push_back(Root);
+      assert(!DirtyRoots.empty() && "pending count desynchronized");
+      if (DirtyRoots.empty())
+        break;
+    }
+    UnionFind::Id Root = Partitions.find(DirtyRoots.back());
+    if (InconsistentSet *S = findSet(Root); S && !S->empty())
+      return Root;
+    DirtyRoots.pop_back();
+  }
+  DirtyRoots.clear(); // Nothing is pending: every entry is stale.
+  return std::numeric_limits<UnionFind::Id>::max();
+}
+
+void DepGraph::audit(const char *After) const {
+  std::vector<std::string> Findings = verify();
+  if (Findings.empty())
+    return;
+  std::string Msg = std::string("invariant audit after ") + After + ":";
+  for (const std::string &F : Findings)
+    Msg += "\n  " + F;
+  fatalError(Msg.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -606,12 +584,6 @@ void DepGraph::beginBatch() {
   assert(!TxnActive && "transactional batches do not nest");
   assert(!isEvaluating() && "beginBatch() inside the evaluator");
   faultInjectionPoint("txn.begin");
-  if (TotalPending != 0)
-    Diags.warning(SourceLocation(),
-                  "txn: beginBatch() on a non-quiescent graph (" +
-                      std::to_string(TotalPending) +
-                      " pending); rollback restores this non-quiescent "
-                      "storage state but drops the pending queue");
   TxnActive = true;
   TxnNewFaults = 0;
   AbortFault.reset();
@@ -644,13 +616,6 @@ bool DepGraph::commitBatch() {
                            nullptr};
   }
   if (TxnNewFaults != 0 || DrainAborted || waveDegraded(O)) {
-    const FaultInfo *FI = abortFault();
-    Diags.note(SourceLocation(),
-               "txn: commit aborted (" +
-                   std::string(FI ? faultKindName(FI->Kind) : "unknown") +
-                   (FI && !FI->NodeName.empty() ? " at '" + FI->NodeName + "'"
-                                                : std::string()) +
-                   "); batch rolled back");
     rollbackBatch();
     return false;
   }
@@ -682,9 +647,8 @@ void DepGraph::rollbackBatch() {
   // growth-triggered gauge hooks; re-publish so graph.node_bytes /
   // graph.edge_bytes / pool.high_water reflect the restored state.
   republishMemoryGauges();
-  if (Cfg.VerifyOnRollback)
-    for (const std::string &V : verify())
-      Diags.error(SourceLocation(), "rollback audit: " + V);
+  if (Cfg.Audit)
+    audit("rollback");
 }
 
 void DepGraph::applyUndo(UndoEntry &E) {
@@ -775,12 +739,8 @@ void DepGraph::stampStaleResidue() {
   // may have grown), so the walk keeps its own visited set.
   std::vector<NodeId> Stack;
   std::unordered_set<NodeId> Seen;
-  auto Collect = [&](const InconsistentSet &S) {
-    S.forEach(*this, [&](const DepNode &N) { Stack.push_back(N.Id); });
-  };
-  Collect(GlobalSet);
   for (const InconsistentSet &S : SetVec)
-    Collect(S);
+    S.forEach(*this, [&](const DepNode &N) { Stack.push_back(N.Id); });
 
   while (!Stack.empty()) {
     NodeId Id = Stack.back();
@@ -913,8 +873,9 @@ std::vector<std::string> DepGraph::verify() const {
                   " != " + std::to_string(PredEdges) + " predecessor edges");
 
   // Pending sets: entry flags, set sizes, and the global count agree.
-  size_t SetEntries = GlobalSet.size();
-  auto CheckSet = [&](const InconsistentSet &S) {
+  size_t SetEntries = 0;
+  for (const InconsistentSet &S : SetVec) {
+    SetEntries += S.size();
     S.forEach(*this, [&](const DepNode &N) {
       if (!N.InQueue)
         Bad.push_back("pending-set entry '" + Name(N) +
@@ -923,14 +884,7 @@ std::vector<std::string> DepGraph::verify() const {
         Bad.push_back("pending-set entry '" + Name(N) +
                       "' belongs to another graph");
     });
-  };
-  CheckSet(GlobalSet);
-  for (const InconsistentSet &S : SetVec) {
-    SetEntries += S.size();
-    CheckSet(S);
   }
-  if (Cfg.Partitioning && !GlobalSet.empty())
-    Bad.push_back("global pending set in use while partitioning is enabled");
   if (SetEntries != TotalPending)
     Bad.push_back("pending count " + std::to_string(TotalPending) + " != " +
                   std::to_string(SetEntries) + " queued set entries");

@@ -70,7 +70,8 @@ public:
 
   /// Drains the inconsistent set of \p N's partition, processing each node
   /// per Section 4.5. Reentrant: procedure executions triggered from inside
-  /// may call back into the evaluator.
+  /// may call back into the evaluator. At top level it is a wave of its
+  /// own only under a limited default budget.
   void evaluateFor(DepNode &N);
 
   /// Drains every partition's inconsistent set (Section 4.5). Governed by
@@ -122,7 +123,7 @@ public:
   /// quiescent state: storage snapshots, cached values, edges, levels,
   /// execution stamps, versions, quarantine membership, and pending sets
   /// (cleared — the pre-batch state was quiescent). Audited by verify()
-  /// under Config::VerifyOnRollback.
+  /// under Config::Audit.
   void rollbackBatch();
 
   /// Opens a bounded re-entrant (conventional) run of the in-flight
@@ -149,8 +150,8 @@ public:
   /// generations, edge linkage, level monotonicity across up-to-date
   /// edges, pending-set and partition agreement, and quarantine
   /// disjointness. \returns one message per violation (empty = healthy).
-  /// Runnable any time the evaluator is not mid-step; also wired to
-  /// Config::AuditAfterEvaluate.
+  /// Runnable any time the evaluator is not mid-step; Config::Audit runs
+  /// it after every outermost drain and every rollback.
   std::vector<std::string> verify() const;
 
 private:
@@ -170,13 +171,32 @@ private:
   /// Config::MaxReexecutions (counter is maintained here).
   bool tripsReexecutionLimit(DepNode &N);
 
-  /// The drain loop behind evaluateAll(): pops every partition's pending
-  /// set until quiescence, a budget stop, or the step limit. Re-entered
-  /// calls (from inside an execution) run it directly, under the
-  /// enclosing wave.
-  void drainAll();
+  /// Runs a top-level drain of \p Scope's partition (every partition when
+  /// null) as one governed wave under \p B: overload admission (full
+  /// pumps outside a batch only), open/close, and outside a batch the
+  /// stale stamping of a degraded wave or the clearing after a complete
+  /// one. \returns the wave's outcome.
+  WaveOutcome runWave(DepNode *Scope, const WaveBudget &B);
 
-  /// Cooperative-cancellation poll, called by the drain loops before
+  /// The evaluation routine (Section 4.5): pops \p Scope's partition set
+  /// (every partition's when null) until it is empty, a budget stops the
+  /// wave, or the step limit trips. Re-entered calls (from inside an
+  /// execution) run under the enclosing wave. The outermost drain is
+  /// audited under Config::Audit.
+  void drain(DepNode *Scope);
+
+  /// The root of the most recently dirtied partition that still has
+  /// pending work, left on DirtyRoots; stale entries above it (roots
+  /// drained or merged away since they were listed) are dropped, and
+  /// every entry when nothing is pending. \returns an id past every set
+  /// when nothing is pending.
+  UnionFind::Id nextDirtyRoot();
+
+  /// Runs verify() and, on any finding, ends the process through
+  /// fatalError with every message (Config::Audit's gate).
+  void audit(const char *After) const;
+
+  /// Cooperative-cancellation poll, called by the drain loop before
   /// popping the next node. Free when the current wave is unbudgeted
   /// (one bool); otherwise runs the governor's boundary check against
   /// the live step counter and slab gauges.
@@ -213,7 +233,7 @@ private:
   /// scoped to one epoch).
   uint64_t EvalEpoch = 0;
   int EvalDepth = 0;
-  /// Set when EvalStepLimit trips; every drain loop unwinds, leaving the
+  /// Set when EvalStepLimit trips; every nested drain unwinds, leaving the
   /// remaining pending work queued. Cleared at the next top-level entry.
   bool DrainAborted = false;
 

@@ -9,7 +9,7 @@
 /// The resource governor of the propagation stack (DESIGN.md Section 11
 /// "Resource governance and graceful degradation"). One Governor per
 /// DepGraph holds the default WaveBudget, the per-wave cancellation latch
-/// that the drain loops poll at evaluation boundaries, the
+/// that the drain loop polls at evaluation boundaries, the
 /// overload-admission decision, and the bookkeeping behind graceful
 /// degradation: the list of nodes currently stamped stale, the residue
 /// parked by the last cancelled wave, and the watchdog's strike counts.
@@ -17,7 +17,7 @@
 /// waves ever touch them, and every node would pay for the fields.
 ///
 /// The governor never touches graph structure itself — DepGraph drives it
-/// from the drain loops (the only places with the step counter and memory
+/// from the drain loop (the only place with the step counter and memory
 /// gauges in hand) and does the stamping/parking.
 ///
 //===----------------------------------------------------------------------===//

@@ -23,8 +23,6 @@ namespace alphonse {
 //===----------------------------------------------------------------------===//
 
 InconsistentSet &GraphPolicy::setFor(DepNode &N) {
-  if (!Cfg.Partitioning)
-    return GlobalSet;
   UnionFind::Id Root = Partitions.find(N.Partition);
   if (SetVec.size() <= Root)
     SetVec.resize(Root + 1);
@@ -52,13 +50,10 @@ void GraphPolicy::eraseFromPendingSets(DepNode &N) {
   }
   if (!N.InQueue)
     --TotalPending;
-  GlobalSet.erase(*this, N);
   assert(!N.InQueue && "queued node not found in any inconsistent set");
 }
 
 void GraphPolicy::clearAllPending() {
-  while (!GlobalSet.empty())
-    GlobalSet.pop(*this);
   for (InconsistentSet &S : SetVec)
     while (!S.empty())
       S.pop(*this);
@@ -144,10 +139,6 @@ void GraphPolicy::quarantine(DepNode &N, FaultInfo FI) {
   N.Quarantined = true;
   N.Consistent = false;
   ++Stats.NodesQuarantined;
-  Diags.error(SourceLocation(),
-              "quarantined node '" +
-                  (FI.NodeName.empty() ? std::string("<anon>") : FI.NodeName) +
-                  "' [" + faultKindName(FI.Kind) + "]: " + FI.Message);
   // Dependents hold values computed from this node; queue them so they
   // discover the fault at their next recompute instead of silently
   // serving stale data (a recompute that calls a quarantined node throws

@@ -66,11 +66,6 @@ public:
     if (N.isProcedure() && N.Strategy == EvalStrategy::Demand &&
         !N.Consistent && !N.Executing)
       return;
-    if (!Cfg.Partitioning) {
-      if (GlobalSet.push(*this, N))
-        ++TotalPending;
-      return;
-    }
     UnionFind::Id Root = Partitions.find(N.Partition);
     if (SetVec.size() <= Root)
       SetVec.resize(Root + 1);
@@ -80,11 +75,9 @@ public:
     DirtyRoots.push_back(Root);
   }
 
-  /// True if the partition containing \p N has pending work (or, with
+  /// True if the partition containing \p N has pending work (with
   /// partitioning disabled, if anything is pending).
   bool hasPendingFor(DepNode &N) {
-    if (!Cfg.Partitioning)
-      return TotalPending != 0;
     InconsistentSet *S = findSet(Partitions.find(N.Partition));
     return S && !S->empty();
   }
@@ -124,11 +117,6 @@ public:
   //===--------------------------------------------------------------------===//
   // Failure model (quarantine, divergence, cycles) — see DESIGN.md
   //===--------------------------------------------------------------------===//
-
-  /// Structured fault reports (one error per quarantine / aborted
-  /// propagation, plus audit findings when Config::AuditAfterEvaluate).
-  const DiagnosticEngine &diagnostics() const { return Diags; }
-  DiagnosticEngine &diagnostics() { return Diags; }
 
   /// Number of nodes currently quarantined.
   size_t numQuarantined() const { return Quarantine.size(); }
@@ -201,9 +189,7 @@ protected:
 
   UnionFind Partitions;
   /// Pending sets indexed by union-find root id (dense; grown on demand).
-  /// With partitioning disabled, GlobalSet is used instead.
   std::vector<InconsistentSet> SetVec;
-  InconsistentSet GlobalSet;
   /// Roots that may have pending work (may contain stale ids).
   std::vector<UnionFind::Id> DirtyRoots;
   size_t TotalPending = 0;

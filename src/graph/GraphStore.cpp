@@ -17,7 +17,17 @@
 
 #include "graph/GraphStore.h"
 
+#include <cstdlib>
+
 namespace alphonse {
+
+bool auditFromEnvironment() {
+  static const bool On = [] {
+    const char *V = std::getenv("ALPHONSE_AUDIT");
+    return V && V[0] != '\0' && !(V[0] == '0' && V[1] == '\0');
+  }();
+  return On;
+}
 
 GraphStore::GraphStore(Statistics &Stats) : Stats(Stats) {}
 

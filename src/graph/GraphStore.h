@@ -32,7 +32,6 @@
 #define ALPHONSE_GRAPH_GRAPHSTORE_H
 
 #include "graph/DepNode.h"
-#include "support/Diagnostics.h"
 #include "support/Pool.h"
 #include "support/Statistics.h"
 
@@ -42,25 +41,26 @@
 
 namespace alphonse {
 
+/// True when the ALPHONSE_AUDIT environment variable is set and not "0".
+/// Read once per process; the default of GraphConfig::Audit.
+bool auditFromEnvironment();
+
 /// Engine tunables; the defaults match the paper, the flags exist for the
 /// ablation experiments in DESIGN.md Section 5. (DepGraph::Config is an
 /// alias of this, so clients keep writing DepGraph::Config.)
 struct GraphConfig {
   /// Keep one inconsistent set per union-find partition (Section 6.3) so
-  /// that changes in unrelated structures do not force evaluation.
+  /// that changes in unrelated structures do not force evaluation. When
+  /// off, every node joins one shared partition.
   bool Partitioning = true;
   /// Suppress propagation from storage whose live value equals the cached
   /// snapshot (Algorithm 4's value comparison; experiment E11).
   bool VariableCutoff = true;
-  /// Run verify() after every top-level evaluation and record any
-  /// invariant violation in diagnostics() (debugging/testing aid).
-  /// Toggleable at runtime via the ALPHONSE_AUDIT environment variable
-  /// (honored by Runtime construction, not by the graph itself).
-  bool AuditAfterEvaluate = false;
-  /// Run verify() after every transactional rollback and record any
-  /// invariant violation in diagnostics(). Rollback claims to restore
-  /// the exact pre-batch quiescent state; this audits the claim.
-  bool VerifyOnRollback = true;
+  /// Run verify() after every outermost drain and every transactional
+  /// rollback, and abort the process (fatalError) on any finding. A gate
+  /// for tests and debugging; its default comes from ALPHONSE_AUDIT, so
+  /// every graph honours that switch, sessions included.
+  bool Audit = auditFromEnvironment();
   /// Abort a propagation after this many evaluator steps (0 = unlimited).
   /// The node being processed when the limit trips is quarantined with a
   /// StepLimit fault and the remaining pending work is left queued for a
@@ -341,7 +341,6 @@ protected:
 
   Statistics &Stats;
   GraphConfig Cfg;
-  DiagnosticEngine Diags;
 
   NodeTable NodeTab;
   EdgeTable EdgeTab;

@@ -41,7 +41,7 @@ namespace alphonse {
 /// that resolves them.
 /// Push/pop/erase are inline: they sit inside the propagation loop (one
 /// push per queued dependent, one pop per evaluator step) and must fold
-/// into markInconsistent and the drain loops across the layer split.
+/// into markInconsistent and the drain loop across the layer split.
 class InconsistentSet {
 public:
   bool empty() const { return Heap.empty(); }

@@ -32,6 +32,19 @@ HeapObject::HeapObject(const ObjectTypeInfo *Ty, size_t NumFields,
   }
 }
 
+Value defaultValue(const Type &Ty) {
+  switch (Ty.Kind) {
+  case TypeKind::Integer:
+    return Value::integer(0);
+  case TypeKind::Boolean:
+    return Value::boolean(false);
+  case TypeKind::Text:
+    return Value::text("");
+  default:
+    return Value::nil();
+  }
+}
+
 std::string Value::render() const {
   switch (K) {
   case Kind::Nil:
@@ -55,7 +68,7 @@ std::string Value::render() const {
 Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
                DepGraph::Config Cfg)
     : M(M), Info(Info), Mode(Mode), RT(Cfg),
-      GlobalLabels(Info.GlobalTypes.size()),
+      GlobalLabels(Info.GlobalTypes.size()), FieldLabels(Info.Types.size()),
       Globals(Info.GlobalTypes.size()), Tables(M.Procs.size()) {
   // Compiled chunks are derived state — never checkpointed, rebuilt from
   // the module here on every construction (including the fresh
@@ -71,6 +84,12 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
       GlobalIndex[G.Name] = G.Index;
       GlobalLabels[static_cast<size_t>(G.Index)] = "G." + G.Name;
     }
+  for (const auto &Ty : Info.Types) {
+    std::vector<std::string> &Labels = FieldLabels[static_cast<size_t>(Ty->Id)];
+    Labels.resize(Ty->Fields.size());
+    for (const FieldInfo &FI : Ty->Fields)
+      Labels[static_cast<size_t>(FI.Index)] = Ty->Name + "." + FI.Name;
+  }
   if (!BC) {
     const Diagnostic &D = Diags.diagnostics().front();
     Failed = true;
@@ -92,19 +111,6 @@ Interp::Interp(const Module &M, const SemaInfo &Info, ExecMode Mode,
 }
 
 Interp::~Interp() = default;
-
-Value Interp::defaultValue(const Type &Ty) const {
-  switch (Ty.Kind) {
-  case TypeKind::Integer:
-    return Value::integer(0);
-  case TypeKind::Boolean:
-    return Value::boolean(false);
-  case TypeKind::Text:
-    return Value::text("");
-  default:
-    return Value::nil();
-  }
-}
 
 HeapObject *Interp::allocate(const ObjectTypeInfo *Ty) {
   auto Obj = std::make_unique<HeapObject>(Ty, Ty->Fields.size(),
@@ -153,13 +159,16 @@ std::string Interp::renderForPrint(const Value &V) const { return V.render(); }
 //===----------------------------------------------------------------------===//
 
 const std::string &Interp::label(const StorageSlot &S) const {
-  static const std::string Field = "slot";
-  return S.Object == StorageSlot::Global ? GlobalLabels[S.Index] : Field;
+  if (S.Object == StorageSlot::Global)
+    return GlobalLabels[S.Index];
+  return FieldLabels[static_cast<size_t>(Heap[S.Object]->type()->Id)]
+                    [S.Index];
 }
 
 const Value &Interp::trackedRead(StorageSlot &S, bool Tracked) {
   if (Mode == ExecMode::Alphonse && Tracked)
-    return S.Storage.read(RT, label(S));
+    return S.Storage.read(
+        RT, [&]() -> const std::string & { return label(S); });
   return S.Storage.peek();
 }
 

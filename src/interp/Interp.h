@@ -270,11 +270,11 @@ private:
   /// A store site needs no flag check: a slot gets a graph node only
   /// through a tracked read, so an untracked site never finds one.
   void trackedWrite(StorageSlot &S, Value V);
-  /// The label of \p S's graph node: "G.<name>" for a global, "slot" for
-  /// a field. Doubles as the node's fault-injection site.
+  /// The label of \p S's graph node: "G.<name>" for a global,
+  /// "<Type>.<field>" for a field of an object of dynamic type Type.
+  /// Doubles as the node's fault-injection site.
   const std::string &label(const StorageSlot &S) const;
 
-  Value defaultValue(const lang::Type &Ty) const;
   HeapObject *allocate(const lang::ObjectTypeInfo *Ty);
   /// The current state is durable: empties the unsaved-slot list and
   /// moves the saved heap prefix to the whole heap.
@@ -311,8 +311,10 @@ private:
 
   Runtime RT;
   /// Sized once at construction: graph nodes point at their labels and
-  /// slots (labels first, so they outlive the nodes).
+  /// slots (labels first, so they outlive the nodes). Field labels are
+  /// indexed by ObjectTypeInfo::Id, then field index.
   std::vector<std::string> GlobalLabels;
+  std::vector<std::vector<std::string>> FieldLabels;
   std::vector<StorageSlot> Globals;
   std::unordered_map<std::string, int> GlobalIndex;
   std::vector<std::unique_ptr<HeapObject>> Heap;

@@ -24,7 +24,8 @@
 
 namespace alphonse::lang {
 class ObjectTypeInfo;
-}
+struct Type;
+} // namespace alphonse::lang
 
 namespace alphonse::interp {
 
@@ -111,6 +112,11 @@ struct Value {
   /// Renders the value the way print/fmt show it.
   std::string render() const;
 };
+
+/// The zero value of a declared type: 0, FALSE, "" or NIL. Fresh
+/// variables, fields and locals start with it, and a procedure that falls
+/// off its end returns it.
+Value defaultValue(const lang::Type &Ty);
 
 /// Hash for argument vectors (the paper's argument-table index).
 struct ValueVecHash {

@@ -33,20 +33,6 @@ namespace alphonse::interp::bytecode {
 
 namespace {
 
-/// The zero value of a declared type (Interp::defaultValue).
-Value defaultValueFor(const Type &Ty) {
-  switch (Ty.Kind) {
-  case TypeKind::Integer:
-    return Value::integer(0);
-  case TypeKind::Boolean:
-    return Value::boolean(false);
-  case TypeKind::Text:
-    return Value::text("");
-  default:
-    return Value::nil();
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Lowering
 //===----------------------------------------------------------------------===//
@@ -501,8 +487,8 @@ std::unique_ptr<BytecodeModule> compileModule(const Module &M,
     Ch.SlotDefaults.assign(static_cast<size_t>(PI->FrameSize), Value());
     for (size_t I = 0; I < PI->LocalTypes.size(); ++I)
       Ch.SlotDefaults[PI->ParamTypes.size() + I] =
-          defaultValueFor(PI->LocalTypes[I]);
-    Ch.RetDefault = defaultValueFor(PI->RetType);
+          defaultValue(PI->LocalTypes[I]);
+    Ch.RetDefault = defaultValue(PI->RetType);
     ChunkCompiler CC(Ch, PI->FrameSize);
     CC.procBody(*P);
     CheckRegs(CC, P->Loc, "procedure '" + P->Name + "'");

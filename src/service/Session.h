@@ -17,9 +17,6 @@
 /// Like every graph, a session's runtime is single-threaded: concurrency
 /// in the service comes from draining many sessions at once, one pool
 /// task each, and one session is drained by one task at a time.
-/// Runtime's environment override is bypassed (ExactConfig) so a
-/// debugging ALPHONSE_AUDIT cannot audit every one of ten thousand
-/// sessions after every wave.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +80,7 @@ private:
   friend class SessionManager;
 
   Session(Id Sid, const DepGraph::Config &Cfg)
-      : Sid(Sid), RT(Cfg, Runtime::ExactConfig()) {}
+      : Sid(Sid), RT(Cfg) {}
 
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;

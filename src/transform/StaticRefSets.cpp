@@ -41,7 +41,6 @@ public:
       RefSetInfo RI;
       RI.IsStatic = Bound != Unbounded;
       RI.Bound = RI.IsStatic ? Bound : 0;
-      RI.Widened = RI.IsStatic ? WidenReason::None : Reasons[P.get()];
       R.Procs[P.get()] = RI;
     }
     return R;
@@ -49,21 +48,13 @@ public:
 
 private:
   /// Memoized per-procedure bound, with an in-progress marker so direct
-  /// or mutual recursion widens to Unbounded. Each in-flight procedure
-  /// keeps a frame recording the first cause of widening; the cause is
-  /// stored alongside the memoized bound so callers can surface *why* a
-  /// procedure fell back to the dynamic path.
+  /// or mutual recursion widens to Unbounded.
   int boundOf(const ProcDecl *P) {
     auto It = Memo.find(P);
-    if (It != Memo.end()) {
-      if (It->second == Unbounded)
-        widen(Reasons[P]); // Propagate the callee's cause into the caller.
+    if (It != Memo.end())
       return It->second;
-    }
     if (!InProgress.insert(P).second)
-      return widen(WidenReason::Recursion); // Cycle through the call graph.
-    WidenReason Cause = WidenReason::None;
-    Frames.push_back(&Cause);
+      return Unbounded; // Cycle through the call graph.
     int Bound = 0;
     for (const LocalDecl &L : P->Locals)
       if (L.Init)
@@ -73,22 +64,9 @@ private:
       if (Bound == Unbounded)
         break;
     }
-    Frames.pop_back();
     InProgress.erase(P);
     Memo[P] = Bound;
-    if (Bound == Unbounded) {
-      Reasons[P] = Cause;
-      widen(Cause); // A widened inlinee widens its caller too.
-    }
     return Bound;
-  }
-
-  /// Records \p R as the current procedure's widening cause (first cause
-  /// wins) and returns the Unbounded sentinel.
-  int widen(WidenReason R) {
-    if (!Frames.empty() && *Frames.back() == WidenReason::None)
-      *Frames.back() = R;
-    return Unbounded;
   }
 
   int stmtBound(const Stmt *S) {
@@ -123,7 +101,7 @@ private:
     }
     case StmtKind::While:
     case StmtKind::For:
-      return widen(WidenReason::Loop); // Data-dependent iteration count.
+      return Unbounded; // Data-dependent iteration count.
     case StmtKind::Return: {
       const auto *R = static_cast<const ReturnStmt *>(S);
       return R->Value ? exprBound(R->Value.get()) : 0;
@@ -131,7 +109,7 @@ private:
     case StmtKind::Expr:
       return exprBound(static_cast<const ExprStmt *>(S)->E.get());
     }
-    return widen(WidenReason::UnresolvedCall);
+    return Unbounded;
   }
 
   int exprBound(const Expr *E) {
@@ -158,7 +136,7 @@ private:
       if (C->BuiltinIndex >= 0)
         return Bound; // Builtins reference nothing.
       if (!C->Resolved)
-        return widen(WidenReason::UnresolvedCall);
+        return Unbounded;
       if (C->Resolved->Pragma.Kind == ProcPragma::Cached)
         return addBounds(Bound, 1); // One edge to the cached instance.
       return addBounds(Bound, boundOf(C->Resolved)); // Inlined refs.
@@ -173,7 +151,7 @@ private:
       // bindings inline.
       auto It = MethodBindings.find(C->Method);
       if (It == MethodBindings.end())
-        return widen(WidenReason::OpenDispatch); // No binding to bound over.
+        return Unbounded; // No binding to bound over.
       int Worst = 0;
       for (const MethodImpl *MI : It->second) {
         int One = (MI->Pragma.Kind == ProcPragma::Maintained)
@@ -194,7 +172,7 @@ private:
     case ExprKind::Unchecked:
       return 0; // Section 6.4: these references are never recorded.
     }
-    return widen(WidenReason::UnresolvedCall);
+    return Unbounded;
   }
 
   const Module &M;
@@ -202,29 +180,10 @@ private:
   std::unordered_map<std::string, std::vector<const MethodImpl *>>
       MethodBindings;
   std::unordered_map<const ProcDecl *, int> Memo;
-  std::unordered_map<const ProcDecl *, WidenReason> Reasons;
   std::unordered_set<const ProcDecl *> InProgress;
-  /// Widening-cause frame of each procedure currently being analyzed.
-  std::vector<WidenReason *> Frames;
 };
 
 } // namespace
-
-const char *widenReasonName(WidenReason R) {
-  switch (R) {
-  case WidenReason::None:
-    return "none";
-  case WidenReason::Recursion:
-    return "recursion";
-  case WidenReason::Loop:
-    return "loop";
-  case WidenReason::OpenDispatch:
-    return "open-dispatch";
-  case WidenReason::UnresolvedCall:
-    return "unresolved-call";
-  }
-  return "unknown";
-}
 
 StaticRefSetResult analyzeStaticRefSets(const Module &M,
                                         const SemaInfo &Info) {

@@ -24,7 +24,9 @@
 ///  - calls to incremental procedures/methods contribute one element;
 ///  - calls to conventional procedures inline that procedure's own
 ///    bound (recursion makes the set unbounded);
-///  - loops (WHILE/FOR) make the set unbounded.
+///  - loops (WHILE/FOR) make the set unbounded;
+///  - a method name with no whole-program binding, or an unresolved call,
+///    makes the set unbounded.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,28 +39,12 @@
 
 namespace alphonse::transform {
 
-/// Why a procedure's R(p) was widened to unbounded. The analysis must
-/// degrade to the dynamic path for these shapes (fixpoint widening, not a
-/// silent default): recursion and loops grow the set with the data, and an
-/// open method name has no whole-program vtable to bound dispatch over.
-enum class WidenReason : uint8_t {
-  None,           ///< Not widened: the bound is static.
-  Recursion,      ///< Direct or mutual recursion through the call graph.
-  Loop,           ///< WHILE/FOR: data-dependent iteration count.
-  OpenDispatch,   ///< Method name with no known whole-program binding.
-  UnresolvedCall, ///< Call target unknown at analysis time.
-};
-
-const char *widenReasonName(WidenReason R);
-
 /// Classification of one procedure's referenced-argument set.
 struct RefSetInfo {
   /// True when |R(p)| is bounded by a compile-time constant.
   bool IsStatic = false;
   /// The bound, valid when IsStatic (0 for pure combinators).
   int Bound = 0;
-  /// First cause of widening when !IsStatic (None when IsStatic).
-  WidenReason Widened = WidenReason::None;
 };
 
 /// Per-procedure results; every procedure in the module is classified

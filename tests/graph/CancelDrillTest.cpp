@@ -146,11 +146,13 @@ void runSerialDrill(uint64_t Seed) {
     // visibly stale (it may only be the last-quiescent or an
     // intermediate consistent value, never garbage).
     std::vector<int> Cut = G.snapshot();
-    for (int J = 0; J < DrillGraph::NumNodes; ++J)
-      if (Cut[J] != Ref.Values[J])
+    for (int J = 0; J < DrillGraph::NumNodes; ++J) {
+      if (Cut[J] != Ref.Values[J]) {
         EXPECT_TRUE(G.Nodes[J]->isStale())
             << "node " << J << " diverges from the fixpoint (" << Cut[J]
             << " != " << Ref.Values[J] << ") but is not marked stale";
+      }
+    }
     (void)Quiescent;
 
     // Invariant 3: recovery is exact — the follow-up unbudgeted wave

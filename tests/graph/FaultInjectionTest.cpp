@@ -90,7 +90,9 @@ TEST(FaultInjectionTest, ThrowDuringPumpLeavesOtherPartitionsWorking) {
   EXPECT_TRUE(FY.hasCachedValue(0));
   EXPECT_EQ(RT.graph().numQuarantined(), 1u);
   EXPECT_TRUE(RT.graph().verify().empty());
-  EXPECT_TRUE(RT.graph().diagnostics().hasErrors());
+  ASSERT_NE(RT.graph().fault(*FX.instanceNode(0)), nullptr);
+  EXPECT_EQ(RT.graph().fault(*FX.instanceNode(0))->Kind,
+            FaultKind::Exception);
 
   // Subsequent mutations still converge for healthy nodes.
   Y.set(3);
@@ -244,9 +246,11 @@ TEST(FaultInjectionTest, StepLimitTripProducesStructuredDiagnostic) {
 
   EXPECT_EQ(RT.stats().StepLimitTrips, 1u);
   EXPECT_EQ(RT.graph().numQuarantined(), 1u);
-  // The abort is reported as a structured diagnostic naming the limit.
-  ASSERT_TRUE(RT.graph().diagnostics().hasErrors());
-  EXPECT_NE(RT.graph().diagnostics().str().find("EvalStepLimit"),
+  // The abort is reported as a structured fault naming the limit.
+  auto Faults = RT.graph().quarantined();
+  ASSERT_EQ(Faults.size(), 1u);
+  EXPECT_EQ(Faults[0].second->Kind, FaultKind::StepLimit);
+  EXPECT_NE(Faults[0].second->Message.find("EvalStepLimit"),
             std::string::npos);
   EXPECT_TRUE(RT.graph().verify().empty());
 
@@ -260,7 +264,7 @@ TEST(FaultInjectionTest, StepLimitTripProducesStructuredDiagnostic) {
 
 TEST(FaultInjectionTest, AuditAfterEvaluateStaysClean) {
   DepGraph::Config Cfg;
-  Cfg.AuditAfterEvaluate = true;
+  Cfg.Audit = true; // Any finding would abort the test.
   Runtime RT(Cfg);
   Cell<int> C(RT, 1, "c");
   Maintained<int(int)> F(
@@ -280,9 +284,7 @@ TEST(FaultInjectionTest, AuditAfterEvaluateStaysClean) {
   RT.graph().resetAllQuarantined();
   RT.pump();
   EXPECT_EQ(F(2), 14);
-
-  // Quarantine reports are expected in the log; audit findings are not.
-  EXPECT_EQ(RT.graph().diagnostics().str().find("audit:"), std::string::npos);
+  EXPECT_TRUE(RT.graph().verify().empty());
 }
 
 TEST(FaultInjectionTest, UncheckedScopeUnwindsBalanced) {
@@ -408,6 +410,69 @@ TEST(FaultInjectionTest, QuarantineRecoveryUnderRepeatedFaults) {
 TEST(RuntimeDeathTest, PopCallUnderflowIsFatalInReleaseBuilds) {
   Runtime RT;
   EXPECT_DEATH(RT.popCall(), "underflow");
+}
+
+/// A cell, an instance reading it, and a broken invariant between them:
+/// the instance also linked as the cell's predecessor, an inverted edge
+/// that verify() reports as sinking into a non-procedure node.
+struct InvertedEdge {
+  explicit InvertedEdge(Runtime &RT)
+      : C(RT, 1, "c"),
+        F(RT, [this](int X) { return C.get() + X; }, EvalStrategy::Eager,
+          "f") {
+    F(1);
+    RT.graph().relinkPredecessors(*C.node(), {F.instanceNode(1)});
+  }
+  Cell<int> C;
+  Maintained<int(int)> F;
+};
+
+TEST(AuditDeathTest, BrokenInvariantAbortsNextOutermostDrain) {
+  DepGraph::Config Cfg;
+  Cfg.Audit = true;
+  EXPECT_DEATH(
+      {
+        Runtime RT(Cfg);
+        InvertedEdge Broken(RT);
+        Broken.C.set(2);
+        RT.pump();
+      },
+      "invariant audit after drain:.*edge from 'f' sinks into a "
+      "non-procedure node");
+}
+
+TEST(AuditDeathTest, BrokenInvariantAbortsNextRollback) {
+  DepGraph::Config Cfg;
+  Cfg.Audit = true;
+  EXPECT_DEATH(
+      {
+        Runtime RT(Cfg);
+        Cell<int> C(RT, 1, "c");
+        Maintained<int(int)> F(
+            RT, [&](int X) { return C.get() + X; }, EvalStrategy::Demand,
+            "f");
+        F(1);
+        RT.beginBatch(); // Pumps a healthy graph first.
+        RT.graph().relinkPredecessors(*C.node(), {F.instanceNode(1)});
+        RT.rollbackBatch(); // No drain runs in between.
+      },
+      "invariant audit after rollback:.*edge from 'f' sinks into a "
+      "non-procedure node");
+}
+
+TEST(AuditTest, AuditOffLeavesTheFindingToVerify) {
+  DepGraph::Config Cfg;
+  Cfg.Audit = false;
+  Runtime RT(Cfg);
+  InvertedEdge Broken(RT);
+  Broken.C.set(2);
+  RT.pump();
+  RT.beginBatch();
+  RT.rollbackBatch();
+  std::vector<std::string> Findings = RT.graph().verify();
+  ASSERT_FALSE(Findings.empty());
+  EXPECT_NE(Findings.front().find("sinks into a non-procedure node"),
+            std::string::npos);
 }
 
 } // namespace

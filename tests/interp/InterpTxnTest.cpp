@@ -141,6 +141,37 @@ TEST(InterpTxnTest, GlobalSlotFaultSiteIsNamed) {
   EXPECT_EQ(I.call("F", {IV(2)}).Int, 7);
 }
 
+const char *PairProgram = R"(
+TYPE Pair = OBJECT a : INTEGER; b : INTEGER; END;
+VAR p : Pair;
+PROCEDURE Init() = BEGIN p := NEW(Pair); p.a := 1; p.b := 2; END Init;
+(*CACHED*) PROCEDURE Sum() : INTEGER = BEGIN RETURN p.a + p.b; END Sum;
+PROCEDURE Set(x : INTEGER; y : INTEGER) = BEGIN p.a := x; p.b := y; END Set;
+)";
+
+TEST(InterpTxnTest, FieldSlotFaultSiteIsNamed) {
+  auto C = compile(PairProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  Interp I(C->M, C->Info, ExecMode::Alphonse);
+  I.call("Init");
+  EXPECT_EQ(I.call("Sum").Int, 3);
+
+  // Field storage slots register fault sites as "<Type>.<field>": the
+  // refresh of p.b can be targeted without touching p.a.
+  FaultInjector Inj;
+  FaultInjector::Scope Active(Inj);
+  Inj.armThrow("Pair.b");
+  I.call("Set", {IV(10), IV(20)});
+  I.pump(); // Both fields refresh; only b's refresh faults.
+  auto Quarantined = I.runtime().graph().quarantined();
+  ASSERT_EQ(Quarantined.size(), 1u);
+  EXPECT_EQ(Quarantined[0].first->name(), "Pair.b");
+  EXPECT_EQ(I.runtime().graph().resetAllQuarantined(), 1u);
+  I.pump();
+  EXPECT_EQ(I.call("Sum").Int, 30);
+  ASSERT_FALSE(I.failed()) << I.errorMessage();
+}
+
 TEST(InterpTxnTest, RollbackDropsInstancesCreatedInBatch) {
   auto C = compile(testing::heightTreeProgram());
   ASSERT_TRUE(C->ok()) << C->Diags.str();

@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/Alphonse.h"
 #include "service/LatencyHistogram.h"
 #include "service/SessionManager.h"
 #include "spreadsheet/Spreadsheet.h"
@@ -24,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdlib>
 #include <random>
 #include <sstream>
 #include <string>
@@ -297,6 +299,44 @@ TEST(SessionServiceTest, ServiceStatsPrintAndLatency) {
   OS << M.stats();
   EXPECT_NE(OS.str().find("svc.waves_admitted   4"), std::string::npos);
   EXPECT_NE(OS.str().find("svc.wave_p99_us"), std::string::npos);
+}
+
+/// A session program whose graph breaks an invariant on purpose: the
+/// instance is also linked as a predecessor of the cell it reads.
+struct InvertedEdgeProgram {
+  explicit InvertedEdgeProgram(Runtime &RT)
+      : C(RT, 1, "c"),
+        F(RT, [this](int X) { return C.get() + X; }, EvalStrategy::Eager,
+          "f") {
+    F(1);
+    RT.graph().relinkPredecessors(*C.node(), {F.instanceNode(1)});
+  }
+  Cell<int> C;
+  Maintained<int(int)> F;
+};
+
+TEST(SessionServiceDeathTest, DefaultConfigHonoursTheAuditSwitch) {
+  // The audit default is read once per process, so the child re-executes
+  // the binary and reads the switch set here afresh.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const char *Was = std::getenv("ALPHONSE_AUDIT");
+  std::string Saved = Was ? Was : "";
+  setenv("ALPHONSE_AUDIT", "1", 1);
+  EXPECT_DEATH(
+      {
+        SessionManager M{ServiceConfig()};
+        Session &S = M.open();
+        S.emplaceProgram<InvertedEdgeProgram>(S.runtime());
+        M.mutate(S.id(), [](Session &Sn) {
+          Sn.program<InvertedEdgeProgram>()->C.set(2);
+        });
+        M.drainCycle();
+      },
+      "invariant audit after drain:.*sinks into a non-procedure node");
+  if (Was)
+    setenv("ALPHONSE_AUDIT", Saved.c_str(), 1);
+  else
+    unsetenv("ALPHONSE_AUDIT");
 }
 
 TEST(LatencyHistogramTest, QuantilesBoundedByBucketError) {

@@ -119,30 +119,10 @@ END M;
   EXPECT_EQ(R.info(C->M.findProc("M"))->Bound, 1); // Only 'a'.
 }
 
-TEST(StaticRefSetsTest, RecursionWidensWithReason) {
-  // The fixpoint must *widen* on recursion — explicitly degrade to
-  // Bounded = false with the cause recorded, never loop or under-report.
-  auto C = compile(R"(
-PROCEDURE Walk(n : INTEGER) : INTEGER =
-BEGIN
-  IF n <= 0 THEN RETURN 0; END;
-  RETURN Walk(n - 1) + 1;
-END Walk;
-)",
-                   false);
-  ASSERT_TRUE(C->ok());
-  StaticRefSetResult R = analyzeStaticRefSets(C->M, C->Info);
-  const RefSetInfo *Walk = R.info(C->M.findProc("Walk"));
-  ASSERT_NE(Walk, nullptr);
-  EXPECT_FALSE(Walk->IsStatic);
-  EXPECT_EQ(Walk->Widened, WidenReason::Recursion);
-  EXPECT_STREQ(widenReasonName(Walk->Widened), "recursion");
-}
-
 TEST(StaticRefSetsTest, MutualRecursionWidensBothDirections) {
   // A <-> B: whichever side the fixpoint enters first, both must come out
-  // unbounded with the recursion cause — the memoized Unbounded result
-  // propagates its reason into every caller.
+  // unbounded — the memoized Unbounded result propagates into every
+  // caller.
   auto C = compile(R"(
 PROCEDURE Even(n : INTEGER) : BOOLEAN =
 BEGIN
@@ -163,11 +143,10 @@ END Odd;
     const RefSetInfo *RI = R.info(C->M.findProc(Name));
     ASSERT_NE(RI, nullptr);
     EXPECT_FALSE(RI->IsStatic);
-    EXPECT_EQ(RI->Widened, WidenReason::Recursion);
   }
 }
 
-TEST(StaticRefSetsTest, LoopWidensWithReason) {
+TEST(StaticRefSetsTest, LoopWidens) {
   auto C = compile(R"(
 VAR g : INTEGER;
 PROCEDURE Spin(n : INTEGER) : INTEGER =
@@ -186,14 +165,13 @@ END Spin;
   const RefSetInfo *Spin = R.info(C->M.findProc("Spin"));
   ASSERT_NE(Spin, nullptr);
   EXPECT_FALSE(Spin->IsStatic);
-  EXPECT_EQ(Spin->Widened, WidenReason::Loop);
 }
 
 TEST(StaticRefSetsTest, OpenVtableOverrideWidensDispatch) {
   // The vtable is open: a subtype may rebind a method to a conventional
   // implementation whose refs are unbounded. Every dispatch site on that
-  // name must then degrade to the dynamic path, with the inlinee's cause
-  // propagated through the dispatch — never silently stay "static".
+  // name must then degrade to the dynamic path — never silently stay
+  // "static".
   auto C = compile(R"(
 TYPE T = OBJECT
   next : T; v : INTEGER;
@@ -231,22 +209,11 @@ END HeadCost;
   const RefSetInfo *All = R.info(C->M.findProc("CostAll"));
   ASSERT_NE(All, nullptr);
   EXPECT_FALSE(All->IsStatic);
-  EXPECT_EQ(All->Widened, WidenReason::Loop);
-  // The dispatch site inherits the widening (and its cause) even though
-  // the base binding alone would have been a one-edge maintained call.
+  // The dispatch site inherits the widening even though the base binding
+  // alone would have been a one-edge maintained call.
   const RefSetInfo *Head = R.info(C->M.findProc("HeadCost"));
   ASSERT_NE(Head, nullptr);
   EXPECT_FALSE(Head->IsStatic);
-  EXPECT_EQ(Head->Widened, WidenReason::Loop);
-}
-
-TEST(StaticRefSetsTest, WidenReasonNamesAreStable) {
-  EXPECT_STREQ(widenReasonName(WidenReason::None), "none");
-  EXPECT_STREQ(widenReasonName(WidenReason::Recursion), "recursion");
-  EXPECT_STREQ(widenReasonName(WidenReason::Loop), "loop");
-  EXPECT_STREQ(widenReasonName(WidenReason::OpenDispatch), "open-dispatch");
-  EXPECT_STREQ(widenReasonName(WidenReason::UnresolvedCall),
-               "unresolved-call");
 }
 
 TEST(StaticRefSetsTest, AvlBalanceIsStatic) {

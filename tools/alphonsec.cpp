@@ -64,8 +64,10 @@
 // budget expired and some values are served stale (gov.* statistics are
 // printed to stderr so scripts can see how far propagation got).
 //
-// ALPHONSE_AUDIT=1 in the environment enables the structural graph audit
-// after every evaluation (DepGraph::Config::AuditAfterEvaluate).
+// ALPHONSE_AUDIT=1 in the environment runs the structural graph audit
+// (DepGraph::verify) after every outermost drain and every rollback, and
+// aborts the run with the findings on stderr if an invariant is broken
+// (DepGraph::Config::Audit).
 //
 //===----------------------------------------------------------------------===//
 
