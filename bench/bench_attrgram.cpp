@@ -63,18 +63,26 @@ struct DeepProgram {
   IntExp *BaseLit = nullptr;
 };
 
+/// The name of let variable \p I ("v3"). Built with += on a named string:
+/// GCC 12 reports a false -Wrestrict on "v" + std::to_string(I).
+std::string varName(int I) {
+  std::string Name = "v";
+  Name += std::to_string(I);
+  return Name;
+}
+
 DeepProgram buildDeep(ExprTree &T, int Depth) {
   DeepProgram P;
-  Exp *Cur = T.makeId("v" + std::to_string(Depth - 1));
+  Exp *Cur = T.makeId(varName(Depth - 1));
   for (int I = Depth - 1; I >= 0; --I) {
     Exp *Bind;
     if (I == 0) {
       P.BaseLit = T.makeInt(1);
       Bind = P.BaseLit;
     } else {
-      Bind = T.makePlus(T.makeId("v" + std::to_string(I - 1)), T.makeInt(1));
+      Bind = T.makePlus(T.makeId(varName(I - 1)), T.makeInt(1));
     }
-    Cur = T.makeLet("v" + std::to_string(I), Bind, Cur);
+    Cur = T.makeLet(varName(I), Bind, Cur);
   }
   P.Root = T.makeRoot(Cur);
   return P;

@@ -98,9 +98,9 @@ public:
   const T &peek() const { return Live; }
 
   /// Sets the value of an untracked location outside the modify protocol:
-  /// the first value of a fresh location (or one checkpoint restore
-  /// rebuilds), which nothing has read, so nothing is journaled or
-  /// invalidated.
+  /// the first value of a fresh location (or the zero value checkpoint
+  /// restore starts a global from), which nothing has read, so nothing is
+  /// journaled or invalidated.
   void initialize(T V) {
     assert(!Node && "initializing a tracked location");
     Live = std::move(V);
@@ -113,25 +113,9 @@ public:
   /// An untracked location is never stale.
   bool isStale() const { return Node && Node->isStale(); }
 
-  /// The value dependents last observed; the location must be tracked.
-  /// Checkpoint capture saves it beside the live value.
-  const T &snapshot() const {
-    assert(Node && "snapshot of an untracked location");
-    return Node->Snapshot;
-  }
-
-  /// Replaces the observed value (checkpoint restore: dependents may have
-  /// seen an older value than the live one, e.g. under a quarantined
-  /// writer). The location must be tracked.
-  void setSnapshot(T V) {
-    assert(Node && "snapshot of an untracked location");
-    Node->Snapshot = std::move(V);
-  }
-
+private:
   /// The location's graph vertex, created now if it does not exist yet
-  /// (its snapshot is the live value). Checkpoint restore uses this to
-  /// rebuild a location that was tracked at capture without replaying
-  /// the read that tracked it.
+  /// (its snapshot is the live value).
   DepNode &ensureTracked(Runtime &RT, const std::string &Name) const {
     if (Node)
       return *Node;
@@ -148,7 +132,6 @@ public:
     return *Node;
   }
 
-private:
   struct Vertex final : DepNode {
     Vertex(DepGraph &G, const StorageNode &Owner)
         : DepNode(G, NodeKind::Storage), Owner(&Owner),
@@ -209,8 +192,6 @@ public:
   /// reaches it, so dependent values computed from it reflect the last
   /// quiescent state. Untracked cells are never stale.
   bool isStale() const { return Storage.isStale(); }
-  /// Checkpoint restore, see StorageNode::ensureTracked().
-  DepNode &ensureTracked() { return Storage.ensureTracked(*RT, Name); }
 
 private:
   Runtime *RT;

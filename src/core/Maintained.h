@@ -144,27 +144,6 @@ public:
     Table.erase(It);
   }
 
-  /// Invokes \p F(key, cachedResult, node) on every live instance, in
-  /// unspecified order. Checkpoint capture walks the table with this;
-  /// records no dependencies and evaluates nothing.
-  template <typename Fn> void forEachInstance(Fn F) const {
-    for (const auto &KV : Table)
-      F(KV.first, KV.second.Cached, static_cast<const DepNode &>(KV.second));
-  }
-
-  /// Recreates the instance for \p K with \p Cached as its cached result,
-  /// without executing the body — checkpoint restore rebuilds the table
-  /// from the captured entries, then the GraphRestorer re-applies
-  /// consistency flags and edges. The instance must not already exist.
-  /// \returns the new node (for GraphRestorer::bind).
-  DepNode &restoreInstance(Key K, std::optional<Result> Cached,
-                           EvalStrategy Strategy) {
-    assert(!find(K) && "restoring an instance that already exists");
-    Instance &N = insert(std::move(K), Strategy);
-    N.Cached = std::move(Cached);
-    return N;
-  }
-
 private:
   /// One argument key's graph node, held by value in the table. Map nodes
   /// never move, so the instance points at the table's copy of its key.
@@ -293,15 +272,6 @@ public:
   /// Drops the instance for these arguments (say, a destroyed object that
   /// will never be passed again); see ArgTable::erase() for the contract.
   void erase(Args... A) { Table.erase(Key(A...)); }
-
-  /// Checkpoint support: see ArgTable::forEachInstance() and
-  /// ArgTable::restoreInstance().
-  template <typename Fn> void forEachInstance(Fn F) const {
-    Table.forEachInstance(std::move(F));
-  }
-  DepNode &restoreInstance(Key K, std::optional<R> Cached) {
-    return Table.restoreInstance(std::move(K), std::move(Cached), Strategy);
-  }
 
 private:
   /// Calls the wrapped function with a stored argument tuple.

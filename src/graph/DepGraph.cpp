@@ -70,6 +70,12 @@ DepGraph::~DepGraph() {
 }
 
 void DepGraph::registerNode(DepNode &N) {
+  // Dead nodes never give their union-find element back, so churn grows
+  // the forest (and SetVec, indexed by its roots) past the live graph.
+  // Compact while nothing is pending, before this node takes an element.
+  if (TotalPending == 0 &&
+      Partitions.size() > 2 * NumLiveNodes + PartitionSlack)
+    compactPartitions();
   N.Id = allocNodeSlot(N);
   // Without partitioning (the E9 ablation) every node joins the first
   // partition, so one pending set holds all the work.
@@ -78,6 +84,30 @@ void DepGraph::registerNode(DepNode &N) {
                     : 0;
   ++NumLiveNodes;
   ++Stats.NodesCreated;
+}
+
+void DepGraph::compactPartitions() {
+  // Each live node gets a fresh element, united with the elements of the
+  // nodes that shared its old root: membership is preserved exactly, as
+  // rollback requires (it relinks edges without uniting).
+  UnionFind Fresh;
+  std::vector<UnionFind::Id> NewOf(Partitions.size(), UINT32_MAX);
+  for (uint32_t Slot = 0; Slot < NodeTab.span(); ++Slot) {
+    DepNode *N = NodeTab.at(Slot);
+    if (!N)
+      continue;
+    UnionFind::Id &Rep = NewOf[Partitions.find(N->Partition)];
+    N->Partition = Fresh.makeSet();
+    if (Rep == UINT32_MAX)
+      Rep = N->Partition;
+    else
+      Fresh.unite(Rep, N->Partition);
+  }
+  Partitions = std::move(Fresh);
+  // Nothing is pending, so every set is empty; the roots they were
+  // indexed by are gone.
+  std::vector<InconsistentSet>().swap(SetVec);
+  DirtyRoots.clear();
 }
 
 void DepGraph::unregisterNode(DepNode &N) {
@@ -644,9 +674,9 @@ void DepGraph::rollbackBatch() {
   ++Epoch;
   ++Stats.TxnRolledBack;
   // Undo replay freed nodes and edges wholesale without touching the
-  // growth-triggered gauge hooks; re-publish so graph.node_bytes /
+  // growth-triggered gauge hooks; publish so graph.node_bytes /
   // graph.edge_bytes / pool.high_water reflect the restored state.
-  republishMemoryGauges();
+  publishMemoryGauges();
   if (Cfg.Audit)
     audit("rollback");
 }
@@ -719,12 +749,6 @@ void DepGraph::relinkEdge(DepNode &Source, DepNode &Sink) {
   linkEdge(E, Source, Sink);
   ++Stats.EdgesCreated;
   ++NumLiveEdges;
-}
-
-void DepGraph::relinkPredecessors(DepNode &Sink,
-                                  const std::vector<DepNode *> &Sources) {
-  for (auto It = Sources.rbegin(); It != Sources.rend(); ++It)
-    relinkEdge(**It, Sink);
 }
 
 //===----------------------------------------------------------------------===//

@@ -137,15 +137,6 @@ public:
   /// the fault-injection harness to force divergence.
   void selfInvalidate(DepNode &Proc);
 
-  /// Bulk raw edge linkage: links every Source -> Sink edge in \p Sources
-  /// order, with rollback-grade bookkeeping only (no level recompute or
-  /// dedup; partition unions are a sound over-merge).
-  /// \p Sources arrive front-to-back (capture order); linkage is
-  /// push-front, so this walks them in reverse to recover the original
-  /// predecessor-list order. Checkpoint restore wires whole adjacency rows
-  /// through here instead of per-edge calls.
-  void relinkPredecessors(DepNode &Sink, const std::vector<DepNode *> &Sources);
-
   /// Invariant audit over the whole graph: live node/edge counts, table
   /// generations, edge linkage, level monotonicity across up-to-date
   /// edges, pending-set and partition agreement, and quarantine
@@ -156,11 +147,17 @@ public:
 
 private:
   friend class DepNode;
-  friend class GraphCheckpoint;
-  friend class GraphRestorer;
 
   void registerNode(DepNode &N);
   void unregisterNode(DepNode &N);
+
+  /// registerNode compacts the partition forest once it holds more than
+  /// twice as many elements as live nodes plus this many.
+  static constexpr size_t PartitionSlack = 64;
+  /// Rebuilds the partition forest with one element per live node and the
+  /// same partitions; empties SetVec and DirtyRoots. Nothing may be
+  /// pending.
+  void compactPartitions();
 
   /// Processes one popped node per the Section 4.5 case analysis. Never
   /// throws: a failing recompute quarantines the node and the drain

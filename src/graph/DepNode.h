@@ -189,8 +189,6 @@ private:
   friend class GraphPolicy;
   friend class DepGraph;
   friend class InconsistentSet;
-  friend class GraphCheckpoint;
-  friend class GraphRestorer;
 
   // Fields run from 8-byte to 1-byte alignment, so the node has no
   // interior padding (see the static_assert below the class).

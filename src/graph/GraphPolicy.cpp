@@ -36,21 +36,11 @@ bool GraphPolicy::samePartition(DepNode &A, DepNode &B) {
 void GraphPolicy::eraseFromPendingSets(DepNode &N) {
   if (!N.InQueue)
     return;
+  // Every union moves the orphaned set's entries into the merged root's
+  // set (uniteRoots), so a queued node always sits in its root's set.
   setFor(N).erase(*this, N);
-  if (!N.InQueue) {
-    --TotalPending;
-    return;
-  }
-  // The entry can sit in a stale set if partitions merged after it was
-  // queued; fall back to scanning every set.
-  for (InconsistentSet &S : SetVec) {
-    S.erase(*this, N);
-    if (!N.InQueue)
-      break;
-  }
-  if (!N.InQueue)
-    --TotalPending;
-  assert(!N.InQueue && "queued node not found in any inconsistent set");
+  assert(!N.InQueue && "queued node not found in its partition's set");
+  --TotalPending;
 }
 
 void GraphPolicy::clearAllPending() {

@@ -85,6 +85,10 @@ public:
   /// True when the given nodes are currently in the same partition.
   bool samePartition(DepNode &A, DepNode &B);
 
+  /// Elements of the partition forest (Section 6.3): one per node
+  /// registered since the forest was last compacted.
+  size_t numPartitionElements() const { return Partitions.size(); }
+
   //===--------------------------------------------------------------------===//
   // Transactional journal bookkeeping — see DESIGN.md "Transactions and
   // recovery". The batch drivers live in DepGraph (commit evaluates).
@@ -146,8 +150,6 @@ public:
 
 protected:
   friend class DepNode;
-  friend class GraphCheckpoint;
-  friend class GraphRestorer;
 
   /// The pending set responsible for \p N (grows SetVec on demand).
   InconsistentSet &setFor(DepNode &N);
@@ -157,8 +159,8 @@ protected:
     return Root < SetVec.size() ? &SetVec[Root] : nullptr;
   }
 
-  /// Removes a queued node from whichever pending set holds it and fixes
-  /// the TotalPending count (used by unregisterNode and quarantine).
+  /// Removes a queued node from its partition's pending set and fixes the
+  /// TotalPending count (used by unregisterNode and quarantine).
   void eraseFromPendingSets(DepNode &N);
 
   /// Empties every pending set (rollback's final step: the pre-batch

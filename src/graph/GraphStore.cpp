@@ -17,6 +17,7 @@
 
 #include "graph/GraphStore.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace alphonse {
@@ -48,47 +49,24 @@ size_t GraphStore::numSuccessors(const DepNode &N) const {
   return Count;
 }
 
-void GraphStore::refreshMemoryGauges() {
-  size_t NodeBytes = NodeTab.bytesReserved();
-  size_t EdgeBytes = EdgeTab.bytesReserved();
-  LastNodeBytes = NodeBytes;
-  LastEdgeBytes = EdgeBytes;
-  Stats.GraphNodeBytes = NodeBytes;
-  Stats.GraphEdgeBytes = EdgeBytes;
-  if (NodeBytes + EdgeBytes > HighWaterBytes) {
-    HighWaterBytes = NodeBytes + EdgeBytes;
-    Stats.PoolHighWater = HighWaterBytes;
-  }
-}
-
-void GraphStore::republishMemoryGauges() {
-  size_t NodeBytes = NodeTab.bytesReserved();
-  size_t EdgeBytes = EdgeTab.bytesReserved();
-  LastNodeBytes = NodeBytes;
-  LastEdgeBytes = EdgeBytes;
-  Stats.GraphNodeBytes = NodeBytes;
-  Stats.GraphEdgeBytes = EdgeBytes;
-  // The high-water mark is monotone here (resetHighWater rebases it);
-  // re-publish even when unchanged so a stats reset cannot leave the
-  // published gauge behind the tracked peak.
-  if (NodeBytes + EdgeBytes > HighWaterBytes)
-    HighWaterBytes = NodeBytes + EdgeBytes;
-  Stats.PoolHighWater = HighWaterBytes;
-}
-
-void GraphStore::resetHighWater() {
-  HighWaterBytes = NodeTab.bytesReserved() + EdgeTab.bytesReserved();
+void GraphStore::publishMemoryGauges() {
   LastNodeBytes = NodeTab.bytesReserved();
   LastEdgeBytes = EdgeTab.bytesReserved();
   Stats.GraphNodeBytes = LastNodeBytes;
   Stats.GraphEdgeBytes = LastEdgeBytes;
+  HighWaterBytes = std::max(HighWaterBytes, LastNodeBytes + LastEdgeBytes);
   Stats.PoolHighWater = HighWaterBytes;
+}
+
+void GraphStore::resetHighWater() {
+  HighWaterBytes = 0; // The publish below rebases it on the tables' size.
+  publishMemoryGauges();
 }
 
 NodeId GraphStore::allocNodeSlot(DepNode &N) {
   NodeId Id = NodeTab.alloc(N);
   if (NodeTab.bytesReserved() != LastNodeBytes)
-    refreshMemoryGauges();
+    publishMemoryGauges();
   return Id;
 }
 

@@ -259,29 +259,26 @@ public:
   size_t numPredecessors(const DepNode &N) const;
   size_t numSuccessors(const DepNode &N) const;
 
-  /// Unconditionally re-publishes graph.node_bytes / graph.edge_bytes /
-  /// pool.high_water from the tables' current reservations. The growth
-  /// hooks only publish when a slab actually grows, so embeddings that
-  /// swap table contents wholesale (checkpoint restore, batch rollback)
-  /// call this to keep the gauges from going stale until the next growth.
-  void republishMemoryGauges();
+  /// Publishes graph.node_bytes / graph.edge_bytes / pool.high_water from
+  /// the tables' current reservations, raising the high-water mark if
+  /// they exceed it. The allocators call this when a table grows, and
+  /// rollbackBatch after undo replay freed nodes and edges wholesale.
+  void publishMemoryGauges();
 
   /// Rebases the pool.high_water mark to the tables' current combined
-  /// reservation (and re-publishes all three gauges), so a bench can
-  /// scope the mark to a churn phase: reset after warm-up, then assert
-  /// the gauge stayed flat.
+  /// reservation (and publishes all three gauges), so a bench can scope
+  /// the mark to a churn phase: reset after warm-up, then assert the
+  /// gauge stayed flat.
   void resetHighWater();
 
 protected:
   friend class DepNode;
-  friend class GraphCheckpoint;
-  friend class GraphRestorer;
 
-  /// Claims a node-table slot for \p N (memory gauges refreshed).
+  /// Claims a node-table slot for \p N (memory gauges published on growth).
   NodeId allocNodeSlot(DepNode &N);
   void freeNodeSlot(NodeId Id);
 
-  /// Claims an edge slot (EdgeReuse counted, gauges refreshed on growth).
+  /// Claims an edge slot (EdgeReuse counted, gauges published on growth).
   /// Inline: edge alloc/free/link/unlink sit on the re-execution fast
   /// path (every run retracts and re-records the referenced-argument
   /// set), so they must fold into their callers across the layer split.
@@ -291,7 +288,7 @@ protected:
     if (Reused)
       ++Stats.EdgeReuse;
     else if (EdgeTab.bytesReserved() != LastEdgeBytes)
-      refreshMemoryGauges();
+      publishMemoryGauges();
     return Id;
   }
   void freeEdgeSlot(EdgeId Id) { EdgeTab.free(Id); }
@@ -335,10 +332,6 @@ protected:
       EdgeTab.edge(E.NextPred).PrevPred = E.PrevPred;
   }
 
-  /// Re-publishes graph.node_bytes / graph.edge_bytes / pool.high_water
-  /// when a table's reservation changed (called on growth, not per alloc).
-  void refreshMemoryGauges();
-
   Statistics &Stats;
   GraphConfig Cfg;
 
@@ -348,7 +341,8 @@ protected:
   size_t NumLiveNodes = 0;
   size_t NumLiveEdges = 0;
 
-  /// Last-published table reservations (gauge refresh cheap-out).
+  /// Last-published table reservations (the allocators publish only when
+  /// a reservation moved).
   size_t LastNodeBytes = 0;
   size_t LastEdgeBytes = 0;
   /// Peak combined table reservation (pool.high_water).

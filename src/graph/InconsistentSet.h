@@ -69,13 +69,14 @@ public:
     return N;
   }
 
-  /// Removes \p N if present (used when a queued node is destroyed).
+  /// Removes \p N if present (used when a queued node is destroyed or
+  /// quarantined). A queued \p N must be queued in this set.
   void erase(GraphStore &G, DepNode &N) {
     if (!N.InQueue)
       return;
     size_t Index = N.QueuePos;
-    if (Index >= Heap.size() || Heap[Index].Id != N.Id)
-      return; // Queued in a sibling partition's set; caller tries each.
+    assert(Index < Heap.size() && Heap[Index].Id == N.Id &&
+           "queued node is not in this set");
     removeAt(G, Index);
     N.InQueue = false;
   }

@@ -7,12 +7,10 @@
 
 #include "interp/Interp.h"
 
-#include "graph/Checkpoint.h"
 #include "interp/bytecode/Compiler.h"
 #include "interp/bytecode/VM.h"
 #include "lang/Types.h"
 
-#include <algorithm>
 #include <chrono>
 
 using namespace alphonse::lang;
@@ -297,41 +295,36 @@ void Interp::setField(Value Receiver, const std::string &Field, Value V) {
 // Durable checkpoints (DESIGN.md Section 10)
 //===----------------------------------------------------------------------===//
 //
-// Section layout of an interpreter checkpoint (inside the CheckpointIO
+// A checkpoint holds program state only. The dependency graph and every
+// cached value are derived from storage (Theorem 5.1), so a restored
+// interpreter starts with an empty graph and rebuilds it on first demand.
+// Section layout of an interpreter snapshot (inside the CheckpointIO
 // container):
 //
-//   META  module fingerprint (u64) + execution mode (u8)
-//   GRPH  GraphSnapshot (engine-side node/edge/partition state)
-//   GLBL  one slot per global: live value, plus node id + snapshot value
-//         when the slot is tracked
-//   HEAP  object count, then each object's type name, then each object's
-//         field slots (same encoding as GLBL); object-valued Values are
-//         stored as u32 indices into this heap
-//   TABL  per incremental procedure: name + argument-table entries
-//         (node id, argument vector, cached value)
+//   META  module fingerprint (u64)
+//   BASE  one change record from an empty heap: every object, then every
+//         slot whose value is not its type's zero value
 //   OUTP  output stream + failed flag + error message
 //
-// A delta record is a change record covering the time since the
-// previous record (or the snapshot, or the restore):
+// A change record covers the time since the previous record (the base
+// record: since an empty heap and zeroed globals):
 //
 //   u32 heap index of the first object it allocates, u32 count, then
 //       each allocated object's type name
 //   u32 write count, then per slot written: u32 owner (heap index, or
 //       UINT32_MAX for a global), u32 field or global index, value
 //
-// A record repeats objects an earlier record already allocated only when
-// that earlier append failed after its bytes landed; replay checks the
-// repeated types and allocates the rest. Restore applies the writes
-// through trackedWrite, record by record, and pumps; derived values are
-// recomputed, not replayed.
+// Object-valued Values are u32 heap indices. A delta record repeats
+// objects an earlier record already allocated only when that earlier
+// append failed after its bytes landed; replay checks the repeated types
+// and allocates the rest. Restore zeroes the globals, empties the heap
+// and replays the base record and then the log's records through
+// trackedWrite. The graph is empty, so replay queues nothing.
 
 namespace {
 
 constexpr uint32_t TagMeta = sectionTag('M', 'E', 'T', 'A');
-constexpr uint32_t TagGraph = sectionTag('G', 'R', 'P', 'H');
-constexpr uint32_t TagGlobals = sectionTag('G', 'L', 'B', 'L');
-constexpr uint32_t TagHeap = sectionTag('H', 'E', 'A', 'P');
-constexpr uint32_t TagTables = sectionTag('T', 'A', 'B', 'L');
+constexpr uint32_t TagBase = sectionTag('B', 'A', 'S', 'E');
 constexpr uint32_t TagOutput = sectionTag('O', 'U', 'T', 'P');
 
 [[noreturn]] void ckptMalformed(const std::string &Msg) {
@@ -355,6 +348,23 @@ void encodeValue(ByteWriter &W, const Value &V) {
   case Value::Kind::Object:
     W.u32(V.Obj->index());
     break;
+  }
+}
+
+/// Writes one change record: the objects from heap index \p First on, then
+/// the current value of each slot in \p Slots.
+void encodeRecord(ByteWriter &W,
+                  const std::vector<std::unique_ptr<HeapObject>> &Heap,
+                  size_t First, const std::vector<StorageSlot *> &Slots) {
+  W.u32(static_cast<uint32_t>(First));
+  W.u32(static_cast<uint32_t>(Heap.size() - First));
+  for (size_t I = First; I < Heap.size(); ++I)
+    W.str(Heap[I]->type()->Name);
+  W.u32(static_cast<uint32_t>(Slots.size()));
+  for (const StorageSlot *S : Slots) {
+    W.u32(S->Object);
+    W.u32(S->Index);
+    encodeValue(W, S->Storage.peek());
   }
 }
 
@@ -398,39 +408,6 @@ StagedValue decodeValue(ByteReader &R, size_t HeapLimit) {
   return V;
 }
 
-/// One captured StorageSlot: live value plus (when tracked) the node id
-/// and the snapshot dependents last observed.
-struct StagedSlot {
-  bool HasNode = false;
-  uint32_t NodeBits = 0;
-  StagedValue Snapshot;
-  StagedValue Live;
-};
-
-void encodeSlot(ByteWriter &W, const StorageSlot &S) {
-  const DepNode *N = S.Storage.node();
-  W.u8(N ? 1 : 0);
-  if (N) {
-    W.u32(N->id().bits());
-    encodeValue(W, S.Storage.snapshot());
-  }
-  encodeValue(W, S.Storage.peek());
-}
-
-StagedSlot decodeSlot(ByteReader &R, size_t HeapLimit) {
-  StagedSlot S;
-  uint8_t Has = R.u8();
-  if (Has > 1)
-    ckptMalformed("slot node flag out of range");
-  S.HasNode = Has != 0;
-  if (S.HasNode) {
-    S.NodeBits = R.u32();
-    S.Snapshot = decodeValue(R, HeapLimit);
-  }
-  S.Live = decodeValue(R, HeapLimit);
-  return S;
-}
-
 /// One storage write of a staged change record.
 struct StagedWrite {
   uint32_t Object = 0; ///< Heap index, or StorageSlot::Global.
@@ -462,75 +439,37 @@ uint64_t Interp::moduleFingerprint() const {
     Mix(P->Name);
   for (const auto &T : Info.Types)
     Mix(T->Name);
-  H ^= static_cast<uint8_t>(Mode);
-  H *= 1099511628211ull;
   return H;
 }
 
 void Interp::saveCheckpoint(const std::string &Path) {
-  RT.pumpUnbounded(); // Capture needs true quiescence, whatever the default budget.
-  // Capture enforces quiescence (throws Busy on pending work, an open
-  // batch, or mid-evaluation) — everything below sees one consistent cut.
-  GraphSnapshot GS = GraphCheckpoint::capture(RT.graph());
+  if (RT.graph().inBatch())
+    throw CheckpointError(CkptError::Busy,
+                          "cannot checkpoint inside an open batch");
+  // Eager work still pending may write storage or print; a restored
+  // interpreter has no instances left to run it, so it runs now.
+  RT.pumpUnbounded();
 
   CheckpointWriter W;
   {
     ByteWriter B;
     B.u64(moduleFingerprint());
-    B.u8(static_cast<uint8_t>(Mode));
     W.addSection(TagMeta, B.take());
   }
   {
-    ByteWriter B;
-    GS.encode(B);
-    W.addSection(TagGraph, B.take());
-  }
-  {
-    ByteWriter B;
-    B.u32(static_cast<uint32_t>(Globals.size()));
-    for (const StorageSlot &S : Globals)
-      encodeSlot(B, S);
-    W.addSection(TagGlobals, B.take());
-  }
-  {
-    ByteWriter B;
-    B.u32(static_cast<uint32_t>(Heap.size()));
+    std::vector<StorageSlot *> Set;
+    for (size_t I = 0; I < Globals.size(); ++I)
+      if (!(Globals[I].Storage.peek() == defaultValue(Info.GlobalTypes[I])))
+        Set.push_back(&Globals[I]);
     for (const auto &Obj : Heap)
-      B.str(Obj->type()->Name);
-    for (const auto &Obj : Heap) {
-      uint32_t NumFields = static_cast<uint32_t>(Obj->type()->Fields.size());
-      B.u32(NumFields);
-      for (uint32_t I = 0; I < NumFields; ++I)
-        encodeSlot(B, Obj->slot(I));
-    }
-    W.addSection(TagHeap, B.take());
-  }
-  {
+      for (const FieldInfo &FI : Obj->type()->Fields) {
+        StorageSlot &S = Obj->slot(static_cast<size_t>(FI.Index));
+        if (!(S.Storage.peek() == defaultValue(FI.Ty)))
+          Set.push_back(&S);
+      }
     ByteWriter B;
-    auto Live = [](const std::unique_ptr<ProcTable> &T) {
-      return T && T->size() != 0;
-    };
-    B.u32(static_cast<uint32_t>(
-        std::count_if(Tables.begin(), Tables.end(), Live)));
-    for (size_t P = 0; P < Tables.size(); ++P) {
-      if (!Live(Tables[P]))
-        continue;
-      B.str(M.Procs[P]->Name);
-      B.u32(static_cast<uint32_t>(Tables[P]->size()));
-      Tables[P]->forEachInstance([&B](const std::vector<Value> &Key,
-                                      const std::optional<Value> &Cached,
-                                      const DepNode &N) {
-        B.u32(N.id().bits());
-        B.u8(static_cast<uint8_t>(N.strategy()));
-        B.u32(static_cast<uint32_t>(Key.size()));
-        for (const Value &A : Key)
-          encodeValue(B, A);
-        B.u8(Cached ? 1 : 0);
-        if (Cached)
-          encodeValue(B, *Cached);
-      });
-    }
-    W.addSection(TagTables, B.take());
+    encodeRecord(B, Heap, 0, Set);
+    W.addSection(TagBase, B.take());
   }
   {
     ByteWriter B;
@@ -566,16 +505,7 @@ void Interp::appendDelta(const std::string &Path) {
                               "saved or restored");
 
   ByteWriter B;
-  B.u32(static_cast<uint32_t>(SavedHeap));
-  B.u32(static_cast<uint32_t>(Heap.size() - SavedHeap));
-  for (size_t I = SavedHeap; I < Heap.size(); ++I)
-    B.str(Heap[I]->type()->Name);
-  B.u32(static_cast<uint32_t>(UnsavedSlots.size()));
-  for (const StorageSlot *S : UnsavedSlots) {
-    B.u32(S->Object);
-    B.u32(S->Index);
-    encodeValue(B, S->Storage.peek());
-  }
+  encodeRecord(B, Heap, SavedHeap, UnsavedSlots);
   // A failed append keeps the list: the next record is then a superset.
   uint64_t Bytes = Deltas.append(B.bytes());
   markSaved();
@@ -589,8 +519,8 @@ void Interp::restoreCheckpoint(const std::string &Path) {
   auto Start = std::chrono::steady_clock::now();
   DepGraph &G = RT.graph();
   // Every argument-table entry owns a live node, so an empty graph also
-  // means empty tables. A module that did not compile cannot run what it
-  // would restore.
+  // means empty tables: nothing cached can outlive the restore. A module
+  // that did not compile cannot run what it would restore.
   if (!BC || G.inBatch() || G.numLiveNodes() != 0)
     throw CheckpointError(CkptError::Busy,
                           "restore requires a freshly constructed "
@@ -603,130 +533,8 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     ByteReader MR = R.section(TagMeta);
     if (MR.u64() != moduleFingerprint())
       ckptMalformed("checkpoint was captured from a different module");
-    if (MR.u8() != static_cast<uint8_t>(Mode))
-      ckptMalformed("checkpoint was captured under a different mode");
     if (!MR.atEnd())
       ckptMalformed("trailing bytes in META section");
-  }
-
-  GraphSnapshot GS;
-  {
-    ByteReader GR = R.section(TagGraph);
-    GS = GraphSnapshot::decode(GR);
-    if (!GR.atEnd())
-      ckptMalformed("trailing bytes in GRPH section");
-  }
-
-  // HEAP first: GLBL/TABL values may reference heap indices, so the heap
-  // size bounds every decode.
-  std::vector<const ObjectTypeInfo *> HeapTypes;
-  std::vector<std::vector<StagedSlot>> HeapSlots;
-  {
-    ByteReader HR = R.section(TagHeap);
-    uint32_t Count = HR.u32();
-    HeapTypes.reserve(std::min<uint32_t>(Count, 4096));
-    for (uint32_t I = 0; I < Count; ++I) {
-      std::string Name = HR.str();
-      const ObjectTypeInfo *Ty = Info.lookupType(Name);
-      if (!Ty)
-        ckptMalformed("heap object of unknown type '" + Name + "'");
-      HeapTypes.push_back(Ty);
-    }
-    HeapSlots.reserve(HeapTypes.size());
-    for (uint32_t I = 0; I < Count; ++I) {
-      uint32_t NumFields = HR.u32();
-      if (NumFields != HeapTypes[I]->Fields.size())
-        ckptMalformed("field count mismatch for type '" +
-                      HeapTypes[I]->Name + "'");
-      std::vector<StagedSlot> Slots;
-      Slots.reserve(NumFields);
-      for (uint32_t F = 0; F < NumFields; ++F)
-        Slots.push_back(decodeSlot(HR, Count));
-      HeapSlots.push_back(std::move(Slots));
-    }
-    if (!HR.atEnd())
-      ckptMalformed("trailing bytes in HEAP section");
-  }
-
-  std::vector<StagedSlot> GlobalSlots;
-  {
-    ByteReader GR = R.section(TagGlobals);
-    uint32_t Count = GR.u32();
-    if (Count != Globals.size())
-      ckptMalformed("global count mismatch (checkpoint has " +
-                    std::to_string(Count) + ", module has " +
-                    std::to_string(Globals.size()) + ")");
-    GlobalSlots.reserve(Count);
-    for (uint32_t I = 0; I < Count; ++I)
-      GlobalSlots.push_back(decodeSlot(GR, HeapTypes.size()));
-    if (!GR.atEnd())
-      ckptMalformed("trailing bytes in GLBL section");
-  }
-
-  struct StagedEntry {
-    uint32_t NodeBits = 0;
-    EvalStrategy Strategy = EvalStrategy::Demand;
-    std::vector<StagedValue> Args;
-    bool HasCached = false;
-    StagedValue Cached;
-  };
-  struct StagedTable {
-    const ProcDecl *Proc = nullptr;
-    std::vector<StagedEntry> Entries;
-  };
-  std::vector<StagedTable> StagedTables;
-  {
-    ByteReader TR = R.section(TagTables);
-    uint32_t NumTables = TR.u32();
-    for (uint32_t T = 0; T < NumTables; ++T) {
-      StagedTable Tab;
-      std::string Name = TR.str();
-      Tab.Proc = M.findProc(Name);
-      // A table belongs to a procedure reachable through the incremental
-      // call protocol: either its own pragma is CACHED/MAINTAINED, or it
-      // implements a maintained method (dispatch() keys the table by the
-      // implementing ProcDecl but takes the pragma from the binding).
-      bool Incremental = Tab.Proc && Tab.Proc->Pragma.isIncremental();
-      if (Tab.Proc && !Incremental)
-        for (const auto &Ty : Info.Types) {
-          for (const lang::MethodImpl &MI : Ty->VTable)
-            if (MI.Impl == Tab.Proc && MI.Pragma.isIncremental()) {
-              Incremental = true;
-              break;
-            }
-          if (Incremental)
-            break;
-        }
-      if (!Tab.Proc || !Incremental)
-        ckptMalformed("argument table for unknown or non-incremental "
-                      "procedure '" +
-                      Name + "'");
-      for (const StagedTable &Prev : StagedTables)
-        if (Prev.Proc == Tab.Proc)
-          ckptMalformed("duplicate argument table for '" + Name + "'");
-      uint32_t NumEntries = TR.u32();
-      for (uint32_t E = 0; E < NumEntries; ++E) {
-        StagedEntry En;
-        En.NodeBits = TR.u32();
-        uint8_t Strat = TR.u8();
-        if (Strat > static_cast<uint8_t>(EvalStrategy::Eager))
-          ckptMalformed("evaluation strategy out of range");
-        En.Strategy = static_cast<EvalStrategy>(Strat);
-        uint32_t NumArgs = TR.u32();
-        for (uint32_t A = 0; A < NumArgs; ++A)
-          En.Args.push_back(decodeValue(TR, HeapTypes.size()));
-        uint8_t Has = TR.u8();
-        if (Has > 1)
-          ckptMalformed("cached-value flag out of range");
-        En.HasCached = Has != 0;
-        if (En.HasCached)
-          En.Cached = decodeValue(TR, HeapTypes.size());
-        Tab.Entries.push_back(std::move(En));
-      }
-      StagedTables.push_back(std::move(Tab));
-    }
-    if (!TR.atEnd())
-      ckptMalformed("trailing bytes in TABL section");
   }
 
   std::string StagedOutput, StagedErrorMessage;
@@ -743,32 +551,27 @@ void Interp::restoreCheckpoint(const std::string &Path) {
       ckptMalformed("trailing bytes in OUTP section");
   }
 
-  // Cross-check: a consistent procedure node must have a cached value to
-  // serve (Maintained's invariant), or the first post-restore call would
-  // assert instead of failing the load.
-  GraphRestorer Restorer(std::move(GS));
-  for (const StagedTable &Tab : StagedTables)
-    for (const StagedEntry &En : Tab.Entries) {
-      const CkptNode *Rec = Restorer.findNode(En.NodeBits);
-      if (Rec && Rec->Consistent && !En.HasCached)
-        ckptMalformed("consistent instance of '" + Tab.Proc->Name +
-                      "' has no cached value");
-    }
-
-  // Stage the delta log: decode and bounds-check every surviving record
-  // before touching live state. Types tracks the heap as replay will grow
-  // it, so every index is checked against the heap at that record.
+  // Stage the base record and then the delta log's surviving records:
+  // decode and bounds-check every one before touching live state. Types
+  // tracks the heap as replay will grow it from empty, so every index is
+  // checked against the heap at that record.
   std::vector<DeltaRecord> Raw =
       readDeltaLog(deltaLogPath(Path), R.snapshotId(), &RestoreNote);
+  std::vector<ByteReader> Payloads{R.section(TagBase)};
+  for (const DeltaRecord &Rec : Raw)
+    Payloads.emplace_back(Rec.Payload.data(), Rec.Payload.size());
   std::vector<StagedDelta> Records;
-  Records.reserve(Raw.size());
+  Records.reserve(Payloads.size());
   {
-    std::vector<const ObjectTypeInfo *> Types = HeapTypes;
-    for (const DeltaRecord &Rec : Raw) {
-      auto Bad = [&Rec](const std::string &What) {
-        ckptMalformed("delta record " + std::to_string(Rec.Seq) + " " + What);
+    std::vector<const ObjectTypeInfo *> Types;
+    for (size_t N = 0; N < Payloads.size(); ++N) {
+      auto Bad = [&](const std::string &What) {
+        ckptMalformed((N == 0 ? std::string("base record ")
+                              : "delta record " +
+                                    std::to_string(Raw[N - 1].Seq) + " ") +
+                      What);
       };
-      ByteReader DR(Rec.Payload.data(), Rec.Payload.size());
+      ByteReader &DR = Payloads[N];
       StagedDelta D;
       uint32_t First = DR.u32();
       uint32_t NumNew = DR.u32();
@@ -813,16 +616,16 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     }
   }
 
-  //===--- Phase 2: rebuild. Failures below still throw, but the caller  --===//
-  //===--- was told to discard the interpreter on any restore error.     --===//
+  //===--- Phase 2: replay into an empty heap. ---------------------------===//
 
-  // Discard whatever the global initializers allocated; the checkpoint's
-  // heap replaces it wholesale. No nodes exist yet, so this is plain
-  // memory release (after dropping any unsaved-list entries into it).
-  markSaved();
+  // The base record lists only slots that differ from their zero value,
+  // so every global starts from zero: an initializer may have set one the
+  // record omits, even to an object of the heap discarded next. No slot
+  // is tracked yet (the graph is empty), so these are plain stores.
+  for (size_t I = 0; I < Globals.size(); ++I)
+    Globals[I].Storage.initialize(defaultValue(Info.GlobalTypes[I]));
+  markSaved(); // Drops any unsaved-list entries into the heap.
   Heap.clear();
-  for (const ObjectTypeInfo *Ty : HeapTypes)
-    allocate(Ty);
 
   auto Resolve = [this](const StagedValue &V) -> Value {
     switch (static_cast<Value::Kind>(V.Kind)) {
@@ -839,66 +642,15 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     }
     return Value::nil(); // Unreachable: phase 1 validated the kind.
   };
-
-  auto RestoreSlot = [&](StorageSlot &S, const StagedSlot &St) {
-    S.Storage.initialize(Resolve(St.Live));
-    if (!St.HasNode)
-      return;
-    Restorer.bind(St.NodeBits, S.Storage.ensureTracked(RT, label(S)));
-    // The node snapshots the live value; dependents may have observed an
-    // older value (quarantined writer), so re-apply the captured one.
-    S.Storage.setSnapshot(Resolve(St.Snapshot));
-  };
-
-  for (size_t I = 0; I < HeapSlots.size(); ++I)
-    for (size_t F = 0; F < HeapSlots[I].size(); ++F)
-      RestoreSlot(Heap[I]->slot(F), HeapSlots[I][F]);
-  for (size_t I = 0; I < GlobalSlots.size(); ++I)
-    RestoreSlot(Globals[I], GlobalSlots[I]);
-
-  for (const StagedTable &Tab : StagedTables) {
-    ProcTable &Table = table(Tab.Proc);
-    for (const StagedEntry &En : Tab.Entries) {
-      std::vector<Value> Key;
-      Key.reserve(En.Args.size());
-      for (const StagedValue &A : En.Args)
-        Key.push_back(Resolve(A));
-      if (Table.find(Key))
-        ckptMalformed("duplicate argument vector in table for '" +
-                      Tab.Proc->Name + "'");
-      std::optional<Value> Cached;
-      if (En.HasCached)
-        Cached = Resolve(En.Cached);
-      Restorer.bind(En.NodeBits,
-                    Table.restoreInstance(std::move(Key), std::move(Cached),
-                                          En.Strategy));
+  for (const StagedDelta &D : Records) {
+    for (const ObjectTypeInfo *Ty : D.NewTypes)
+      allocate(Ty);
+    for (const StagedWrite &W : D.Writes) {
+      StorageSlot &S = W.Object == StorageSlot::Global
+                           ? Globals[W.Index]
+                           : Heap[W.Object]->slot(W.Index);
+      trackedWrite(S, Resolve(W.Value));
     }
-  }
-
-  // Engine state: metadata, edges, partitions, quarantine — gated behind
-  // DepGraph::verify().
-  Restorer.finish(G);
-
-  // Replay the surviving deltas as ordinary storage writes, then let
-  // propagation recompute everything derived. Procedure instances
-  // created after the base snapshot are not in the log; they rebuild on
-  // first demand, which is the normal lazy path.
-  if (!Records.empty()) {
-    for (const StagedDelta &D : Records) {
-      for (const ObjectTypeInfo *Ty : D.NewTypes)
-        allocate(Ty);
-      for (const StagedWrite &W : D.Writes) {
-        StorageSlot &S = W.Object == StorageSlot::Global
-                             ? Globals[W.Index]
-                             : Heap[W.Object]->slot(W.Index);
-        trackedWrite(S, Resolve(W.Value));
-      }
-    }
-    RT.pumpUnbounded();
-    std::vector<std::string> Problems = G.verify();
-    if (!Problems.empty())
-      throw CheckpointError(CkptError::VerifyFailed,
-                            "post-delta verify failed: " + Problems.front());
   }
 
   Output = std::move(StagedOutput);

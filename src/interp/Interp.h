@@ -89,7 +89,7 @@ private:
 
 /// One storage location of the interpreter, a top-level variable or an
 /// object field: core's tracked storage plus the location's address in
-/// delta checkpoint records.
+/// checkpoint change records.
 struct StorageSlot {
   StorageNode<Value> Storage;
   /// The owning object's heap index and the field index, or Global and
@@ -192,10 +192,12 @@ public:
   // Durable checkpoints (DESIGN.md Section 10)
   //===------------------------------------------------------------------===//
 
-  /// Writes a full snapshot of the interpreter — graph, globals, heap,
-  /// argument tables, output stream — to \p Path, crash-atomically. The
-  /// graph must be quiescent (saveCheckpoint pumps first; an open batch
-  /// throws CheckpointError(Busy)). Resets the sidecar delta log; \p Path
+  /// Writes a snapshot of the program state — the heap, the globals and
+  /// the output stream — to \p Path, crash-atomically, as one change
+  /// record from an empty heap (DESIGN.md Section 10). The dependency
+  /// graph and cached values are derived state and are not saved. Pumps
+  /// first; inside an open batch it throws CheckpointError(Busy) and
+  /// leaves \p Path as it was. Resets the sidecar delta log; \p Path
   /// becomes the base that later appendDelta calls extend.
   void saveCheckpoint(const std::string &Path);
 
@@ -205,16 +207,19 @@ public:
   /// the heap.
   /// \p Path must be the snapshot this interpreter last saved or
   /// restored (else CheckpointError(StaleDelta)). Restore replays the
-  /// surviving prefix and recomputes derived values by propagation.
+  /// surviving prefix after the snapshot's own record.
   void appendDelta(const std::string &Path);
 
-  /// Rebuilds this interpreter from \p Path plus any surviving delta
-  /// records. Requires a freshly constructed interpreter over the same
-  /// module and mode; throws CheckpointError on any validation failure
-  /// and leaves no partial state accepted (the caller should discard the
-  /// interpreter on failure). restoreNote() describes discarded
-  /// delta-log tails, if any. On success \p Path becomes the base that
-  /// later appendDelta calls extend.
+  /// Rebuilds this interpreter's program state from \p Path plus any
+  /// surviving delta records: zeroes the globals, empties the heap, and
+  /// replays the records as storage writes. The graph stays empty and
+  /// rebuilds on first demand, so a snapshot restores under either
+  /// execution mode (Theorem 5.1). Requires a freshly constructed
+  /// interpreter over the same module; throws CheckpointError on any
+  /// validation failure before changing anything (the caller should
+  /// still discard the interpreter on failure). restoreNote() describes
+  /// discarded delta-log tails, if any. On success \p Path becomes the
+  /// base that later appendDelta calls extend.
   void restoreCheckpoint(const std::string &Path);
 
   /// Diagnostic from the last restore ("" if the delta log was clean).
@@ -279,8 +284,8 @@ private:
   /// The current state is durable: empties the unsaved-slot list and
   /// moves the saved heap prefix to the whole heap.
   void markSaved();
-  /// FNV-1a over the module's global, procedure, and type names plus the
-  /// execution mode; a checkpoint only restores into a matching module.
+  /// FNV-1a over the module's global, procedure, and type names; a
+  /// checkpoint only restores into a matching module.
   uint64_t moduleFingerprint() const;
   [[noreturn]] void fail(SourceLocation Loc, const std::string &Message);
   /// Records the in-flight exception behind failed()/errorMessage() (the

@@ -103,10 +103,9 @@ public:
 
   /// Writes the sheet's durable state — dimensions, per-cell formula
   /// source, per-cell value, cycle flag — to \p Path crash-atomically.
-  /// The formula trees themselves are pointer-keyed attrgram productions,
-  /// so the checkpoint is structural: restore re-parses every formula and
-  /// re-derives the trees instead of binding graph nodes (DESIGN.md
-  /// Section 10).
+  /// The formula trees and the graph are derived state, so the
+  /// checkpoint is structural: restore re-parses every formula and
+  /// re-derives the trees (DESIGN.md Section 10).
   void saveCheckpoint(const std::string &Path);
 
   /// Rebuilds the sheet from \p Path: dimensions must match, every

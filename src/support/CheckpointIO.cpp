@@ -25,7 +25,7 @@ namespace alphonse {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'C', 'K', 'P', 'T', '\0'};
-constexpr uint32_t kFormatVersion = 3;
+constexpr uint32_t kFormatVersion = 4;
 constexpr size_t kHeaderBytes = 32;   // magic + version + count + id + crc+pad
 constexpr size_t kTableEntryBytes = 32;
 constexpr uint32_t kMaxSections = 1024;
@@ -70,9 +70,9 @@ void fsyncFd(int Fd, const std::string &Path) {
 /// durable.
 void fsyncParentDir(const std::string &Path) {
   size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+  std::string Dir = Slash == std::string::npos ? "."
+                    : Slash == 0               ? "/"
+                                               : Path.substr(0, Slash);
   Fd D{::open(Dir.c_str(), O_RDONLY | O_DIRECTORY)};
   if (!D)
     ioError("cannot open directory", Dir);

@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The on-disk container for durable graph checkpoints (DESIGN.md §10):
+/// The on-disk container for durable checkpoints (DESIGN.md §10):
 /// a versioned, sectioned binary file with per-section CRC32, written
 /// crash-atomically (temp file + fsync + rename + directory fsync), plus
 /// the sidecar delta log appended between full snapshots.
@@ -14,7 +14,7 @@
 /// Layout of a snapshot file:
 ///
 ///   offset 0   magic "ALFCKPT\0"                        (8 bytes)
-///   offset 8   format version (u32, currently 3)
+///   offset 8   format version (u32, currently 4)
 ///   offset 12  section count (u32)
 ///   offset 16  snapshot id (u64, unique per written snapshot)
 ///   offset 24  CRC32 of the section table (u32) + u32 padding
@@ -62,7 +62,7 @@ enum class CkptError : uint8_t {
   CrcMismatch,  ///< A section (or the table) failed its CRC32.
   Malformed,    ///< Structurally valid container, nonsensical contents.
   StaleDelta,   ///< Delta log and snapshot (or appender) disagree.
-  VerifyFailed, ///< Restored graph failed DepGraph::verify().
+  VerifyFailed, ///< A restored value failed its recompute check.
   Busy,         ///< Live state not quiescent (pending work or open batch).
 };
 
@@ -170,7 +170,7 @@ private:
 // Snapshot container
 //===----------------------------------------------------------------------===//
 
-/// Builds a four-character section tag ('GRPH', 'GLBL', ...).
+/// Builds a four-character section tag ('META', 'BASE', ...).
 constexpr uint32_t sectionTag(char A, char B, char C, char D) {
   return static_cast<uint32_t>(static_cast<uint8_t>(A)) |
          static_cast<uint32_t>(static_cast<uint8_t>(B)) << 8 |

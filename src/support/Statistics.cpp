@@ -41,7 +41,6 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "ckpt.sections        " << S.CkptSections.total() << '\n'
      << "ckpt.bytes_written   " << S.CkptBytesWritten.total() << '\n'
      << "ckpt.restores        " << S.CkptRestores.total() << '\n'
-     << "ckpt.restored_nodes  " << S.CkptRestoredNodes.total() << '\n'
      << "ckpt.restore_micros  " << S.CkptRestoreMicros.total() << '\n'
      << "gov.waves            " << S.GovWaves.total() << '\n'
      << "gov.waves_degraded   " << S.GovWavesDegraded.total() << '\n'

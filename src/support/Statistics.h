@@ -119,6 +119,7 @@ struct Statistics {
   StatCounter StaticCalls;
   StatCounter PropPartitionsDrained;
   StatCounter PropConflicts;
+  StatCounter CkptRestoredNodes;
   /// Full checkpoint snapshots written (DESIGN.md §10).
   StatCounter CkptSnapshots;
   /// Delta records appended to checkpoint logs.
@@ -127,10 +128,8 @@ struct Statistics {
   StatCounter CkptSections;
   /// Bytes written durably (snapshots + delta records).
   StatCounter CkptBytesWritten;
-  /// Checkpoint restores completed (snapshot load + delta replay + verify).
+  /// Checkpoint restores completed (snapshot load + delta replay).
   StatCounter CkptRestores;
-  /// Nodes rebuilt by restores.
-  StatCounter CkptRestoredNodes;
   /// Microseconds spent in completed restores.
   StatCounter CkptRestoreMicros;
   /// Governed propagation waves opened (budgeted or not; DESIGN.md §11).

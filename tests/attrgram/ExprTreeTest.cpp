@@ -177,6 +177,14 @@ TEST(ExprTreeTest, EnvAttributeIsCachedPerChild) {
   EXPECT_EQ(RT.stats().ProcExecutions, 0u);
 }
 
+/// The name of let variable \p I ("v3"). Built with += on a named string:
+/// GCC 12 reports a false -Wrestrict on "v" + std::to_string(I).
+std::string varName(int I) {
+  std::string Name = "v";
+  Name += std::to_string(I);
+  return Name;
+}
+
 TEST(ExprTreeTest, DeepLetChainIncrementalEdit) {
   // let v0 = 1 in let v1 = v0+1 in ... vN ni: editing the innermost
   // literal must not reattribute the whole chain of envs.
@@ -184,14 +192,13 @@ TEST(ExprTreeTest, DeepLetChainIncrementalEdit) {
   ExprTree T(RT);
   constexpr int Depth = 40;
   IntExp *Base = T.makeInt(1);
-  Exp *Cur = T.makeId("v" + std::to_string(Depth - 1));
+  Exp *Cur = T.makeId(varName(Depth - 1));
   std::vector<LetExp *> Lets;
   for (int I = Depth - 1; I >= 0; --I) {
     Exp *Bind = (I == 0)
                     ? static_cast<Exp *>(Base)
-                    : T.makePlus(T.makeId("v" + std::to_string(I - 1)),
-                                 T.makeInt(1));
-    Cur = T.makeLet("v" + std::to_string(I), Bind, Cur);
+                    : T.makePlus(T.makeId(varName(I - 1)), T.makeInt(1));
+    Cur = T.makeLet(varName(I), Bind, Cur);
   }
   RootExp *Root = T.makeRoot(Cur);
   EXPECT_EQ(T.value(Root), Depth);

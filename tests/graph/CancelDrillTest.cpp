@@ -60,12 +60,14 @@ struct DrillGraph {
       size_t A = Rng.next() % Avail;
       size_t B = Rng.next() % Avail;
       int W = static_cast<int>(Rng.next() % 7) + 1;
+      std::string Name = "n";
+      Name += std::to_string(I);
       Nodes.push_back(std::make_unique<Maintained<int()>>(
           RT,
           [this, A, B, W] {
             return (readDep(A) * W + readDep(B) + 1) % Mod;
           },
-          EvalStrategy::Eager, "n" + std::to_string(I)));
+          EvalStrategy::Eager, std::move(Name)));
       (*Nodes.back())(); // Wire the dependencies now.
     }
   }

@@ -8,11 +8,11 @@
 /// \file
 /// A small typed-layer program used by the checkpoint, crash-recovery, and
 /// replay tests: N integer Cells plus one Maintained prefix-sum procedure.
-/// It implements the full save/restore protocol the way any embedding
-/// client would — capture the graph with GraphCheckpoint, serialize its
-/// own typed state alongside it, and on restore recreate the cells and
-/// instances, bind them to their captured ids, and let GraphRestorer
-/// re-apply the engine state behind verify().
+/// It saves and restores the way any embedding client would: the cell
+/// values are the program state, so the snapshot and every delta record
+/// carry the same payload (the values of all cells). The dependency graph
+/// and the cached sums are derived state; a restored host starts with an
+/// empty graph and rebuilds it on first demand.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,21 +20,16 @@
 #define ALPHONSE_TESTS_GRAPH_CHECKPOINTTESTHOST_H
 
 #include "core/Alphonse.h"
-#include "graph/Checkpoint.h"
 #include "support/CheckpointIO.h"
 
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 namespace alphonse::ckpttest {
 
-constexpr uint32_t TagGraph = sectionTag('G', 'R', 'P', 'H');
 constexpr uint32_t TagCells = sectionTag('C', 'E', 'L', 'L');
-constexpr uint32_t TagMant = sectionTag('M', 'A', 'N', 'T');
 
 /// N cells and Sum(k) = k + sum of cells 0..k.
 class CheckpointHost {
@@ -54,9 +49,11 @@ public:
                      },
                      Strategy, "sum") {
     Cells.reserve(NumCells);
-    for (size_t I = 0; I < NumCells; ++I)
-      Cells.push_back(std::make_unique<Cell<int>>(
-          RT, 0, "c" + std::to_string(I)));
+    for (size_t I = 0; I < NumCells; ++I) {
+      std::string Name = "c";
+      Name += std::to_string(I);
+      Cells.push_back(std::make_unique<Cell<int>>(RT, 0, std::move(Name)));
+    }
   }
 
   Runtime RT;
@@ -69,42 +66,11 @@ public:
       Sum(static_cast<int>(K));
   }
 
-  /// Full snapshot: GRPH (engine state) + CELL / MANT (typed state).
+  /// Full snapshot: one CELL section holding the cell values.
   void save(const std::string &Path) {
     RT.pump();
-    GraphSnapshot GS = GraphCheckpoint::capture(RT.graph());
     CheckpointWriter W;
-    {
-      ByteWriter B;
-      GS.encode(B);
-      W.addSection(TagGraph, B.take());
-    }
-    {
-      ByteWriter B;
-      B.u32(static_cast<uint32_t>(Cells.size()));
-      for (const auto &C : Cells) {
-        DepNode *N = C->node();
-        B.u8(N ? 1 : 0);
-        if (N)
-          B.u32(N->id().bits());
-        B.i64(C->peek());
-      }
-      W.addSection(TagCells, B.take());
-    }
-    {
-      ByteWriter B;
-      B.u32(static_cast<uint32_t>(Sum.numInstances()));
-      Sum.forEachInstance([&B](const std::tuple<int> &Key,
-                               const std::optional<int> &Cached,
-                               const DepNode &N) {
-        B.u32(N.id().bits());
-        B.i64(std::get<0>(Key));
-        B.u8(Cached ? 1 : 0);
-        if (Cached)
-          B.i64(*Cached);
-      });
-      W.addSection(TagMant, B.take());
-    }
+    W.addSection(TagCells, values());
     W.writeFile(Path);
     Appender.start(Path, W.snapshotId(), 0);
     removeDeltaLog(deltaLogPath(Path));
@@ -117,124 +83,23 @@ public:
     if (Appender.snapshotPath() != Path)
       throw CheckpointError(CkptError::StaleDelta,
                             "'" + Path + "' is not this host's snapshot");
-    ByteWriter B;
-    B.u32(static_cast<uint32_t>(Cells.size()));
-    for (const auto &C : Cells)
-      B.i64(C->peek());
-    Appender.append(B.take());
+    Appender.append(values());
   }
 
-  /// Rebuilds this (freshly constructed, same-extent) host from \p Path
-  /// plus any surviving deltas. Throws CheckpointError on anything that
-  /// does not describe a loadable state; the host must then be discarded.
+  /// Sets this (freshly constructed, same-extent) host's cells from
+  /// \p Path plus any surviving deltas. Throws CheckpointError on anything
+  /// that does not describe a loadable state, before changing anything;
+  /// the host must then be discarded.
   void restore(const std::string &Path) {
     CheckpointReader R(Path);
-
-    GraphSnapshot GS;
-    {
-      ByteReader B = R.section(TagGraph);
-      GS = GraphSnapshot::decode(B);
-      if (!B.atEnd())
-        throw CheckpointError(CkptError::Malformed,
-                              "trailing bytes in GRPH section");
-    }
-    struct StagedCell {
-      bool HasNode = false;
-      uint32_t NodeBits = 0;
-      int64_t Live = 0;
-    };
-    std::vector<StagedCell> SC;
-    {
-      ByteReader B = R.section(TagCells);
-      uint32_t Count = B.u32();
-      if (Count != Cells.size())
-        throw CheckpointError(CkptError::Malformed, "cell count mismatch");
-      for (uint32_t I = 0; I < Count; ++I) {
-        StagedCell S;
-        uint8_t Has = B.u8();
-        if (Has > 1)
-          throw CheckpointError(CkptError::Malformed, "bad node flag");
-        S.HasNode = Has != 0;
-        if (S.HasNode)
-          S.NodeBits = B.u32();
-        S.Live = B.i64();
-        SC.push_back(S);
-      }
-      if (!B.atEnd())
-        throw CheckpointError(CkptError::Malformed,
-                              "trailing bytes in CELL section");
-    }
-    struct StagedInstance {
-      uint32_t NodeBits = 0;
-      int64_t Key = 0;
-      std::optional<int64_t> Cached;
-    };
-    std::vector<StagedInstance> SI;
-    {
-      ByteReader B = R.section(TagMant);
-      uint32_t Count = B.u32();
-      for (uint32_t I = 0; I < Count; ++I) {
-        StagedInstance S;
-        S.NodeBits = B.u32();
-        S.Key = B.i64();
-        uint8_t Has = B.u8();
-        if (Has > 1)
-          throw CheckpointError(CkptError::Malformed, "bad cache flag");
-        if (Has)
-          S.Cached = B.i64();
-        SI.push_back(S);
-      }
-      if (!B.atEnd())
-        throw CheckpointError(CkptError::Malformed,
-                              "trailing bytes in MANT section");
-    }
-
     std::vector<DeltaRecord> Deltas =
         readDeltaLog(deltaLogPath(Path), R.snapshotId(), &RestoreNote);
-    // Stage delta payloads before mutating anything.
-    std::vector<std::vector<int64_t>> DeltaValues;
-    for (const DeltaRecord &Rec : Deltas) {
-      ByteReader B(Rec.Payload.data(), Rec.Payload.size());
-      uint32_t Count = B.u32();
-      if (Count != Cells.size())
-        throw CheckpointError(CkptError::Malformed,
-                              "delta cell count mismatch");
-      std::vector<int64_t> V;
-      for (uint32_t I = 0; I < Count; ++I)
-        V.push_back(B.i64());
-      if (!B.atEnd())
-        throw CheckpointError(CkptError::Malformed,
-                              "trailing bytes in delta record");
-      DeltaValues.push_back(std::move(V));
-    }
-
-    GraphRestorer Restorer(std::move(GS));
-    for (size_t I = 0; I < Cells.size(); ++I) {
-      // Value first, node second: StorageNode's constructor snapshots
-      // the live value, so this order restores Snapshot == Live (true at
-      // any quiescent capture of an unquarantined cell).
-      Cells[I]->set(static_cast<int>(SC[I].Live));
-      if (SC[I].HasNode)
-        Restorer.bind(SC[I].NodeBits, Cells[I]->ensureTracked());
-    }
-    for (const StagedInstance &S : SI) {
-      std::optional<int> Cached;
-      if (S.Cached)
-        Cached = static_cast<int>(*S.Cached);
-      DepNode &N = Sum.restoreInstance(
-          std::tuple<int>(static_cast<int>(S.Key)), Cached);
-      Restorer.bind(S.NodeBits, N);
-    }
-    Restorer.finish(RT.graph());
-
-    for (const std::vector<int64_t> &V : DeltaValues)
-      for (size_t I = 0; I < Cells.size(); ++I)
-        Cells[I]->set(static_cast<int>(V[I]));
-    RT.pump();
-    std::vector<std::string> Problems = RT.graph().verify();
-    if (!Problems.empty())
-      throw CheckpointError(CkptError::VerifyFailed,
-                            "post-delta verify failed: " + Problems.front());
+    // The snapshot's payload, then each delta's: the last one wins.
+    std::vector<int64_t> Values = decode(R.section(TagCells));
+    for (const DeltaRecord &Rec : Deltas)
+      Values = decode(ByteReader(Rec.Payload.data(), Rec.Payload.size()));
+    for (size_t I = 0; I < Cells.size(); ++I)
+      Cells[I]->set(static_cast<int>(Values[I]));
     Appender.start(Path, R.snapshotId(), Deltas.size());
   }
 
@@ -253,6 +118,27 @@ public:
 
   std::string RestoreNote;
   DeltaAppender Appender;
+
+private:
+  /// The payload of a snapshot and of a delta record alike.
+  std::vector<uint8_t> values() const {
+    ByteWriter B;
+    B.u32(static_cast<uint32_t>(Cells.size()));
+    for (const auto &C : Cells)
+      B.i64(C->peek());
+    return B.take();
+  }
+
+  std::vector<int64_t> decode(ByteReader B) const {
+    if (B.u32() != Cells.size())
+      throw CheckpointError(CkptError::Malformed, "cell count mismatch");
+    std::vector<int64_t> V;
+    for (size_t I = 0; I < Cells.size(); ++I)
+      V.push_back(B.i64());
+    if (!B.atEnd())
+      throw CheckpointError(CkptError::Malformed, "trailing bytes");
+    return V;
+  }
 };
 
 } // namespace alphonse::ckpttest

@@ -291,6 +291,52 @@ TEST_F(DepGraphTest, PartitioningDisabledUsesOneGlobalSet) {
   }
 }
 
+TEST_F(DepGraphTest, PartitionForestShrinksWithTheGraph) {
+  DepGraph G(Stats);
+  FakeStorage SA(G), SB(G), SC(G);
+  FakeProc PA(G), PB(G), PC(G);
+  recordRead(G, PA, SA);
+  recordRead(G, PB, SB);
+  // PC read SB once and now reads only SC: SB and SC share a partition
+  // with no edge between them, which rollback relies on.
+  recordRead(G, PC, SB);
+  G.removePredEdges(PC);
+  recordRead(G, PC, SC);
+  auto Membership = [&] {
+    return G.samePartition(SA, PA) && G.samePartition(SB, PB) &&
+           G.samePartition(SB, SC) && G.samePartition(PB, PC) &&
+           !G.samePartition(SA, SB);
+  };
+  ASSERT_TRUE(Membership());
+
+  // Nothing is compacted while work is pending.
+  SA.NextChanged = false;
+  G.markInconsistent(SA);
+  for (int I = 0; I < 1000; ++I)
+    FakeStorage Temp(G);
+  EXPECT_GT(G.numPartitionElements(), 1000u);
+  G.evaluateAll();
+
+  // A create/destroy churn keeps the forest within twice the live nodes
+  // (plus a constant) and preserves every partition's membership.
+  for (int I = 0; I < 10000; ++I) {
+    FakeStorage Temp(G);
+    ASSERT_LE(G.numPartitionElements(), 2 * G.numLiveNodes() + 128)
+        << "after " << I << " registrations";
+  }
+  EXPECT_TRUE(Membership());
+  EXPECT_TRUE(G.verify().empty());
+
+  // Pending work still finds its partition.
+  G.markInconsistent(SB);
+  EXPECT_TRUE(G.hasPendingFor(PC));
+  EXPECT_FALSE(G.hasPendingFor(PA));
+  G.evaluateFor(PC);
+  EXPECT_FALSE(PB.isConsistent());
+  EXPECT_TRUE(PA.isConsistent());
+  EXPECT_EQ(G.numPending(), 0u);
+}
+
 TEST_F(DepGraphTest, NodeDestructionInvalidatesDependents) {
   DepGraph G(Stats);
   {

@@ -412,19 +412,26 @@ TEST(RuntimeDeathTest, PopCallUnderflowIsFatalInReleaseBuilds) {
   EXPECT_DEATH(RT.popCall(), "underflow");
 }
 
-/// A cell, an instance reading it, and a broken invariant between them:
-/// the instance also linked as the cell's predecessor, an inverted edge
-/// that verify() reports as sinking into a non-procedure node.
+/// A cell, an instance f reading it, an instance g reading f, and a
+/// broken invariant between them: f is made to depend on its own
+/// dependent g through the public addDependency, which lifts f's level
+/// above g's on their existing up-to-date edge f -> g. Demand instances
+/// are only invalidated by a drain, never re-run, so the inversion
+/// survives every drain until a demand re-executes them.
 struct InvertedEdge {
   explicit InvertedEdge(Runtime &RT)
       : C(RT, 1, "c"),
-        F(RT, [this](int X) { return C.get() + X; }, EvalStrategy::Eager,
-          "f") {
+        F(RT, [this](int X) { return C.get() + X; }, EvalStrategy::Demand,
+          "f"),
+        G(RT, [this](int X) { return F(X) + 1; }, EvalStrategy::Demand,
+          "g") {
     F(1);
-    RT.graph().relinkPredecessors(*C.node(), {F.instanceNode(1)});
+    G(1);
+    RT.graph().addDependency(*F.instanceNode(1), *G.instanceNode(1));
   }
   Cell<int> C;
   Maintained<int(int)> F;
+  Maintained<int(int)> G;
 };
 
 TEST(AuditDeathTest, BrokenInvariantAbortsNextOutermostDrain) {
@@ -437,8 +444,8 @@ TEST(AuditDeathTest, BrokenInvariantAbortsNextOutermostDrain) {
         Broken.C.set(2);
         RT.pump();
       },
-      "invariant audit after drain:.*edge from 'f' sinks into a "
-      "non-procedure node");
+      "invariant audit after drain:.*level inversion on up-to-date edge "
+      "'f' -> 'g'");
 }
 
 TEST(AuditDeathTest, BrokenInvariantAbortsNextRollback) {
@@ -451,13 +458,18 @@ TEST(AuditDeathTest, BrokenInvariantAbortsNextRollback) {
         Maintained<int(int)> F(
             RT, [&](int X) { return C.get() + X; }, EvalStrategy::Demand,
             "f");
+        Maintained<int(int)> G(
+            RT, [&](int X) { return F(X) + 1; }, EvalStrategy::Demand, "g");
         F(1);
+        G(1);
         RT.beginBatch(); // Pumps a healthy graph first.
-        RT.graph().relinkPredecessors(*C.node(), {F.instanceNode(1)});
+        // Rollback unlinks the journaled g -> f edge, but not the level
+        // the misuse gave f.
+        RT.graph().addDependency(*F.instanceNode(1), *G.instanceNode(1));
         RT.rollbackBatch(); // No drain runs in between.
       },
-      "invariant audit after rollback:.*edge from 'f' sinks into a "
-      "non-procedure node");
+      "invariant audit after rollback:.*level inversion on up-to-date edge "
+      "'f' -> 'g'");
 }
 
 TEST(AuditTest, AuditOffLeavesTheFindingToVerify) {
@@ -471,7 +483,8 @@ TEST(AuditTest, AuditOffLeavesTheFindingToVerify) {
   RT.rollbackBatch();
   std::vector<std::string> Findings = RT.graph().verify();
   ASSERT_FALSE(Findings.empty());
-  EXPECT_NE(Findings.front().find("sinks into a non-procedure node"),
+  EXPECT_NE(Findings.front().find("level inversion on up-to-date edge "
+                                  "'f' -> 'g'"),
             std::string::npos);
 }
 

@@ -38,10 +38,12 @@ struct Chain {
       Cell<int> *S = &Src;
       Maintained<int()> *Prev =
           Stage.empty() ? nullptr : Stage.back().get();
+      std::string Name = "s";
+      Name += std::to_string(I);
       Stage.push_back(std::make_unique<Maintained<int()>>(
           RT,
           [S, Prev] { return (Prev ? (*Prev)() : S->get()) + 1; },
-          EvalStrategy::Eager, "s" + std::to_string(I)));
+          EvalStrategy::Eager, std::move(Name)));
       (*Stage.back())(); // Wire the dependency now.
     }
   }

@@ -138,33 +138,6 @@ TEST(HandleTest, MemoryGaugesTrackSlabs) {
   G.evaluateAll();
 }
 
-TEST(HandleTest, BulkRelinkMatchesPerEdgeOrder) {
-  // relinkPredecessors must reproduce the predecessor-list order the
-  // per-edge path builds (push-front linkage, so it walks sources in
-  // reverse). Checkpoint restore depends on the orders agreeing.
-  Statistics StatsA, StatsB;
-  DepGraph A(StatsA), B(StatsB);
-
-  StubProc SinkA(A);
-  StubStorage A1(A), A2(A), A3(A);
-  A.beginExecution(SinkA);
-  A.addDependency(SinkA, A1);
-  A.addDependency(SinkA, A2);
-  A.addDependency(SinkA, A3);
-  A.endExecution(SinkA);
-
-  StubProc SinkB(B);
-  StubStorage B1(B), B2(B), B3(B);
-  B.relinkPredecessors(SinkB, {&B1, &B2, &B3});
-
-  ASSERT_EQ(SinkA.numPredecessors(), 3u);
-  ASSERT_EQ(SinkB.numPredecessors(), 3u);
-  EXPECT_EQ(B.numLiveEdges(), 3u);
-  A.evaluateAll();
-  EXPECT_TRUE(A.verify().empty());
-  EXPECT_TRUE(B.verify().empty());
-}
-
 TEST(HandleTest, HighWaterResetsAndGaugesRepublish) {
   constexpr size_t ChunkSlots = Slab<DepNode *>::ChunkSlots;
   Statistics Stats;
@@ -173,9 +146,9 @@ TEST(HandleTest, HighWaterResetsAndGaugesRepublish) {
   for (size_t I = 0; I < 2 * ChunkSlots; ++I)
     Nodes.push_back(std::make_unique<StubStorage>(G));
 
-  // republish keeps the gauges pinned to the tables' actual footprint
+  // Publishing keeps the gauges pinned to the tables' actual footprint
   // even when nothing grew since the last publication.
-  G.republishMemoryGauges();
+  G.publishMemoryGauges();
   EXPECT_EQ(Stats.GraphNodeBytes.total(), G.nodeSlabBytes());
   EXPECT_EQ(Stats.GraphEdgeBytes.total(), G.edgeSlabBytes());
 

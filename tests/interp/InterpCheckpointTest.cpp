@@ -7,14 +7,15 @@
 ///
 /// \file
 /// Checkpoint save/restore at the interpreter tier: globals, heap objects
-/// (including object-to-object references), cached-procedure argument
-/// tables, consistency bits, and print() output all survive a roundtrip
-/// into a fresh interpreter over the same compiled module. Checkpoints
-/// from a different module or execution mode are refused with a
-/// structured error, as is restoring into an interpreter that has
-/// already run. Delta change records round-trip through random scripts
-/// with rolled-back batches, survive a failed append, and are refused
-/// when malformed or appended to a base that is not the interpreter's.
+/// (including object-to-object references) and print() output survive a
+/// roundtrip into a fresh interpreter over the same compiled module, under
+/// either execution mode. The graph is not saved: a restored interpreter
+/// starts with none and answers as the saved one did. Checkpoints from a
+/// different module are refused with a structured error, as are saving
+/// inside a batch and restoring into an interpreter that has already run.
+/// Change records round-trip through random scripts with rolled-back
+/// batches, survive a failed append, and are refused when malformed or
+/// appended to a base that is not the interpreter's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,6 +95,27 @@ PROCEDURE SetVal(v : INTEGER) = BEGIN root.val := v; END SetVal;
 PROCEDURE Hello() = BEGIN print("hello"); END Hello;
 )";
 
+/// Every global and every heap field of \p I, object references written
+/// as heap indices: equal strings mean equal storage, object by object.
+std::string storageOf(Interp &I, const lang::Module &M) {
+  std::string S;
+  auto Put = [&S](const std::string &Name, const Value &V) {
+    S += Name;
+    S += V.K == Value::Kind::Object ? "=#" + std::to_string(V.Obj->index())
+                                    : "=" + V.render();
+    S += ';';
+  };
+  for (const lang::GlobalDecl &G : M.Globals)
+    Put(G.Name, I.global(G.Name));
+  for (size_t H = 0; H < I.heapSize(); ++H) {
+    Value O = I.heapObject(H);
+    S += "\n#" + std::to_string(H) + " " + O.Obj->type()->Name + ":";
+    for (const lang::FieldInfo &F : O.Obj->type()->Fields)
+      Put(F.Name, I.field(O, F.Name));
+  }
+  return S;
+}
+
 TEST(InterpCheckpointTest, RoundtripPreservesGlobalsHeapCachesAndOutput) {
   TempCheckpoint File("interp-ckpt-roundtrip");
   auto C = compile(LedgerProgram);
@@ -150,8 +172,8 @@ TEST(InterpCheckpointTest, DeltaRoundtrip) {
 }
 
 // Maintained *methods* table their implementing procedure, whose own
-// pragma is not incremental (the binding's is) — the restore path must
-// accept those tables and rebuild the nodes with the captured strategy.
+// pragma is not incremental (the binding's is) — a restored interpreter
+// rebuilds those tables on first demand, with the binding's strategy.
 TEST(InterpCheckpointTest, MaintainedMethodTablesRoundtrip) {
   TempCheckpoint File("interp-ckpt-methods");
   auto C = compile(testing::heightTreeProgram());
@@ -194,23 +216,115 @@ TEST(InterpCheckpointTest, WrongModuleIsRejected) {
   }
 }
 
-TEST(InterpCheckpointTest, ModeMismatchIsRejected) {
-  TempCheckpoint File("interp-ckpt-mode");
+// The graph is derived state: a restored interpreter holds no node until
+// its first call, and that call answers as the saved interpreter did.
+TEST(InterpCheckpointTest, RestoredGraphStartsEmpty) {
+  TempCheckpoint File("interp-ckpt-empty-graph");
   auto C = compile(LedgerProgram);
   ASSERT_TRUE(C->ok()) << C->Diags.str();
-  {
-    Interp A(C->M, C->Info, ExecMode::Alphonse);
+
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
+  A.call("Init");
+  long Five = A.call("Total", {IV(5)}).Int;
+  long Seven = A.call("Total", {IV(7)}).Int;
+  ASSERT_GT(A.runtime().graph().numLiveNodes(), 0u);
+  A.saveCheckpoint(File.path());
+
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  B.restoreCheckpoint(File.path());
+  EXPECT_EQ(B.runtime().graph().numLiveNodes(), 0u);
+  EXPECT_EQ(B.call("Total", {IV(5)}).Int, Five);
+  EXPECT_EQ(B.call("Total", {IV(7)}).Int, Seven);
+  EXPECT_GT(B.runtime().graph().numLiveNodes(), 0u);
+  EXPECT_FALSE(B.failed()) << B.errorMessage();
+}
+
+// By Theorem 5.1 a store restores under either mode: a snapshot taken in
+// one mode loads into an interpreter of the other, with equal storage,
+// output and answers.
+TEST(InterpCheckpointTest, SnapshotRestoresUnderEitherMode) {
+  auto C = compile(LedgerProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  for (ExecMode From : {ExecMode::Alphonse, ExecMode::Conventional}) {
+    ExecMode To = From == ExecMode::Alphonse ? ExecMode::Conventional
+                                             : ExecMode::Alphonse;
+    TempCheckpoint File("interp-ckpt-mode");
+    Interp A(C->M, C->Info, From);
     A.call("Init");
+    A.call("Hello");
+    A.call("Total", {IV(1)});
+    A.call("SetX", {IV(40)});
+    A.call("SetVal", {IV(-2)});
     A.saveCheckpoint(File.path());
+
+    Interp B(C->M, C->Info, To);
+    B.restoreCheckpoint(File.path());
+    EXPECT_EQ(storageOf(B, C->M), storageOf(A, C->M));
+    EXPECT_EQ(B.output(), A.output());
+    for (long K : {0, 3, 9})
+      EXPECT_EQ(B.call("Total", {IV(K)}), A.call("Total", {IV(K)}))
+          << "k " << K;
+    B.call("SetX", {IV(1)});
+    A.call("SetX", {IV(1)});
+    EXPECT_EQ(B.call("Total", {IV(2)}), A.call("Total", {IV(2)}));
+    EXPECT_FALSE(B.failed()) << B.errorMessage();
+  }
+}
+
+// Quarantine is graph state and is not saved: an instance quarantined by
+// a one-shot fault before the save simply recomputes after a restore.
+TEST(InterpCheckpointTest, QuarantinedInstanceRecomputesAfterRestore) {
+  TempCheckpoint File("interp-ckpt-quarantine");
+  auto C = compile(LedgerProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
+  A.call("Init");
+  {
+    FaultInjector FI;
+    FI.armThrow("Total", 1);
+    FaultInjector::Scope Scope(FI);
+    A.call("Total", {IV(5)});
+  }
+  ASSERT_TRUE(A.failed());
+  ASSERT_EQ(A.runtime().graph().numQuarantined(), 1u);
+  A.clearError();
+  A.saveCheckpoint(File.path());
+
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  B.restoreCheckpoint(File.path());
+  EXPECT_EQ(B.call("Total", {IV(5)}).Int, 1 + 10 + 20 + 5);
+  EXPECT_FALSE(B.failed()) << B.errorMessage();
+  EXPECT_EQ(B.runtime().graph().numQuarantined(), 0u);
+}
+
+// A snapshot is a quiescent cut of the program state: inside an open
+// batch the save is refused, and the file keeps the previous snapshot.
+TEST(InterpCheckpointTest, SaveInsideABatchIsBusy) {
+  TempCheckpoint File("interp-ckpt-save-batch");
+  auto C = compile(LedgerProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
+  A.call("Init");
+  A.call("SetX", {IV(7)});
+  A.saveCheckpoint(File.path());
+  {
+    Transaction Txn(A.runtime());
+    A.call("SetX", {IV(8)});
+    try {
+      A.saveCheckpoint(File.path());
+      ADD_FAILURE() << "a save inside an open batch must be refused";
+    } catch (const CheckpointError &E) {
+      EXPECT_EQ(E.code(), CkptError::Busy);
+    }
+    Txn.rollback();
   }
 
-  Interp B(C->M, C->Info, ExecMode::Conventional);
-  try {
-    B.restoreCheckpoint(File.path());
-    FAIL() << "an Alphonse-mode checkpoint must not load conventionally";
-  } catch (const CheckpointError &E) {
-    EXPECT_EQ(E.code(), CkptError::Malformed);
-  }
+  Interp B(C->M, C->Info, ExecMode::Alphonse);
+  B.restoreCheckpoint(File.path());
+  EXPECT_EQ(B.global("x").Int, 7);
+  EXPECT_EQ(B.call("Total", {IV(0)}).Int, 7 + 10 + 20);
 }
 
 TEST(InterpCheckpointTest, RestoreIntoUsedInterpreterIsBusy) {
@@ -422,27 +536,6 @@ BEGIN
 END Poke;
 )";
 
-/// Every global and every heap field of \p I, object references written
-/// as heap indices: equal strings mean equal storage, object by object.
-std::string storageOf(Interp &I, const lang::Module &M) {
-  std::string S;
-  auto Put = [&S](const std::string &Name, const Value &V) {
-    S += Name;
-    S += V.K == Value::Kind::Object ? "=#" + std::to_string(V.Obj->index())
-                                    : "=" + V.render();
-    S += ';';
-  };
-  for (const lang::GlobalDecl &G : M.Globals)
-    Put(G.Name, I.global(G.Name));
-  for (size_t H = 0; H < I.heapSize(); ++H) {
-    Value O = I.heapObject(H);
-    S += "\n#" + std::to_string(H) + " " + O.Obj->type()->Name + ":";
-    for (const lang::FieldInfo &F : O.Obj->type()->Fields)
-      Put(F.Name, I.field(O, F.Name));
-  }
-  return S;
-}
-
 /// One random script step over AvlConeProgram; \returns its answer.
 Value randomOp(Interp &I, std::mt19937 &Rng) {
   long Key = static_cast<long>(Rng() % 120);
@@ -466,7 +559,8 @@ Value randomOp(Interp &I, std::mt19937 &Rng) {
 // A tree of 480 keys, rebalanced before the snapshot: the rebalance's
 // re-entrant balance() reads leave inverted levels on Balance -> Balance
 // edges, which verify() exempts only while the source carries its
-// ReadMidExecution flag. The checkpoint must carry the flag too.
+// ReadMidExecution flag. The restored interpreter rebuilds those edges,
+// flags included, by running the rebalance itself.
 TEST(InterpCheckpointTest, RebalancedAvlTreeRoundtrips) {
   TempCheckpoint File("interp-ckpt-avl");
   auto C = compile(AvlConeProgram);
@@ -679,6 +773,69 @@ TEST(InterpCheckpointTest, MalformedChangeRecordsAreRejected) {
       EXPECT_EQ(E.code(), CkptError::Malformed) << K.What << ": " << E.what();
     }
   }
+
+  // The snapshot's own record goes through the same checks, from an empty
+  // heap: rewrite the snapshot around hand-built base records.
+  const uint32_t TagMeta = sectionTag('M', 'E', 'T', 'A');
+  auto WriteSnapshot = [&](uint64_t Fingerprint, std::vector<uint8_t> Base) {
+    CheckpointWriter W;
+    ByteWriter Meta;
+    Meta.u64(Fingerprint);
+    W.addSection(TagMeta, Meta.take());
+    W.addSection(sectionTag('B', 'A', 'S', 'E'), std::move(Base));
+    ByteWriter Out;
+    Out.str("");
+    Out.u8(0);
+    Out.str("");
+    W.addSection(sectionTag('O', 'U', 'T', 'P'), Out.take());
+    std::remove(deltaLogPath(File.path()).c_str());
+    W.writeFile(File.path());
+  };
+  uint64_t Avl = CheckpointReader(File.path()).section(TagMeta).u64();
+  std::vector<Case> BaseCases = {
+      {"base object index", Record(0, {"TreeNil"}, 1, 0, 0)},
+      {"base global index", Record(0, {"TreeNil"}, Global, 99, 0)},
+      {"base heap gap", Record(1, {"TreeNil"}, Global, 1, 0)},
+  };
+  for (const Case &K : BaseCases) {
+    WriteSnapshot(Avl, K.Payload);
+    Interp B(C->M, C->Info, ExecMode::Alphonse);
+    try {
+      B.restoreCheckpoint(File.path());
+      ADD_FAILURE() << K.What << ": a malformed record must be refused";
+    } catch (const CheckpointError &E) {
+      EXPECT_EQ(E.code(), CkptError::Malformed) << K.What << ": " << E.what();
+    }
+  }
+
+  // A base record that omits a global leaves it at its zero value: not at
+  // what the fresh interpreter's initializers stored, and never at an
+  // object of the heap the restore discards.
+  auto Boxed = compile(R"(
+TYPE Box = OBJECT
+  v : INTEGER;
+END;
+VAR spare : Box := NEW(Box);
+VAR n : INTEGER := 7;
+VAR keep : Box;
+)");
+  ASSERT_TRUE(Boxed->ok()) << Boxed->Diags.str();
+  {
+    Interp A(Boxed->M, Boxed->Info, ExecMode::Alphonse);
+    A.saveCheckpoint(File.path());
+  }
+  // One Box, and keep (global 2) pointing at it; spare and n omitted.
+  WriteSnapshot(CheckpointReader(File.path()).section(TagMeta).u64(),
+                Record(0, {"Box"}, Global, 2, 0));
+  Interp B(Boxed->M, Boxed->Info, ExecMode::Alphonse);
+  ASSERT_EQ(B.global("n").Int, 7);
+  ASSERT_EQ(B.global("spare").K, Value::Kind::Object);
+  B.restoreCheckpoint(File.path());
+  EXPECT_EQ(B.heapSize(), 1u);
+  EXPECT_EQ(B.global("spare").K, Value::Kind::Nil);
+  EXPECT_EQ(B.global("n").Int, 0);
+  ASSERT_EQ(B.global("keep").K, Value::Kind::Object);
+  EXPECT_EQ(B.global("keep").Obj->index(), 0u);
 }
 
 // A change record extends the snapshot its interpreter last saved or

@@ -302,17 +302,22 @@ TEST(SessionServiceTest, ServiceStatsPrintAndLatency) {
 }
 
 /// A session program whose graph breaks an invariant on purpose: the
-/// instance is also linked as a predecessor of the cell it reads.
+/// instance f is made to depend on its own dependent g, which lifts f's
+/// level above g's on their existing edge f -> g.
 struct InvertedEdgeProgram {
   explicit InvertedEdgeProgram(Runtime &RT)
       : C(RT, 1, "c"),
-        F(RT, [this](int X) { return C.get() + X; }, EvalStrategy::Eager,
-          "f") {
+        F(RT, [this](int X) { return C.get() + X; }, EvalStrategy::Demand,
+          "f"),
+        G(RT, [this](int X) { return F(X) + 1; }, EvalStrategy::Demand,
+          "g") {
     F(1);
-    RT.graph().relinkPredecessors(*C.node(), {F.instanceNode(1)});
+    G(1);
+    RT.graph().addDependency(*F.instanceNode(1), *G.instanceNode(1));
   }
   Cell<int> C;
   Maintained<int(int)> F;
+  Maintained<int(int)> G;
 };
 
 TEST(SessionServiceDeathTest, DefaultConfigHonoursTheAuditSwitch) {
@@ -332,7 +337,7 @@ TEST(SessionServiceDeathTest, DefaultConfigHonoursTheAuditSwitch) {
         });
         M.drainCycle();
       },
-      "invariant audit after drain:.*sinks into a non-procedure node");
+      "invariant audit after drain:.*level inversion on up-to-date edge");
   if (Was)
     setenv("ALPHONSE_AUDIT", Saved.c_str(), 1);
   else

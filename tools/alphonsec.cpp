@@ -27,9 +27,12 @@
 //                           counters of degraded runs are visible)
 //   --dump-bytecode         disassemble the compiled form of every
 //                           procedure and of the global initializers
-//   --restore PATH          rebuild the interpreter from a checkpoint (and
-//                           its delta log) before running --run specs
-//   --checkpoint PATH       write a full checkpoint after the --run specs
+//   --restore PATH          restore the program state from a checkpoint
+//                           (and its delta log) before running --run
+//                           specs; the graph rebuilds on first demand,
+//                           and a snapshot restores under either --mode
+//   --checkpoint PATH       write a snapshot of the program state (heap,
+//                           globals, output) after the --run specs
 //   --checkpoint-delta PATH append a change record (the storage the --run
 //                           specs wrote) to PATH's sidecar log; PATH must
 //                           be the --restore or --checkpoint snapshot
@@ -311,8 +314,8 @@ int runProgram(const Options &Opts, const Module &M, const SemaInfo &Info) {
     return 1;
   }
   // The budget flags govern every un-annotated pump the run performs
-  // (checkpoint capture still pumps unbounded — it needs true
-  // quiescence).
+  // (a checkpoint save or append still pumps unbounded, so eager work
+  // still pending lands in the saved storage).
   if (!Opts.Budget.unlimited() ||
       Opts.Budget.Policy != OverloadPolicy::Accept)
     I.runtime().setDefaultBudget(Opts.Budget);
