@@ -14,8 +14,8 @@
 //       counter; the claim is O(live state), not O(history).
 //  CKb: restore to a warm host — decode, set the cells of a fresh host,
 //       then demand every sum, which rebuilds the graph.
-//  CKc: delta append — one changed cell, one O_APPEND record; the cheap
-//       steady-state path that amortizes CKa.
+//  CKc: delta append — one changed cell, one record appended to the
+//       checkpoint file; the cheap steady-state path that amortizes CKa.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +44,6 @@ std::string benchPath() {
 void cleanupPath(const std::string &Path) {
   std::remove(Path.c_str());
   std::remove((Path + ".tmp").c_str());
-  std::remove(deltaLogPath(Path).c_str());
 }
 
 size_t fileSize(const std::string &Path) {
@@ -95,8 +94,8 @@ static void BM_Ckpt_Restore(benchmark::State &State) {
 BENCHMARK(BM_Ckpt_Restore)->Arg(64)->Arg(512)->Arg(4096);
 
 // CKc: the steady-state path — one cell write, one delta record appended
-// to the sidecar log. A warm append never re-reads the log, so the log's
-// growth across iterations does not enter the cost.
+// to the checkpoint file. An append re-reads only 16 bytes of the header,
+// so the file's growth across iterations does not enter the cost.
 static void BM_Ckpt_DeltaAppend(benchmark::State &State) {
   size_t N = static_cast<size_t>(State.range(0));
   std::string Path = benchPath();

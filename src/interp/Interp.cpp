@@ -125,6 +125,7 @@ void Interp::markSaved() {
     S->Unsaved = false;
   UnsavedSlots.clear();
   SavedHeap = Heap.size();
+  SavedOutput = Output.size();
 }
 
 void Interp::fail(SourceLocation Loc, const std::string &Message) {
@@ -298,34 +299,28 @@ void Interp::setField(Value Receiver, const std::string &Field, Value V) {
 // A checkpoint holds program state only. The dependency graph and every
 // cached value are derived from storage (Theorem 5.1), so a restored
 // interpreter starts with an empty graph and rebuilds it on first demand.
-// Section layout of an interpreter snapshot (inside the CheckpointIO
-// container):
+// Every record of an interpreter's checkpoint file (support/CheckpointIO)
+// is a change record. The base record (tag BASE) is the module
+// fingerprint (u64) and then one change record from an empty heap, zeroed
+// globals and no output: every object, then every slot whose value is
+// not its type's zero value. Each delta record is one change record since
+// the previous record:
 //
-//   META  module fingerprint (u64)
-//   BASE  one change record from an empty heap: every object, then every
-//         slot whose value is not its type's zero value
-//   OUTP  output stream + failed flag + error message
-//
-// A change record covers the time since the previous record (the base
-// record: since an empty heap and zeroed globals):
-//
-//   u32 heap index of the first object it allocates, u32 count, then
-//       each allocated object's type name
+//   u32 heap index of the first object it allocates (the heap's size at
+//       the previous record), u32 count, then each object's type name
 //   u32 write count, then per slot written: u32 owner (heap index, or
 //       UINT32_MAX for a global), u32 field or global index, value
+//   the output printed since the previous record (str), then the failed
+//       flag (u8) and error message (str) as they stand at this record
 //
-// Object-valued Values are u32 heap indices. A delta record repeats
-// objects an earlier record already allocated only when that earlier
-// append failed after its bytes landed; replay checks the repeated types
-// and allocates the rest. Restore zeroes the globals, empties the heap
-// and replays the base record and then the log's records through
-// trackedWrite. The graph is empty, so replay queues nothing.
+// Object-valued Values are u32 heap indices. Restore zeroes the globals,
+// empties the heap and replays the records in order through trackedWrite,
+// appending each record's output. The graph is empty, so replay queues
+// nothing.
 
 namespace {
 
-constexpr uint32_t TagMeta = sectionTag('M', 'E', 'T', 'A');
 constexpr uint32_t TagBase = sectionTag('B', 'A', 'S', 'E');
-constexpr uint32_t TagOutput = sectionTag('O', 'U', 'T', 'P');
 
 [[noreturn]] void ckptMalformed(const std::string &Msg) {
   throw CheckpointError(CkptError::Malformed, Msg);
@@ -348,23 +343,6 @@ void encodeValue(ByteWriter &W, const Value &V) {
   case Value::Kind::Object:
     W.u32(V.Obj->index());
     break;
-  }
-}
-
-/// Writes one change record: the objects from heap index \p First on, then
-/// the current value of each slot in \p Slots.
-void encodeRecord(ByteWriter &W,
-                  const std::vector<std::unique_ptr<HeapObject>> &Heap,
-                  size_t First, const std::vector<StorageSlot *> &Slots) {
-  W.u32(static_cast<uint32_t>(First));
-  W.u32(static_cast<uint32_t>(Heap.size() - First));
-  for (size_t I = First; I < Heap.size(); ++I)
-    W.str(Heap[I]->type()->Name);
-  W.u32(static_cast<uint32_t>(Slots.size()));
-  for (const StorageSlot *S : Slots) {
-    W.u32(S->Object);
-    W.u32(S->Index);
-    encodeValue(W, S->Storage.peek());
   }
 }
 
@@ -419,9 +397,30 @@ struct StagedWrite {
 struct StagedDelta {
   std::vector<const ObjectTypeInfo *> NewTypes; ///< Objects to allocate.
   std::vector<StagedWrite> Writes;
+  std::string Output;
+  bool Failed = false;
+  std::string ErrorMessage;
 };
 
 } // namespace
+
+void Interp::encodeRecord(ByteWriter &W, size_t FirstObject,
+                          const std::vector<StorageSlot *> &Slots,
+                          size_t FirstOutput) const {
+  W.u32(static_cast<uint32_t>(FirstObject));
+  W.u32(static_cast<uint32_t>(Heap.size() - FirstObject));
+  for (size_t I = FirstObject; I < Heap.size(); ++I)
+    W.str(Heap[I]->type()->Name);
+  W.u32(static_cast<uint32_t>(Slots.size()));
+  for (const StorageSlot *S : Slots) {
+    W.u32(S->Object);
+    W.u32(S->Index);
+    encodeValue(W, S->Storage.peek());
+  }
+  W.str(Output.substr(FirstOutput));
+  W.u8(Failed ? 1 : 0);
+  W.str(ErrorMessage);
+}
 
 uint64_t Interp::moduleFingerprint() const {
   uint64_t H = 1469598103934665603ull; // FNV-1a offset basis
@@ -450,46 +449,30 @@ void Interp::saveCheckpoint(const std::string &Path) {
   // interpreter has no instances left to run it, so it runs now.
   RT.pumpUnbounded();
 
+  std::vector<StorageSlot *> Set;
+  for (size_t I = 0; I < Globals.size(); ++I)
+    if (!(Globals[I].Storage.peek() == defaultValue(Info.GlobalTypes[I])))
+      Set.push_back(&Globals[I]);
+  for (const auto &Obj : Heap)
+    for (const FieldInfo &FI : Obj->type()->Fields) {
+      StorageSlot &S = Obj->slot(static_cast<size_t>(FI.Index));
+      if (!(S.Storage.peek() == defaultValue(FI.Ty)))
+        Set.push_back(&S);
+    }
+  ByteWriter B;
+  B.u64(moduleFingerprint());
+  encodeRecord(B, 0, Set, 0);
   CheckpointWriter W;
-  {
-    ByteWriter B;
-    B.u64(moduleFingerprint());
-    W.addSection(TagMeta, B.take());
-  }
-  {
-    std::vector<StorageSlot *> Set;
-    for (size_t I = 0; I < Globals.size(); ++I)
-      if (!(Globals[I].Storage.peek() == defaultValue(Info.GlobalTypes[I])))
-        Set.push_back(&Globals[I]);
-    for (const auto &Obj : Heap)
-      for (const FieldInfo &FI : Obj->type()->Fields) {
-        StorageSlot &S = Obj->slot(static_cast<size_t>(FI.Index));
-        if (!(S.Storage.peek() == defaultValue(FI.Ty)))
-          Set.push_back(&S);
-      }
-    ByteWriter B;
-    encodeRecord(B, Heap, 0, Set);
-    W.addSection(TagBase, B.take());
-  }
-  {
-    ByteWriter B;
-    B.str(Output);
-    B.u8(Failed ? 1 : 0);
-    B.str(ErrorMessage);
-    W.addSection(TagOutput, B.take());
-  }
+  W.addSection(TagBase, B.take());
 
+  // The new file replaces the old one and its records: it is the base
+  // that later appends extend.
   uint64_t Bytes = W.writeFile(Path);
-  // The snapshot is the new base. Should the log reset below fail, the
-  // first append's repair drops the old records (their base id is stale).
-  Deltas.start(Path, W.snapshotId(), 0);
+  Deltas = DeltaAppender(W);
   markSaved();
-  // The snapshot now covers everything the old delta log recorded.
-  removeDeltaLog(deltaLogPath(Path));
 
   Statistics &S = RT.stats();
   ++S.CkptSnapshots;
-  S.CkptSections += W.numSections();
   S.CkptBytesWritten += Bytes;
 }
 
@@ -498,15 +481,16 @@ void Interp::appendDelta(const std::string &Path) {
   if (RT.graph().inBatch())
     throw CheckpointError(CkptError::Busy,
                           "cannot append a delta inside an open batch");
-  if (!Deltas.started() || Deltas.snapshotPath() != Path)
+  if (!Deltas.started() || Deltas.path() != Path)
     throw CheckpointError(CkptError::StaleDelta,
                           "'" + Path +
-                              "' is not the snapshot this interpreter last "
-                              "saved or restored");
+                              "' is not the checkpoint this interpreter "
+                              "last saved or restored");
 
   ByteWriter B;
-  encodeRecord(B, Heap, SavedHeap, UnsavedSlots);
-  // A failed append keeps the list: the next record is then a superset.
+  encodeRecord(B, SavedHeap, UnsavedSlots, SavedOutput);
+  // A failed append keeps the list: the next record replaces the failed
+  // one in the file and covers its changes too.
   uint64_t Bytes = Deltas.append(B.bytes());
   markSaved();
 
@@ -529,37 +513,17 @@ void Interp::restoreCheckpoint(const std::string &Path) {
   //===--- Phase 1: decode and validate everything; mutate nothing. ------===//
 
   CheckpointReader R(Path);
-  {
-    ByteReader MR = R.section(TagMeta);
-    if (MR.u64() != moduleFingerprint())
-      ckptMalformed("checkpoint was captured from a different module");
-    if (!MR.atEnd())
-      ckptMalformed("trailing bytes in META section");
-  }
-
-  std::string StagedOutput, StagedErrorMessage;
-  bool StagedFailed = false;
-  {
-    ByteReader OR = R.section(TagOutput);
-    StagedOutput = OR.str();
-    uint8_t F = OR.u8();
-    if (F > 1)
-      ckptMalformed("failed flag out of range");
-    StagedFailed = F != 0;
-    StagedErrorMessage = OR.str();
-    if (!OR.atEnd())
-      ckptMalformed("trailing bytes in OUTP section");
-  }
-
-  // Stage the base record and then the delta log's surviving records:
-  // decode and bounds-check every one before touching live state. Types
-  // tracks the heap as replay will grow it from empty, so every index is
-  // checked against the heap at that record.
-  std::vector<DeltaRecord> Raw =
-      readDeltaLog(deltaLogPath(Path), R.snapshotId(), &RestoreNote);
+  RestoreNote = R.note();
   std::vector<ByteReader> Payloads{R.section(TagBase)};
-  for (const DeltaRecord &Rec : Raw)
-    Payloads.emplace_back(Rec.Payload.data(), Rec.Payload.size());
+  if (Payloads[0].u64() != moduleFingerprint())
+    ckptMalformed("checkpoint was captured from a different module");
+  for (size_t I = 0; I < R.numDeltas(); ++I)
+    Payloads.push_back(R.delta(I));
+
+  // Stage the base record and then the intact delta records: decode and
+  // bounds-check every one before touching live state. Types tracks the
+  // heap as replay will grow it from empty, so every index is checked
+  // against the heap at that record.
   std::vector<StagedDelta> Records;
   Records.reserve(Payloads.size());
   {
@@ -567,27 +531,22 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     for (size_t N = 0; N < Payloads.size(); ++N) {
       auto Bad = [&](const std::string &What) {
         ckptMalformed((N == 0 ? std::string("base record ")
-                              : "delta record " +
-                                    std::to_string(Raw[N - 1].Seq) + " ") +
+                              : "delta record " + std::to_string(N) + " ") +
                       What);
       };
       ByteReader &DR = Payloads[N];
       StagedDelta D;
       uint32_t First = DR.u32();
       uint32_t NumNew = DR.u32();
-      if (First > Types.size())
-        Bad("allocates past the end of the heap");
+      if (First != Types.size())
+        Bad("allocates from heap index " + std::to_string(First) +
+            ", but the heap holds " + std::to_string(Types.size()) +
+            " object(s)");
       for (uint32_t I = 0; I < NumNew; ++I) {
         std::string Name = DR.str();
         const ObjectTypeInfo *Ty = Info.lookupType(Name);
         if (!Ty)
           Bad("allocates unknown type '" + Name + "'");
-        size_t At = size_t{First} + I;
-        if (At < Types.size()) {
-          if (Types[At] != Ty)
-            Bad("retypes heap object " + std::to_string(At));
-          continue; // Repeated by a retried append; allocated already.
-        }
         Types.push_back(Ty);
         D.NewTypes.push_back(Ty);
       }
@@ -610,6 +569,12 @@ void Interp::restoreCheckpoint(const std::string &Path) {
         W.Value = decodeValue(DR, Types.size());
         D.Writes.push_back(std::move(W));
       }
+      D.Output = DR.str();
+      uint8_t F = DR.u8();
+      if (F > 1)
+        Bad("has a failed flag out of range");
+      D.Failed = F != 0;
+      D.ErrorMessage = DR.str();
       if (!DR.atEnd())
         Bad("has trailing bytes");
       Records.push_back(std::move(D));
@@ -642,7 +607,8 @@ void Interp::restoreCheckpoint(const std::string &Path) {
     }
     return Value::nil(); // Unreachable: phase 1 validated the kind.
   };
-  for (const StagedDelta &D : Records) {
+  Output.clear();
+  for (StagedDelta &D : Records) {
     for (const ObjectTypeInfo *Ty : D.NewTypes)
       allocate(Ty);
     for (const StagedWrite &W : D.Writes) {
@@ -651,16 +617,15 @@ void Interp::restoreCheckpoint(const std::string &Path) {
                            : Heap[W.Object]->slot(W.Index);
       trackedWrite(S, Resolve(W.Value));
     }
+    Output += D.Output;
+    Failed = D.Failed;
+    ErrorMessage = std::move(D.ErrorMessage);
   }
 
-  Output = std::move(StagedOutput);
-  Failed = StagedFailed;
-  ErrorMessage = std::move(StagedErrorMessage);
-
   // The restored state is the base plus every replayed record: the next
-  // append continues the log from there.
+  // append continues the file from there.
   markSaved();
-  Deltas.start(Path, R.snapshotId(), Raw.size());
+  Deltas = DeltaAppender(R);
 
   Statistics &S = RT.stats();
   ++S.CkptRestores;

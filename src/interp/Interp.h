@@ -163,9 +163,9 @@ public:
   size_t heapSize() const { return Heap.size(); }
   Value heapObject(size_t I) const { return Value::object(Heap[I].get()); }
 
-  /// Everything print() emitted so far.
+  /// Everything print() emitted so far. It only grows, so each change
+  /// record carries the suffix printed since the previous one.
   const std::string &output() const { return Output; }
-  void clearOutput() { Output.clear(); }
 
   /// Set after a runtime error; call()/callMethod() become no-ops until
   /// the error is cleared.
@@ -192,37 +192,37 @@ public:
   // Durable checkpoints (DESIGN.md Section 10)
   //===------------------------------------------------------------------===//
 
-  /// Writes a snapshot of the program state — the heap, the globals and
-  /// the output stream — to \p Path, crash-atomically, as one change
-  /// record from an empty heap (DESIGN.md Section 10). The dependency
-  /// graph and cached values are derived state and are not saved. Pumps
-  /// first; inside an open batch it throws CheckpointError(Busy) and
-  /// leaves \p Path as it was. Resets the sidecar delta log; \p Path
-  /// becomes the base that later appendDelta calls extend.
+  /// Writes a new checkpoint file at \p Path, crash-atomically, whose base
+  /// record is the program state — the heap, the globals and the output
+  /// — as one change record from an empty heap (DESIGN.md Section 10).
+  /// The dependency graph and cached values are derived state and are not
+  /// saved. Pumps first; inside an open batch it throws
+  /// CheckpointError(Busy) and leaves \p Path as it was. The new file
+  /// replaces the old one and its delta records; later appendDelta calls
+  /// extend it.
   void saveCheckpoint(const std::string &Path);
 
-  /// Appends one change record to \p Path's sidecar log: the objects
-  /// allocated and the storage slots whose value moved since the last
-  /// snapshot, restore or record, so its cost follows the change, not
-  /// the heap.
-  /// \p Path must be the snapshot this interpreter last saved or
-  /// restored (else CheckpointError(StaleDelta)). Restore replays the
-  /// surviving prefix after the snapshot's own record.
+  /// Appends one change record to \p Path: the objects allocated, the
+  /// storage slots whose value moved and the output printed since the
+  /// last save, restore or record, so its cost follows the change, not
+  /// the heap. \p Path must be the file this interpreter last saved or
+  /// restored, unchanged by any other writer since (else
+  /// CheckpointError(StaleDelta)).
   void appendDelta(const std::string &Path);
 
-  /// Rebuilds this interpreter's program state from \p Path plus any
-  /// surviving delta records: zeroes the globals, empties the heap, and
-  /// replays the records as storage writes. The graph stays empty and
-  /// rebuilds on first demand, so a snapshot restores under either
-  /// execution mode (Theorem 5.1). Requires a freshly constructed
-  /// interpreter over the same module; throws CheckpointError on any
-  /// validation failure before changing anything (the caller should
-  /// still discard the interpreter on failure). restoreNote() describes
-  /// discarded delta-log tails, if any. On success \p Path becomes the
-  /// base that later appendDelta calls extend.
+  /// Rebuilds this interpreter's program state from \p Path's base record
+  /// and its intact delta records: zeroes the globals, empties the heap,
+  /// and replays the records as storage writes and output. The graph
+  /// stays empty and rebuilds on first demand, so a checkpoint restores
+  /// under either execution mode (Theorem 5.1). Requires a freshly
+  /// constructed interpreter over the same module; throws CheckpointError
+  /// on any validation failure before changing anything (the caller
+  /// should still discard the interpreter on failure). restoreNote()
+  /// describes a discarded torn tail, if any. On success later
+  /// appendDelta calls extend \p Path.
   void restoreCheckpoint(const std::string &Path);
 
-  /// Diagnostic from the last restore ("" if the delta log was clean).
+  /// Diagnostic from the last restore ("" if every record was intact).
   const std::string &restoreNote() const { return RestoreNote; }
 
   Runtime &runtime() { return RT; }
@@ -281,8 +281,14 @@ private:
   const std::string &label(const StorageSlot &S) const;
 
   HeapObject *allocate(const lang::ObjectTypeInfo *Ty);
+  /// Writes one change record: the objects from heap index \p FirstObject
+  /// on, the current value of each slot in \p Slots, the output from
+  /// offset \p FirstOutput on, and the failed flag and message.
+  void encodeRecord(ByteWriter &W, size_t FirstObject,
+                    const std::vector<StorageSlot *> &Slots,
+                    size_t FirstOutput) const;
   /// The current state is durable: empties the unsaved-slot list and
-  /// moves the saved heap prefix to the whole heap.
+  /// moves the saved heap and output prefixes to their whole length.
   void markSaved();
   /// FNV-1a over the module's global, procedure, and type names; a
   /// checkpoint only restores into a matching module.
@@ -331,11 +337,12 @@ private:
   std::vector<std::unique_ptr<ProcTable>> Tables;
 
   /// Delta checkpoints (DESIGN.md Section 10): the slots whose value
-  /// moved since the last snapshot, restore or record (each once, flagged
-  /// StorageSlot::Unsaved), the heap prefix those cover, and the append
-  /// side of the base snapshot's log.
+  /// moved since the last save, restore or record (each once, flagged
+  /// StorageSlot::Unsaved), the heap and output prefixes those cover, and
+  /// the append side of the checkpoint file.
   std::vector<StorageSlot *> UnsavedSlots;
   size_t SavedHeap = 0;
+  size_t SavedOutput = 0;
   DeltaAppender Deltas;
 
   std::string Output;

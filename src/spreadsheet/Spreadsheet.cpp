@@ -234,7 +234,6 @@ void Spreadsheet::saveCheckpoint(const std::string &Path) {
   uint64_t Bytes = W.writeFile(Path);
   Statistics &S = RT.stats();
   ++S.CkptSnapshots;
-  S.CkptSections += W.numSections();
   S.CkptBytesWritten += Bytes;
 }
 

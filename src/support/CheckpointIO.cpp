@@ -1,4 +1,4 @@
-//===- CheckpointIO.cpp - Durable checkpoint container --------------------===//
+//===- CheckpointIO.cpp - Durable checkpoint file -------------------------===//
 //
 // Part of the Alphonse reproduction (Hoover, PLDI 1992).
 // SPDX-License-Identifier: MIT
@@ -13,10 +13,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <cassert>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <random>
 
@@ -25,12 +24,10 @@ namespace alphonse {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'L', 'F', 'C', 'K', 'P', 'T', '\0'};
-constexpr uint32_t kFormatVersion = 4;
-constexpr size_t kHeaderBytes = 32;   // magic + version + count + id + crc+pad
-constexpr size_t kTableEntryBytes = 32;
-constexpr uint32_t kMaxSections = 1024;
-constexpr uint32_t kDeltaMagic = sectionTag('A', 'L', 'F', 'D');
-constexpr size_t kDeltaHeaderBytes = 40;
+constexpr uint32_t kFormatVersion = 5;
+constexpr size_t kHeaderBytes = 24; // magic + version + file id + CRC
+constexpr size_t kIdOffset = 8;     // an append re-reads version, id, CRC
+constexpr size_t kFrameBytes = 8;   // record payload size + CRC
 
 [[noreturn]] void ioError(const std::string &What, const std::string &Path) {
   throw CheckpointError(CkptError::Io,
@@ -79,43 +76,28 @@ void fsyncParentDir(const std::string &Path) {
   fsyncFd(D.Raw, Dir);
 }
 
-/// Reads up to \p Limit bytes from the start of \p Path (the whole file
-/// by default); \p Missing reports an absent file.
-std::vector<uint8_t> readFilePrefix(const std::string &Path, size_t Limit,
-                                    bool &Missing) {
-  Missing = false;
+std::vector<uint8_t> readWholeFile(const std::string &Path) {
   Fd F{::open(Path.c_str(), O_RDONLY)};
-  if (!F) {
-    if (errno == ENOENT) {
-      Missing = true;
-      return {};
-    }
+  if (!F)
     ioError("cannot open", Path);
-  }
   std::vector<uint8_t> Buf;
   uint8_t Chunk[1 << 16];
-  while (Buf.size() < Limit) {
-    ssize_t N =
-        ::read(F.Raw, Chunk, std::min(sizeof(Chunk), Limit - Buf.size()));
+  for (;;) {
+    ssize_t N = ::read(F.Raw, Chunk, sizeof(Chunk));
     if (N < 0) {
       if (errno == EINTR)
         continue;
       ioError("cannot read", Path);
     }
     if (N == 0)
-      break;
+      return Buf;
     Buf.insert(Buf.end(), Chunk, Chunk + N);
   }
-  return Buf;
 }
 
-std::vector<uint8_t> readWholeFile(const std::string &Path, bool &Missing) {
-  return readFilePrefix(Path, SIZE_MAX, Missing);
-}
-
-uint64_t freshSnapshotId() {
-  // Uniqueness is all that matters (a stale delta log must not match a
-  // new snapshot by accident); no cryptographic strength needed.
+uint64_t freshFileId() {
+  // Uniqueness is all that matters (an appender must not mistake a file
+  // another save wrote for its own); no cryptographic strength needed.
   static std::mt19937_64 Rng{std::random_device{}()};
   uint64_t Id = Rng();
   return Id ? Id : 1;
@@ -145,23 +127,26 @@ uint64_t getU64(const uint8_t *P) {
   return V;
 }
 
-/// Checks the fixed snapshot header at the front of \p Bytes (size,
-/// magic, format version) and \returns its snapshot id.
-uint64_t headerSnapshotId(const std::vector<uint8_t> &Bytes,
-                          const std::string &Path) {
-  if (Bytes.size() < kHeaderBytes)
-    throw CheckpointError(CkptError::Truncated,
-                          "'" + Path + "' is shorter than a header");
-  if (std::memcmp(Bytes.data(), kMagic, 8) != 0)
-    throw CheckpointError(CkptError::BadMagic,
-                          "'" + Path + "' is not a checkpoint file");
-  uint32_t Version = getU32(Bytes.data() + 8);
-  if (Version != kFormatVersion)
-    throw CheckpointError(CkptError::BadVersion,
-                          "'" + Path + "' has format version " +
-                              std::to_string(Version) + ", expected " +
-                              std::to_string(kFormatVersion));
-  return getU64(Bytes.data() + 16);
+/// The header of the file \p FileId.
+std::vector<uint8_t> header(uint64_t FileId) {
+  std::vector<uint8_t> H(kMagic, kMagic + 8);
+  putU32(H, kFormatVersion);
+  putU64(H, FileId);
+  putU32(H, crc32(H.data(), H.size()));
+  return H;
+}
+
+/// The frame in front of a record: the payload size and a CRC32 over that
+/// size field and the payload, so a zero-filled tail is not a record.
+std::vector<uint8_t> frame(const std::vector<uint8_t> &Payload) {
+  if (Payload.size() > UINT32_MAX)
+    throw CheckpointError(CkptError::Malformed,
+                          "a record of " + std::to_string(Payload.size()) +
+                              " bytes exceeds the 4 GiB limit");
+  std::vector<uint8_t> F;
+  putU32(F, static_cast<uint32_t>(Payload.size()));
+  putU32(F, crc32(Payload.data(), Payload.size(), crc32(F.data(), 4)));
+  return F;
 }
 
 } // namespace
@@ -213,40 +198,21 @@ uint32_t crc32(const void *Data, size_t Size, uint32_t Seed) {
 // CheckpointWriter
 //===----------------------------------------------------------------------===//
 
-CheckpointWriter::CheckpointWriter() : SnapshotId(freshSnapshotId()) {}
-
 void CheckpointWriter::addSection(uint32_t Tag,
                                   std::vector<uint8_t> Payload) {
-  Sections.push_back({Tag, std::move(Payload)});
+  assert(Base.empty() && "a checkpoint file holds one base record");
+  putU32(Base, Tag);
+  Base.insert(Base.end(), Payload.begin(), Payload.end());
 }
 
-uint64_t CheckpointWriter::writeFile(const std::string &Path) const {
-  // Assemble the complete image in memory first: header, table, aligned
-  // payloads. Nothing touches the disk until the image is final.
-  std::vector<uint8_t> Image(kMagic, kMagic + 8);
-  putU32(Image, kFormatVersion);
-  putU32(Image, static_cast<uint32_t>(Sections.size()));
-  putU64(Image, SnapshotId);
-
-  std::vector<uint8_t> Table;
-  size_t Offset = kHeaderBytes + Sections.size() * kTableEntryBytes;
-  for (const Section &S : Sections) {
-    Offset = (Offset + 7) & ~size_t{7};
-    putU32(Table, S.Tag);
-    putU32(Table, 0);
-    putU64(Table, Offset);
-    putU64(Table, S.Payload.size());
-    putU32(Table, crc32(S.Payload.data(), S.Payload.size()));
-    putU32(Table, 0);
-    Offset += S.Payload.size();
-  }
-  putU32(Image, crc32(Table.data(), Table.size()));
-  putU32(Image, 0);
-  Image.insert(Image.end(), Table.begin(), Table.end());
-  for (const Section &S : Sections) {
-    Image.resize((Image.size() + 7) & ~size_t{7}, 0);
-    Image.insert(Image.end(), S.Payload.begin(), S.Payload.end());
-  }
+uint64_t CheckpointWriter::writeFile(const std::string &Path) {
+  // Assemble the complete image in memory first. Nothing touches the
+  // disk until the image is final.
+  uint64_t Id = freshFileId();
+  std::vector<uint8_t> Image = header(Id);
+  std::vector<uint8_t> Frame = frame(Base);
+  Image.insert(Image.end(), Frame.begin(), Frame.end());
+  Image.insert(Image.end(), Base.begin(), Base.end());
 
   // Durable write protocol. Each step is preceded by an injection site so
   // the crash harness can kill between any two steps; correctness does
@@ -270,276 +236,133 @@ uint64_t CheckpointWriter::writeFile(const std::string &Path) const {
     ioError("cannot rename into place", Path);
   faultInjectionPoint("ckpt.io"); // 6: before the directory fsync
   fsyncParentDir(Path);
-  return Image.size();
+  this->Path = Path;
+  FileId = Id;
+  Bytes = Image.size();
+  return Bytes;
 }
 
 //===----------------------------------------------------------------------===//
 // CheckpointReader
 //===----------------------------------------------------------------------===//
 
-CheckpointReader::CheckpointReader(const std::string &Path) {
-  bool Missing = false;
-  Contents = readWholeFile(Path, Missing);
-  if (Missing)
-    ioError("cannot open", Path);
-
-  SnapshotId = headerSnapshotId(Contents, Path);
-  uint32_t NumSections = getU32(Contents.data() + 12);
-  if (NumSections > kMaxSections)
-    throw CheckpointError(CkptError::Malformed,
-                          "implausible section count " +
-                              std::to_string(NumSections));
-  uint32_t TableCrc = getU32(Contents.data() + 24);
-
-  size_t TableBytes = size_t{NumSections} * kTableEntryBytes;
-  if (Contents.size() < kHeaderBytes + TableBytes)
+CheckpointReader::CheckpointReader(const std::string &Path)
+    : Path(Path), Contents(readWholeFile(Path)) {
+  const uint8_t *Head = Contents.data();
+  if (Contents.size() < kHeaderBytes)
     throw CheckpointError(CkptError::Truncated,
-                          "'" + Path + "' ends inside its section table");
-  const uint8_t *Table = Contents.data() + kHeaderBytes;
-  if (crc32(Table, TableBytes) != TableCrc)
+                          "'" + Path + "' is shorter than a header");
+  if (std::memcmp(Head, kMagic, 8) != 0)
+    throw CheckpointError(CkptError::BadMagic,
+                          "'" + Path + "' is not a checkpoint file");
+  uint32_t Version = getU32(Head + 8);
+  if (Version != kFormatVersion)
+    throw CheckpointError(CkptError::BadVersion,
+                          "'" + Path + "' has format version " +
+                              std::to_string(Version) + ", expected " +
+                              std::to_string(kFormatVersion));
+  if (crc32(Head, kHeaderBytes - 4) != getU32(Head + kHeaderBytes - 4))
     throw CheckpointError(CkptError::CrcMismatch,
-                          "section table CRC mismatch in '" + Path + "'");
+                          "header CRC mismatch in '" + Path + "'");
+  FileId = getU64(Head + 12);
 
-  for (uint32_t I = 0; I < NumSections; ++I) {
-    const uint8_t *E = Table + size_t{I} * kTableEntryBytes;
-    Section S;
-    S.Tag = getU32(E);
-    uint64_t Off = getU64(E + 8);
-    uint64_t Size = getU64(E + 16);
-    uint32_t Crc = getU32(E + 24);
-    if (Off > Contents.size() || Size > Contents.size() - Off)
-      throw CheckpointError(CkptError::Truncated,
-                            "section payload extends past end of '" + Path +
-                                "'");
-    if (crc32(Contents.data() + Off, Size) != Crc)
-      throw CheckpointError(CkptError::CrcMismatch,
-                            "section payload CRC mismatch in '" + Path +
-                                "'");
-    S.Offset = Off;
-    S.Size = Size;
-    Sections.push_back(S);
+  // The one framing loop. Damage in the base record refuses the file;
+  // damage after it ends the log there.
+  size_t Pos = kHeaderBytes;
+  while (Pos < Contents.size() || Records.empty()) {
+    const uint8_t *F = Contents.data() + Pos;
+    size_t Left = Contents.size() - Pos;
+    uint32_t Size = Left < kFrameBytes ? 0 : getU32(F);
+    CkptError Code = CkptError::Truncated;
+    const char *Damage = nullptr;
+    if (Left < kFrameBytes || Size > Left - kFrameBytes) {
+      Damage = "torn record";
+    } else if (crc32(F + kFrameBytes, Size, crc32(F, 4)) != getU32(F + 4)) {
+      Code = CkptError::CrcMismatch;
+      Damage = "record CRC mismatch";
+    }
+    if (Damage && Records.empty())
+      throw CheckpointError(Code, std::string(Damage) + " at the base of '" +
+                                      Path + "'");
+    if (Damage) {
+      Note = "'" + Path + "': " + Damage + " at byte " +
+             std::to_string(Pos) + "; keeping the base and " +
+             std::to_string(numDeltas()) + " intact delta record(s)";
+      break;
+    }
+    Records.push_back({Pos + kFrameBytes, Size});
+    Pos += kFrameBytes + Size;
   }
-}
-
-bool CheckpointReader::hasSection(uint32_t Tag) const {
-  for (const Section &S : Sections)
-    if (S.Tag == Tag)
-      return true;
-  return false;
 }
 
 ByteReader CheckpointReader::section(uint32_t Tag) const {
-  for (const Section &S : Sections)
-    if (S.Tag == Tag)
-      return ByteReader(Contents.data() + S.Offset, S.Size);
-  throw CheckpointError(CkptError::Malformed,
-                        "missing required checkpoint section");
+  const Record &Base = Records.front();
+  if (Base.Size < 4 || getU32(Contents.data() + Base.Offset) != Tag)
+    throw CheckpointError(CkptError::Malformed,
+                          "'" + Path + "' holds another kind of checkpoint");
+  return ByteReader(Contents.data() + Base.Offset + 4, Base.Size - 4);
+}
+
+ByteReader CheckpointReader::delta(size_t I) const {
+  const Record &R = Records[I + 1];
+  return ByteReader(Contents.data() + R.Offset, R.Size);
 }
 
 //===----------------------------------------------------------------------===//
-// Delta log
+// DeltaAppender
 //===----------------------------------------------------------------------===//
 
-void DeltaAppender::start(std::string SnapshotPath, uint64_t BaseSnapshotId,
-                          uint64_t Records) {
-  LogPath = deltaLogPath(SnapshotPath);
-  this->SnapshotPath = std::move(SnapshotPath);
-  this->BaseSnapshotId = BaseSnapshotId;
-  NextSeq = Records + 1;
-  End = 0;
-  Warm = false;
-  MayHaveLanded = false;
-}
+DeltaAppender::DeltaAppender(const CheckpointWriter &W)
+    : Path(W.Path), FileId(W.FileId), End(W.Bytes), TornEnd(W.Bytes),
+      FailedEnd(W.Bytes) {}
 
-/// The cold path: re-validate the base, repair the log, and re-derive the
-/// warm state from what survived.
-void DeltaAppender::recover() {
-  {
-    // The header alone carries the id; the sections were validated when
-    // the snapshot was written or restored.
-    bool Missing = false;
-    std::vector<uint8_t> Head =
-        readFilePrefix(SnapshotPath, kHeaderBytes, Missing);
-    if (Missing)
-      ioError("cannot open", SnapshotPath);
-    if (headerSnapshotId(Head, SnapshotPath) != BaseSnapshotId)
-      throw CheckpointError(CkptError::StaleDelta,
-                            "snapshot '" + SnapshotPath +
-                                "' was replaced since this log's base was "
-                                "written");
-  }
-  uint64_t IntactEnd = 0;
-  uint64_t Have = repairDeltaLog(LogPath, BaseSnapshotId, nullptr, &IntactEnd);
-  uint64_t Want = NextSeq - 1;
-  if (Have != Want && !(MayHaveLanded && Have == Want + 1))
-    throw CheckpointError(CkptError::StaleDelta,
-                          "delta log '" + LogPath + "' holds " +
-                              std::to_string(Have) +
-                              " intact record(s); this appender accounts "
-                              "for " +
-                              std::to_string(Want));
-  NextSeq = Have + 1;
-  End = IntactEnd;
-  MayHaveLanded = false;
-}
+DeltaAppender::DeltaAppender(const CheckpointReader &R)
+    : Path(R.Path), FileId(R.FileId),
+      End(R.Records.back().Offset + R.Records.back().Size),
+      TornEnd(R.Contents.size()), FailedEnd(End) {}
 
 uint64_t DeltaAppender::append(const std::vector<uint8_t> &Payload) {
   if (!started())
     throw CheckpointError(CkptError::StaleDelta,
-                          "delta append without a base snapshot");
-  bool WasWarm = Warm;
-  Warm = false; // Re-armed only once this record is durable.
+                          "delta append without a base record");
+  std::vector<uint8_t> Frame = frame(Payload);
 
-  faultInjectionPoint("ckpt.delta.io"); // 1: before opening the log
-  Fd F{::open(LogPath.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)};
+  faultInjectionPoint("ckpt.delta.io"); // 1: before opening the file
+  Fd F{::open(Path.c_str(), O_RDWR | O_APPEND)};
   if (!F)
-    ioError("cannot open delta log", LogPath);
+    ioError("cannot open", Path);
+  uint8_t Head[kHeaderBytes - kIdOffset];
+  ssize_t Got = ::pread(F.Raw, Head, sizeof(Head), kIdOffset);
+  if (Got < 0)
+    ioError("cannot read", Path);
+  if (static_cast<size_t>(Got) != sizeof(Head) ||
+      std::memcmp(Head, header(FileId).data() + kIdOffset, sizeof(Head)) != 0)
+    throw CheckpointError(CkptError::StaleDelta,
+                          "'" + Path + "' was replaced since this "
+                                       "appender's base was written");
   struct stat St;
   if (::fstat(F.Raw, &St) != 0)
-    ioError("cannot stat delta log", LogPath);
-  if (!WasWarm || static_cast<uint64_t>(St.st_size) != End)
-    recover(); // O_APPEND: the writes below land at the repaired end.
+    ioError("cannot stat", Path);
+  uint64_t Size = static_cast<uint64_t>(St.st_size);
+  if (Size != End && Size != TornEnd && !(Size > End && Size <= FailedEnd))
+    throw CheckpointError(CkptError::StaleDelta,
+                          "'" + Path + "' holds " + std::to_string(Size) +
+                              " bytes; this appender's records end at " +
+                              std::to_string(End));
+  // A record appended after garbage would be lost to the reader's
+  // tail-discard, so the bytes past End go first.
+  if (Size != End && ::ftruncate(F.Raw, static_cast<off_t>(End)) != 0)
+    ioError("cannot truncate", Path);
 
-  std::vector<uint8_t> Header;
-  putU32(Header, kDeltaMagic);
-  putU32(Header, 0);
-  putU64(Header, NextSeq);
-  putU64(Header, BaseSnapshotId);
-  putU64(Header, Payload.size());
-  putU32(Header, crc32(Payload.data(), Payload.size()));
-  putU32(Header, 0);
-
-  faultInjectionPoint("ckpt.delta.io"); // 2: before the header write
-  MayHaveLanded = true;
-  writeAll(F.Raw, Header.data(), Header.size(), LogPath);
-  faultInjectionPoint("ckpt.delta.io"); // 3: header on disk, payload not
-  writeAll(F.Raw, Payload.data(), Payload.size(), LogPath);
+  faultInjectionPoint("ckpt.delta.io"); // 2: before the frame write
+  FailedEnd = End + Frame.size() + Payload.size();
+  writeAll(F.Raw, Frame.data(), Frame.size(), Path);
+  faultInjectionPoint("ckpt.delta.io"); // 3: frame on disk, payload not
+  writeAll(F.Raw, Payload.data(), Payload.size(), Path);
   faultInjectionPoint("ckpt.delta.io"); // 4: before fsync
-  fsyncFd(F.Raw, LogPath);
-  MayHaveLanded = false;
-  ++NextSeq;
-  End += Header.size() + Payload.size();
-  Warm = true;
-  return Header.size() + Payload.size();
-}
-
-namespace {
-
-/// The shared scan behind readDeltaLog and repairDeltaLog. \p IntactEnd
-/// receives the byte offset just past the last intact record (0 when the
-/// whole log is foreign or unreadable).
-std::vector<DeltaRecord> parseDeltaLog(const std::vector<uint8_t> &Buf,
-                                       const std::string &Path,
-                                       uint64_t BaseSnapshotId,
-                                       std::string *Note, size_t &IntactEnd) {
-  IntactEnd = 0;
-  std::vector<DeltaRecord> Records;
-  size_t Pos = 0;
-  uint64_t ExpectSeq = 1;
-  auto discardTail = [&](const char *Why) {
-    if (Note)
-      *Note = std::string("delta log '") + Path + "': " + Why +
-              " at byte " + std::to_string(Pos) + "; keeping " +
-              std::to_string(Records.size()) + " intact record(s)";
-  };
-
-  while (Pos < Buf.size()) {
-    if (Buf.size() - Pos < kDeltaHeaderBytes) {
-      discardTail("torn record header");
-      break;
-    }
-    const uint8_t *H = Buf.data() + Pos;
-    if (getU32(H) != kDeltaMagic) {
-      discardTail("bad record magic");
-      break;
-    }
-    uint64_t Seq = getU64(H + 8);
-    uint64_t BaseId = getU64(H + 16);
-    uint64_t Size = getU64(H + 24);
-    uint32_t Crc = getU32(H + 32);
-    if (Size > Buf.size() - Pos - kDeltaHeaderBytes) {
-      discardTail("torn record payload");
-      break;
-    }
-    const uint8_t *Payload = H + kDeltaHeaderBytes;
-    if (crc32(Payload, Size) != Crc) {
-      discardTail("record payload CRC mismatch");
-      break;
-    }
-    if (BaseId != BaseSnapshotId) {
-      // A stale log predating the current snapshot (crash between the
-      // snapshot rename and the log reset). None of it applies.
-      if (Records.empty()) {
-        if (Note)
-          *Note = std::string("delta log '") + Path +
-                  "' belongs to a previous snapshot; ignoring it entirely";
-        return {};
-      }
-      discardTail("record from a foreign snapshot");
-      break;
-    }
-    if (Seq != ExpectSeq) {
-      discardTail("sequence discontinuity");
-      break;
-    }
-    Records.push_back(
-        {Seq, std::vector<uint8_t>(Payload, Payload + Size)});
-    ++ExpectSeq;
-    Pos += kDeltaHeaderBytes + Size;
-    IntactEnd = Pos;
-  }
-  return Records;
-}
-
-} // namespace
-
-std::vector<DeltaRecord> readDeltaLog(const std::string &Path,
-                                      uint64_t BaseSnapshotId,
-                                      std::string *Note) {
-  if (Note)
-    Note->clear();
-  bool Missing = false;
-  std::vector<uint8_t> Buf = readWholeFile(Path, Missing);
-  if (Missing)
-    return {};
-  size_t IntactEnd = 0;
-  return parseDeltaLog(Buf, Path, BaseSnapshotId, Note, IntactEnd);
-}
-
-uint64_t repairDeltaLog(const std::string &Path, uint64_t BaseSnapshotId,
-                        std::string *Note, uint64_t *IntactEnd) {
-  if (Note)
-    Note->clear();
-  if (IntactEnd)
-    *IntactEnd = 0;
-  bool Missing = false;
-  std::vector<uint8_t> Buf = readWholeFile(Path, Missing);
-  if (Missing)
-    return 0;
-  size_t End = 0;
-  std::vector<DeltaRecord> Records =
-      parseDeltaLog(Buf, Path, BaseSnapshotId, Note, End);
-  if (End < Buf.size()) {
-    // Appending after a torn record would hide the new record behind
-    // garbage (the reader discards everything from the first bad byte),
-    // so cut the log back to the last intact boundary first.
-    Fd F{::open(Path.c_str(), O_WRONLY)};
-    if (!F)
-      ioError("cannot open delta log", Path);
-    if (::ftruncate(F.Raw, static_cast<off_t>(End)) != 0)
-      ioError("cannot truncate delta log", Path);
-    fsyncFd(F.Raw, Path);
-  }
-  if (IntactEnd)
-    *IntactEnd = End;
-  return Records.size();
-}
-
-void removeDeltaLog(const std::string &Path) {
-  faultInjectionPoint("ckpt.io"); // 7: before resetting the delta log
-  if (::unlink(Path.c_str()) != 0 && errno != ENOENT)
-    ioError("cannot remove delta log", Path);
-  fsyncParentDir(Path);
+  fsyncFd(F.Raw, Path);
+  End = TornEnd = FailedEnd;
+  return Frame.size() + Payload.size();
 }
 
 } // namespace alphonse

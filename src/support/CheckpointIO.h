@@ -1,4 +1,4 @@
-//===- CheckpointIO.h - Durable checkpoint container ------------*- C++ -*-===//
+//===- CheckpointIO.h - Durable checkpoint file ----------------*- C++ -*-===//
 //
 // Part of the Alphonse reproduction (Hoover, PLDI 1992).
 // SPDX-License-Identifier: MIT
@@ -6,32 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The on-disk container for durable checkpoints (DESIGN.md §10):
-/// a versioned, sectioned binary file with per-section CRC32, written
-/// crash-atomically (temp file + fsync + rename + directory fsync), plus
-/// the sidecar delta log appended between full snapshots.
-///
-/// Layout of a snapshot file:
+/// The on-disk form of durable checkpoints (DESIGN.md §10): one file, a
+/// header followed by CRC-framed records. The first record is the base,
+/// the program state written from nothing; every later record is a delta
+/// appended in place.
 ///
 ///   offset 0   magic "ALFCKPT\0"                        (8 bytes)
-///   offset 8   format version (u32, currently 4)
-///   offset 12  section count (u32)
-///   offset 16  snapshot id (u64, unique per written snapshot)
-///   offset 24  CRC32 of the section table (u32) + u32 padding
-///   offset 32  section table: N x { tag u32, pad u32, offset u64,
-///                                   size u64, crc u32, pad u32 }
-///   ...        section payloads, each 8-byte aligned
+///   offset 8   format version (u32, currently 5)
+///   offset 12  file id (u64, random per written file)
+///   offset 20  CRC32 of bytes 0-19 (u32)
+///   offset 24  records, each { payload size u32, CRC32 of the size field
+///              and the payload u32 } + payload; the base record's
+///              payload starts with the u32 tag of the embedding that
+///              wrote it
 ///
-/// The delta log lives at `<snapshot path>.delta` and holds framed
-/// records: { magic u32, seq u64, base snapshot id u64, payload size u64,
-/// payload crc u32, pad u32 } + payload. Readers accept the longest
-/// intact prefix whose base id matches the snapshot (WAL semantics: a
-/// torn or corrupt tail is discarded, a stale base id — left over from a
-/// crash between snapshot rename and log reset — discards the whole log).
+/// A save writes the header and the base to a temporary file and renames
+/// it over the old one, deltas and all; an append writes one record at
+/// the end. A reader refuses a damaged header or base with a coded
+/// CheckpointError and keeps the longest intact prefix of the records
+/// after the base (a torn or corrupt tail is discarded).
 ///
 /// Every durable I/O step passes a FaultInjector site first ("ckpt.io"
-/// for snapshot writes, "ckpt.delta.io" for appends), so the crash
-/// harness can kill the process deterministically between any two steps.
+/// for saves, "ckpt.delta.io" for appends), so the crash harness can kill
+/// the process deterministically between any two steps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,10 +54,10 @@ enum class CkptError : uint8_t {
   Io,           ///< open/read/write/fsync/rename failed (see message).
   BadMagic,     ///< The file is not a checkpoint at all.
   BadVersion,   ///< Written by an incompatible format version.
-  Truncated,    ///< Shorter than its own header/section table claims.
-  CrcMismatch,  ///< A section (or the table) failed its CRC32.
-  Malformed,    ///< Structurally valid container, nonsensical contents.
-  StaleDelta,   ///< Delta log and snapshot (or appender) disagree.
+  Truncated,    ///< Ends inside its header or base record.
+  CrcMismatch,  ///< The header or the base record failed its CRC32.
+  Malformed,    ///< Intact records, nonsensical contents.
+  StaleDelta,   ///< Another save or writer changed the appender's file.
   VerifyFailed, ///< A restored value failed its recompute check.
   Busy,         ///< Live state not quiescent (pending work or open batch).
 };
@@ -91,7 +87,7 @@ private:
 /// CRC-32 (IEEE 802.3 polynomial, the zlib one). \p Seed chains calls.
 uint32_t crc32(const void *Data, size_t Size, uint32_t Seed = 0);
 
-/// Little-endian append-only byte sink for section payloads.
+/// Little-endian append-only byte sink for record payloads.
 class ByteWriter {
 public:
   void u8(uint8_t V) { Buf.push_back(V); }
@@ -118,7 +114,7 @@ private:
   std::vector<uint8_t> Buf;
 };
 
-/// Bounds-checked little-endian reader over a section payload. Every
+/// Bounds-checked little-endian reader over a record payload. Every
 /// overrun throws CheckpointError(Truncated) — a corrupt length field can
 /// never read out of bounds or allocate unbounded memory.
 class ByteReader {
@@ -159,7 +155,7 @@ private:
   void need(size_t N) {
     if (remaining() < N)
       throw CheckpointError(CkptError::Truncated,
-                            "section payload ends mid-field");
+                            "record payload ends mid-field");
   }
 
   const uint8_t *P;
@@ -167,10 +163,11 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Snapshot container
+// The checkpoint file
 //===----------------------------------------------------------------------===//
 
-/// Builds a four-character section tag ('META', 'BASE', ...).
+/// Builds a four-character tag ('SHET', ...) naming the embedding whose
+/// base record a checkpoint file holds.
 constexpr uint32_t sectionTag(char A, char B, char C, char D) {
   return static_cast<uint32_t>(static_cast<uint8_t>(A)) |
          static_cast<uint32_t>(static_cast<uint8_t>(B)) << 8 |
@@ -178,150 +175,105 @@ constexpr uint32_t sectionTag(char A, char B, char C, char D) {
          static_cast<uint32_t>(static_cast<uint8_t>(D)) << 24;
 }
 
-/// Assembles sections and writes them crash-atomically: the target path
-/// either keeps its previous contents or names the complete new snapshot;
-/// a kill at any injected point never leaves a torn file under the final
-/// name.
+/// Writes a new checkpoint file, the header and the base record,
+/// crash-atomically: the target path either keeps its previous contents
+/// or names the complete new file; a kill at any injected point never
+/// leaves a torn file under the final name.
 class CheckpointWriter {
 public:
-  CheckpointWriter();
-
-  /// Unique id of the snapshot being assembled; delta records reference it.
-  uint64_t snapshotId() const { return SnapshotId; }
-
+  /// Sets the base record: \p Payload, written under \p Tag. A file has
+  /// one base record, so this is called once.
   void addSection(uint32_t Tag, std::vector<uint8_t> Payload);
-  size_t numSections() const { return Sections.size(); }
 
-  /// Writes `<Path>.tmp`, fsyncs, renames onto \p Path, fsyncs the parent
-  /// directory. \returns total bytes written. Throws CheckpointError(Io).
-  uint64_t writeFile(const std::string &Path) const;
+  /// Writes `<Path>.tmp`, fsyncs, renames onto \p Path (which drops the
+  /// old file and its deltas), fsyncs the parent directory. \returns
+  /// total bytes written. Throws CheckpointError(Io).
+  uint64_t writeFile(const std::string &Path);
 
 private:
-  struct Section {
-    uint32_t Tag;
-    std::vector<uint8_t> Payload;
-  };
-
-  uint64_t SnapshotId;
-  std::vector<Section> Sections;
+  friend class DeltaAppender;
+  std::vector<uint8_t> Base; ///< The tag, then the payload.
+  /// The file writeFile wrote last: where the first delta goes.
+  std::string Path;
+  uint64_t FileId = 0;
+  uint64_t Bytes = 0;
 };
 
-/// Opens and fully validates a snapshot file: magic, version, header
-/// bounds, table CRC, per-section CRC and bounds. Construction either
-/// yields a reader whose every section is intact, or throws a coded
-/// CheckpointError — a torn or tampered file can never be half-loaded.
+/// Reads a checkpoint file through one framing loop. Construction either
+/// yields an intact header and base record plus the longest intact prefix
+/// of the delta records, or throws a coded CheckpointError: a file whose
+/// header or base is torn or tampered with is never half-loaded.
 class CheckpointReader {
 public:
   explicit CheckpointReader(const std::string &Path);
 
-  uint64_t snapshotId() const { return SnapshotId; }
-  bool hasSection(uint32_t Tag) const;
-
-  /// Reader over the payload of \p Tag; throws Malformed if absent.
+  /// Reader over the base record's payload; throws Malformed unless it
+  /// was written under \p Tag.
   ByteReader section(uint32_t Tag) const;
 
+  /// The intact delta records after the base, in append order.
+  size_t numDeltas() const { return Records.size() - 1; }
+  ByteReader delta(size_t I) const;
+
+  /// One line on the discarded tail ("" when every record was intact).
+  const std::string &note() const { return Note; }
+
 private:
-  struct Section {
-    uint32_t Tag;
+  friend class DeltaAppender;
+  struct Record {
     size_t Offset;
     size_t Size;
   };
 
-  uint64_t SnapshotId = 0;
+  std::string Path;
+  uint64_t FileId = 0;
   std::vector<uint8_t> Contents;
-  std::vector<Section> Sections;
+  std::vector<Record> Records; ///< The base record, then the deltas.
+  std::string Note;
 };
 
-//===----------------------------------------------------------------------===//
-// Delta log
-//===----------------------------------------------------------------------===//
-
-/// One intact delta record recovered from the log.
-struct DeltaRecord {
-  uint64_t Seq;
-  std::vector<uint8_t> Payload;
-};
-
-/// The append side of one snapshot's delta log. It remembers where its
-/// own last record ended, so a steady-state append only encodes, writes
-/// and fsyncs:
+/// The append side of one checkpoint file. It remembers the file's id and
+/// where its own last record ended, so an append is one open, a 16-byte
+/// pread of the header (version, id, CRC), one fstat, two writes and an
+/// fsync.
 ///
-///  - cold path, taken by the first append after start() and the first
-///    after any failed append: the snapshot file must still carry the
-///    base id, repairDeltaLog cuts back any torn tail, and the log must
-///    then hold exactly the records this appender accounts for;
-///  - warm path, every other append: one fstat, which must find the log
-///    ending where this appender's last record did (else the cold path).
+/// A header that no longer carries the id means another save replaced
+/// the file. A file longer than the appender's end is cut back to it only
+/// when the extra bytes are the appender's own failed append or the torn
+/// tail its restore saw; any other size means another writer appended or
+/// cut. Both are StaleDelta. So a failed record never survives the next
+/// append, which writes a record covering it instead.
 ///
-/// Each append is one header+payload write followed by fsync; a kill
-/// mid-append leaves a torn tail that readDeltaLog discards. Either path
-/// passes the "ckpt.delta.io" fault site four times: before opening the
-/// log, before the header write, between header and payload, and before
-/// the fsync.
+/// Each append passes the "ckpt.delta.io" fault site four times: before
+/// opening the file, before the frame write, between frame and payload,
+/// and before the fsync.
 class DeltaAppender {
 public:
-  /// Targets the log of the snapshot at \p SnapshotPath, whose id is
-  /// \p BaseSnapshotId and whose log holds \p Records intact records the
-  /// caller's state already includes (0 right after writing the
-  /// snapshot; the replayed count after a restore).
-  void start(std::string SnapshotPath, uint64_t BaseSnapshotId,
-             uint64_t Records);
+  DeltaAppender() = default;
+  /// Extends the file \p W wrote last.
+  explicit DeltaAppender(const CheckpointWriter &W);
+  /// Extends the file \p R read, after the records it kept.
+  explicit DeltaAppender(const CheckpointReader &R);
 
-  bool started() const { return BaseSnapshotId != 0; }
-  /// The snapshot whose log this appender extends ("" before start()).
-  const std::string &snapshotPath() const { return SnapshotPath; }
+  bool started() const { return !Path.empty(); }
+  /// The file this appender extends ("" before a save or restore).
+  const std::string &path() const { return Path; }
 
-  /// Appends one record. \returns bytes appended (header + payload).
-  /// Throws CheckpointError: Io on an I/O failure; StaleDelta when
-  /// start() was never called, the snapshot file no longer carries the
-  /// base id, or the log lost or gained records behind this appender's
-  /// back. After any throw the next append takes the cold path, which
-  /// also accepts the failed append's record if it landed whole.
+  /// Appends one record. \returns bytes appended (frame + payload).
+  /// Throws CheckpointError: Io on an I/O failure; StaleDelta when there
+  /// is no file to extend or another save or writer changed it.
   uint64_t append(const std::vector<uint8_t> &Payload);
 
 private:
-  void recover();
-
-  std::string SnapshotPath;
-  std::string LogPath;
-  uint64_t BaseSnapshotId = 0;
-  uint64_t NextSeq = 1;
-  /// Log size just past this appender's last record (valid when Warm).
+  std::string Path;
+  uint64_t FileId = 0;
+  /// Just past this appender's last durable record.
   uint64_t End = 0;
-  bool Warm = false;
-  /// A failed append got as far as writing bytes: its record may be whole.
-  bool MayHaveLanded = false;
+  /// The file size its restore saw (past End when the tail was torn).
+  uint64_t TornEnd = 0;
+  /// Just past a failed append's record, which may have landed in part.
+  uint64_t FailedEnd = 0;
 };
-
-/// Reads the longest intact prefix of `\p Path` whose records extend the
-/// snapshot \p BaseSnapshotId, in sequence order starting at 1. A missing
-/// log is an empty prefix. A torn/corrupt tail is discarded; a first
-/// record with a foreign base id discards the whole log (it predates the
-/// current snapshot). When \p Note is non-null it receives a one-line
-/// description of anything discarded (empty when the log was clean).
-std::vector<DeltaRecord> readDeltaLog(const std::string &Path,
-                                      uint64_t BaseSnapshotId,
-                                      std::string *Note = nullptr);
-
-/// Like readDeltaLog, but also truncates any torn/foreign tail in place
-/// so the next append lands on an intact record boundary (a record
-/// appended after garbage would be lost to the reader's tail-discard).
-/// \returns the number of surviving records — the next append's sequence
-/// number is that + 1. Missing log: 0. \p IntactEnd, when non-null,
-/// receives the repaired log's size.
-uint64_t repairDeltaLog(const std::string &Path, uint64_t BaseSnapshotId,
-                        std::string *Note = nullptr,
-                        uint64_t *IntactEnd = nullptr);
-
-/// Removes the delta log at \p Path if present (called right after a new
-/// full snapshot lands, through a "ckpt.io" injection site). Throws
-/// CheckpointError(Io) on a failure other than the file being absent.
-void removeDeltaLog(const std::string &Path);
-
-/// The conventional delta-log path for a snapshot at \p SnapshotPath.
-inline std::string deltaLogPath(const std::string &SnapshotPath) {
-  return SnapshotPath + ".delta";
-}
 
 } // namespace alphonse
 

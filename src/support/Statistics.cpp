@@ -38,7 +38,6 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "pool.high_water      " << S.PoolHighWater.total() << '\n'
      << "ckpt.snapshots       " << S.CkptSnapshots.total() << '\n'
      << "ckpt.deltas          " << S.CkptDeltas.total() << '\n'
-     << "ckpt.sections        " << S.CkptSections.total() << '\n'
      << "ckpt.bytes_written   " << S.CkptBytesWritten.total() << '\n'
      << "ckpt.restores        " << S.CkptRestores.total() << '\n'
      << "ckpt.restore_micros  " << S.CkptRestoreMicros.total() << '\n'

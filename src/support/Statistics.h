@@ -124,8 +124,6 @@ struct Statistics {
   StatCounter CkptSnapshots;
   /// Delta records appended to checkpoint logs.
   StatCounter CkptDeltas;
-  /// Sections written across all snapshots.
-  StatCounter CkptSections;
   /// Bytes written durably (snapshots + delta records).
   StatCounter CkptBytesWritten;
   /// Checkpoint restores completed (snapshot load + delta replay).

@@ -42,7 +42,6 @@ public:
   ~TempPath() {
     std::remove(Path.c_str());
     std::remove((Path + ".tmp").c_str());
-    std::remove(deltaLogPath(Path).c_str());
   }
   const std::string &path() const { return Path; }
 

@@ -8,9 +8,9 @@
 // Roundtrip fidelity of the checkpoint subsystem plus the corruption
 // property: a checkpoint file that has been truncated at any length,
 // bit-flipped at any offset, or stamped with a wrong format version is
-// either rejected with a structured CheckpointError or (when the damage
-// missed all meaningful bytes, e.g. alignment padding) restores to an
-// equivalent state. It never crashes and never yields a torn graph.
+// either rejected with a structured CheckpointError or, when the damage
+// lies in the delta records after the base, restores the state after the
+// last intact record. It never crashes and never yields a torn graph.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,7 +30,7 @@ using namespace alphonse::ckpttest;
 
 namespace {
 
-/// A unique temp path per test, removed (with its delta sidecar) on exit.
+/// A unique temp path per test, removed (with its temp file) on exit.
 class TempCheckpoint {
 public:
   explicit TempCheckpoint(const std::string &Stem) {
@@ -41,7 +41,6 @@ public:
   ~TempCheckpoint() {
     std::remove(Path.c_str());
     std::remove((Path + ".tmp").c_str());
-    std::remove(deltaLogPath(Path).c_str());
   }
   const std::string &path() const { return Path; }
 
@@ -146,9 +145,10 @@ TEST(CheckpointTest, WrongVersionIsRejectedAsBadVersion) {
 }
 
 TEST(CheckpointTest, VersionTwoFileIsRejectedAsBadVersion) {
-  // Format version 3 dropped the serial-pin bit from the node flags, and
-  // version 4 dropped the graph image: files of either older version are
-  // refused like any other.
+  // Format version 3 dropped the serial-pin bit from the node flags,
+  // version 4 dropped the graph image, and version 5 put the deltas in the
+  // checkpoint file: files of any older version are refused like any
+  // other.
   TempCheckpoint File("ckpt-version2");
   {
     CheckpointHost A(3);
@@ -157,8 +157,8 @@ TEST(CheckpointTest, VersionTwoFileIsRejectedAsBadVersion) {
   }
   std::vector<uint8_t> Good = slurp(File.path());
   ASSERT_GT(Good.size(), 12u);
-  ASSERT_EQ(Good[8], 4u);
-  for (uint8_t Old : {2, 3}) {
+  ASSERT_EQ(Good[8], 5u);
+  for (uint8_t Old : {2, 3, 4}) {
     std::vector<uint8_t> Bytes = Good;
     Bytes[8] = Old;
     spit(File.path(), Bytes);
@@ -215,8 +215,7 @@ TEST(CheckpointTest, TruncationAtAnyLengthIsRejected) {
 }
 
 // Every single-byte flip either rejects cleanly or restores to the same
-// state (the flip landed in bytes no consumer reads, e.g. alignment
-// padding). Never a crash, never a different accepted state.
+// state. Never a crash, never a different accepted state.
 TEST(CheckpointTest, BitFlipAtAnyOffsetRejectsOrRestoresEquivalently) {
   TempCheckpoint File("ckpt-bitflip");
   std::string Want;
@@ -262,8 +261,8 @@ TEST(CheckpointTest, TornDeltaTailDegradesWithNote) {
   *A.Cells[1] = 22;
   A.appendDelta(File.path());
 
-  std::vector<uint8_t> Log = slurp(deltaLogPath(File.path()));
-  spit(deltaLogPath(File.path()),
+  std::vector<uint8_t> Log = slurp(File.path());
+  spit(File.path(),
        std::vector<uint8_t>(Log.begin(),
                             Log.begin() + static_cast<long>(Log.size() - 5)));
 
@@ -271,6 +270,71 @@ TEST(CheckpointTest, TornDeltaTailDegradesWithNote) {
   B.restore(File.path());
   EXPECT_FALSE(B.RestoreNote.empty());
   EXPECT_EQ(AfterFirst, B.fingerprint());
+}
+
+// The corruption property over the log, on a file with a base and three
+// deltas: a cut inside the header or the base is refused; a cut inside
+// the log restores the state after the last whole record, with a note
+// only when the cut falls mid-record; a flip in the header or the base is
+// refused, and a flip in a delta restores the state before that delta.
+TEST(CheckpointTest, DamagedLogRestoresTheIntactPrefix) {
+  TempCheckpoint File("ckpt-log-damage");
+  std::vector<std::string> States; // After the base, then each delta.
+  std::vector<size_t> Ends;        // The file's size at each state.
+  {
+    CheckpointHost A(5);
+    A.touchAll();
+    A.save(File.path());
+    States.push_back(A.fingerprint());
+    Ends.push_back(slurp(File.path()).size());
+    for (size_t D = 0; D < 3; ++D) {
+      *A.Cells[D] = static_cast<int>(10 * D + 10);
+      A.appendDelta(File.path());
+      States.push_back(A.fingerprint());
+      Ends.push_back(slurp(File.path()).size());
+    }
+  }
+  std::vector<uint8_t> Good = slurp(File.path());
+  ASSERT_EQ(Good.size(), Ends.back());
+  // The durable state of a file whose first \p Bytes bytes are intact.
+  auto StateAt = [&](size_t Bytes) {
+    size_t K = 0;
+    while (K + 1 < Ends.size() && Ends[K + 1] <= Bytes)
+      ++K;
+    return K;
+  };
+
+  for (size_t L = 0; L < Good.size(); ++L) {
+    spit(File.path(),
+         std::vector<uint8_t>(Good.begin(),
+                              Good.begin() + static_cast<long>(L)));
+    CheckpointHost B(5);
+    if (L < Ends[0]) {
+      EXPECT_THROW(B.restore(File.path()), CheckpointError)
+          << "a cut at " << L << " leaves no whole base";
+      continue;
+    }
+    ASSERT_NO_THROW(B.restore(File.path())) << "cut at " << L;
+    size_t K = StateAt(L);
+    EXPECT_EQ(States[K], B.fingerprint()) << "cut at " << L;
+    EXPECT_EQ(B.RestoreNote.empty(), L == Ends[K]) << "cut at " << L;
+  }
+
+  for (size_t Off = 0; Off < Good.size(); ++Off) {
+    std::vector<uint8_t> Bad = Good;
+    Bad[Off] ^= 0x20;
+    spit(File.path(), Bad);
+    CheckpointHost B(5);
+    if (Off < Ends[0]) {
+      EXPECT_THROW(B.restore(File.path()), CheckpointError)
+          << "flip at " << Off;
+      continue;
+    }
+    ASSERT_NO_THROW(B.restore(File.path())) << "flip at " << Off;
+    EXPECT_TRUE(B.RT.graph().verify().empty()) << "flip at " << Off;
+    EXPECT_EQ(States[StateAt(Off)], B.fingerprint()) << "flip at " << Off;
+    EXPECT_FALSE(B.RestoreNote.empty()) << "flip at " << Off;
+  }
 }
 
 } // namespace

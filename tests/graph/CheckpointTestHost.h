@@ -9,7 +9,7 @@
 /// A small typed-layer program used by the checkpoint, crash-recovery, and
 /// replay tests: N integer Cells plus one Maintained prefix-sum procedure.
 /// It saves and restores the way any embedding client would: the cell
-/// values are the program state, so the snapshot and every delta record
+/// values are the program state, so the base record and every delta record
 /// carry the same payload (the values of all cells). The dependency graph
 /// and the cached sums are derived state; a restored host starts with an
 /// empty graph and rebuilds it on first demand.
@@ -66,41 +66,39 @@ public:
       Sum(static_cast<int>(K));
   }
 
-  /// Full snapshot: one CELL section holding the cell values.
+  /// A new checkpoint file whose CELL base record holds the cell values.
   void save(const std::string &Path) {
     RT.pump();
     CheckpointWriter W;
     W.addSection(TagCells, values());
     W.writeFile(Path);
-    Appender.start(Path, W.snapshotId(), 0);
-    removeDeltaLog(deltaLogPath(Path));
+    Appender = DeltaAppender(W);
   }
 
-  /// Appends the current cell values to the log of the snapshot this host
-  /// last saved or restored (\p Path).
+  /// Appends the current cell values to the file this host last saved or
+  /// restored (\p Path).
   void appendDelta(const std::string &Path) {
     RT.pump();
-    if (Appender.snapshotPath() != Path)
+    if (Appender.path() != Path)
       throw CheckpointError(CkptError::StaleDelta,
-                            "'" + Path + "' is not this host's snapshot");
+                            "'" + Path + "' is not this host's checkpoint");
     Appender.append(values());
   }
 
   /// Sets this (freshly constructed, same-extent) host's cells from
-  /// \p Path plus any surviving deltas. Throws CheckpointError on anything
-  /// that does not describe a loadable state, before changing anything;
-  /// the host must then be discarded.
+  /// \p Path's base record and intact deltas. Throws CheckpointError on
+  /// anything that does not describe a loadable state, before changing
+  /// anything; the host must then be discarded.
   void restore(const std::string &Path) {
     CheckpointReader R(Path);
-    std::vector<DeltaRecord> Deltas =
-        readDeltaLog(deltaLogPath(Path), R.snapshotId(), &RestoreNote);
-    // The snapshot's payload, then each delta's: the last one wins.
+    RestoreNote = R.note();
+    // The base record's payload, then each delta's: the last one wins.
     std::vector<int64_t> Values = decode(R.section(TagCells));
-    for (const DeltaRecord &Rec : Deltas)
-      Values = decode(ByteReader(Rec.Payload.data(), Rec.Payload.size()));
+    for (size_t I = 0; I < R.numDeltas(); ++I)
+      Values = decode(R.delta(I));
     for (size_t I = 0; I < Cells.size(); ++I)
       Cells[I]->set(static_cast<int>(Values[I]));
-    Appender.start(Path, R.snapshotId(), Deltas.size());
+    Appender = DeltaAppender(R);
   }
 
   /// Demands every prefix sum and lists it with the cell values; two

@@ -7,18 +7,18 @@
 //
 // The durability contract, exercised literally: a forked child is killed
 // (std::_Exit inside an armed injection site — no destructors, no
-// flushing) at every step of the snapshot write protocol and of the delta
-// append protocol. The parent then restores from whatever the dead child
-// left on disk. At every kill point the restore must either produce one
-// of the states the child durably reached (pre- or post-checkpoint;
-// verify() clean, all quiescent values matching) or refuse with a
-// structured CheckpointError — never crash, never accept a torn file.
+// flushing) at every step of the save protocol and of the delta append
+// protocol. The parent then restores from whatever the dead child left on
+// disk. At every kill point the restore must either produce one of the
+// states the child durably reached (pre- or post-checkpoint; verify()
+// clean, all quiescent values matching) or refuse with a structured
+// CheckpointError — never crash, never accept a torn file.
 //
-// Kill points ("ckpt.io" hits 1-7): before temp-file create, before the
+// Kill points ("ckpt.io" hits 1-6): before temp-file create, before the
 // first half-write, between the halves (torn temp), before fsync, before
-// the rename, before the directory fsync, before the delta-log reset.
-// ("ckpt.delta.io" hits 1-4): before open, before the header write,
-// between header and payload (torn record), before fsync.
+// the rename, before the directory fsync. ("ckpt.delta.io" hits 1-4):
+// before open, before the frame write, between frame and payload (torn
+// record), before fsync.
 //
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +59,6 @@ protected:
   void cleanup() {
     std::remove(Path.c_str());
     std::remove((Path + ".tmp").c_str());
-    std::remove(deltaLogPath(Path).c_str());
   }
 
   static void buildStateA(CheckpointHost &H) {
@@ -98,48 +97,60 @@ protected:
   std::string Path;
 };
 
-// Killed at every step of a *second* snapshot: the restore must see
-// either the first checkpoint (state A) or the finished second one
-// (state B) — the rename is the only visible transition.
+// Killed at every step of a *second* save: the restore must see either
+// the first file or the finished second one — the rename is the only
+// visible transition. The first file is the base of state A alone, or
+// that base plus a delta to state B (the old deltas must survive until
+// the rename and vanish with it).
 TEST_F(CrashRecoveryTest, KilledMidSnapshotRestoresOldOrNew) {
-  std::string FpA, FpB;
+  std::string FpA, FpB, FpC;
   {
     CheckpointHost Ref(kCells);
     buildStateA(Ref);
     FpA = Ref.fingerprint();
     mutateToStateB(Ref);
     FpB = Ref.fingerprint();
+    mutateToStateC(Ref);
+    FpC = Ref.fingerprint();
   }
 
-  for (uint64_t Kill = 1; Kill <= 7; ++Kill) {
-    cleanup();
-    int Status = inChild([&] {
-      CheckpointHost H(kCells);
-      buildStateA(H);
-      H.save(Path); // Clean first checkpoint.
-      mutateToStateB(H);
-      FaultInjector FI;
-      FI.armKill("ckpt.io", Kill);
-      FaultInjector::Scope Scope(FI);
-      H.save(Path); // Dies at the armed step.
-    });
-    ASSERT_TRUE(WIFEXITED(Status));
-    ASSERT_EQ(WEXITSTATUS(Status), 137)
-        << "kill point " << Kill << " did not fire";
+  for (bool WithDelta : {false, true}) {
+    const std::string &Old = WithDelta ? FpB : FpA;
+    const std::string &New = WithDelta ? FpC : FpB;
+    for (uint64_t Kill = 1; Kill <= 6; ++Kill) {
+      cleanup();
+      int Status = inChild([&] {
+        CheckpointHost H(kCells);
+        buildStateA(H);
+        H.save(Path); // Clean first checkpoint.
+        mutateToStateB(H);
+        if (WithDelta) {
+          H.appendDelta(Path);
+          mutateToStateC(H);
+        }
+        FaultInjector FI;
+        FI.armKill("ckpt.io", Kill);
+        FaultInjector::Scope Scope(FI);
+        H.save(Path); // Dies at the armed step.
+      });
+      ASSERT_TRUE(WIFEXITED(Status));
+      ASSERT_EQ(WEXITSTATUS(Status), 137)
+          << "kill point " << Kill << " did not fire";
 
-    CheckpointHost R(kCells);
-    try {
-      R.restore(Path);
-    } catch (const CheckpointError &E) {
-      FAIL() << "kill point " << Kill
-             << ": a completed first checkpoint must stay loadable, got: "
-             << E.what();
+      CheckpointHost R(kCells);
+      try {
+        R.restore(Path);
+      } catch (const CheckpointError &E) {
+        FAIL() << "kill point " << Kill << (WithDelta ? " (delta)" : "")
+               << ": a completed first checkpoint must stay loadable, got: "
+               << E.what();
+      }
+      EXPECT_TRUE(R.RT.graph().verify().empty()) << "kill point " << Kill;
+      std::string Got = R.fingerprint();
+      EXPECT_TRUE(Got == Old || Got == New)
+          << "kill point " << Kill << (WithDelta ? " (delta)" : "")
+          << " restored a state that is neither pre- nor post-checkpoint";
     }
-    EXPECT_TRUE(R.RT.graph().verify().empty()) << "kill point " << Kill;
-    std::string Got = R.fingerprint();
-    EXPECT_TRUE(Got == FpA || Got == FpB)
-        << "kill point " << Kill << " restored a state that is neither "
-        << "pre- nor post-checkpoint";
   }
 }
 

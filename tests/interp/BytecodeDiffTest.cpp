@@ -444,7 +444,6 @@ TEST(BytecodeDiffTest, InitializerCheckpointRoundTrip) {
   ASSERT_FALSE(B.failed()) << B.errorMessage();
   EXPECT_EQ(B.output(), "sq=36\nTRUE\nsq=36\nTRUE\nsq=36\nTRUE\n");
   std::remove(Path.c_str());
-  std::remove(deltaLogPath(Path).c_str());
 }
 
 TEST(BytecodeDiffTest, InitializerFaultsPartWay) {
@@ -601,7 +600,6 @@ TEST(BytecodeDiffTest, CheckpointRoundTripAcrossEngines) {
   ASSERT_FALSE(B.failed());
   EXPECT_EQ(HG.Int, HA.Int + 2);
   std::remove(Path.c_str());
-  std::remove(deltaLogPath(Path).c_str());
 }
 
 TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
@@ -636,7 +634,6 @@ TEST(BytecodeDiffTest, NullaryConeCheckpointRoundTrip) {
   EXPECT_EQ(Sum2.Int, 14);
   EXPECT_EQ(B.runtime().graph().numPending(), 0u);
   std::remove(Path.c_str());
-  std::remove(deltaLogPath(Path).c_str());
 }
 
 } // namespace

@@ -14,11 +14,14 @@
 /// different module are refused with a structured error, as are saving
 /// inside a batch and restoring into an interpreter that has already run.
 /// Change records round-trip through random scripts with rolled-back
-/// batches, survive a failed append, and are refused when malformed or
-/// appended to a base that is not the interpreter's.
+/// batches, carry the output printed between them, survive a failed
+/// append, and are refused when malformed or appended to a file that is
+/// not the interpreter's. alphonsec's checkpoint options keep output
+/// across restores and survive a kill at every checkpoint I/O step.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "interp/Alphonsec.h"
 #include "interp/Interp.h"
 #include "lang/CompileTestHelper.h"
 #include "lang/Types.h"
@@ -27,11 +30,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
@@ -40,12 +45,13 @@ namespace alphonse::interp {
 namespace {
 
 using testing::compile;
+using testing::runAlphonsec;
 
 static Value IV(long X) { return Value::integer(X); }
 
 static Value BV(bool X) { return Value::boolean(X); }
 
-/// A unique temp path per test, removed (with its sidecars) on exit.
+/// A unique temp path per test, removed (with its temp file) on exit.
 class TempCheckpoint {
 public:
   explicit TempCheckpoint(const std::string &Stem) {
@@ -56,7 +62,6 @@ public:
   ~TempCheckpoint() {
     std::remove(Path.c_str());
     std::remove((Path + ".tmp").c_str());
-    std::remove(deltaLogPath(Path).c_str());
   }
   const std::string &path() const { return Path; }
 
@@ -100,9 +105,16 @@ PROCEDURE Hello() = BEGIN print("hello"); END Hello;
 std::string storageOf(Interp &I, const lang::Module &M) {
   std::string S;
   auto Put = [&S](const std::string &Name, const Value &V) {
+    // Appended piece by piece: GCC 12 reports a false -Wrestrict on
+    // "=#" + std::to_string(...) in a Release build.
     S += Name;
-    S += V.K == Value::Kind::Object ? "=#" + std::to_string(V.Obj->index())
-                                    : "=" + V.render();
+    if (V.K == Value::Kind::Object) {
+      S += "=#";
+      S += std::to_string(V.Obj->index());
+    } else {
+      S += '=';
+      S += V.render();
+    }
     S += ';';
   };
   for (const lang::GlobalDecl &G : M.Globals)
@@ -716,7 +728,7 @@ TEST(InterpCheckpointTest, MalformedChangeRecordsAreRejected) {
     Heap = static_cast<uint32_t>(A.heapSize());
   }
   ASSERT_EQ(Heap, 2u); // The TreeNil sentinel and one Tree.
-  uint64_t Id = CheckpointReader(File.path()).snapshotId();
+  const auto BaseBytes = std::filesystem::file_size(File.path());
   const uint32_t Global = UINT32_MAX;
 
   auto Record = [&](uint32_t First, std::vector<std::string> Types,
@@ -731,6 +743,9 @@ TEST(InterpCheckpointTest, MalformedChangeRecordsAreRejected) {
     B.u32(Index);
     B.u8(static_cast<uint8_t>(Value::Kind::Object));
     B.u32(ObjValue);
+    B.str(""); // No output, not failed.
+    B.u8(0);
+    B.str("");
     return B.take();
   };
   struct Case {
@@ -749,22 +764,25 @@ TEST(InterpCheckpointTest, MalformedChangeRecordsAreRejected) {
   std::vector<uint8_t> Trailing = Record(Heap, {"Tree"}, Global, 1, Heap);
   Trailing.push_back(0);
   Cases.push_back({"trailing bytes", Trailing});
+  std::vector<uint8_t> BadFlag = Record(Heap, {"Tree"}, Global, 1, Heap);
+  BadFlag[BadFlag.size() - 5] = 2;
+  Cases.push_back({"failed flag", BadFlag});
+  // Cuts the file back to its base record, then appends \p Payload.
+  auto AppendOne = [&](const std::vector<uint8_t> &Payload) {
+    std::filesystem::resize_file(File.path(), BaseBytes);
+    DeltaAppender Log{CheckpointReader(File.path())};
+    Log.append(Payload);
+  };
   // The same well-formed record restores.
   {
-    std::remove(deltaLogPath(File.path()).c_str());
-    DeltaAppender Log;
-    Log.start(File.path(), Id, 0);
-    Log.append(Record(Heap, {"Tree"}, Global, 1, Heap));
+    AppendOne(Record(Heap, {"Tree"}, Global, 1, Heap));
     Interp B(C->M, C->Info, ExecMode::Alphonse);
     B.restoreCheckpoint(File.path());
     EXPECT_EQ(B.global("root").Obj->index(), Heap);
   }
 
   for (const Case &K : Cases) {
-    std::remove(deltaLogPath(File.path()).c_str());
-    DeltaAppender Log;
-    Log.start(File.path(), Id, 0);
-    Log.append(K.Payload);
+    AppendOne(K.Payload);
     Interp B(C->M, C->Info, ExecMode::Alphonse);
     try {
       B.restoreCheckpoint(File.path());
@@ -774,24 +792,19 @@ TEST(InterpCheckpointTest, MalformedChangeRecordsAreRejected) {
     }
   }
 
-  // The snapshot's own record goes through the same checks, from an empty
-  // heap: rewrite the snapshot around hand-built base records.
-  const uint32_t TagMeta = sectionTag('M', 'E', 'T', 'A');
-  auto WriteSnapshot = [&](uint64_t Fingerprint, std::vector<uint8_t> Base) {
+  // The base record goes through the same checks, from an empty heap:
+  // rewrite the file around hand-built base records.
+  const uint32_t TagBase = sectionTag('B', 'A', 'S', 'E');
+  auto WriteSnapshot = [&](uint64_t Fingerprint, std::vector<uint8_t> Rec) {
+    ByteWriter Base;
+    Base.u64(Fingerprint);
+    std::vector<uint8_t> Bytes = Base.take();
+    Bytes.insert(Bytes.end(), Rec.begin(), Rec.end());
     CheckpointWriter W;
-    ByteWriter Meta;
-    Meta.u64(Fingerprint);
-    W.addSection(TagMeta, Meta.take());
-    W.addSection(sectionTag('B', 'A', 'S', 'E'), std::move(Base));
-    ByteWriter Out;
-    Out.str("");
-    Out.u8(0);
-    Out.str("");
-    W.addSection(sectionTag('O', 'U', 'T', 'P'), Out.take());
-    std::remove(deltaLogPath(File.path()).c_str());
+    W.addSection(TagBase, std::move(Bytes));
     W.writeFile(File.path());
   };
-  uint64_t Avl = CheckpointReader(File.path()).section(TagMeta).u64();
+  uint64_t Avl = CheckpointReader(File.path()).section(TagBase).u64();
   std::vector<Case> BaseCases = {
       {"base object index", Record(0, {"TreeNil"}, 1, 0, 0)},
       {"base global index", Record(0, {"TreeNil"}, Global, 99, 0)},
@@ -825,7 +838,7 @@ VAR keep : Box;
     A.saveCheckpoint(File.path());
   }
   // One Box, and keep (global 2) pointing at it; spare and n omitted.
-  WriteSnapshot(CheckpointReader(File.path()).section(TagMeta).u64(),
+  WriteSnapshot(CheckpointReader(File.path()).section(TagBase).u64(),
                 Record(0, {"Box"}, Global, 2, 0));
   Interp B(Boxed->M, Boxed->Info, ExecMode::Alphonse);
   ASSERT_EQ(B.global("n").Int, 7);
@@ -875,6 +888,171 @@ TEST(InterpCheckpointTest, AppendNeedsTheInterpretersOwnBase) {
   } catch (const CheckpointError &E) {
     EXPECT_EQ(E.code(), CkptError::StaleDelta);
   }
+}
+
+// Output is program state (Theorem 5.1 compares it): each record carries
+// what print() emitted since the previous one, and the failed flag and
+// message as they stand at that record.
+TEST(InterpCheckpointTest, OutputTravelsWithChangeRecords) {
+  TempCheckpoint File("interp-ckpt-output");
+  auto C = compile(LedgerProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  auto ExpectRestoresAs = [&](const Interp &Live) {
+    Interp R(C->M, C->Info, ExecMode::Alphonse);
+    R.restoreCheckpoint(File.path());
+    EXPECT_EQ(R.output(), Live.output());
+    EXPECT_EQ(R.failed(), Live.failed());
+    EXPECT_EQ(R.errorMessage(), Live.errorMessage());
+  };
+
+  Interp A(C->M, C->Info, ExecMode::Alphonse);
+  A.call("Hello");
+  A.saveCheckpoint(File.path());
+  A.call("Hello"); // Between the base and the first delta.
+  A.call("Total", {IV(1)}); // root is NIL: a runtime error.
+  ASSERT_TRUE(A.failed());
+  A.appendDelta(File.path());
+  ExpectRestoresAs(A);
+
+  A.clearError();
+  A.call("Init");
+  A.call("Hello"); // Between two deltas.
+  A.appendDelta(File.path());
+  EXPECT_EQ(A.output(), "hello\nhello\nhello\n");
+  ExpectRestoresAs(A);
+}
+
+// Two interpreters restored from one file both extend it: the first
+// append lands, and the second finds the file longer than its records
+// and refuses rather than write after a record it never saw.
+TEST(InterpCheckpointTest, SecondRestorersAppendIsStale) {
+  TempCheckpoint File("interp-ckpt-two-restorers");
+  auto C = compile(LedgerProgram);
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  {
+    Interp A(C->M, C->Info, ExecMode::Alphonse);
+    A.call("Init");
+    A.saveCheckpoint(File.path());
+  }
+  Interp First(C->M, C->Info, ExecMode::Alphonse);
+  Interp Second(C->M, C->Info, ExecMode::Alphonse);
+  First.restoreCheckpoint(File.path());
+  Second.restoreCheckpoint(File.path());
+  First.call("SetX", {IV(5)});
+  First.appendDelta(File.path());
+  Second.call("SetX", {IV(6)});
+  try {
+    Second.appendDelta(File.path());
+    FAIL() << "an append after another writer's must be refused";
+  } catch (const CheckpointError &E) {
+    EXPECT_EQ(E.code(), CkptError::StaleDelta);
+  }
+
+  Interp R(C->M, C->Info, ExecMode::Alphonse);
+  R.restoreCheckpoint(File.path());
+  EXPECT_EQ(R.global("x").Int, 5);
+}
+
+const std::string AvlExample = std::string(ALPHONSE_EXAMPLES_DIR) + "/avl.alf";
+
+/// The program output alphonsec printed: from its "--- program output ---"
+/// line on ("" if it printed none).
+std::string programOutput(const std::string &Out) {
+  size_t At = Out.find("--- program output ---");
+  return At == std::string::npos ? "" : Out.substr(At);
+}
+
+// A restore brings back what the runs after the base printed, not only
+// what the base run did.
+TEST(InterpCheckpointTest, AlphonsecRestoreKeepsOutputAfterTheBase) {
+  TempCheckpoint File("interp-ckpt-cli-output");
+  const std::string F = " " + File.path();
+  std::string Out;
+  ASSERT_EQ(runAlphonsec(AvlExample, "--run Main,20 --checkpoint" + F, Out),
+            0)
+      << Out;
+  EXPECT_EQ(programOutput(Out),
+            "--- program output ---\nsearches ok\n5\n");
+  Out.clear();
+  ASSERT_EQ(runAlphonsec(AvlExample,
+                         "--restore" + F + " --run Main,50 --checkpoint-delta" +
+                             F,
+                         Out),
+            0)
+      << Out;
+  const std::string Both =
+      "--- program output ---\nsearches ok\n5\nsearches ok\n7\n";
+  EXPECT_EQ(programOutput(Out), Both);
+  Out.clear();
+  ASSERT_EQ(runAlphonsec(AvlExample, "--restore" + F, Out), 0) << Out;
+  EXPECT_EQ(Out, Both);
+  // One file holds the base and its delta.
+  EXPECT_FALSE(std::filesystem::exists(File.path() + ".delta"));
+  EXPECT_FALSE(std::filesystem::exists(File.path() + ".tmp"));
+}
+
+// alphonsec --fault-seed N kills the process at checkpoint I/O slot
+// N mod 10: a save's "ckpt.io" hits 1-6, then an append's "ckpt.delta.io"
+// hits 1-4. After each kill, the next --restore must print the output of
+// a state the killed run durably reached, or refuse cleanly where no
+// checkpoint ever completed.
+TEST(InterpCheckpointTest, AlphonsecFaultSeedSweepRestoresADurableState) {
+  TempCheckpoint File("interp-ckpt-fault-seed");
+  const std::string F = " " + File.path();
+  const std::string Before = "--- program output ---\nsearches ok\n5\n";
+  const std::string After = Before + "searches ok\n7\n";
+  auto Restore = [&](std::string &Out) {
+    int Status = runAlphonsec(AvlExample, "--restore" + F, Out);
+    EXPECT_TRUE(WIFEXITED(Status)) << Out; // A crash is a signal.
+    return WEXITSTATUS(Status);
+  };
+  auto ExpectKilled = [](int Status, const std::string &Out) {
+    ASSERT_TRUE(WIFEXITED(Status)) << Out;
+    EXPECT_EQ(WEXITSTATUS(Status), 137) << Out;
+  };
+
+  for (int Seed = 0; Seed < 10; ++Seed) {
+    SCOPED_TRACE("fault-seed " + std::to_string(Seed));
+    const std::string Kill = " --fault-seed " + std::to_string(Seed);
+    bool SaveSlot = Seed < 6;
+    std::string Out;
+    if (SaveSlot) {
+      // The first save dies: nothing durable unless the rename landed.
+      std::filesystem::remove(File.path());
+      ExpectKilled(runAlphonsec(AvlExample,
+                                "--run Main,20 --checkpoint" + F + Kill, Out),
+                   Out);
+      Out.clear();
+      int Status = Restore(Out);
+      if (Status == 0) {
+        EXPECT_EQ(programOutput(Out), Before);
+      } else {
+        EXPECT_LT(Seed, 5) << "killed after the rename, yet refused: " << Out;
+        EXPECT_EQ(Status, 2) << Out;
+        EXPECT_NE(Out.find("checkpoint restore failed"), std::string::npos)
+            << Out;
+      }
+      Out.clear();
+    }
+
+    // A durable checkpoint, then a second save or an append that dies.
+    ASSERT_EQ(runAlphonsec(AvlExample, "--run Main,20 --checkpoint" + F, Out),
+              0)
+        << Out;
+    Out.clear();
+    ExpectKilled(
+        runAlphonsec(AvlExample,
+                     "--restore" + F + " --run Main,50" +
+                         (SaveSlot ? " --checkpoint" : " --checkpoint-delta") +
+                         F + Kill,
+                     Out),
+        Out);
+    Out.clear();
+    ASSERT_EQ(Restore(Out), 0) << Out;
+    std::string Got = programOutput(Out);
+    EXPECT_TRUE(Got == Before || Got == After) << Out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(File.path() + ".delta"));
 }
 
 } // namespace

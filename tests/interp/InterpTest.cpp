@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "interp/Alphonsec.h"
 #include "interp/Interp.h"
 #include "lang/CompileTestHelper.h"
 #include "support/CheckpointIO.h"
@@ -30,6 +31,7 @@ namespace {
 
 using testing::compile;
 using testing::Compiled;
+using testing::runAlphonsec;
 
 static Value IV(long X) { return Value::integer(X); }
 
@@ -245,22 +247,6 @@ public:
   ~ScratchProgram() { std::remove(Path.c_str()); }
   const std::string Path;
 };
-
-/// Runs alphonsec on \p Path with \p Args, capturing both streams.
-/// \returns the wait status; a crash shows as a signal, not an exit.
-static int runAlphonsec(const std::string &Path, const std::string &Args,
-                        std::string &Out) {
-  std::string Cmd =
-      std::string(ALPHONSEC_PATH) + " " + Path + " " + Args + " 2>&1";
-  FILE *P = ::popen(Cmd.c_str(), "r");
-  EXPECT_NE(P, nullptr);
-  if (!P)
-    return -1;
-  char Buf[512];
-  while (size_t N = std::fread(Buf, 1, sizeof(Buf), P))
-    Out.append(Buf, N);
-  return ::pclose(P);
-}
 
 TEST(InterpConventionalTest, AlphonsecReportsRegisterLimit) {
   ScratchProgram Prog("register-limit", registerLimitProgram());

@@ -323,7 +323,6 @@ public:
   ~TempSheetCheckpoint() {
     std::remove(Path.c_str());
     std::remove((Path + ".tmp").c_str());
-    std::remove(deltaLogPath(Path).c_str());
   }
   const std::string &path() const { return Path; }
 

@@ -28,17 +28,20 @@
 //   --dump-bytecode         disassemble the compiled form of every
 //                           procedure and of the global initializers
 //   --restore PATH          restore the program state from a checkpoint
-//                           (and its delta log) before running --run
-//                           specs; the graph rebuilds on first demand,
-//                           and a snapshot restores under either --mode
-//   --checkpoint PATH       write a snapshot of the program state (heap,
-//                           globals, output) after the --run specs
+//                           file (its base record and intact delta
+//                           records) before running --run specs; the
+//                           graph rebuilds on first demand, and a
+//                           checkpoint restores under either --mode
+//   --checkpoint PATH       write a new checkpoint file whose base record
+//                           is the program state (heap, globals, output)
+//                           after the --run specs
 //   --checkpoint-delta PATH append a change record (the storage the --run
-//                           specs wrote) to PATH's sidecar log; PATH must
-//                           be the --restore or --checkpoint snapshot
+//                           specs wrote and the output they printed) to
+//                           PATH, which must be the --restore or
+//                           --checkpoint file
 //   --fault-seed N          deterministically arm one process-kill fault
-//                           at a checkpoint I/O injection site derived
-//                           from N (crash-recovery drills from scripts)
+//                           at one of the 10 checkpoint I/O injection
+//                           points, N mod 10 (crash drills from scripts)
 //   --deadline-ms N         wall-clock budget per propagation wave: a
 //                           wave still running after N ms is cancelled
 //                           cooperatively at the next evaluation
@@ -326,7 +329,7 @@ int runProgram(const Options &Opts, const Module &M, const SemaInfo &Info) {
       if (!I.restoreNote().empty())
         std::fprintf(stderr, "note: %s\n", I.restoreNote().c_str());
     } catch (const CheckpointError &E) {
-      // Structured refusal: the snapshot (or its delta log) does not
+      // Structured refusal: the file's header or base record does not
       // describe a loadable state for this program. Nothing was accepted.
       std::fprintf(stderr, "checkpoint restore failed: %s\n", E.what());
       return 2;
@@ -439,25 +442,25 @@ int main(int Argc, char **Argv) {
     return 1;
 
   // --fault-seed: deterministically arm one process kill at a checkpoint
-  // I/O injection site. A snapshot pass hits "ckpt.io" 7 times (6 inside
-  // the temp-write/fsync/rename protocol, 1 before the delta-log reset)
-  // and a delta append hits "ckpt.delta.io" 4 times; the seed picks one
-  // of the 11 slots, so sweeping N over 0..10 covers every kill point.
+  // I/O injection site. A save hits "ckpt.io" 6 times (the temp-write,
+  // fsync, rename and directory-fsync protocol) and a delta append hits
+  // "ckpt.delta.io" 4 times; the seed picks one of the 10 slots, so
+  // sweeping N over 0..9 covers every kill point.
   FaultInjector Injector;
   std::unique_ptr<FaultInjector::Scope> InjectorScope;
   if (Opts.HaveFaultSeed) {
-    uint64_t Slot = Opts.FaultSeed % 11;
-    if (Slot < 7) {
+    uint64_t Slot = Opts.FaultSeed % 10;
+    if (Slot < 6) {
       Injector.armKill("ckpt.io", Slot + 1);
       std::fprintf(stderr, "fault-seed %llu: kill at ckpt.io hit %llu\n",
                    static_cast<unsigned long long>(Opts.FaultSeed),
                    static_cast<unsigned long long>(Slot + 1));
     } else {
-      Injector.armKill("ckpt.delta.io", Slot - 6);
+      Injector.armKill("ckpt.delta.io", Slot - 5);
       std::fprintf(stderr,
                    "fault-seed %llu: kill at ckpt.delta.io hit %llu\n",
                    static_cast<unsigned long long>(Opts.FaultSeed),
-                   static_cast<unsigned long long>(Slot - 6));
+                   static_cast<unsigned long long>(Slot - 5));
     }
     InjectorScope = std::make_unique<FaultInjector::Scope>(Injector);
   }
