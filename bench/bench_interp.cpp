@@ -89,8 +89,8 @@ std::unique_ptr<CompiledProgram> compileProgram(const char *Source) {
 }
 
 /// One churn wave: dirty one global, then demand the full cone plus every
-/// leaf — one re-execution cascade (edge teardown + re-record) and ten
-/// cache-hit incremental calls per wave.
+/// leaf — one re-execution cascade and ten cache-hit incremental calls per
+/// wave.
 long coneWave(Interp &I, long Tick) {
   I.call("Poke", {Value::integer(Tick % 8), Value::integer(Tick)});
   long S = I.call("All").Int;

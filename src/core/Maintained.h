@@ -97,7 +97,7 @@ public:
       // Re-entrant call: the instance is already running further down the
       // stack (Algorithm 11's balance() does this after a rotation). Run
       // the body conventionally, attributing its reads to the in-flight
-      // instance *without* retracting the edges recorded so far — a sound
+      // execution, which keeps every edge they record — a sound
       // over-approximation of R(p). The in-flight execution caches its own
       // final result when it completes. ReentrantScope bounds the nesting:
       // past Config::MaxReentrantDepth this is a dependency cycle (the
@@ -174,13 +174,14 @@ private:
     return N;
   }
 
-  /// The execution half of Algorithm 5: retract the old referenced-argument
-  /// set, push this instance on the call stack, run the body with the
-  /// stored key, cache and return the result. The protocol frames are
-  /// RAII so a throwing body unwinds with the graph and call stack
-  /// coherent; the instance is quarantined with the captured fault and the
-  /// exception continues to the caller (cascading through incremental
-  /// callers, which quarantine in their own frames).
+  /// The execution half of Algorithm 5: push this instance on the call
+  /// stack, run the body with the stored key, cache and return the result.
+  /// The graph records the referenced-argument set against the previous
+  /// run's edges, keeping the ones read again (ExecutionScope). The
+  /// protocol frames are RAII so a throwing body unwinds with the graph and
+  /// call stack coherent; the instance is quarantined with the captured
+  /// fault and the exception continues to the caller (cascading through
+  /// incremental callers, which quarantine in their own frames).
   Result execute(Instance &N) {
     DepGraph &G = RT->graph();
     // The graph journals the structural half of a re-execution itself
@@ -188,7 +189,6 @@ private:
     // restore is an Action entry.
     if (G.inBatch())
       G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
-    G.removePredEdges(N);
     ExecutionScope Exec(G, N);
     Runtime::CallScope Call(*RT, &N);
     try {

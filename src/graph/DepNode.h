@@ -47,7 +47,9 @@ class DepNode;
 /// successor list and the sink's predecessor list, so a single edge unlinks
 /// in O(1). Section 9.2 of the paper requires exactly this ("a doubly
 /// linked list of bidirectional edges") so that edge removal at procedure
-/// re-execution can be charged to edge creation.
+/// re-execution can be charged to edge creation. A re-execution keeps the
+/// edges it reads again and removes only the ones it no longer reads
+/// (DepGraph::beginExecution).
 struct Edge {
   NodeId Source;
   NodeId Sink;
@@ -153,7 +155,7 @@ public:
   size_t numSuccessors() const;
 
   /// Invokes \p F on every dependency source recorded by the most recent
-  /// execution (most recently recorded first). Defined in DepGraph.h (the
+  /// execution (most recently read first). Defined in DepGraph.h (the
   /// walk resolves EdgeIds through the graph's edge table).
   template <typename Fn> void forEachPredecessor(Fn F) const;
   /// Invokes \p F on every dependent node. Defined in DepGraph.h.
@@ -220,6 +222,12 @@ private:
   uint32_t QueuePos = 0;
   /// Union-find element id in the partition manager (Section 6.3).
   uint32_t Partition = 0;
+  /// While this procedure executes: the oldest predecessor edge of the
+  /// previous run that this run has not read again. The unread edges are
+  /// the prefix [FirstPred … ReadCursor] of the newest-first list; null
+  /// when that prefix is empty, and always null while idle (see
+  /// DepGraph::beginExecution).
+  EdgeId ReadCursor;
   NodeKind Kind;
   EvalStrategy Strategy;
   bool Consistent = false;

@@ -173,11 +173,16 @@ protected:
   UnionFind::Id uniteRoots(UnionFind::Id RootA, UnionFind::Id RootB);
 
   /// Queues every dependent of \p N (change notification, Section 4.4).
+  /// An edge that a running dependent has not read again is skipped: that
+  /// run has not seen N's value yet, and reads the new one if it reads N
+  /// at all.
   void enqueueSuccessors(DepNode &N) {
     for (EdgeId E = N.FirstSucc; E;) {
       const Edge &Ed = edge(E);
       EdgeId Next = Ed.NextSucc;
-      markInconsistent(node(Ed.Sink));
+      DepNode &Sink = node(Ed.Sink);
+      if (!isUnread(Sink, E))
+        markInconsistent(Sink);
       E = Next;
     }
   }

@@ -161,8 +161,7 @@ private:
 /// Dense edge table: EdgeId -> Edge with per-slot generations.
 ///
 /// Edges are graph-owned values living directly in the slab (24 bytes
-/// each); allocation recycles freed slots through a free list, replacing
-/// the pointer-returning Pool<Edge> of the pre-handle engine.
+/// each); allocation recycles freed slots through a free list.
 class EdgeTable {
 public:
   /// Claims a slot and returns its handle. Sets \p Reused when the slot
@@ -279,9 +278,9 @@ protected:
   void freeNodeSlot(NodeId Id);
 
   /// Claims an edge slot (EdgeReuse counted, gauges published on growth).
-  /// Inline: edge alloc/free/link/unlink sit on the re-execution fast
-  /// path (every run retracts and re-records the referenced-argument
-  /// set), so they must fold into their callers across the layer split.
+  /// Inline: edge alloc/free/link/unlink sit on the paths that record
+  /// and trim a run's referenced-argument set, so they must fold into
+  /// their callers across the layer split.
   EdgeId allocEdge() {
     bool Reused = false;
     EdgeId Id = EdgeTab.alloc(Reused);
@@ -294,8 +293,10 @@ protected:
   void freeEdgeSlot(EdgeId Id) { EdgeTab.free(Id); }
 
   /// Pushes edge \p Id onto the front of \p Source's successor list and
-  /// \p Sink's predecessor list, setting every edge field.
-  void linkEdge(EdgeId Id, DepNode &Source, DepNode &Sink) {
+  /// splices it into \p Sink's predecessor list right after edge \p After
+  /// (at the front when \p After is null), setting every edge field.
+  void linkEdge(EdgeId Id, DepNode &Source, DepNode &Sink,
+                EdgeId After = EdgeId()) {
     Edge &E = EdgeTab.edge(Id);
     E.Source = Source.Id;
     E.Sink = Sink.Id;
@@ -305,12 +306,23 @@ protected:
     if (Source.FirstSucc)
       EdgeTab.edge(Source.FirstSucc).PrevSucc = Id;
     Source.FirstSucc = Id;
-    // Push onto the sink's predecessor list.
-    E.NextPred = Sink.FirstPred;
-    E.PrevPred = EdgeId();
-    if (Sink.FirstPred)
-      EdgeTab.edge(Sink.FirstPred).PrevPred = Id;
-    Sink.FirstPred = Id;
+    // Splice into the sink's predecessor list.
+    EdgeId &Next = After ? EdgeTab.edge(After).NextPred : Sink.FirstPred;
+    E.NextPred = Next;
+    E.PrevPred = After;
+    if (Next)
+      EdgeTab.edge(Next).PrevPred = Id;
+    Next = Id;
+  }
+
+  /// True when edge \p Id of \p Sink lies in the prefix of its predecessor
+  /// list that the sink's running execution has not read again (see
+  /// DepNode::ReadCursor); always false for an idle sink. O(unread edges).
+  bool isUnread(const DepNode &Sink, EdgeId Id) const {
+    for (EdgeId E = Sink.ReadCursor; E; E = EdgeTab.edge(E).PrevPred)
+      if (E == Id)
+        return true;
+    return false;
   }
 
   /// Detaches edge \p Id from both intrusive lists (slot not freed).

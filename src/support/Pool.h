@@ -1,4 +1,4 @@
-//===- Pool.h - Bump arena and free-list object pool ------------*- C++ -*-===//
+//===- Pool.h - Chunked slab behind the graph's handle tables ---*- C++ -*-===//
 //
 // Part of the Alphonse reproduction (Hoover, PLDI 1992).
 // SPDX-License-Identifier: MIT
@@ -6,15 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Allocation fast path for the dependency graph's hot bookkeeping. Edge churn
-/// dominates beginExecution/endExecution — every re-execution retracts and
-/// re-records the instance's referenced-argument set — so Edge objects come
-/// from Pool<Edge>: a type-local free list layered over BumpArena chunks.
-/// Allocation is a pointer bump or a free-list pop; deallocation is a
-/// free-list push; nothing is returned to the system until the pool dies.
-///
-/// BumpArena is also usable on its own for per-node bookkeeping whose
-/// lifetime matches the graph's.
+/// Slab<T>, the chunked storage behind the dependency graph's NodeId and
+/// EdgeId tables (graph/GraphStore.h). The tables keep their own free
+/// lists, so a freed node or edge slot is reused by the next allocation;
+/// nothing is returned to the system until the table dies. Edge slots turn
+/// over only when a re-execution reads something new or stops reading
+/// something (a re-read keeps its edge) and when nodes die.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,101 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <vector>
 
 namespace alphonse {
-
-/// Chunked bump allocator: allocate-only, everything freed at destruction.
-class BumpArena {
-public:
-  explicit BumpArena(size_t ChunkBytes = 64 * 1024)
-      : ChunkBytes(ChunkBytes) {}
-
-  BumpArena(const BumpArena &) = delete;
-  BumpArena &operator=(const BumpArena &) = delete;
-
-  /// Returns \p Size bytes aligned to \p Align (never null; grows a new
-  /// chunk when the current one is exhausted).
-  void *allocate(size_t Size, size_t Align) {
-    uintptr_t P = (Cur + (Align - 1)) & ~static_cast<uintptr_t>(Align - 1);
-    if (P + Size > End) {
-      size_t Want = Size + Align > ChunkBytes ? Size + Align : ChunkBytes;
-      Chunks.push_back(std::make_unique<std::byte[]>(Want));
-      TotalBytes += Want;
-      Cur = reinterpret_cast<uintptr_t>(Chunks.back().get());
-      End = Cur + Want;
-      P = (Cur + (Align - 1)) & ~static_cast<uintptr_t>(Align - 1);
-    }
-    Cur = P + Size;
-    return reinterpret_cast<void *>(P);
-  }
-
-  /// Typed allocation + construction.
-  template <typename T, typename... Args> T *create(Args &&...A) {
-    return new (allocate(sizeof(T), alignof(T))) T(std::forward<Args>(A)...);
-  }
-
-  size_t bytesReserved() const { return TotalBytes; }
-  size_t numChunks() const { return Chunks.size(); }
-
-private:
-  size_t ChunkBytes;
-  std::vector<std::unique_ptr<std::byte[]>> Chunks;
-  uintptr_t Cur = 0;
-  uintptr_t End = 0;
-  size_t TotalBytes = 0;
-};
-
-/// Free-list object pool over a BumpArena. T must be trivially
-/// destructible (slots are recycled without running destructors) and at
-/// least pointer-sized (the free list lives inside dead slots).
-template <typename T> class Pool {
-  static_assert(sizeof(T) >= sizeof(void *),
-                "pooled objects must fit a free-list link");
-  static_assert(std::is_trivially_destructible_v<T>,
-                "pooled objects are recycled without destruction");
-
-public:
-  Pool() = default;
-
-  Pool(const Pool &) = delete;
-  Pool &operator=(const Pool &) = delete;
-
-  /// True when the next create() will be served from the free list.
-  bool hasFree() const { return FreeList != nullptr; }
-
-  /// Allocates and value-initializes one T.
-  T *create() {
-    if (FreeList) {
-      void *Slot = FreeList;
-      FreeList = *static_cast<void **>(Slot);
-      ++NumReused;
-      return new (Slot) T();
-    }
-    ++NumCreated;
-    return new (Arena.allocate(sizeof(T), alignof(T))) T();
-  }
-
-  /// Returns \p P's slot to the free list.
-  void destroy(T *P) {
-    *reinterpret_cast<void **>(P) = FreeList;
-    FreeList = P;
-  }
-
-  /// Slots ever bump-allocated from the arena.
-  uint64_t numCreated() const { return NumCreated; }
-  /// Allocations served by recycling a freed slot.
-  uint64_t numReused() const { return NumReused; }
-
-  const BumpArena &arena() const { return Arena; }
-
-private:
-  BumpArena Arena;
-  void *FreeList = nullptr;
-  uint64_t NumCreated = 0;
-  uint64_t NumReused = 0;
-};
 
 /// Chunked, index-addressable slab: the storage behind the graph's dense
 /// NodeId/EdgeId tables (DESIGN.md "Engine layering and handle-based

@@ -15,6 +15,7 @@ std::ostream &operator<<(std::ostream &OS, const Statistics &S) {
      << "edges.created        " << S.EdgesCreated.total() << '\n'
      << "edges.removed        " << S.EdgesRemoved.total() << '\n'
      << "edges.deduped        " << S.EdgesDeduped.total() << '\n'
+     << "edges.kept           " << S.EdgesKept.total() << '\n'
      << "proc.executions      " << S.ProcExecutions.total() << '\n'
      << "proc.cacheHits       " << S.CacheHits.total() << '\n'
      << "writes.tracked       " << S.TrackedWrites.total() << '\n'

@@ -60,12 +60,15 @@ struct Statistics {
   StatCounter NodesDestroyed;
   /// Dependency edges created.
   StatCounter EdgesCreated;
-  /// Dependency edges removed (retraction before re-execution, or node
-  /// destruction).
+  /// Dependency edges removed (edges a re-execution did not read again,
+  /// or node destruction).
   StatCounter EdgesRemoved;
   /// Edge creations skipped because an identical edge was already recorded
   /// during the current execution of the dependent procedure.
   StatCounter EdgesDeduped;
+  /// Reads that kept the edge the previous execution of the dependent
+  /// recorded for the same source, instead of creating one.
+  StatCounter EdgesKept;
   /// Executions of incremental procedure instances (first runs and re-runs).
   StatCounter ProcExecutions;
   /// Calls answered from the cache without executing the procedure body.

@@ -53,6 +53,14 @@ public:
     return X;
   }
 
+  /// find() without path halving, for const callers (audits).
+  Id root(Id X) const {
+    assert(X < Parent.size() && "root() of unknown element");
+    while (Parent[X] != X)
+      X = Parent[X];
+    return X;
+  }
+
   /// Merges the sets containing \p A and \p B.
   ///
   /// \returns the representative of the merged set. If the two elements were

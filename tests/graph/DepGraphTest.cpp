@@ -16,7 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 namespace alphonse {
 namespace {
@@ -39,7 +43,6 @@ struct FakeProc final : DepNode {
       : DepNode(G, NodeKind::Procedure, S) {}
   bool reexecute() override {
     ++Reexecutions;
-    graph().removePredEdges(*this);
     graph().beginExecution(*this);
     graph().endExecution(*this);
     return NextChanged;
@@ -59,6 +62,35 @@ static void recordRead(DepGraph &G, DepNode &Proc, DepNode &Src) {
   G.beginExecution(Proc);
   G.addDependency(Proc, Src);
   G.endExecution(Proc);
+}
+
+/// Runs one execution of \p Proc that reads \p Reads in order.
+static void runReading(DepGraph &G, DepNode &Proc,
+                       const std::vector<DepNode *> &Reads) {
+  ExecutionScope Exec(G, Proc);
+  for (DepNode *R : Reads)
+    G.addDependency(Proc, *R);
+}
+
+/// \p Proc's predecessors in list order (newest first).
+static std::vector<const DepNode *> predsOf(const DepNode &Proc) {
+  std::vector<const DepNode *> Out;
+  Proc.forEachPredecessor([&](const DepNode &N) { Out.push_back(&N); });
+  return Out;
+}
+
+/// Every live edge into \p Proc, keyed by its source, found by probing the
+/// edge table's handles (the tests' only view of EdgeIds).
+static std::map<uint32_t, EdgeId> edgesInto(const DepGraph &G,
+                                            const DepNode &Proc) {
+  std::map<uint32_t, EdgeId> Out;
+  for (uint32_t Index = 0; Index < 256; ++Index)
+    for (uint32_t Gen = EdgeId::FirstGen; Gen <= EdgeId::MaxGen; ++Gen) {
+      EdgeId Id = EdgeId::make(Index, Gen);
+      if (G.isLiveEdge(Id) && G.edge(Id).Sink == Proc.id())
+        Out[G.edge(Id).Source.bits()] = Id;
+    }
+  return Out;
 }
 
 TEST_F(DepGraphTest, StorageChangeInvalidatesDemandDependent) {
@@ -218,6 +250,241 @@ TEST_F(DepGraphTest, DedupResetsAcrossExecutions) {
     EXPECT_EQ(P.numPredecessors(), 1u);
     EXPECT_EQ(Stats.EdgesCreated, 2u);
   }
+}
+
+TEST_F(DepGraphTest, RereadKeepsEveryEdge) {
+  DepGraph G(Stats);
+  FakeStorage A(G), B(G), C(G);
+  FakeProc P(G);
+  runReading(G, P, {&A, &B, &C});
+  std::map<uint32_t, EdgeId> Before = edgesInto(G, P);
+  ASSERT_EQ(Before.size(), 3u);
+  uint64_t Created = Stats.EdgesCreated, Removed = Stats.EdgesRemoved;
+
+  // The same reads in the same order: no edge is created, removed or
+  // moved, and each keeps its handle.
+  runReading(G, P, {&A, &B, &C});
+  EXPECT_EQ(Stats.EdgesCreated, Created);
+  EXPECT_EQ(Stats.EdgesRemoved, Removed);
+  EXPECT_EQ(Stats.EdgesKept, 3u);
+  EXPECT_EQ(edgesInto(G, P), Before);
+  EXPECT_EQ(predsOf(P), (std::vector<const DepNode *>{&C, &B, &A}));
+  EXPECT_TRUE(G.verify().empty());
+}
+
+/// One re-execution's old and new read sets, as indices into five sources.
+struct ReadSetCase {
+  const char *Name;
+  std::vector<int> Old, New;
+};
+
+static const ReadSetCase ReadSetCases[] = {
+    {"same", {0, 1, 2}, {0, 1, 2}},
+    {"subset", {0, 1, 2, 3}, {0, 2}},
+    {"superset", {1, 3}, {0, 1, 2, 3, 4}},
+    {"reordered", {0, 1, 2}, {2, 0, 1}},
+    {"reversed", {0, 1, 2, 3}, {3, 2, 1, 0}},
+    {"repeated", {0, 1}, {1, 0, 1, 1, 2, 0}},
+    {"disjoint", {0, 1}, {2, 3, 4}},
+    {"emptied", {0, 1, 2}, {}},
+    {"first run", {}, {4, 0}},
+};
+
+/// The predecessor list a run reading \p Reads must leave: each source
+/// once, newest (last first read) first.
+static std::vector<const DepNode *>
+expectedPreds(const std::vector<int> &Reads,
+              const std::vector<std::unique_ptr<FakeStorage>> &S) {
+  std::vector<const DepNode *> Out;
+  for (int I : Reads)
+    if (std::find(Out.begin(), Out.end(), S[I].get()) == Out.end())
+      Out.push_back(S[I].get());
+  std::reverse(Out.begin(), Out.end());
+  return Out;
+}
+
+static std::vector<DepNode *>
+nodes(const std::vector<int> &Reads,
+      const std::vector<std::unique_ptr<FakeStorage>> &S) {
+  std::vector<DepNode *> Out;
+  for (int I : Reads)
+    Out.push_back(S[I].get());
+  return Out;
+}
+
+TEST_F(DepGraphTest, ReexecutionEndsWithExactlyTheNewReadSet) {
+  for (const ReadSetCase &Case : ReadSetCases) {
+    SCOPED_TRACE(Case.Name);
+    DepGraph G(Stats);
+    std::vector<std::unique_ptr<FakeStorage>> S;
+    for (int I = 0; I < 5; ++I)
+      S.push_back(std::make_unique<FakeStorage>(G));
+    FakeProc P(G);
+    runReading(G, P, nodes(Case.Old, S));
+    runReading(G, P, nodes(Case.New, S));
+
+    std::vector<const DepNode *> Want = expectedPreds(Case.New, S);
+    EXPECT_EQ(predsOf(P), Want);
+    EXPECT_EQ(P.numPredecessors(), Want.size());
+    EXPECT_EQ(G.numLiveEdges(), Want.size());
+    for (const auto &Src : S)
+      EXPECT_EQ(Src->numSuccessors(),
+                std::count(Want.begin(), Want.end(), Src.get()));
+    EXPECT_TRUE(G.verify().empty());
+  }
+}
+
+TEST_F(DepGraphTest, RollbackRestoresThePredecessorListInOrder) {
+  for (const ReadSetCase &Case : ReadSetCases) {
+    SCOPED_TRACE(Case.Name);
+    DepGraph G(Stats);
+    std::vector<std::unique_ptr<FakeStorage>> S;
+    for (int I = 0; I < 5; ++I)
+      S.push_back(std::make_unique<FakeStorage>(G));
+    FakeProc P(G);
+    runReading(G, P, nodes(Case.Old, S));
+    std::vector<const DepNode *> Before = predsOf(P);
+
+    // Re-execute with the new read set, then once more with yet another
+    // order, so that edges added by the first run are trimmed and
+    // relinked by the second's undo before their own undo runs.
+    G.beginBatch();
+    runReading(G, P, nodes(Case.New, S));
+    runReading(G, P, {S[3].get(), S[0].get(), S[4].get()});
+    G.rollbackBatch();
+
+    EXPECT_EQ(predsOf(P), Before);
+    EXPECT_EQ(G.numLiveEdges(), Before.size());
+    for (const auto &Src : S)
+      EXPECT_EQ(Src->numSuccessors(),
+                std::count(Before.begin(), Before.end(), Src.get()));
+    EXPECT_TRUE(G.verify().empty());
+  }
+}
+
+TEST_F(DepGraphTest, ThrowingRunKeepsWhatItReadAndTrimsTheRest) {
+  DepGraph G(Stats);
+  FakeStorage A(G), B(G), C(G);
+  FakeProc P(G);
+  runReading(G, P, {&A, &B, &C});
+  EdgeId KeptA = edgesInto(G, P).at(A.id().bits());
+  try {
+    ExecutionScope Exec(G, P);
+    G.addDependency(P, A);
+    throw std::runtime_error("body failed");
+  } catch (const std::runtime_error &) {
+  }
+  EXPECT_EQ(predsOf(P), (std::vector<const DepNode *>{&A}));
+  EXPECT_EQ(edgesInto(G, P).at(A.id().bits()), KeptA);
+  EXPECT_EQ(B.numSuccessors(), 0u);
+  EXPECT_EQ(C.numSuccessors(), 0u);
+  EXPECT_TRUE(G.verify().empty());
+}
+
+TEST_F(DepGraphTest, SourceDiesBeforeTheRunReadsItAgain) {
+  DepGraph G(Stats);
+  auto A = std::make_unique<FakeStorage>(G);
+  auto B = std::make_unique<FakeStorage>(G);
+  FakeStorage C(G), D(G);
+  FakeProc P(G);
+  runReading(G, P, {A.get(), B.get(), &C, &D}); // Oldest edge: A's.
+
+  G.beginExecution(P);
+  // B's edge is unread but not at the cursor; A's is at the cursor, which
+  // moves to the next unread edge, C's. Neither death reaches the running
+  // P, which has not read either value.
+  B.reset();
+  A.reset();
+  EXPECT_TRUE(G.verify().empty());
+  EXPECT_EQ(G.numPending(), 0u);
+  uint64_t Created = Stats.EdgesCreated;
+  G.addDependency(P, C);
+  EXPECT_EQ(Stats.EdgesCreated, Created) << "C's edge was not kept";
+  G.endExecution(P);
+  EXPECT_TRUE(P.isConsistent());
+  EXPECT_EQ(predsOf(P), (std::vector<const DepNode *>{&C}));
+  EXPECT_EQ(D.numSuccessors(), 0u);
+
+  // A source the run has read does invalidate it when it dies.
+  {
+    FakeStorage E(G);
+    G.beginExecution(P);
+    G.addDependency(P, C);
+    G.addDependency(P, E);
+    G.endExecution(P);
+    G.beginExecution(P);
+    G.addDependency(P, C);
+    G.addDependency(P, E);
+  }
+  G.endExecution(P);
+  G.evaluateAll();
+  EXPECT_FALSE(P.isConsistent());
+  EXPECT_TRUE(G.verify().empty());
+}
+
+TEST_F(DepGraphTest, ChangeThroughAnUnreadEdgeSkipsTheRunningSink) {
+  DepGraph G(Stats);
+  FakeStorage S1(G), S2(G);
+  FakeProc P(G);
+  runReading(G, P, {&S1, &S2});
+
+  G.beginExecution(P);
+  G.addDependency(P, S1);
+  // S2 changes mid-run, before P reads it again: P will read the new
+  // value, so invalidating it would only re-run it for nothing.
+  G.markInconsistent(S2);
+  G.evaluateAll();
+  EXPECT_EQ(S2.Refreshes, 1);
+  EXPECT_TRUE(P.isConsistent());
+  G.addDependency(P, S2);
+  G.endExecution(P);
+  EXPECT_TRUE(P.isConsistent());
+  EXPECT_EQ(G.numPending(), 0u);
+
+  // After the read, the same change does reach it.
+  G.beginExecution(P);
+  G.addDependency(P, S1);
+  G.addDependency(P, S2);
+  G.markInconsistent(S2);
+  G.evaluateAll();
+  G.endExecution(P);
+  EXPECT_FALSE(P.isConsistent());
+  EXPECT_TRUE(G.verify().empty());
+}
+
+TEST_F(DepGraphTest, VerifyExemptsOnlyTheUnreadPrefixFromLevelOrder) {
+  DepGraph G(Stats);
+  FakeStorage S(G);
+  FakeProc Q1(G), Q2(G), P(G);
+  std::string N1 = "q1", N2 = "q2", NP = "p";
+  Q1.setName(N1);
+  Q2.setName(N2);
+  P.setName(NP);
+  runReading(G, Q1, {&S});
+  runReading(G, Q2, {&Q1});
+  runReading(G, P, {&Q1, &Q2});
+  ASSERT_EQ(P.level(), 3u);
+
+  // A running P restarts at level 0, below both sources it has not read
+  // again.
+  G.beginExecution(P);
+  EXPECT_TRUE(G.verify().empty());
+  G.addDependency(P, Q1);
+  EXPECT_TRUE(G.verify().empty());
+
+  // Lift q1 above p: the edge p has read again is checked, the unread one
+  // from q2 (also above p) is not.
+  G.addDependency(Q1, P);
+  std::vector<std::string> Findings = G.verify();
+  auto Into = [&](const char *Edge) {
+    return std::count_if(Findings.begin(), Findings.end(),
+                         [&](const std::string &F) {
+                           return F.find(Edge) != std::string::npos;
+                         });
+  };
+  EXPECT_EQ(Into("'q1' -> 'p'"), 1);
+  EXPECT_EQ(Into("'q2' -> 'p'"), 0);
+  G.endExecution(P);
 }
 
 TEST_F(DepGraphTest, DisconnectedPartitionsEvaluateIndependently) {
