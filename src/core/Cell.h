@@ -55,8 +55,15 @@ public:
   /// outlives the vertex.
   template <typename LabelFn>
   const T &read(Runtime &RT, LabelFn Label) const {
-    if (RT.inIncrementalCall())
-      RT.recordAccess(Node ? *Node : ensureTracked(RT, Label()));
+    if (RT.inIncrementalCall()) {
+      Vertex &V = Node ? *Node : ensureTracked(RT, Label());
+      RT.recordAccess(V);
+      // A vertex whose refresh is still to come may hold a snapshot other
+      // than the live value this reader sees; that refresh must notify
+      // the reader even if a write-back restores the snapshot first.
+      if (V.isQueued() || V.isQuarantined())
+        V.ReadWhileQueued = true;
+    }
     return Live;
   }
 
@@ -66,12 +73,14 @@ public:
   void write(Runtime &RT, T V) {
     // Inside a batch every write is journaled — even untracked ones,
     // since the location may become tracked later in the same batch and
-    // rollback must still restore the value written before it.
+    // rollback must still restore the value written before it. The
+    // restore acts like a write: a value other than the snapshot queues
+    // the vertex, whose refresh then invalidates the batch's readers.
     if (RT.inBatch())
       RT.graph().logUndo([this, Old = Live]() {
         Live = Old;
-        if (Node)
-          Node->Snapshot = Old;
+        if (Node && !(Live == Node->Snapshot))
+          Node->graph().markInconsistent(*Node);
       });
     Vertex *SN = Node;
     if (!SN) {
@@ -114,16 +123,17 @@ public:
   bool isStale() const { return Node && Node->isStale(); }
 
 private:
+  struct Vertex;
+
   /// The location's graph vertex, created now if it does not exist yet
   /// (its snapshot is the live value).
-  DepNode &ensureTracked(Runtime &RT, const std::string &Name) const {
+  Vertex &ensureTracked(Runtime &RT, const std::string &Name) const {
     if (Node)
       return *Node;
     Node = new Vertex(RT.graph(), *this);
     Node->setName(Name);
-    // A vertex created inside a batch is destroyed again on rollback (its
-    // edges and journal references are undone first — they were recorded
-    // later).
+    // A vertex created inside a batch is destroyed again on rollback,
+    // which invalidates the readers the batch gave it.
     if (RT.inBatch())
       RT.graph().logUndo([this]() {
         delete Node;
@@ -138,11 +148,14 @@ private:
           Snapshot(Owner.Live) {}
 
     /// Reconciles the snapshot with live storage; the return value drives
-    /// the quiescence cutoff in the evaluator. A fault injected here (test
+    /// the quiescence cutoff in the evaluator. A reader that saw the live
+    /// value before this refresh counts as a change even when the live
+    /// value is back at the snapshot. A fault injected here (test
     /// harness) quarantines the vertex like any other refresh failure.
     bool refreshStorage() override {
       faultInjectionPoint(name());
-      bool Changed = !(Owner->Live == Snapshot);
+      bool Changed = ReadWhileQueued || !(Owner->Live == Snapshot);
+      ReadWhileQueued = false;
       Snapshot = Owner->Live;
       return Changed;
     }
@@ -150,6 +163,9 @@ private:
     const StorageNode *Owner;
     /// The value dependents observed at the last completed propagation.
     T Snapshot;
+    /// A tracked read found the vertex queued or quarantined: its reader
+    /// may hold a value other than Snapshot (see read()).
+    bool ReadWhileQueued = false;
   };
 
   T Live;

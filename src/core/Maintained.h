@@ -74,9 +74,8 @@ public:
     auto It = Table.find(K);
     if (It == Table.end()) {
       N = &insert(std::move(K), Strategy);
-      // A cache entry inserted inside a batch is dropped again on rollback
-      // (journal entries touching the node were recorded later and are
-      // undone first).
+      // A cache entry inserted inside a batch is dropped again on rollback,
+      // which invalidates the readers the batch gave it.
       if (RT->inBatch())
         RT->graph().logUndo([this, DeadKey = *N->K]() { erase(DeadKey); });
     } else {
@@ -134,8 +133,8 @@ public:
   size_t size() const { return Table.size(); }
 
   /// Drops the instance for \p K, if any. The instance must not be
-  /// depended upon or executing. Not transactional: do not call while a
-  /// batch is open (undo closures may reference the instance).
+  /// depended upon or executing. Not transactional: a rollback does not
+  /// bring the instance back (the next call creates it anew).
   void erase(const Key &K) {
     auto It = Table.find(K);
     if (It == Table.end())
@@ -184,11 +183,6 @@ private:
   /// incremental callers, which quarantine in their own frames).
   Result execute(Instance &N) {
     DepGraph &G = RT->graph();
-    // The graph journals the structural half of a re-execution itself
-    // (edges, flags, stamps); the cached result lives out here, so its
-    // restore is an Action entry.
-    if (G.inBatch())
-      G.logUndo([&N, Old = N.Cached]() { N.Cached = Old; });
     ExecutionScope Exec(G, N);
     Runtime::CallScope Call(*RT, &N);
     try {

@@ -109,8 +109,8 @@ public:
 
   /// Unbudgeted run-to-quiescence pump, regardless of any default budget:
   /// drains every parked residue and clears all stale marks. Checkpoint
-  /// capture and batch opening use this — both need a truly quiescent
-  /// graph.
+  /// capture uses this (it needs a truly quiescent graph), and
+  /// beginBatch() pumps the same way.
   WaveOutcome pumpUnbounded() { return Graph.evaluateAll(WaveBudget()); }
 
   /// Budget applied by every un-annotated pump (0 fields = unbounded).
@@ -125,13 +125,16 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Opens a mutation batch at a quiescent state: pumps any pending work
-  /// first (the batch's rollback point must itself be quiescent), then
-  /// starts journaling. Batches do not nest, and must not be opened from
-  /// inside an incremental call.
+  /// first, then starts journaling. Batches do not nest, and must not be
+  /// opened from inside an incremental call.
   void beginBatch() {
     assert(callDepth() == 0 && "beginBatch() inside an incremental call");
-    // The pre-batch pump must run to quiescence whatever the default
-    // budget: the rollback point has to be a quiescent state.
+    // The pre-batch pump runs to quiescence whatever the default budget.
+    // A fault in work pending before the batch is then not charged to the
+    // batch, and every node the batch runs, runs because of the batch: a
+    // location it moved, a node it created, or a quarantine it reset.
+    // Restoring the batch's writes therefore reaches every such node
+    // (DESIGN.md §7).
     Graph.evaluateAll(WaveBudget());
     Graph.beginBatch();
   }
@@ -142,7 +145,9 @@ public:
   bool commitBatch() { return Graph.commitBatch(); }
 
   /// Reverts every mutation since beginBatch(), restoring the pre-batch
-  /// quiescent state.
+  /// program state. The graph may be left pending; the next pump or
+  /// demand recomputes what the batch touched, and answers are the
+  /// pre-batch ones.
   void rollbackBatch() { Graph.rollbackBatch(); }
 
   /// True while a batch is open.
@@ -175,7 +180,7 @@ private:
 
 /// RAII mutation batch: opens a batch on construction and rolls it back on
 /// destruction unless commit() succeeded (or rollback() already ran), so
-/// an exception thrown mid-batch cannot leave the graph half-updated.
+/// an exception thrown mid-batch cannot leave program state half-updated.
 ///
 ///   Transaction Txn(RT);
 ///   A.set(1);

@@ -89,7 +89,7 @@ void DepGraph::registerNode(DepNode &N) {
 void DepGraph::compactPartitions() {
   // Each live node gets a fresh element, united with the elements of the
   // nodes that shared its old root: membership is preserved exactly, as
-  // rollback requires (it relinks edges without uniting).
+  // edge reuse requires (a kept edge is not united again).
   UnionFind Fresh;
   std::vector<UnionFind::Id> NewOf(Partitions.size(), UINT32_MAX);
   for (uint32_t Slot = 0; Slot < NodeTab.span(); ++Slot) {
@@ -141,13 +141,6 @@ void DepGraph::unregisterNode(DepNode &N) {
     E = Next;
   }
 
-  // A node destroyed mid-batch by the mutator invalidates every journal
-  // entry pointing at it; drop them so a later rollback never touches the
-  // dead node. (Rollback itself destroys batch-created nodes through
-  // typed-layer closures; those run with TxnRollingBack set.)
-  if (journaling())
-    Journal.scrub(N.Id);
-
   // Recycle the table slot last: the generation bump makes every handle
   // still naming this node stale from here on.
   freeNodeSlot(N.Id);
@@ -186,7 +179,7 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
   // A run that reads what the previous run read, in the same order, meets
   // each old edge at the cursor: keep it and move the cursor toward the
   // list's front. The edge's endpoints already share a partition (unions
-  // only merge, and compaction and rollback keep membership).
+  // only merge, and compaction keeps membership).
   if (EdgeId C = Sink.ReadCursor) {
     const Edge &Old = edge(C);
     if (Old.Source == Source.Id) {
@@ -203,16 +196,6 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
 
   ++Stats.EdgesCreated;
   ++NumLiveEdges;
-
-  if (journaling()) {
-    UndoEntry U;
-    U.K = UndoEntry::Kind::EdgeAdded;
-    U.Sink = Sink.Id;
-    U.Source = Source.Id;
-    U.Edge = E;
-    Journal.push(std::move(U));
-    ++Stats.TxnUndoEntries;
-  }
 
   // Dynamic partition refinement (Section 6.3): connected nodes share one
   // instance of quiescence propagation.
@@ -231,15 +214,11 @@ void DepGraph::removePredEdges(DepNode &Sink) {
 void DepGraph::removePredsBefore(DepNode &Sink, EdgeId Keep) {
   if (Sink.FirstPred == Keep)
     return;
-  std::vector<std::pair<NodeId, EdgeId>> Removed;
-  bool Log = journaling();
   uint64_t Count = 0;
   EdgeId E = Sink.FirstPred;
   while (E != Keep) {
     Edge &Ed = edge(E);
     EdgeId Next = Ed.NextPred;
-    if (Log)
-      Removed.emplace_back(Ed.Source, E);
     // The whole prefix dies, so only the source-side successor lists need
     // repairing; the pred-list links between dying edges are never read
     // again (the generic unlinkEdge would maintain them, half of it wasted
@@ -259,14 +238,6 @@ void DepGraph::removePredsBefore(DepNode &Sink, EdgeId Keep) {
     edge(Keep).PrevPred = EdgeId();
   Stats.EdgesRemoved += Count;
   NumLiveEdges -= Count;
-  if (Log) {
-    UndoEntry U;
-    U.K = UndoEntry::Kind::PredsRemoved;
-    U.Sink = Sink.Id;
-    U.Preds = std::move(Removed);
-    Journal.push(std::move(U));
-    ++Stats.TxnUndoEntries;
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -278,17 +249,6 @@ void DepGraph::beginExecution(DepNode &Proc) {
   assert(!Proc.Executing && "recursive execution of one procedure instance; "
                             "a DET incremental procedure cannot call itself "
                             "with identical arguments");
-  if (journaling()) {
-    UndoEntry U;
-    U.K = UndoEntry::Kind::ExecSnapshot;
-    U.Sink = Proc.Id;
-    U.WasConsistent = Proc.Consistent;
-    U.OldLevel = Proc.Level;
-    U.OldStamp = Proc.ExecStamp;
-    U.OldVersion = Proc.Version;
-    Journal.push(std::move(U));
-    ++Stats.TxnUndoEntries;
-  }
   // An execution re-establishes the node's value from live inputs, so any
   // stale mark left by a cancelled wave is repaired here.
   if (Proc.Stale) {
@@ -308,8 +268,6 @@ void DepGraph::beginExecution(DepNode &Proc) {
     Tail = E;
   Proc.ReadCursor = Tail;
   Proc.ExecStamp = ++StampCounter;
-  // Conservative: every execution may change the cached value.
-  Proc.Version = ++VersionCounter;
   ++Stats.ProcExecutions;
 }
 
@@ -384,20 +342,10 @@ void DepGraph::processNode(DepNode &N) {
     }
     if (!Cfg.VariableCutoff)
       Changed = true;
-    if (Changed) {
-      if (journaling()) {
-        UndoEntry U;
-        U.K = UndoEntry::Kind::VersionStamp;
-        U.Sink = N.Id;
-        U.OldVersion = N.Version;
-        Journal.push(std::move(U));
-        ++Stats.TxnUndoEntries;
-      }
-      N.Version = ++VersionCounter;
+    if (Changed)
       enqueueSuccessors(N);
-    } else {
+    else
       ++Stats.QuiescenceCutoffs;
-    }
     return;
   }
 
@@ -405,20 +353,6 @@ void DepGraph::processNode(DepNode &N) {
   // eager ones re-queue themselves at endExecution.
   if (N.Strategy == EvalStrategy::Demand || N.Executing) {
     if (N.Consistent) {
-      if (journaling()) {
-        // Reuse ExecSnapshot: it captures the current Level / ExecStamp /
-        // Version (unchanged here, so restoring them is a no-op) along
-        // with the Consistent bit being cleared.
-        UndoEntry U;
-        U.K = UndoEntry::Kind::ExecSnapshot;
-        U.Sink = N.Id;
-        U.WasConsistent = true;
-        U.OldLevel = N.Level;
-        U.OldStamp = N.ExecStamp;
-        U.OldVersion = N.Version;
-        Journal.push(std::move(U));
-        ++Stats.TxnUndoEntries;
-      }
       N.Consistent = false;
       enqueueSuccessors(N);
     }
@@ -699,94 +633,28 @@ bool DepGraph::commitBatch() {
 void DepGraph::rollbackBatch() {
   assert(TxnActive && "rollbackBatch() without beginBatch()");
   assert(!isEvaluating() && "rollbackBatch() inside the evaluator");
-  TxnRollingBack = true;
-  std::unordered_map<EdgeId, EdgeId> Relinked;
-  Journal.replayReverse([&](UndoEntry &E) { applyUndo(E, Relinked); });
-  // The pre-batch state was quiescent (or its queue is unrecoverable, see
-  // the beginBatch warning); nothing journaled during the batch may stay
-  // pending.
-  clearAllPending();
-  Journal.clear();
-  TxnRollingBack = false;
+  // Close the batch first, so the closures' own writes are not journaled.
   TxnActive = false;
-  // The restored state is the pre-batch quiescent one: nothing is parked.
+  // Newest first, the closures restore program state only: old values,
+  // the erasure of the nodes the batch created, the lift of the
+  // quarantines it imposed. Derived state stays as the batch left it,
+  // valid for the batch's last state; a restored location whose value
+  // leaves its snapshot is queued like any write, so the next pump or
+  // demand recomputes exactly the readers in doubt (DESIGN.md §7).
+  for (size_t I = Journal.size(); I-- > 0;)
+    Journal[I]();
+  Journal.clear();
+  // What stays queued is no cancelled wave's residue: nothing is parked.
   Gov.ParkedResidue = 0;
   Stats.GovParkedNodes = 0;
   ++Epoch;
   ++Stats.TxnRolledBack;
-  // Undo replay freed nodes and edges wholesale without touching the
+  // The closures freed nodes and edges without touching the
   // growth-triggered gauge hooks; publish so graph.node_bytes /
   // graph.edge_bytes / pool.high_water reflect the restored state.
   publishMemoryGauges();
   if (Cfg.Audit)
     audit("rollback");
-}
-
-void DepGraph::applyUndo(UndoEntry &E,
-                         std::unordered_map<EdgeId, EdgeId> &Relinked) {
-  switch (E.K) {
-  case UndoEntry::Kind::Action:
-    E.Undo();
-    break;
-  case UndoEntry::Kind::EdgeAdded: {
-    // A later entry, replayed already, may have detached this edge and
-    // relinked a replacement; either way the sink's list is back to its
-    // state right after the add, so removing the edge restores the one
-    // before it.
-    EdgeId Id = E.Edge;
-    if (auto It = Relinked.find(Id); It != Relinked.end())
-      Id = It->second;
-    if (isLiveEdge(Id) && edge(Id).Sink == E.Sink)
-      dropEdge(Id);
-    break;
-  }
-  case UndoEntry::Kind::PredsRemoved: {
-    // The detached edges were a prefix of the sink's list: relinking them
-    // at the front, oldest first, recovers the list's order. No level,
-    // partition or dedup bookkeeping: ExecSnapshot entries restore levels
-    // and stamps, and the endpoints still share a partition.
-    DepNode &Sink = node(E.Sink);
-    for (auto It = E.Preds.rbegin(); It != E.Preds.rend(); ++It) {
-      EdgeId New = allocEdge();
-      linkEdge(New, node(It->first), Sink);
-      ++Stats.EdgesCreated;
-      ++NumLiveEdges;
-      Relinked[It->second] = New;
-    }
-    break;
-  }
-  case UndoEntry::Kind::ExecSnapshot: {
-    DepNode &N = node(E.Sink);
-    N.Consistent = E.WasConsistent;
-    N.Level = E.OldLevel;
-    N.ExecStamp = E.OldStamp;
-    N.Version = E.OldVersion;
-    break;
-  }
-  case UndoEntry::Kind::VersionStamp:
-    node(E.Sink).Version = E.OldVersion;
-    break;
-  case UndoEntry::Kind::Quarantined: {
-    DepNode &N = node(E.Sink);
-    if (size_t I = findFault(E.Sink); I != SIZE_MAX) {
-      Quarantine[I] = std::move(Quarantine.back());
-      Quarantine.pop_back();
-    }
-    N.Quarantined = false;
-    N.Consistent = E.WasConsistent;
-    break;
-  }
-  case UndoEntry::Kind::QuarantineCleared: {
-    DepNode &N = node(E.Sink);
-    if (!N.Quarantined) {
-      eraseFromPendingSets(N);
-      N.Quarantined = true;
-      N.Consistent = false;
-      Quarantine.emplace_back(E.Sink, std::move(E.Saved));
-    }
-    break;
-  }
-  }
 }
 
 void DepGraph::dropEdge(EdgeId Id) {

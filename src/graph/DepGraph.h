@@ -26,7 +26,6 @@
 #include "support/FaultInfo.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace alphonse {
@@ -52,9 +51,9 @@ public:
   /// Records that \p Sink depends on \p Source and raises Sink's level
   /// above Source's. A read Sink's current execution already recorded is
   /// skipped (dedup). A read that names the source of the previous run's
-  /// edge at Sink's read cursor keeps that edge (no allocation, link,
-  /// union or journal entry); any other read links a new edge just behind
-  /// the cursor and unites the two partitions.
+  /// edge at Sink's read cursor keeps that edge (no allocation, link or
+  /// union); any other read links a new edge just behind the cursor and
+  /// unites the two partitions.
   void addDependency(DepNode &Sink, DepNode &Source);
 
   /// Detaches every predecessor edge of \p Sink (node destruction).
@@ -114,9 +113,10 @@ public:
   // here because committing runs the evaluator.)
   //===--------------------------------------------------------------------===//
 
-  /// Opens a batch. The graph should be quiescent (numPending() == 0);
-  /// callers normally pump first (Runtime::beginBatch does). Must not be
-  /// called while the evaluator is draining, and batches do not nest.
+  /// Opens a batch. Callers normally pump first (Runtime::beginBatch
+  /// does), so that a fault in work pending before the batch is not
+  /// charged to it. Must not be called while the evaluator is draining,
+  /// and batches do not nest.
   void beginBatch();
 
   /// Runs quiescence propagation (evaluateAll) for the batch. If any node
@@ -126,11 +126,14 @@ public:
   /// the journal is discarded, the epoch advances, and this returns true.
   bool commitBatch();
 
-  /// Replays the undo journal in reverse, restoring the pre-batch
-  /// quiescent state: storage snapshots, cached values, edges, levels,
-  /// execution stamps, versions, quarantine membership, and pending sets
-  /// (cleared — the pre-batch state was quiescent). Audited by verify()
-  /// under Config::Audit.
+  /// Closes the batch and runs its journal newest first, restoring program
+  /// state only: old storage values, the erasure of the nodes the batch
+  /// created, and the lift of the quarantines it imposed. Cached results,
+  /// edges, levels and consistency bits stay as the batch left them; each
+  /// restored location whose value leaves its snapshot is queued, so the
+  /// next pump or demand recomputes what the batch's values reached. The
+  /// graph may be left pending, and its answers are the pre-batch ones.
+  /// Audited by verify() under Config::Audit.
   void rollbackBatch();
 
   /// Opens a bounded re-entrant (conventional) run of the in-flight
@@ -220,18 +223,12 @@ private:
 
   /// Unlinks and frees \p Sink's predecessor edges from the front of its
   /// list up to, not including, \p Keep (every edge when \p Keep is
-  /// null), journaling them as one PredsRemoved entry inside a batch.
+  /// null).
   void removePredsBefore(DepNode &Sink, EdgeId Keep);
 
-  /// Undoes one journal entry. \p Relinked maps each edge that replay
-  /// of a PredsRemoved entry relinked to its new handle, so that an older
-  /// EdgeAdded entry naming the detached edge finds its replacement.
-  void applyUndo(UndoEntry &E, std::unordered_map<EdgeId, EdgeId> &Relinked);
-  /// Unlinks and frees edge \p Id (rollback of its EdgeAdded entry).
+  /// Unlinks and frees edge \p Id.
   void dropEdge(EdgeId Id);
 
-  /// Source of DepNode::Version stamps; monotonic, never rolled back.
-  uint64_t VersionCounter = 0;
   /// Source of DepNode::ExecStamp.
   uint64_t StampCounter = 0;
   /// Nodes processed by the current top-level propagation.

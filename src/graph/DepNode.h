@@ -110,6 +110,10 @@ public:
   /// True while this procedure instance is on the incremental call stack.
   bool isExecuting() const { return Executing; }
 
+  /// True while the node waits in its partition's pending set for the
+  /// evaluator (Section 4.4's inconsistent set).
+  bool isQueued() const { return InQueue; }
+
   /// True while the node sits in the graph's quarantine set: its last
   /// recompute threw, diverged, or cycled, and it takes no further part in
   /// propagation until DepGraph::resetQuarantined() returns it to service.
@@ -134,15 +138,6 @@ public:
   /// for procedures, recorded during the last execution. Used only to order
   /// the evaluator's work; correctness never depends on it.
   uint32_t level() const { return Level; }
-
-  /// Version stamp of this node's cached value: advanced (from a
-  /// graph-global monotonic counter) whenever the value may have changed —
-  /// at every procedure execution and at every storage refresh that
-  /// observed a real change. A transactional rollback restores the
-  /// pre-batch stamp, so external caches detect invalidation by comparing
-  /// stamps for *equality* (a rolled-back stamp moves backward), without
-  /// any O(graph) sweep. See DESIGN.md "Transactions and recovery".
-  uint64_t version() const { return Version; }
 
   DepGraph &graph() const {
     assert(Graph && "node not attached to a graph");
@@ -201,8 +196,6 @@ private:
   uint64_t ReexecEpoch = 0;
   /// Stamp of this node's current/most recent execution (as a dependent).
   uint64_t ExecStamp = 0;
-  /// Value-version stamp (see version()).
-  uint64_t Version = 0;
   /// As a dependency source: the sink/stamp of the most recent edge created
   /// from this node, used to skip duplicate edges when one execution reads
   /// the same location repeatedly.
@@ -238,7 +231,7 @@ private:
   /// (a re-entrant read): the dependent captured this node's *transient*
   /// level, so the usual stamp/level ordering need not hold on those
   /// edges. Cleared at the next execution. Scheduling-heuristic
-  /// bookkeeping only — never journaled.
+  /// bookkeeping only.
   bool ReadMidExecution = false;
   /// A cancelled wave left this node stale (see isStale()); the governor
   /// lists the stale nodes so a full repair can clear them wholesale.
@@ -249,7 +242,7 @@ private:
 };
 // The node is the per-vertex constant of the O(M) space bound (Section
 // 9.1); cold, rarely set state belongs in side tables, not here.
-static_assert(sizeof(DepNode) <= 104, "DepNode grew past 104 bytes");
+static_assert(sizeof(DepNode) <= 96, "DepNode grew past 96 bytes");
 
 } // namespace alphonse
 

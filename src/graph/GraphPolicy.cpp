@@ -43,14 +43,6 @@ void GraphPolicy::eraseFromPendingSets(DepNode &N) {
   --TotalPending;
 }
 
-void GraphPolicy::clearAllPending() {
-  for (InconsistentSet &S : SetVec)
-    while (!S.empty())
-      S.pop(*this);
-  TotalPending = 0;
-  DirtyRoots.clear();
-}
-
 UnionFind::Id GraphPolicy::uniteRoots(UnionFind::Id RootA,
                                       UnionFind::Id RootB) {
   UnionFind::Id Root = Partitions.unite(RootA, RootB);
@@ -73,12 +65,7 @@ UnionFind::Id GraphPolicy::uniteRoots(UnionFind::Id RootA,
 
 void GraphPolicy::logUndo(std::function<void()> Undo) {
   assert(TxnActive && "logUndo() outside a batch");
-  if (TxnRollingBack)
-    return;
-  UndoEntry U;
-  U.K = UndoEntry::Kind::Action;
-  U.Undo = std::move(Undo);
-  Journal.push(std::move(U));
+  Journal.push_back(std::move(Undo));
   ++Stats.TxnUndoEntries;
 }
 
@@ -111,19 +98,19 @@ void GraphPolicy::quarantine(DepNode &N, FaultInfo FI) {
   if (N.Quarantined)
     return; // First fault wins.
   assert(&node(N.Id) == &N && "quarantining a node of another graph");
-  if (TxnActive && !TxnRollingBack) {
+  if (TxnActive) {
     // A fault inside a batch poisons the whole batch: commitBatch() will
-    // roll back instead of committing. Journal the quarantine so rollback
-    // lifts it again (the pre-batch state had no such fault).
+    // roll back instead of committing, and the rollback lifts the
+    // quarantine again (the pre-batch state had no such fault). The node
+    // may die or be reset before then, so the closure resolves the
+    // generation-checked id and lifts only a quarantine still in force.
     ++TxnNewFaults;
     if (!AbortFault)
       AbortFault = FI;
-    UndoEntry U;
-    U.K = UndoEntry::Kind::Quarantined;
-    U.Sink = N.Id;
-    U.WasConsistent = N.Consistent;
-    Journal.push(std::move(U));
-    ++Stats.TxnUndoEntries;
+    logUndo([this, Id = N.Id]() {
+      if (DepNode *Q = tryNode(Id); Q && Q->Quarantined)
+        liftQuarantine(*Q);
+    });
   }
   eraseFromPendingSets(N);
   N.Quarantined = true;
@@ -138,28 +125,25 @@ void GraphPolicy::quarantine(DepNode &N, FaultInfo FI) {
 }
 
 bool GraphPolicy::resetQuarantined(DepNode &N) {
-  size_t I = findFault(N.Id);
-  if (I == SIZE_MAX)
+  if (!N.Quarantined)
     return false;
-  if (journaling()) {
-    UndoEntry U;
-    U.K = UndoEntry::Kind::QuarantineCleared;
-    U.Sink = N.Id;
-    U.Saved = Quarantine[I].second;
-    Journal.push(std::move(U));
-    ++Stats.TxnUndoEntries;
-  }
+  liftQuarantine(N);
+  ++Stats.QuarantineResets;
+  return true;
+}
+
+void GraphPolicy::liftQuarantine(DepNode &N) {
+  size_t I = findFault(N.Id);
+  assert(I != SIZE_MAX && "quarantined node without a recorded fault");
   Quarantine[I] = std::move(Quarantine.back());
   Quarantine.pop_back();
   N.Quarantined = false;
   N.ReexecCount = 0;
   N.ReexecEpoch = 0;
-  ++Stats.QuarantineResets;
   // Leave the node inconsistent; storage and eager nodes re-queue so the
   // next pump refreshes them, demand nodes recompute at their next call.
   if (N.isStorage() || N.Strategy == EvalStrategy::Eager)
     markInconsistent(N);
-  return true;
 }
 
 size_t GraphPolicy::resetAllQuarantined() {

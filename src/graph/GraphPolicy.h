@@ -10,7 +10,7 @@
 /// layering and handle-based storage"): dynamic graph partitioning
 /// (Section 6.3) with per-partition pending sets, change tracking
 /// (Section 4.4's markInconsistent), the quarantine fault set, and the
-/// transactional undo journal's bookkeeping primitives. It sits on
+/// transactional undo journal. It sits on
 /// GraphStore and knows nothing about the evaluation loops above it; the
 /// transaction *drivers* (beginBatch / commitBatch / rollbackBatch) live
 /// in DepGraph because committing runs the evaluator.
@@ -20,9 +20,9 @@
 /// single-threaded.
 ///
 /// All hot lookups here are dense and id-indexed: pending sets are a
-/// vector indexed by union-find root, the quarantine set is a flat
-/// {NodeId, fault} vector, and journal entries carry NodeIds — no
-/// pointer-keyed hash map survives on a propagation path.
+/// vector indexed by union-find root and the quarantine set is a flat
+/// {NodeId, fault} vector — no pointer-keyed hash map survives on a
+/// propagation path.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +31,6 @@
 
 #include "graph/GraphStore.h"
 #include "graph/InconsistentSet.h"
-#include "graph/UndoLog.h"
 #include "support/FaultInfo.h"
 #include "support/UnionFind.h"
 
@@ -110,9 +109,9 @@ public:
     return AbortFault ? &*AbortFault : nullptr;
   }
 
-  /// Appends a typed-layer restore closure to the journal. Only valid
-  /// inside a batch; no-op while a rollback is replaying (the replay must
-  /// not journal its own restores).
+  /// Appends a restore closure to the journal. Only valid inside a batch.
+  /// Rollback runs the closures newest first, after closing the batch, so
+  /// a closure's own writes are never journaled.
   void logUndo(std::function<void()> Undo);
 
   /// Journal size of the current batch (test/stats visibility).
@@ -163,10 +162,6 @@ protected:
   /// TotalPending count (used by unregisterNode and quarantine).
   void eraseFromPendingSets(DepNode &N);
 
-  /// Empties every pending set (rollback's final step: the pre-batch
-  /// state was quiescent, so nothing may stay queued).
-  void clearAllPending();
-
   /// Unites the partitions rooted at \p RootA and \p RootB (both must be
   /// current roots), merging the orphaned pending set into the merged
   /// root's. \returns the merged root.
@@ -187,12 +182,13 @@ protected:
     }
   }
 
-  /// True when mutations should be journaled: inside a batch, but not
-  /// while rollback itself is replaying.
-  bool journaling() const { return TxnActive && !TxnRollingBack; }
-
   /// Index of \p Id's quarantine entry, or npos.
   size_t findFault(NodeId Id) const;
+
+  /// Takes the quarantined node \p N out of the quarantine set, left
+  /// inconsistent; storage and eager nodes re-queue (resetQuarantined and
+  /// the rollback of an in-batch quarantine).
+  void liftQuarantine(DepNode &N);
 
   UnionFind Partitions;
   /// Pending sets indexed by union-find root id (dense; grown on demand).
@@ -205,12 +201,12 @@ protected:
   /// are tiny, linear scans beat hashing).
   std::vector<std::pair<NodeId, FaultInfo>> Quarantine;
 
-  /// Undo journal of the active batch (empty outside one).
-  UndoLog Journal;
+  /// Undo journal of the active batch (empty outside one): one closure per
+  /// change to program state — an old value, the erasure of a node the
+  /// batch created, the lift of a quarantine it imposed.
+  std::vector<std::function<void()>> Journal;
   /// A batch is open (beginBatch .. commit/rollback).
   bool TxnActive = false;
-  /// rollbackBatch() is replaying; suppresses journaling and scrubbing.
-  bool TxnRollingBack = false;
   /// Nodes quarantined since beginBatch(); any nonzero value aborts the
   /// commit.
   uint64_t TxnNewFaults = 0;

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Alphonse.h"
+#include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,79 @@ TEST(CellTest, SelfWriteConvergesWithoutLooping) {
   // once, writes the same value (quiescent), and settles.
   EXPECT_LE(RT.stats().ProcExecutions, 3u);
   EXPECT_EQ(Out.peek(), 10);
+}
+
+TEST(CellTest, WriteBackAfterAQueuedReadNotifiesTheReader) {
+  // Theorem 5.1 across the variable cutoff: a reader that saw the live
+  // value while the vertex was queued must be notified at the refresh,
+  // even when a write-back has restored the snapshot by then.
+  {
+    SCOPED_TRACE("a new demand reader");
+    Runtime RT;
+    Cell<int> S(RT, 0, "s");
+    Maintained<int()> G(RT, [&] { return S.get() * 10; });
+    Maintained<int(int)> F(RT, [&](int K) { return S.get() + K; });
+    EXPECT_EQ(G(), 0); // s is tracked, with snapshot 0.
+    S.set(1);          // Queues s.
+    EXPECT_EQ(F(0), 1); // A new instance reads the live 1.
+    S.set(0);           // Back at the snapshot: the write queues nothing.
+    EXPECT_EQ(F(0), 0);
+    EXPECT_EQ(G(), 0);
+  }
+  {
+    SCOPED_TRACE("inside a committed batch");
+    Runtime RT;
+    Cell<int> S(RT, 0, "s");
+    Maintained<int()> G(RT, [&] { return S.get() * 10; });
+    Maintained<int(int)> F(RT, [&](int K) { return S.get() + K; });
+    EXPECT_EQ(G(), 0);
+    RT.beginBatch();
+    S.set(1);
+    EXPECT_EQ(F(0), 1);
+    S.set(0);
+    EXPECT_TRUE(RT.commitBatch());
+    EXPECT_EQ(F(0), 0);
+  }
+  {
+    SCOPED_TRACE("an eager reader");
+    Runtime RT;
+    Cell<int> S(RT, 0, "s");
+    Maintained<int()> G(RT, [&] { return S.get() * 10; });
+    Maintained<int(int)> E(
+        RT, [&](int K) { return S.get() + K; }, EvalStrategy::Eager);
+    EXPECT_EQ(G(), 0);
+    S.set(1);
+    EXPECT_EQ(E(0), 1);
+    S.set(0);
+    RT.pump();
+    ASSERT_NE(E.peekCached(0), nullptr);
+    EXPECT_EQ(*E.peekCached(0), 0);
+    EXPECT_EQ(E(0), 0);
+  }
+}
+
+TEST(CellTest, ReadOfAQuarantinedLocationIsNotifiedAtItsReset) {
+  // A quarantined vertex takes no part in propagation, so a reader sees
+  // the live value until the reset's refresh; that refresh must notify it
+  // even when the live value is back at the snapshot by then.
+  Runtime RT;
+  Cell<int> S(RT, 0, "s");
+  Maintained<int()> G(RT, [&] { return S.get() * 10; });
+  Maintained<int(int)> F(RT, [&](int K) { return S.get() + K; });
+  EXPECT_EQ(G(), 0);
+  {
+    FaultInjector Inj;
+    FaultInjector::Scope Active(Inj);
+    Inj.armThrow("s");
+    S.set(5);
+    RT.pump(); // The refresh throws: s is quarantined, snapshot still 0.
+  }
+  ASSERT_TRUE(S.node()->isQuarantined());
+  EXPECT_EQ(F(0), 5);
+  S.set(0);
+  EXPECT_TRUE(RT.graph().resetQuarantined(*S.node()));
+  EXPECT_EQ(F(0), 0);
+  EXPECT_EQ(G(), 0);
 }
 
 } // namespace

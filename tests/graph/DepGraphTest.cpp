@@ -334,34 +334,6 @@ TEST_F(DepGraphTest, ReexecutionEndsWithExactlyTheNewReadSet) {
   }
 }
 
-TEST_F(DepGraphTest, RollbackRestoresThePredecessorListInOrder) {
-  for (const ReadSetCase &Case : ReadSetCases) {
-    SCOPED_TRACE(Case.Name);
-    DepGraph G(Stats);
-    std::vector<std::unique_ptr<FakeStorage>> S;
-    for (int I = 0; I < 5; ++I)
-      S.push_back(std::make_unique<FakeStorage>(G));
-    FakeProc P(G);
-    runReading(G, P, nodes(Case.Old, S));
-    std::vector<const DepNode *> Before = predsOf(P);
-
-    // Re-execute with the new read set, then once more with yet another
-    // order, so that edges added by the first run are trimmed and
-    // relinked by the second's undo before their own undo runs.
-    G.beginBatch();
-    runReading(G, P, nodes(Case.New, S));
-    runReading(G, P, {S[3].get(), S[0].get(), S[4].get()});
-    G.rollbackBatch();
-
-    EXPECT_EQ(predsOf(P), Before);
-    EXPECT_EQ(G.numLiveEdges(), Before.size());
-    for (const auto &Src : S)
-      EXPECT_EQ(Src->numSuccessors(),
-                std::count(Before.begin(), Before.end(), Src.get()));
-    EXPECT_TRUE(G.verify().empty());
-  }
-}
-
 TEST_F(DepGraphTest, ThrowingRunKeepsWhatItReadAndTrimsTheRest) {
   DepGraph G(Stats);
   FakeStorage A(G), B(G), C(G);

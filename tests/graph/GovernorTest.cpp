@@ -241,12 +241,12 @@ TEST(GovernorTest, BudgetExhaustionInsideCommitAbortsAndRollsBack) {
   ASSERT_NE(FI, nullptr);
   EXPECT_EQ(FI->Kind, FaultKind::Deadline);
 
-  // Rolled back to the pre-batch quiescent state: no stale values, no
+  // Rolled back to the pre-batch program state: no stale values, no
   // parked residue, the old value everywhere.
   EXPECT_FALSE(RT.degraded());
-  EXPECT_EQ(RT.graph().numPending(), 0u);
   EXPECT_EQ(C.Src.peek(), 0);
   EXPECT_TRUE(RT.graph().verify().empty());
+  EXPECT_EQ(C.last(), 16);
 
   // With the budget lifted the same batch commits.
   RT.setDefaultBudget(WaveBudget());

@@ -9,9 +9,11 @@
 /// Randomized stress test for transactional batches: random interleavings
 /// of tree mutations, mid-batch demands, injected faults, rollbacks and
 /// commits on a HeightTree, checked against the hand-maintained
-/// ManualHeightTree oracle after every quiescent point. Only committed
-/// batches are mirrored into the oracle; rolled-back batches must leave
-/// the incremental tree indistinguishable from never having run.
+/// ManualHeightTree oracle after every batch. An eager observer sums every
+/// height, so each commit re-runs it and each rollback leaves it for the
+/// next pump to repair. Only committed batches are mirrored into the
+/// oracle; rolled-back batches must leave the incremental tree
+/// indistinguishable from never having run.
 ///
 /// The seed is fixed: a failure reproduces deterministically.
 ///
@@ -71,6 +73,7 @@ public:
       Inc.push_back(Tree.makeNode());
       Man.push_back(Manual.makeNode());
     }
+    HeightSum(); // Wire the observer now, outside any batch.
   }
 
   /// Picks a random legal edit: parent P, slot, and a child with a higher
@@ -107,10 +110,12 @@ public:
       Manual.setRight(Man[E.Parent], Child);
   }
 
-  /// Full oracle comparison at a quiescent point: every node's maintained
-  /// height equals both the hand-maintained field and the exhaustive
-  /// recursion, and the graph audits clean.
+  /// Full oracle comparison: every node's maintained height equals both
+  /// the hand-maintained field and the exhaustive recursion; after a pump
+  /// the eager observer holds the sum of the hand-maintained heights; and
+  /// the graph audits clean.
   void checkAll() {
+    int ManualSum = 0;
     for (int I = 0; I < NumNodes; ++I) {
       int Incremental = Tree.height(Inc[I]);
       ASSERT_EQ(Incremental, ManualHeightTree::height(Man[I]))
@@ -118,7 +123,12 @@ public:
       ASSERT_EQ(Incremental,
                 HeightTree::exhaustiveHeight(Inc[I], Tree.nil()))
           << "node " << I << " disagrees with the exhaustive recursion";
+      ManualSum += ManualHeightTree::height(Man[I]);
     }
+    RT.pump();
+    ASSERT_NE(HeightSum.peekCached(), nullptr);
+    ASSERT_EQ(*HeightSum.peekCached(), ManualSum)
+        << "the eager observer disagrees with the manual oracle";
     std::vector<std::string> Audit = RT.graph().verify();
     ASSERT_TRUE(Audit.empty()) << Audit.front();
     ASSERT_EQ(RT.graph().numQuarantined(), 0u);
@@ -130,6 +140,15 @@ public:
   std::vector<HeightTree::Node *> Inc;
   std::vector<ManualHeightTree::Node *> Man;
   Shape Current;
+  /// The eager observer: the sum of every node's maintained height.
+  Maintained<int()> HeightSum{RT,
+                              [this] {
+                                int Sum = 0;
+                                for (HeightTree::Node *N : Inc)
+                                  Sum += Tree.height(N);
+                                return Sum;
+                              },
+                              EvalStrategy::Eager, "sum"};
 };
 
 TEST(TransactionStressTest, RandomBatchesAgainstManualOracle) {
@@ -181,12 +200,21 @@ TEST(TransactionStressTest, RandomBatchesAgainstManualOracle) {
         Txn.rollback();
         Doomed = true; // Same restoration path as a fault.
         ++RolledBack;
-      } else if (Doomed) {
-        ASSERT_FALSE(Txn.commit()); // A poisoned batch must not commit.
-        ++Faulted;
       } else {
-        ASSERT_TRUE(Txn.commit());
-        ++Committed;
+        bool Ok = Txn.commit();
+        if (Doomed) {
+          ASSERT_FALSE(Ok); // A poisoned batch must not commit.
+        } else if (!Armed) {
+          ASSERT_TRUE(Ok);
+        }
+        // An armed fault the demands missed may still fire in the
+        // observer's re-run during the commit, aborting it.
+        if (Ok) {
+          ++Committed;
+        } else {
+          Doomed = true;
+          ++Faulted;
+        }
       }
     }
     if (Armed)

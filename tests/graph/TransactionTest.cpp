@@ -8,10 +8,11 @@
 /// \file
 /// Tests for transactional mutation batches (DESIGN.md "Transactions and
 /// recovery"): commit applies a batch atomically, any fault during the
-/// batch or its commit propagation rolls every observable back to the
-/// pre-batch quiescent state (verified by DepGraph::verify()), versions
-/// and epochs track batch outcomes, and a fault-free retry of the same
-/// batch commits.
+/// batch or its commit propagation rolls program state back to the
+/// pre-batch state (the graph then recomputes what the restored values
+/// reach, and DepGraph::verify() holds throughout), the journal holds
+/// program state only, epochs track batch outcomes, and a fault-free retry
+/// of the same batch commits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,9 @@
 #include "trees/HeightTree.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <vector>
 
 namespace alphonse {
 namespace {
@@ -95,7 +99,6 @@ TEST(TransactionTest, FaultDuringCommitRollsBackAndRetryCommits) {
   EXPECT_EQ(F(0), 3);
   RT.pump();
   uint64_t E0 = RT.epoch();
-  uint64_t Steps0 = RT.stats().ProcExecutions;
 
   FaultInjector Inj;
   FaultInjector::Scope Active(Inj);
@@ -111,9 +114,8 @@ TEST(TransactionTest, FaultDuringCommitRollsBackAndRetryCommits) {
   // Every observable is exactly as before the batch.
   EXPECT_EQ(A.peek(), 1);
   EXPECT_EQ(B.peek(), 2);
-  EXPECT_EQ(F(0), 3); // Served from the restored cache.
+  EXPECT_EQ(F(0), 3); // Recomputed from the restored inputs.
   EXPECT_EQ(RT.graph().numQuarantined(), 0u);
-  EXPECT_EQ(RT.graph().numPending(), 0u);
   EXPECT_TRUE(RT.graph().verify().empty());
   EXPECT_EQ(RT.epoch(), E0 + 1);
   EXPECT_EQ(RT.stats().TxnRolledBack, 1u);
@@ -121,8 +123,6 @@ TEST(TransactionTest, FaultDuringCommitRollsBackAndRetryCommits) {
   ASSERT_NE(FI, nullptr);
   EXPECT_EQ(FI->Kind, FaultKind::Exception);
   EXPECT_EQ(FI->NodeName, "f");
-  // The restored cache still answers without re-executing.
-  EXPECT_EQ(RT.stats().ProcExecutions, Steps0 + 1); // Only the faulted run.
 
   // Retry of the same batch without the fault (the injector fires once).
   {
@@ -142,7 +142,6 @@ TEST(TransactionTest, MidBatchDemandFaultRollsBack) {
   Maintained<int(int)> G(
       RT, [&](int X) { return C.get() + X; }, EvalStrategy::Demand, "g");
   EXPECT_EQ(G(1), 5);
-  uint64_t V0 = G.instanceNode(1)->version();
 
   FaultInjector Inj;
   FaultInjector::Scope Active(Inj);
@@ -156,7 +155,6 @@ TEST(TransactionTest, MidBatchDemandFaultRollsBack) {
   EXPECT_EQ(C.peek(), 4);
   EXPECT_EQ(RT.graph().numQuarantined(), 0u);
   ASSERT_NE(G.instanceNode(1), nullptr);
-  EXPECT_EQ(G.instanceNode(1)->version(), V0); // Version rolled back too.
   EXPECT_EQ(G(1), 5);
   EXPECT_TRUE(RT.graph().verify().empty());
 }
@@ -230,7 +228,7 @@ TEST(TransactionTest, PreexistingQuarantineSurvivesRollback) {
   EXPECT_TRUE(RT.graph().verify().empty());
 }
 
-TEST(TransactionTest, QuarantineResetInsideBatchIsReimposedOnRollback) {
+TEST(TransactionTest, QuarantineResetInsideBatchIsNotReimposedOnRollback) {
   Runtime RT;
   Cell<int> A(RT, 1, "a");
   Maintained<int(int)> Bad(
@@ -243,53 +241,43 @@ TEST(TransactionTest, QuarantineResetInsideBatchIsReimposedOnRollback) {
   DepNode *N = Bad.instanceNode(0);
   ASSERT_NE(N, nullptr);
 
-  // The batch resets the quarantine (recovery work), then rolls back: the
-  // quarantine must be re-imposed with the original fault preserved.
+  // The batch resets the quarantine (recovery work), then rolls back. A
+  // quarantine is graph state, not program state, so the rollback does not
+  // re-impose it: the node stays in service and recomputes at its next
+  // call.
   RT.beginBatch();
   EXPECT_TRUE(RT.graph().resetQuarantined(*N));
   EXPECT_EQ(RT.graph().numQuarantined(), 0u);
   RT.rollbackBatch();
 
-  EXPECT_TRUE(N->isQuarantined());
-  ASSERT_EQ(RT.graph().numQuarantined(), 1u);
-  const FaultInfo *FI = RT.graph().fault(*N);
-  ASSERT_NE(FI, nullptr);
-  EXPECT_EQ(FI->Kind, FaultKind::Exception);
-  EXPECT_EQ(FI->NodeName, "bad");
+  EXPECT_FALSE(N->isQuarantined());
+  EXPECT_EQ(RT.graph().numQuarantined(), 0u);
+  EXPECT_EQ(RT.graph().fault(*N), nullptr);
   EXPECT_TRUE(RT.graph().verify().empty());
-
-  // And the standard recovery path still works after the rollback.
-  EXPECT_TRUE(RT.graph().resetQuarantined(*N));
   EXPECT_EQ(Bad(0), 1);
 }
 
-TEST(TransactionTest, VersionAndEpochTrackBatchOutcomes) {
+TEST(TransactionTest, EpochTracksBatchOutcomes) {
   Runtime RT;
   Cell<int> A(RT, 1, "a");
   Maintained<int(int)> F(
       RT, [&](int) { return A.get(); }, EvalStrategy::Eager, "f");
   EXPECT_EQ(F(0), 1);
   RT.pump();
-  DepNode *N = F.instanceNode(0);
-  ASSERT_NE(N, nullptr);
-  uint64_t V0 = N->version();
   uint64_t E0 = RT.epoch();
 
-  // Rolled-back batch: the version stamp returns to its pre-batch value,
-  // the epoch still advances (so epoch-keyed caches know something ran).
+  // Rolled-back batch: the epoch still advances (so epoch-keyed caches
+  // know something ran).
   RT.beginBatch();
   A.set(2);
   RT.graph().evaluateAll();
-  EXPECT_NE(N->version(), V0);
   RT.rollbackBatch();
-  EXPECT_EQ(N->version(), V0);
   EXPECT_EQ(RT.epoch(), E0 + 1);
 
-  // Committed batch: the version moves forward for good.
+  // Committed batch: the epoch advances again.
   RT.beginBatch();
   A.set(3);
   EXPECT_TRUE(RT.commitBatch());
-  EXPECT_NE(N->version(), V0);
   EXPECT_EQ(RT.epoch(), E0 + 2);
   EXPECT_EQ(F(0), 3);
 }
@@ -341,6 +329,93 @@ TEST(TransactionTest, HeightTreeBatchFaultLeavesHeightsIntact) {
   EXPECT_EQ(T.height(Root), 5);
   EXPECT_EQ(T.height(Root),
             trees::HeightTree::exhaustiveHeight(Root, T.nil()));
+}
+
+TEST(TransactionTest, CommitJournalsProgramStateOnly) {
+  // A cone of eager readers over K cells: the commit re-executes every
+  // reader and relinks their edges, and none of that is journaled. Only
+  // the K writes are.
+  constexpr int K = 8;
+  Runtime RT;
+  std::vector<std::unique_ptr<Cell<int>>> In;
+  for (int I = 0; I < K; ++I)
+    In.push_back(std::make_unique<Cell<int>>(RT, I, "in"));
+  Maintained<int(int)> Pair(
+      RT, [&](int I) { return In[I]->get() + In[(I + 1) % K]->get(); },
+      EvalStrategy::Eager, "pair");
+  Maintained<int()> Total(
+      RT,
+      [&] {
+        int Sum = 0;
+        for (int I = 0; I < K; ++I)
+          Sum += Pair(I);
+        return Sum;
+      },
+      EvalStrategy::Eager, "total");
+  EXPECT_EQ(Total(), K * (K - 1));
+  RT.pump();
+  uint64_t Execs0 = RT.stats().ProcExecutions;
+  uint64_t Entries0 = RT.stats().TxnUndoEntries;
+
+  RT.beginBatch();
+  for (int I = 0; I < K; ++I)
+    In[I]->set(I + 100);
+  EXPECT_TRUE(RT.commitBatch());
+
+  EXPECT_EQ(RT.stats().ProcExecutions, Execs0 + K + 1); // The whole cone.
+  EXPECT_EQ(RT.stats().TxnUndoEntries, Entries0 + K);   // The writes only.
+  EXPECT_EQ(Total(), K * (K - 1) + 2 * 100 * K);
+  EXPECT_TRUE(RT.graph().verify().empty());
+}
+
+TEST(TransactionTest, RollbackRecomputesOnlyWhatTheRestoredValuesReach) {
+  // Two unrelated eager cones: a -> fa -> ga -> ha and b -> fb -> gb.
+  Runtime RT;
+  Cell<int> A(RT, 1, "a");
+  Cell<int> B(RT, 2, "b");
+  Maintained<int()> FA(RT, [&] { return A.get() * 10; }, EvalStrategy::Eager,
+                       "fa");
+  Maintained<int()> GA(RT, [&] { return FA() + 1; }, EvalStrategy::Eager,
+                       "ga");
+  Maintained<int()> HA(RT, [&] { return GA() + 1; }, EvalStrategy::Eager,
+                       "ha");
+  Maintained<int()> FB(RT, [&] { return B.get() * 10; }, EvalStrategy::Eager,
+                       "fb");
+  Maintained<int()> GB(RT, [&] { return FB() + 1; }, EvalStrategy::Eager,
+                       "gb");
+  EXPECT_EQ(HA(), 12);
+  EXPECT_EQ(GB(), 21);
+  RT.pump();
+
+  FaultInjector Inj;
+  FaultInjector::Scope Active(Inj);
+  Inj.armThrow("ha");
+
+  // The commit re-runs the a cone, whose last node throws: the batch rolls
+  // back, and fa and ga keep the values the batch gave them.
+  RT.beginBatch();
+  A.set(5);
+  EXPECT_FALSE(RT.commitBatch());
+  EXPECT_EQ(A.peek(), 1);
+  EXPECT_EQ(*GA.peekCached(), 51);
+  EXPECT_GT(RT.graph().numPending(), 0u);
+  EXPECT_EQ(RT.graph().numQuarantined(), 0u);
+  EXPECT_TRUE(RT.graph().verify().empty());
+
+  // The next pump re-runs the a cone only, back to the pre-batch values.
+  uint64_t Execs0 = RT.stats().ProcExecutions;
+  RT.pump();
+  EXPECT_EQ(RT.stats().ProcExecutions, Execs0 + 3);
+  EXPECT_EQ(RT.graph().numPending(), 0u);
+  EXPECT_EQ(*FA.peekCached(), 10);
+  EXPECT_EQ(*GA.peekCached(), 11);
+  EXPECT_EQ(*HA.peekCached(), 12);
+  EXPECT_EQ(*FB.peekCached(), 20);
+  EXPECT_EQ(*GB.peekCached(), 21);
+  EXPECT_EQ(HA(), 12);
+  EXPECT_EQ(GB(), 21);
+  EXPECT_EQ(RT.stats().ProcExecutions, Execs0 + 3); // Cache hits.
+  EXPECT_TRUE(RT.graph().verify().empty());
 }
 
 } // namespace

@@ -263,6 +263,22 @@ TEST(BytecodeDiffTest, RandomizedNullaryConeInterleavings) {
   }
 }
 
+TEST(BytecodeDiffTest, WriteBackAfterAQueuedReadAgrees) {
+  // G makes s tracked. F(0) is a new instance, so its first call forces no
+  // evaluation and reads the live 1 while s waits for its refresh; the
+  // write-back to the snapshot must still reach F.
+  auto C = compile(R"(
+VAR s : INTEGER;
+(*CACHED*) PROCEDURE G() : INTEGER = BEGIN RETURN s * 10; END G;
+(*CACHED*) PROCEDURE F(k : INTEGER) : INTEGER = BEGIN RETURN s + k; END F;
+PROCEDURE SetS(v : INTEGER) = BEGIN s := v; END SetS;
+)");
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  RunResult Ref = checkDifferential(
+      *C, {{"G", {}}, {"SetS", {1}}, {"F", {0}}, {"SetS", {0}}, {"F", {0}}});
+  EXPECT_EQ(Ref.Rendered.back(), "0");
+}
+
 TEST(BytecodeDiffTest, OperatorsAndControlFlow) {
   // Every operator, AND/OR short-circuit, FOR with body writes to the
   // index variable, WHILE, nested IF/ELSIF, text concat, unary ops, and

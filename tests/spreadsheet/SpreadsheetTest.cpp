@@ -298,9 +298,44 @@ TEST_P(SpreadsheetRandomTest, RandomEditsMatchOracle) {
       F = "let t = " + RandomRef(I) + " in t * 2 + " + F + " ni";
     ASSERT_TRUE(S.setFormula(R, C, F)) << S.diagnostics().str();
   }
+  // Most edits set one literal. The others are setAll batches, the mix
+  // sheet_recalc runs: one that commits, one whose formula fails to parse,
+  // and one that closes a reference cycle. The last two roll back, and the
+  // sheet must read as if they had never run.
+  auto CellName = [&](int I) {
+    return "cell(" + std::to_string(I / Dim) + "," + std::to_string(I % Dim) +
+           ")";
+  };
   for (int Edit = 0; Edit < 30; ++Edit) {
     int R = static_cast<int>(Rng() % Dim), C = static_cast<int>(Rng() % Dim);
-    S.setLiteral(R, C, static_cast<int>(Rng() % 50));
+    std::string Lit = std::to_string(Rng() % 50);
+    // A cell past the first, which may hold a formula over earlier cells.
+    int J = 1 + static_cast<int>(Rng() % static_cast<unsigned>(Dim * Dim - 1));
+    int JR = J / Dim, JC = J % Dim;
+    switch (Rng() % 5) {
+    case 0:
+      ASSERT_TRUE(S.setAll({{R, C, Lit},
+                            {JR, JC, RandomRef(J) + " + " + RandomRef(J)}}))
+          << "edit " << Edit << ": " << S.diagnostics().str();
+      break;
+    case 1:
+      ASSERT_FALSE(S.setAll({{R, C, Lit}, {JR, JC, RandomRef(J) + " +"}}))
+          << "edit " << Edit;
+      break;
+    case 2: {
+      int K = (J + 1 + static_cast<int>(Rng() % static_cast<unsigned>(
+                                            Dim * Dim - 1))) %
+              (Dim * Dim);
+      ASSERT_FALSE(S.setAll({{R, C, Lit},
+                             {JR, JC, CellName(K) + " + 1"},
+                             {K / Dim, K % Dim, CellName(J) + " * 2"}}))
+          << "edit " << Edit;
+      break;
+    }
+    default:
+      S.setLiteral(R, C, std::stoi(Lit));
+      break;
+    }
     long long Inc = 0;
     for (int I = 0; I < Dim * Dim; ++I)
       Inc += S.value(I / Dim, I % Dim);
