@@ -129,12 +129,12 @@ public:
   /// opened from inside an incremental call.
   void beginBatch() {
     assert(callDepth() == 0 && "beginBatch() inside an incremental call");
-    // The pre-batch pump runs to quiescence whatever the default budget.
-    // A fault in work pending before the batch is then not charged to the
-    // batch, and every node the batch runs, runs because of the batch: a
-    // location it moved, a node it created, or a quarantine it reset.
-    // Restoring the batch's writes therefore reaches every such node
-    // (DESIGN.md §7).
+    // The pre-batch pump runs to quiescence whatever the default budget,
+    // so a fault in work pending before the batch is not charged to the
+    // batch, and the batch starts with every location at its snapshot:
+    // any value a run inside the batch read that differs from the
+    // pre-batch state, the batch wrote, and rollback's restores reach
+    // that run's node (DESIGN.md §7).
     Graph.evaluateAll(WaveBudget());
     Graph.beginBatch();
   }

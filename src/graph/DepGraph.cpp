@@ -135,7 +135,10 @@ void DepGraph::unregisterNode(DepNode &N) {
     bool Unread = isUnread(Sink, E);
     if (Sink.ReadCursor == E)
       Sink.ReadCursor = Ed.PrevPred;
-    dropEdge(E);
+    unlinkEdge(E);
+    freeEdgeSlot(E);
+    ++Stats.EdgesRemoved;
+    --NumLiveEdges;
     if (!Unread)
       markInconsistent(Sink);
     E = Next;
@@ -655,13 +658,6 @@ void DepGraph::rollbackBatch() {
   publishMemoryGauges();
   if (Cfg.Audit)
     audit("rollback");
-}
-
-void DepGraph::dropEdge(EdgeId Id) {
-  unlinkEdge(Id);
-  freeEdgeSlot(Id);
-  ++Stats.EdgesRemoved;
-  --NumLiveEdges;
 }
 
 //===----------------------------------------------------------------------===//

@@ -226,9 +226,6 @@ private:
   /// null).
   void removePredsBefore(DepNode &Sink, EdgeId Keep);
 
-  /// Unlinks and frees edge \p Id.
-  void dropEdge(EdgeId Id);
-
   /// Source of DepNode::ExecStamp.
   uint64_t StampCounter = 0;
   /// Nodes processed by the current top-level propagation.

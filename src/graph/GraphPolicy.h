@@ -114,9 +114,6 @@ public:
   /// a closure's own writes are never journaled.
   void logUndo(std::function<void()> Undo);
 
-  /// Journal size of the current batch (test/stats visibility).
-  size_t undoLogSize() const { return Journal.size(); }
-
   //===--------------------------------------------------------------------===//
   // Failure model (quarantine, divergence, cycles) — see DESIGN.md
   //===--------------------------------------------------------------------===//

@@ -261,7 +261,7 @@ public:
   /// Publishes graph.node_bytes / graph.edge_bytes / pool.high_water from
   /// the tables' current reservations, raising the high-water mark if
   /// they exceed it. The allocators call this when a table grows, and
-  /// rollbackBatch after undo replay freed nodes and edges wholesale.
+  /// rollbackBatch after its journal closures freed nodes and edges.
   void publishMemoryGauges();
 
   /// Rebases the pool.high_water mark to the tables' current combined
@@ -295,8 +295,7 @@ protected:
   /// Pushes edge \p Id onto the front of \p Source's successor list and
   /// splices it into \p Sink's predecessor list right after edge \p After
   /// (at the front when \p After is null), setting every edge field.
-  void linkEdge(EdgeId Id, DepNode &Source, DepNode &Sink,
-                EdgeId After = EdgeId()) {
+  void linkEdge(EdgeId Id, DepNode &Source, DepNode &Sink, EdgeId After) {
     Edge &E = EdgeTab.edge(Id);
     E.Source = Source.Id;
     E.Sink = Sink.Id;

@@ -75,8 +75,9 @@ Exp *Spreadsheet::makeCellRef(int Row, int Col) {
 }
 
 void Spreadsheet::recordSource(size_t I, std::string Src) {
-  // The graph journal restores the tree on rollback; the source text must
-  // travel with it or a rolled-back setAll would checkpoint stale text.
+  // The journal restores the grid's cells on rollback; the source text
+  // must travel with them or a rolled-back setAll would checkpoint stale
+  // text.
   if (RT.inBatch())
     RT.graph().logUndo([this, I, Old = Sources[I]]() { Sources[I] = Old; });
   Sources[I] = std::move(Src);

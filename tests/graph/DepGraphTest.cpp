@@ -537,7 +537,7 @@ TEST_F(DepGraphTest, PartitionForestShrinksWithTheGraph) {
   recordRead(G, PA, SA);
   recordRead(G, PB, SB);
   // PC read SB once and now reads only SC: SB and SC share a partition
-  // with no edge between them, which rollback relies on.
+  // with no edge between them, which compaction must preserve.
   recordRead(G, PC, SB);
   G.removePredEdges(PC);
   recordRead(G, PC, SC);

@@ -463,8 +463,8 @@ TEST(AuditDeathTest, BrokenInvariantAbortsNextRollback) {
         F(1);
         G(1);
         RT.beginBatch(); // Pumps a healthy graph first.
-        // Rollback unlinks the journaled g -> f edge, but not the level
-        // the misuse gave f.
+        // Rollback restores program state only: the g -> f edge and the
+        // level the misuse gave f both stay.
         RT.graph().addDependency(*F.instanceNode(1), *G.instanceNode(1));
         RT.rollbackBatch(); // No drain runs in between.
       },

@@ -7,9 +7,11 @@
 ///
 /// \file
 /// Transactional mutation batches over the Alphonse-L interpreter: a
-/// Transaction wrapped around interpreter calls rolls global storage,
-/// instance caches, and the dependency graph back to the pre-batch
-/// quiescent state when a call faults, and a fault-free retry commits.
+/// Transaction wrapped around interpreter calls rolls global storage and
+/// fields back to the pre-batch state when a call faults, drops the
+/// instances the batch created, and leaves the graph to recompute the
+/// rest; every later answer is the pre-batch one, and a fault-free retry
+/// commits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,7 +74,7 @@ TEST(InterpTxnTest, FaultedBatchRollsBackGlobalsAndCaches) {
   EXPECT_EQ(I.runtime().epoch(), Epoch0 + 1);
   EXPECT_TRUE(I.runtime().graph().verify().empty());
   I.clearError();
-  EXPECT_EQ(I.call("F", {IV(1)}).Int, 2); // Restored cache, restored value.
+  EXPECT_EQ(I.call("F", {IV(1)}).Int, 2); // Recomputed from the restored x.
 
   // The same batch without the fault commits (the injector is spent).
   {
