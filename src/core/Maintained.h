@@ -153,9 +153,12 @@ private:
     /// Evaluator hook for eager instances: re-run the body and report
     /// whether the cached result changed.
     bool reexecute() override {
-      std::optional<Result> Old = Cached;
-      Result New = Parent->execute(*this);
-      return !Old || !(*Old == New);
+      if (!Cached) {
+        Parent->execute(*this);
+        return true;
+      }
+      Result Old = *Cached;
+      return !(Old == Parent->execute(*this));
     }
 
     ArgTable *Parent;

@@ -10,10 +10,10 @@
 /// layering and handle-based storage"): dynamic graph partitioning
 /// (Section 6.3) with per-partition pending sets, change tracking
 /// (Section 4.4's markInconsistent), the quarantine fault set, and the
-/// transactional undo journal. It sits on
-/// GraphStore and knows nothing about the evaluation loops above it; the
-/// transaction *drivers* (beginBatch / commitBatch / rollbackBatch) live
-/// in DepGraph because committing runs the evaluator.
+/// transactional undo journal. It sits on GraphStore and knows nothing
+/// about the evaluation loops above it; the transaction *drivers*
+/// (beginBatch / commitBatch / rollbackBatch) live in DepGraph because
+/// committing runs the evaluator.
 ///
 /// Partitions exist so that unrelated structures are not evaluated
 /// (Section 6.3), not to evaluate them concurrently: the graph is

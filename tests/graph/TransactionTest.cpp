@@ -257,6 +257,32 @@ TEST(TransactionTest, QuarantineResetInsideBatchIsNotReimposedOnRollback) {
   EXPECT_EQ(Bad(0), 1);
 }
 
+TEST(TransactionTest, RollbackSkipsAQuarantinedNodeThatDiedInTheBatch) {
+  Runtime RT;
+  Cell<int> A(RT, 1, "a");
+  Maintained<int(int)> F(
+      RT, [&](int X) { return A.get() + X; }, EvalStrategy::Demand, "f");
+  EXPECT_EQ(F(0), 1);
+
+  FaultInjector Inj;
+  FaultInjector::Scope Active(Inj);
+  Inj.armThrow("f");
+
+  // The batch quarantines f(0), then the node dies before the rollback:
+  // the closure that would lift its quarantine must find it gone.
+  RT.beginBatch();
+  A.set(2);
+  EXPECT_THROW(F(0), InjectedFault);
+  ASSERT_EQ(RT.graph().numQuarantined(), 1u);
+  F.erase(0);
+  RT.rollbackBatch();
+
+  EXPECT_EQ(RT.graph().numQuarantined(), 0u);
+  EXPECT_TRUE(RT.graph().verify().empty());
+  EXPECT_EQ(A.peek(), 1);
+  EXPECT_EQ(F(0), 1);
+}
+
 TEST(TransactionTest, EpochTracksBatchOutcomes) {
   Runtime RT;
   Cell<int> A(RT, 1, "a");
