@@ -61,7 +61,7 @@ public:
       // A vertex whose refresh is still to come may hold a snapshot other
       // than the live value this reader sees; that refresh must notify
       // the reader even if a write-back restores the snapshot first.
-      if (V.isQueued() || V.isQuarantined())
+      if ((V.isQueued() || V.isQuarantined()) && !(Live == V.Snapshot))
         V.ReadWhileQueued = true;
     }
     return Live;
@@ -163,8 +163,8 @@ private:
     const StorageNode *Owner;
     /// The value dependents observed at the last completed propagation.
     T Snapshot;
-    /// A tracked read found the vertex queued or quarantined: its reader
-    /// may hold a value other than Snapshot (see read()).
+    /// A tracked read found the vertex queued or quarantined and a live
+    /// value other than Snapshot (see read()).
     bool ReadWhileQueued = false;
   };
 

@@ -236,6 +236,32 @@ TEST(CellTest, WriteBackAfterAQueuedReadNotifiesTheReader) {
   }
 }
 
+TEST(CellTest, AWriteBackBeforeTheReadReRunsNoReader) {
+  // A run that moves a location off its snapshot and back before reading
+  // it saw the snapshot value: the location's refresh must not re-run it
+  // (with every such read flagged, this eager writer re-ran until the
+  // divergence guard quarantined it).
+  Runtime RT;
+  Cell<int> X(RT, 0, "x");
+  Cell<int> Y(RT, 0, "y");
+  Maintained<int()> F(
+      RT,
+      [&] {
+        X.set(Y.get() + 5);
+        X.set(0);
+        return X.get() + Y.get();
+      },
+      EvalStrategy::Eager, "f");
+  EXPECT_EQ(F(), 0);
+  RT.pump();
+  uint64_t Execs0 = RT.stats().ProcExecutions;
+  Y.set(1);
+  RT.pump();
+  EXPECT_EQ(RT.graph().numQuarantined(), 0u);
+  EXPECT_EQ(RT.stats().ProcExecutions, Execs0 + 1);
+  EXPECT_EQ(F(), 1);
+}
+
 TEST(CellTest, ReadOfAQuarantinedLocationIsNotifiedAtItsReset) {
   // A quarantined vertex takes no part in propagation, so a reader sees
   // the live value until the reset's refresh; that refresh must notify it
