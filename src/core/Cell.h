@@ -55,14 +55,17 @@ public:
   /// outlives the vertex.
   template <typename LabelFn>
   const T &read(Runtime &RT, LabelFn Label) const {
-    if (RT.inIncrementalCall()) {
+    if (DepNode *Reader = RT.currentProcedure()) {
       Vertex &V = Node ? *Node : ensureTracked(RT, Label());
-      RT.recordAccess(V);
       // A vertex whose refresh is still to come may hold a snapshot other
       // than the live value this reader sees; that refresh must notify
       // the reader even if a write-back restores the snapshot first.
-      if ((V.isQueued() || V.isQuarantined()) && !(Live == V.Snapshot))
+      // Unless this run made the location's last access: then it wrote
+      // the value itself, or its earlier read already set the flag.
+      if ((V.isQueued() || V.isQuarantined()) && !(Live == V.Snapshot) &&
+          !RT.graph().lastAccessedBy(V, *Reader))
         V.ReadWhileQueued = true;
+      RT.graph().addDependency(*Reader, V);
     }
     return Live;
   }
@@ -75,11 +78,17 @@ public:
     // since the location may become tracked later in the same batch and
     // rollback must still restore the value written before it. The
     // restore acts like a write: a value other than the snapshot queues
-    // the vertex, whose refresh then invalidates the batch's readers.
+    // the vertex, whose refresh then invalidates the batch's readers. A
+    // quarantined vertex is not refreshed before its reset, so the
+    // restore notifies its readers itself.
     if (RT.inBatch())
       RT.graph().logUndo([this, Old = Live]() {
         Live = Old;
-        if (Node && !(Live == Node->Snapshot))
+        if (!Node)
+          return;
+        if (Node->isQuarantined())
+          Node->graph().enqueueSuccessors(*Node);
+        else if (!(Live == Node->Snapshot))
           Node->graph().markInconsistent(*Node);
       });
     Vertex *SN = Node;
@@ -164,7 +173,8 @@ private:
     /// The value dependents observed at the last completed propagation.
     T Snapshot;
     /// A tracked read found the vertex queued or quarantined and a live
-    /// value other than Snapshot (see read()).
+    /// value other than Snapshot, and its run had not made the location's
+    /// last access (see read()).
     bool ReadWhileQueued = false;
   };
 

@@ -171,8 +171,7 @@ void DepGraph::addDependency(DepNode &Sink, DepNode &Source) {
   if (Source.Executing)
     Source.ReadMidExecution = true;
 
-  if (Sink.ExecStamp != 0 && Source.DedupSink == Sink.Id &&
-      Source.DedupStamp == Sink.ExecStamp) {
+  if (lastAccessedBy(Source, Sink)) {
     ++Stats.EdgesDeduped;
     return;
   }
@@ -647,7 +646,10 @@ void DepGraph::rollbackBatch() {
   for (size_t I = Journal.size(); I-- > 0;)
     Journal[I]();
   Journal.clear();
-  // What stays queued is no cancelled wave's residue: nothing is parked.
+  // Whatever stays queued (a commit cut short by its budget leaves its
+  // residue in the pending sets) is ordinary pending work toward the
+  // pre-batch state, not stale results being served, so none of it counts
+  // as parked and the graph is not degraded.
   Gov.ParkedResidue = 0;
   Stats.GovParkedNodes = 0;
   ++Epoch;

@@ -56,6 +56,14 @@ public:
   /// unites the two partitions.
   void addDependency(DepNode &Sink, DepNode &Source);
 
+  /// True if the most recent access recorded from \p Source (a read, or
+  /// the access a write begins with) came from \p Sink's current
+  /// execution: the repeat read that addDependency() deduplicates.
+  bool lastAccessedBy(const DepNode &Source, const DepNode &Sink) const {
+    return Sink.ExecStamp != 0 && Source.DedupSink == Sink.Id &&
+           Source.DedupStamp == Sink.ExecStamp;
+  }
+
   /// Detaches every predecessor edge of \p Sink (node destruction).
   void removePredEdges(DepNode &Sink);
 

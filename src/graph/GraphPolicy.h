@@ -74,6 +74,22 @@ public:
     DirtyRoots.push_back(Root);
   }
 
+  /// Queues every dependent of \p N (change notification, Section 4.4).
+  /// An edge that a running dependent has not read again is skipped: that
+  /// run has not seen N's value yet, and reads the new one if it reads N
+  /// at all. Also the rollback's notice for a quarantined storage
+  /// vertex, whose own markInconsistent() is a no-op.
+  void enqueueSuccessors(DepNode &N) {
+    for (EdgeId E = N.FirstSucc; E;) {
+      const Edge &Ed = edge(E);
+      EdgeId Next = Ed.NextSucc;
+      DepNode &Sink = node(Ed.Sink);
+      if (!isUnread(Sink, E))
+        markInconsistent(Sink);
+      E = Next;
+    }
+  }
+
   /// True if the partition containing \p N has pending work (with
   /// partitioning disabled, if anything is pending).
   bool hasPendingFor(DepNode &N) {
@@ -163,21 +179,6 @@ protected:
   /// current roots), merging the orphaned pending set into the merged
   /// root's. \returns the merged root.
   UnionFind::Id uniteRoots(UnionFind::Id RootA, UnionFind::Id RootB);
-
-  /// Queues every dependent of \p N (change notification, Section 4.4).
-  /// An edge that a running dependent has not read again is skipped: that
-  /// run has not seen N's value yet, and reads the new one if it reads N
-  /// at all.
-  void enqueueSuccessors(DepNode &N) {
-    for (EdgeId E = N.FirstSucc; E;) {
-      const Edge &Ed = edge(E);
-      EdgeId Next = Ed.NextSucc;
-      DepNode &Sink = node(Ed.Sink);
-      if (!isUnread(Sink, E))
-        markInconsistent(Sink);
-      E = Next;
-    }
-  }
 
   /// Index of \p Id's quarantine entry, or npos.
   size_t findFault(NodeId Id) const;

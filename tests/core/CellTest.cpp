@@ -262,6 +262,90 @@ TEST(CellTest, AWriteBackBeforeTheReadReRunsNoReader) {
   EXPECT_EQ(F(), 1);
 }
 
+TEST(CellTest, ARunReadingItsOwnTemporaryWriteRunsOnce) {
+  // Save, modify, read, restore: the run reads a value it wrote itself
+  // while the location is queued. Its result does not depend on that
+  // value's history, so the refresh after the restore must not re-run it
+  // (with the read flagged, this eager body re-ran until the divergence
+  // guard quarantined it).
+  Runtime RT;
+  Cell<int> X(RT, 0, "x");
+  Cell<int> Y(RT, 0, "y");
+  Maintained<int()> F(
+      RT,
+      [&] {
+        X.set(X.get() + 1);
+        int V = X.get();
+        X.set(X.get() - 1);
+        return V + Y.get();
+      },
+      EvalStrategy::Eager, "f");
+  EXPECT_EQ(F(), 1);
+  RT.pump();
+  EXPECT_EQ(RT.stats().ProcExecutions, 1u);
+  Y.set(1);
+  RT.pump();
+  EXPECT_EQ(RT.graph().numQuarantined(), 0u);
+  EXPECT_EQ(RT.stats().ProcExecutions, 2u);
+  EXPECT_EQ(F(), 2);
+  EXPECT_EQ(RT.stats().ProcExecutions, 2u);
+  EXPECT_EQ(X.peek(), 0);
+}
+
+TEST(CellTest, ACalleeThatReadItsCallersTemporaryWriteIsNotified) {
+  // A cached callee that reads its caller's temporary value holds a result
+  // of that value; the restore must not leave it to answer later calls.
+  // The callee re-runs instead, and so does its caller, which read the
+  // callee: a demand caller at each call, an eager caller until the
+  // divergence guard quarantines it (DESIGN.md §5).
+  {
+    SCOPED_TRACE("a demand caller");
+    Runtime RT;
+    Cell<int> X(RT, 0, "x");
+    Maintained<int()> G(
+        RT, [&] { return X.get() * 10; }, EvalStrategy::Demand, "g");
+    Maintained<int()> F(
+        RT,
+        [&] {
+          X.set(X.get() + 1);
+          int V = G();
+          X.set(X.get() - 1);
+          return V;
+        },
+        EvalStrategy::Demand, "f");
+    EXPECT_EQ(F(), 10);
+    EXPECT_EQ(G(), 0);
+    EXPECT_EQ(F(), 10);
+    EXPECT_EQ(G(), 0);
+    EXPECT_EQ(RT.graph().numQuarantined(), 0u);
+    EXPECT_EQ(X.peek(), 0);
+  }
+  {
+    SCOPED_TRACE("an eager caller");
+    Runtime RT;
+    Cell<int> X(RT, 0, "x");
+    Maintained<int()> G(
+        RT, [&] { return X.get() * 10; }, EvalStrategy::Demand, "g");
+    Maintained<int()> F(
+        RT,
+        [&] {
+          X.set(X.get() + 1);
+          int V = G();
+          X.set(X.get() - 1);
+          return V;
+        },
+        EvalStrategy::Eager, "f");
+    EXPECT_EQ(F(), 10);
+    RT.pump();
+    ASSERT_EQ(RT.graph().numQuarantined(), 1u);
+    const FaultInfo *FI = RT.graph().fault(*F.instanceNode());
+    ASSERT_NE(FI, nullptr);
+    EXPECT_EQ(FI->Kind, FaultKind::Divergence);
+    EXPECT_EQ(G(), 0);
+    EXPECT_EQ(X.peek(), 0);
+  }
+}
+
 TEST(CellTest, ReadOfAQuarantinedLocationIsNotifiedAtItsReset) {
   // A quarantined vertex takes no part in propagation, so a reader sees
   // the live value until the reset's refresh; that refresh must notify it

@@ -283,6 +283,37 @@ TEST(TransactionTest, RollbackSkipsAQuarantinedNodeThatDiedInTheBatch) {
   EXPECT_EQ(F(0), 1);
 }
 
+TEST(TransactionTest, RollbackNotifiesTheReadersOfAQuarantinedLocation) {
+  // A quarantined location is not refreshed before its reset, so the
+  // rollback of a batch that wrote it notifies its readers itself: a
+  // reader that recomputed inside the batch holds the batch's value.
+  Runtime RT;
+  Cell<int> S(RT, 0, "s");
+  Maintained<int()> R(
+      RT, [&] { return S.get() + 1; }, EvalStrategy::Demand, "r");
+  EXPECT_EQ(R(), 1);
+  {
+    FaultInjector Inj;
+    FaultInjector::Scope Active(Inj);
+    Inj.armThrow("s");
+    S.set(5);
+    RT.pump(); // The refresh throws: s is quarantined, r inconsistent.
+  }
+  ASSERT_TRUE(S.node()->isQuarantined());
+
+  RT.beginBatch();
+  S.set(7);
+  EXPECT_EQ(R(), 8);
+  RT.rollbackBatch();
+
+  EXPECT_TRUE(S.node()->isQuarantined());
+  EXPECT_EQ(S.peek(), 5);
+  EXPECT_EQ(R(), 6); // The pre-batch answer, not the batch's 8.
+  EXPECT_TRUE(RT.graph().verify().empty());
+  EXPECT_TRUE(RT.graph().resetQuarantined(*S.node()));
+  EXPECT_EQ(R(), 6);
+}
+
 TEST(TransactionTest, EpochTracksBatchOutcomes) {
   Runtime RT;
   Cell<int> A(RT, 1, "a");

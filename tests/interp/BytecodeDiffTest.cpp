@@ -279,6 +279,38 @@ PROCEDURE SetS(v : INTEGER) = BEGIN s := v; END SetS;
   EXPECT_EQ(Ref.Rendered.back(), "0");
 }
 
+TEST(BytecodeDiffTest, TemporaryWritesInsideACachedBodyAgree) {
+  // F and H move x off its snapshot and back within one run. F reads only
+  // its own temporary value, which must not make the eager F re-run
+  // itself until the divergence guard quarantines it; G reads H's
+  // temporary value, so its cached 10 must not answer the call after H.
+  auto C = compile(R"(
+VAR x, y : INTEGER;
+(*CACHED EAGER*) PROCEDURE F() : INTEGER =
+VAR v : INTEGER;
+BEGIN
+  x := x + 1; v := x; x := x - 1; RETURN v + y;
+END F;
+(*CACHED*) PROCEDURE G() : INTEGER = BEGIN RETURN x * 10; END G;
+(*CACHED*) PROCEDURE H() : INTEGER =
+VAR v : INTEGER;
+BEGIN
+  x := x + 1; v := G(); x := x - 1; RETURN v;
+END H;
+PROCEDURE SetY(v : INTEGER) = BEGIN y := v; END SetY;
+)");
+  ASSERT_TRUE(C->ok()) << C->Diags.str();
+  RunResult Ref = checkDifferential(*C, {{"F", {}},
+                                         {"SetY", {1}},
+                                         {"F", {}},
+                                         {"H", {}},
+                                         {"G", {}},
+                                         {"H", {}},
+                                         {"G", {}}});
+  EXPECT_EQ(Ref.Rendered[2], "2");
+  EXPECT_EQ(Ref.Rendered.back(), "0");
+}
+
 TEST(BytecodeDiffTest, OperatorsAndControlFlow) {
   // Every operator, AND/OR short-circuit, FOR with body writes to the
   // index variable, WHILE, nested IF/ELSIF, text concat, unary ops, and
