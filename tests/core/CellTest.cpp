@@ -290,6 +290,21 @@ TEST(CellTest, ARunReadingItsOwnTemporaryWriteRunsOnce) {
   EXPECT_EQ(F(), 2);
   EXPECT_EQ(RT.stats().ProcExecutions, 2u);
   EXPECT_EQ(X.peek(), 0);
+
+  // A demand body of the same shape serves its cache at the next call.
+  Maintained<int()> H(
+      RT,
+      [&] {
+        X.set(X.get() + 1);
+        int V = X.get();
+        X.set(X.get() - 1);
+        return V;
+      },
+      EvalStrategy::Demand, "h");
+  EXPECT_EQ(H(), 1);
+  EXPECT_EQ(H(), 1);
+  EXPECT_EQ(RT.stats().ProcExecutions, 3u);
+  EXPECT_EQ(RT.graph().numQuarantined(), 0u);
 }
 
 TEST(CellTest, ACalleeThatReadItsCallersTemporaryWriteIsNotified) {
